@@ -48,6 +48,7 @@ from .refine import (
     BoundaryCodeError,
     DuplicateOrbitError,
     IntervalRef,
+    InvariantError,
     OrderTable,
     PeriodBoundError,
     RefinementResult,

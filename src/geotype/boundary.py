@@ -19,10 +19,9 @@ from .shift import (
     CodeOrbit,
     EventuallyPeriodicCode,
     PeriodicCode,
-    incidence_matrix,
+    binary_incidence,
     is_admissible_eventually_periodic,
     primitive_root,
-    require_binary,
 )
 
 
@@ -112,9 +111,7 @@ def s_boundary_positive_code(T: GeometricType, label: SULabel) -> BoundaryOrbitS
 
 def u_boundary_negative_code(T: GeometricType, label: SULabel) -> BoundaryOrbitSummary:
     """Same shape as the stable side; the code reads backward in shift time."""
-    require_valid(T)
-    Ti = invert(T)
-    return _orbit_summary(Ti, label, gamma_step)
+    return _orbit_summary(invert(T), label, gamma_step)
 
 
 def _cycle_words(T: GeometricType, step) -> set[tuple[int, ...]]:
@@ -127,7 +124,7 @@ def _cycle_words(T: GeometricType, step) -> set[tuple[int, ...]]:
 
 def per_s_codes(T: GeometricType) -> frozenset[PeriodicCode]:
     """Pointed periodic codes of all phases of every gamma cycle."""
-    require_binary(incidence_matrix(T))
+    binary_incidence(T)
     codes: set[PeriodicCode] = set()
     for word in _cycle_words(T, gamma_step):
         root = PeriodicCode(word)
@@ -137,10 +134,9 @@ def per_s_codes(T: GeometricType) -> frozenset[PeriodicCode]:
 
 def per_u_codes(T: GeometricType) -> frozenset[PeriodicCode]:
     """Pointed periodic codes of the upsilon cycles, reversed to forward time."""
-    require_binary(incidence_matrix(T))
-    Ti = invert(T)
+    binary_incidence(T)
     codes: set[PeriodicCode] = set()
-    for word in _cycle_words(Ti, gamma_step):
+    for word in _cycle_words(invert(T), gamma_step):
         root = PeriodicCode(word).reversed_pointed()
         codes.update(root.rotate(t) for t in range(root.period))
     return frozenset(codes)
@@ -171,21 +167,6 @@ def has_corner_property(T: GeometricType) -> bool:
     """True iff every periodic boundary code is both s- and u-boundary."""
     sets = boundary_sets(T)
     return sets.b_codes == sets.c_codes
-
-
-def is_s_boundary_code(T: GeometricType, code: PeriodicCode) -> bool:
-    orbits = {c.orbit() for c in per_s_codes(T)}
-    return code.orbit() in orbits
-
-
-def is_u_boundary_code(T: GeometricType, code: PeriodicCode) -> bool:
-    orbits = {c.orbit() for c in per_u_codes(T)}
-    return code.orbit() in orbits
-
-
-def max_boundary_period(T: GeometricType) -> int:
-    sets = boundary_sets(T)
-    return max(code.period for code in sets.b_codes)
 
 
 # -- classification of eventually periodic codes -------------------------------
@@ -221,9 +202,7 @@ def classify_code(T: GeometricType, code: EventuallyPeriodicCode) -> str:
     are compared through their unique canonical form, so the bounded window
     of one aligned super-period decides equality.
     """
-    require_valid(T)
-    A = incidence_matrix(T)
-    require_binary(A)
+    A = binary_incidence(T)
     if not is_admissible_eventually_periodic(A, code):
         raise AdmissibilityError("code uses transitions forbidden by the incidence matrix")
     s_summaries = [s_boundary_positive_code(T, lab) for lab in su_labels(T)]

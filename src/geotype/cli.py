@@ -208,6 +208,8 @@ def _run(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "max_period", 0) < 0:
+        parser.error("--max-period must be nonnegative")
     color = os.environ.get("GEOTYPE_COLOR") == "1"
     try:
         return _run(args)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, Mapping, NamedTuple
 
 
@@ -44,6 +46,11 @@ class GeometricType:
 
     ``rho`` and ``eps`` are stored aligned with the lexicographic order of the
     horizontal labels, so two structurally equal types compare equal.
+
+    Facts derived from the fields (the validation report, the lexicographic
+    offsets and the inverse type) are computed at most once per object and
+    kept in private cached members, which are not fields and so take no part
+    in ``==``, ``hash`` or ``repr``.
     """
 
     h: tuple[int, ...]
@@ -95,6 +102,25 @@ class GeometricType:
             raise ValueError("mapping contains labels outside H(T)")
         return cls(h, v, tuple(rho), tuple(eps))
 
+    # -- derived facts, computed once per value --------------------------------
+
+    @cached_property
+    def _report(self) -> "ValidationReport":
+        return _check_invariants(self)
+
+    @cached_property
+    def _offsets(self) -> tuple[int, ...]:
+        """``_offsets[i - 1]`` is h_1 + ... + h_{i-1}."""
+        return tuple(accumulate(self.h, initial=0))
+
+    @cached_property
+    def _inverse(self) -> "GeometricType":
+        """Needs a valid type; :func:`invert` checks that first."""
+        inv_map: dict[tuple[int, int], tuple[int, int, int]] = {}
+        for label, (k, l), e in zip(self.h_labels(), self.rho, self.eps):
+            inv_map[(k, l)] = (label.i, label.j, e)
+        return GeometricType.build(self.v, self.h, inv_map)
+
     # -- basic accessors ------------------------------------------------------
 
     @property
@@ -116,7 +142,7 @@ class GeometricType:
         i, j = label
         if not (1 <= i <= self.n and 1 <= j <= self.h[i - 1]):
             raise ValueError(f"label ({i},{j}) is not a horizontal label of this type")
-        return sum(self.h[: i - 1]) + j
+        return self._offsets[i - 1] + j
 
     def lex_unindex(self, r: int) -> HLabel:
         if not (1 <= r <= sum(self.h)):
@@ -149,8 +175,7 @@ class ValidationReport:
     violations: tuple[str, ...]
 
 
-def validate(T: GeometricType) -> ValidationReport:
-    """Check the three geometric-type invariants and report violations."""
+def _check_invariants(T: GeometricType) -> ValidationReport:
     violations: list[str] = []
     bad_h = [i for i in range(1, T.n + 1) if T.h[i - 1] < 1]
     bad_v = [i for i in range(1, T.n + 1) if T.v[i - 1] < 1]
@@ -162,8 +187,7 @@ def validate(T: GeometricType) -> ValidationReport:
         violations.append(f"Σh ≠ Σv ({sum(T.h)} ≠ {sum(T.v)})")
     seen: dict[VLabel, HLabel] = {}
     duplicated: list[str] = []
-    for label in T.h_labels():
-        target = T.rho_of(label)
+    for label, target in zip(T.h_labels(), T.rho):
         if target in seen:
             duplicated.append(f"rho({seen[target].i},{seen[target].j}) = rho({label.i},{label.j}) = ({target.k},{target.l})")
         else:
@@ -174,6 +198,15 @@ def validate(T: GeometricType) -> ValidationReport:
         missing = [t for t in T.v_labels() if t not in seen]
         violations.append(f"rho not surjective: unreached vertical labels {missing}")
     return ValidationReport(not violations, tuple(violations))
+
+
+def validate(T: GeometricType) -> ValidationReport:
+    """Check the three geometric-type invariants and report violations.
+
+    The report is computed on the first call for a type object and kept on
+    it, so validating the same object again costs an attribute lookup.
+    """
+    return T._report
 
 
 def require_valid(T: GeometricType) -> None:
@@ -193,14 +226,11 @@ def invert(T: GeometricType) -> GeometricType:
 
     h and v swap, rho is reversed as a relation, and each eps value rides
     along: eps' (k, l) = eps(i, j) whenever rho(i, j) = (k, l).  The
-    construction is an exact involution.
+    construction is an exact involution.  It is built on the first call for
+    a type object and kept on it, so repeated calls return the same object.
     """
     require_valid(T)
-    inv_map: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for label in T.h_labels():
-        k, l, e = T.phi(label)
-        inv_map[(k, l)] = (label.i, label.j, e)
-    return GeometricType.build(T.v, T.h, inv_map)
+    return T._inverse
 
 
 # -- canonical text format ----------------------------------------------------

@@ -192,7 +192,6 @@ def oracle_s_refine(
     and the refined bijection from pushing each band piece through its strip
     map and reading off which bands of the target square it sweeps.
     """
-    require_valid(T)
     A = incidence_matrix(T)
     if not is_binary(A):
         raise GeoTypeError("oracle refinement needs a binary incidence matrix")
@@ -298,7 +297,6 @@ def _fmt(value: Fraction, scale: float, offset: float = 0.0) -> str:
 
 def model_svg(T: GeometricType, W=()) -> str:
     """Deterministic SVG of the unit squares, strips and cut lines of W."""
-    require_valid(T)
     model = realize(T)
     side = 120.0
     gap = 30.0

@@ -6,7 +6,7 @@ horizontal strip to a rectangle of its own, which forces a 0/1 incidence
 matrix.  The stable-boundary refinement cuts rectangles along the horizontal
 lines carried by a family of periodic codes; its engine is a strict total
 order on cut lines computed from mismatch times and orientation products,
-followed by a per-strip case analysis that assembles the refined bijection.
+followed by one image formula per strip that assembles the refined bijection.
 The unstable-boundary refinement is the same construction run on the inverse
 type, and the corner / bounded-period refinements are pipelines of the two.
 """
@@ -14,7 +14,7 @@ type, and the corner / bounded-period refinements are pipelines of the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from math import lcm
 
 from .core import (
@@ -29,7 +29,6 @@ from .boundary import (
     SULabel,
     boundary_sets,
     has_corner_property,
-    max_boundary_period,
     per_s_codes,
     per_u_codes,
 )
@@ -38,11 +37,9 @@ from .shift import (
     CodeOrbit,
     IncidenceMatrix,
     PeriodicCode,
+    binary_incidence,
     enumerate_orbits,
-    incidence_matrix,
-    is_binary,
     primitive_root,
-    require_binary,
 )
 
 
@@ -62,6 +59,10 @@ class PeriodBoundError(GeoTypeError):
     """The requested period bound is below the boundary-code maximum."""
 
 
+class InvariantError(GeoTypeError):
+    """A construction broke an invariant it guarantees for valid binary input."""
+
+
 # -- binary refinement ----------------------------------------------------------
 
 
@@ -69,9 +70,6 @@ class PeriodBoundError(GeoTypeError):
 class BinRefinement:
     refined: GeometricType
     label_map: tuple[HLabel, ...]  # position r-1 holds the source label (i, j)
-
-    def r_of(self, label: tuple[int, int]) -> int:
-        return self.label_map.index(HLabel(*label)) + 1
 
 
 def bin_refine(T: GeometricType) -> BinRefinement:
@@ -163,7 +161,8 @@ def interchange_delta(T: GeometricType, a: IntervalRef, b: IntervalRef) -> int:
     for m in range(M - 1):
         delta_a *= T.eps_of((a.code.symbol(a.t + m), j_index(T, a.code, a.t + m)))
         delta_b *= T.eps_of((b.code.symbol(b.t + m), j_index(T, b.code, b.t + m)))
-    assert delta_a == delta_b, "orientation product must not depend on the code"
+    if delta_a != delta_b:
+        raise InvariantError("orientation product must not depend on the code")
     return delta_a
 
 
@@ -173,7 +172,8 @@ def interval_less(T: GeometricType, a: IntervalRef, b: IntervalRef) -> bool:
     delta = interchange_delta(T, a, b)
     ja = j_index(T, a.code, a.t + M - 1)
     jb = j_index(T, b.code, b.t + M - 1)
-    assert ja != jb, "strips at the mismatch time must differ for a binary matrix"
+    if ja == jb:
+        raise InvariantError("strips at the mismatch time must differ for a binary matrix")
     return ja < jb if delta == 1 else ja > jb
 
 
@@ -197,7 +197,11 @@ class OrderTable:
         return self.entries[i - 1]
 
     def position(self, ref: IntervalRef) -> int:
-        return self.entries[ref.host - 1].index(ref) + 1
+        return self._positions[ref]
+
+    @cached_property
+    def _positions(self) -> dict[IntervalRef, int]:
+        return {ref: p for refs in self.entries for p, ref in enumerate(refs, start=1)}
 
 
 def _prepare_family(
@@ -241,9 +245,7 @@ def build_order(
     dedup_orbits: bool = False,
 ) -> OrderTable:
     """Validate a cutting family and sort its cut lines rectangle by rectangle."""
-    require_valid(T)
-    A = incidence_matrix(T)
-    require_binary(A)
+    A = binary_incidence(T)
     boundary_orbits = {c.orbit() for c in per_s_codes(T)}
     family = _prepare_family(
         T,
@@ -293,7 +295,11 @@ class RefinementResult:
     def r_of(self, i: int, s: int) -> int:
         if self.label_map is None:
             raise GeoTypeError("pipeline results have no single label map")
-        return self.label_map.index((i, s)) + 1
+        return self._r_index[(i, s)]
+
+    @cached_property
+    def _r_index(self) -> dict[tuple[int, int], int]:
+        return {label: r for r, label in enumerate(self.label_map, start=1)}
 
     # -- recoding ------------------------------------------------------------
 
@@ -316,7 +322,8 @@ class RefinementResult:
         return self._recode_s(code)
 
     def _recode_s(self, code: PeriodicCode) -> frozenset[PeriodicCode]:
-        assert self.kind == "s" and self.order is not None
+        if self.kind != "s" or self.order is None:
+            raise InvariantError("only stable results with an order table recode directly")
         T = self.source
         by_orbit = {w.orbit(): w for w in self.order.family}
         orbit = code.orbit()
@@ -382,22 +389,18 @@ def s_refine(
 ) -> RefinementResult:
     """Cut each rectangle along the stable lines of all iterates of W.
 
-    Every strip of the source that meets a refined rectangle contributes a
-    block of refined strips.  The block size and images follow from which of
-    the rectangle's two bounding lines live inside that strip:
-
-    * neither (the strip crosses the rectangle, or the bounds are rectangle
-      edges): the image sweeps all of rectangle k;
-    * both: the image runs between the two successor lines;
-    * exactly one: the image runs from the successor line to the edge of k
-      picked out by the orientation.
+    Every strip j of the source that meets a refined rectangle contributes
+    one refined strip per band of the target rectangle k that its piece
+    sweeps.  Positions in k run from 0 (bottom edge) through the cut lines
+    to count + 1 (top edge), and band s lies between positions s - 1 and s.
+    The piece's lower end lands at position a: the successor of the lower
+    cut when that cut lies in strip j, else the edge of k that the
+    orientation e sends the strip's bottom to.  The upper end lands at b in
+    the same way.  The images are the bands a+1..b when e = +1 and a, a-1,
+    ..., b+1 when e = -1.
     """
     order = build_order(T, W, drop_boundary=drop_boundary, dedup_orbits=dedup_orbits)
     pairs, starts = _tilde_labels(order)
-
-    def r_tilde(k: int, s: int) -> int:
-        return starts[k - 1] + s
-
     h_new: list[int] = []
     v_new: list[int] = []
     mapping: dict[tuple[int, int], tuple[int, int, int]] = {}
@@ -408,69 +411,29 @@ def s_refine(
         lower: object = SULabel(i, -1) if s == 1 else order.refs(i)[s - 2]
         upper: object = SULabel(i, +1) if s == count_i + 1 else order.refs(i)[s - 1]
         provenance.append((lower, upper))
-        j_lo = 1 if isinstance(lower, SULabel) else j_index(T, lower.code, lower.t)
-        j_hi = T.h[i - 1] if isinstance(upper, SULabel) else j_index(T, upper.code, upper.t)
-        assert j_lo <= j_hi
+        cut_lo = isinstance(lower, IntervalRef)
+        cut_hi = isinstance(upper, IntervalRef)
+        j_lo = j_index(T, lower.code, lower.t) if cut_lo else 1
+        j_hi = j_index(T, upper.code, upper.t) if cut_hi else T.h[i - 1]
+        if j_lo > j_hi:
+            raise InvariantError(f"cut lines of rectangle {i} are out of order")
         v_new.append(T.v[i - 1])
 
-        blocks: list[tuple[int, int, int, list[int]]] = []  # (k, l, eps, image rs)
+        J_bar = 0
         for j in range(j_lo, j_hi + 1):
             k, l, e = T.phi((i, j))
-            count_k = order.count(k)
-            low_in = isinstance(lower, IntervalRef) and j == j_index(T, lower.code, lower.t)
-            up_in = isinstance(upper, IntervalRef) and j == j_index(T, upper.code, upper.t)
-            if low_in and up_in:
-                succ_lo = lower.successor()
-                succ_hi = upper.successor()
-                assert succ_lo.host == k and succ_hi.host == k
-                s_minus = order.position(succ_lo)
-                s_plus = order.position(succ_hi)
-                assert (s_minus < s_plus) if e == 1 else (s_minus > s_plus)
-                h_bar = abs(s_minus - s_plus)
-                if e == 1:
-                    images = [r_tilde(k, s_minus + J) for J in range(1, h_bar + 1)]
-                else:
-                    images = [r_tilde(k, s_minus - J + 1) for J in range(1, h_bar + 1)]
-            elif up_in:
-                succ = upper.successor()
-                assert succ.host == k
-                s_plus = order.position(succ)
-                if e == 1:
-                    h_bar = s_plus
-                    images = [r_tilde(k, J) for J in range(1, h_bar + 1)]
-                else:
-                    h_bar = count_k + 1 - s_plus
-                    images = [r_tilde(k, count_k + 2 - J) for J in range(1, h_bar + 1)]
-            elif low_in:
-                succ = lower.successor()
-                assert succ.host == k
-                s_img = order.position(succ)
-                if e == 1:
-                    h_bar = count_k + 1 - s_img
-                    images = [r_tilde(k, s_img + J) for J in range(1, h_bar + 1)]
-                else:
-                    h_bar = s_img
-                    images = [r_tilde(k, s_img - J + 1) for J in range(1, h_bar + 1)]
-            else:
-                h_bar = count_k + 1
-                if e == 1:
-                    images = [r_tilde(k, J) for J in range(1, h_bar + 1)]
-                else:
-                    images = [r_tilde(k, count_k + 2 - J) for J in range(1, h_bar + 1)]
-            assert h_bar >= 1
-            blocks.append((k, l, e, images))
-
-        J_bar = 0
-        for _, l, e, images in blocks:
-            for target in images:
+            bottom, top = (0, order.count(k) + 1) if e == 1 else (order.count(k) + 1, 0)
+            a = order.position(lower.successor()) if cut_lo and j == j_lo else bottom
+            b = order.position(upper.successor()) if cut_hi and j == j_hi else top
+            if e * (b - a) < 1:
+                raise InvariantError(f"strip ({i},{j}) has no image in rectangle {k}")
+            for band in range(a + 1, b + 1) if e == 1 else range(a, b, -1):
                 J_bar += 1
-                mapping[(r, J_bar)] = (target, l, e)
+                mapping[(r, J_bar)] = (starts[k - 1] + band, l, e)
         h_new.append(J_bar)
 
     refined = GeometricType.build(tuple(h_new), tuple(v_new), mapping)
-    require_valid(refined)
-    assert sum(h_new) == sum(v_new)
-    assert is_binary(incidence_matrix(refined))
+    binary_incidence(refined)  # postcondition: the refined type is valid and binary
     return RefinementResult(
         refined=refined,
         source=T,
@@ -493,9 +456,7 @@ def u_refine(
     Code words are reversed before feeding the inverse side, since forward
     time for the inverse is backward time for the original.
     """
-    require_valid(T)
-    A = incidence_matrix(T)
-    require_binary(A)
+    A = binary_incidence(T)
     boundary_orbits = {c.orbit() for c in per_u_codes(T)}
     family = _prepare_family(
         T,
@@ -538,8 +499,7 @@ def corner_refine(T: GeometricType) -> RefinementResult:
     type along its own stable boundary codes that are not yet unstable
     boundary.
     """
-    require_valid(T)
-    require_binary(incidence_matrix(T))
+    binary_incidence(T)
     sets = boundary_sets(T)
     s_orbits = {c.orbit() for c in sets.s_codes}
     b_orbits = {c.orbit() for c in sets.b_codes}
@@ -553,8 +513,7 @@ def corner_refine(T: GeometricType) -> RefinementResult:
 
 def corner_refine_along(T: GeometricType, W) -> RefinementResult:
     """Cut along W, then corner-refine; boundary members of W cut nothing."""
-    require_valid(T)
-    require_binary(incidence_matrix(T))
+    binary_incidence(T)
     if not has_corner_property(T):
         raise GeoTypeError("corner refinement along a family needs the corner property")
     stage1 = s_refine(T, W, drop_boundary=True)
@@ -564,12 +523,11 @@ def corner_refine_along(T: GeometricType, W) -> RefinementResult:
 
 def wp_refine(T: GeometricType, P: int) -> RefinementResult:
     """Put every periodic orbit of period <= P on refined rectangle corners."""
-    require_valid(T)
-    A = incidence_matrix(T)
-    require_binary(A)
-    if not has_corner_property(T):
+    A = binary_incidence(T)
+    sets = boundary_sets(T)
+    if sets.b_codes != sets.c_codes:
         raise GeoTypeError("bounded-period refinement needs the corner property")
-    p_bound = max_boundary_period(T)
+    p_bound = max(code.period for code in sets.b_codes)
     if P < p_bound:
         raise PeriodBoundError(f"P below P_B(T)={p_bound}")
     orbits = enumerate_orbits(A, P)

@@ -200,6 +200,13 @@ def require_binary(A: IncidenceMatrix) -> None:
         raise NonBinaryError("incidence matrix is not binary")
 
 
+def binary_incidence(T: GeometricType) -> IncidenceMatrix:
+    """The incidence matrix of T; raises unless T is valid and it is binary."""
+    A = incidence_matrix(T)
+    require_binary(A)
+    return A
+
+
 def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     n = len(a)
     return [

@@ -79,6 +79,16 @@ def test_orbits(capsys, e2_path):
     assert out == "CODE 1\nCODE 2\nCODE 1 2\n"
 
 
+def test_orbits_negative_period_is_a_usage_error(capsys, e2_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["orbits", e2_path, "--max-period", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage:")
+    assert "--max-period must be nonnegative" in captured.err
+
+
 def test_codes_report(capsys, e2_path):
     code, out, _ = run_cli(capsys, "codes", e2_path)
     assert code == 0

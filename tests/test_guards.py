@@ -1,0 +1,114 @@
+"""Guards and derived facts: every public entry point rejects an invalid type,
+facts derived from a type are computed once per object, and the library
+states its invariants as checks that ``python -O`` keeps."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import geotype
+from geotype import (
+    EventuallyPeriodicCode,
+    GeometricType,
+    InvalidTypeError,
+    SULabel,
+    VLabel,
+    bin_refine,
+    boundary_sets,
+    build_order,
+    classify_code,
+    corner_refine,
+    corner_refine_along,
+    gamma_step,
+    incidence_matrix,
+    invert,
+    model_svg,
+    oracle_s_refine,
+    per_s_codes,
+    per_u_codes,
+    realize,
+    s_boundary_positive_code,
+    s_refine,
+    u_boundary_negative_code,
+    u_refine,
+    upsilon_step,
+    validate,
+    wp_refine,
+)
+from geotype.boundary import boundary_report
+
+from conftest import make_e2, make_e3
+
+SOURCES = Path(geotype.__file__).parent
+
+
+def broken() -> GeometricType:
+    """Σh ≠ Σv and rho is not injective."""
+    return GeometricType((2,), (1,), (VLabel(1, 1), VLabel(1, 1)), (1, 1))
+
+
+EDGE = SULabel(1, -1)
+
+GUARDED = [
+    (invert, ()),
+    (incidence_matrix, ()),
+    (bin_refine, ()),
+    (gamma_step, (EDGE,)),
+    (upsilon_step, (EDGE,)),
+    (s_boundary_positive_code, (EDGE,)),
+    (u_boundary_negative_code, (EDGE,)),
+    (per_s_codes, ()),
+    (per_u_codes, ()),
+    (boundary_sets, ()),
+    (classify_code, (EventuallyPeriodicCode((1,), (), (1,)),)),
+    (boundary_report, ()),
+    (build_order, ([],)),
+    (s_refine, ([],)),
+    (u_refine, ([],)),
+    (corner_refine, ()),
+    (corner_refine_along, ([],)),
+    (wp_refine, (1,)),
+    (realize, ()),
+    (oracle_s_refine, ([],)),
+    (model_svg, ()),
+]
+
+
+@pytest.mark.parametrize("fn, args", GUARDED, ids=[fn.__name__ for fn, _ in GUARDED])
+def test_public_entry_points_reject_invalid_types(fn, args):
+    with pytest.raises(InvalidTypeError):
+        fn(broken(), *args)
+
+
+def test_cached_facts_stay_out_of_eq_hash_and_repr():
+    T = make_e3()
+    fresh = make_e3()
+    validate(T)
+    T.lex_index((4, 3))
+    assert invert(T) is invert(T)
+    assert T == fresh and hash(T) == hash(fresh) and repr(T) == repr(fresh)
+    assert invert(invert(T)) == T
+
+
+def test_wp_refine_validates_each_type_object_at_most_once(monkeypatch):
+    checked: list[GeometricType] = []  # holding the objects keeps their ids unique
+    real_check = geotype.core._check_invariants
+
+    def counting_check(T):
+        checked.append(T)
+        return real_check(T)
+
+    monkeypatch.setattr(geotype.core, "_check_invariants", counting_check)
+    wp_refine(make_e2(), 3)
+    assert checked
+    assert len({id(T) for T in checked}) == len(checked)
+
+
+@pytest.mark.parametrize("path", sorted(SOURCES.glob("*.py")), ids=lambda p: p.name)
+def test_library_has_no_assert_statements(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} uses assert at lines {lines}"
