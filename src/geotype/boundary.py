@@ -19,6 +19,7 @@ from .shift import (
     CodeOrbit,
     EventuallyPeriodicCode,
     PeriodicCode,
+    binary_branches,
     binary_incidence,
     is_admissible_eventually_periodic,
     primitive_root,
@@ -124,7 +125,7 @@ def _cycle_words(T: GeometricType, step) -> set[tuple[int, ...]]:
 
 def per_s_codes(T: GeometricType) -> frozenset[PeriodicCode]:
     """Pointed periodic codes of all phases of every gamma cycle."""
-    binary_incidence(T)
+    binary_branches(T)
     codes: set[PeriodicCode] = set()
     for word in _cycle_words(T, gamma_step):
         root = PeriodicCode(word)
@@ -134,7 +135,7 @@ def per_s_codes(T: GeometricType) -> frozenset[PeriodicCode]:
 
 def per_u_codes(T: GeometricType) -> frozenset[PeriodicCode]:
     """Pointed periodic codes of the upsilon cycles, reversed to forward time."""
-    binary_incidence(T)
+    binary_branches(T)
     codes: set[PeriodicCode] = set()
     for word in _cycle_words(invert(T), gamma_step):
         root = PeriodicCode(word).reversed_pointed()

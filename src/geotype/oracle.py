@@ -232,6 +232,11 @@ def oracle_s_refine(
         [Fraction(0)] + [item[0] for item in cuts[i - 1]] + [Fraction(1)]
         for i in range(1, T.n + 1)
     ]
+    # position of each height on its square's cut grid, so that a band edge's
+    # image is found by one lookup instead of a scan
+    grid_index: list[dict[Fraction, int]] = [
+        {y: pos for pos, y in enumerate(marks)} for marks in boundaries
+    ]
 
     pairs: list[tuple[int, int]] = []
     starts: list[int] = []
@@ -264,10 +269,10 @@ def oracle_s_refine(
             img_lo, img_hi = (y1, y2) if y1 < y2 else (y2, y1)
             k = m.target.k
             marks = boundaries[k - 1]
-            if img_lo not in marks or img_hi not in marks:
+            idx_lo = grid_index[k - 1].get(img_lo)
+            idx_hi = grid_index[k - 1].get(img_hi)
+            if idx_lo is None or idx_hi is None:
                 raise GeoTypeError("image of a band edge missed the cut grid")
-            idx_lo = marks.index(img_lo)
-            idx_hi = marks.index(img_hi)
             for band in range(idx_lo + 1, idx_hi + 1):
                 band_lo, band_hi = marks[band - 1], marks[band]
                 pre_points = sorted(

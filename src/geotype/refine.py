@@ -4,17 +4,18 @@ Refinements of geometric types.
 Three constructions live here.  The binary refinement promotes every
 horizontal strip to a rectangle of its own, which forces a 0/1 incidence
 matrix.  The stable-boundary refinement cuts rectangles along the horizontal
-lines carried by a family of periodic codes; its engine is a strict total
-order on cut lines computed from mismatch times and orientation products,
-followed by one image formula per strip that assembles the refined bijection.
+lines carried by a family of periodic codes; its engine sorts the cut lines
+of each rectangle by a kneading key (a finite signed strip sequence), then
+applies one image formula per strip to assemble the refined bijection.
 The unstable-boundary refinement is the same construction run on the inverse
 type, and the corner / bounded-period refinements are pipelines of the two.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from math import lcm
 
 from .core import (
@@ -37,8 +38,10 @@ from .shift import (
     CodeOrbit,
     IncidenceMatrix,
     PeriodicCode,
+    binary_branches,
     binary_incidence,
     enumerate_orbits,
+    incidence_matrix,
     primitive_root,
 )
 
@@ -166,15 +169,52 @@ def interchange_delta(T: GeometricType, a: IntervalRef, b: IntervalRef) -> int:
     return delta_a
 
 
+def _kneading_key(
+    branches: dict[tuple[int, int], tuple[int, int]], ref: IntervalRef, span: int
+) -> tuple[int, ...]:
+    """The first ``span`` symbols of the signed strip sequence of a cut line.
+
+    Symbol m is delta_m * j_m: j_m is the strip that step t + m of the code
+    runs through and delta_m the orientation product of the m steps before
+    it.  The sequence has period 2p, so one signed period is computed from
+    the branch table of :func:`shift.binary_branches` and repeated.
+    """
+    code, t = ref.code, ref.t
+    steps = 2 * (code.word[t:] + code.word[:t])
+    period: list[int] = []
+    delta = 1
+    for step in zip(steps, steps[1:] + steps[:1]):
+        branch = branches.get(step)
+        if branch is None:
+            raise AdmissibilityError(f"code {code} is not admissible for this type")
+        j, e = branch
+        period.append(delta * j)
+        delta *= e
+    return tuple(period * -(-span // len(period)))[:span]
+
+
 def interval_less(T: GeometricType, a: IntervalRef, b: IntervalRef) -> bool:
-    """Strict vertical order of two cut lines with a common host rectangle."""
-    M = mismatch_M(T, a, b)
-    delta = interchange_delta(T, a, b)
-    ja = j_index(T, a.code, a.t + M - 1)
-    jb = j_index(T, b.code, b.t + M - 1)
-    if ja == jb:
-        raise InvariantError("strips at the mismatch time must differ for a binary matrix")
-    return ja < jb if delta == 1 else ja > jb
+    """Strict vertical order of two cut lines with a common host rectangle.
+
+    The order is the twisted lexicographic (kneading) order of Milnor and
+    Thurston, *On iterated maps of the interval* (1988): ``a`` lies below
+    ``b`` exactly when its :func:`_kneading_key` is smaller.  Up to the
+    mismatch time M of :func:`mismatch_M` both codes run through the same
+    strips, so their keys first differ at index M - 1, where the strips
+    differ and ``interchange_delta`` gives the common sign.  The keys have
+    periods 2p_a and 2p_b, so by Fine and Wilf two distinct ones differ
+    within 2p_a + 2p_b - gcd(2p_a, 2p_b) symbols, and keys of length
+    2(p_a + p_b) decide the order exactly.
+    """
+    if a.host != b.host:
+        raise ValueError("interval references must share a host rectangle")
+    branches = binary_branches(T)
+    span = 2 * (a.code.period + b.code.period)
+    key_a = _kneading_key(branches, a, span)
+    key_b = _kneading_key(branches, b, span)
+    if key_a == key_b:
+        raise ShiftEqualError(f"intervals ({a.t},{a.code}) and ({b.t},{b.code}) are shift-equal")
+    return key_a < key_b
 
 
 @dataclass(frozen=True)
@@ -244,8 +284,16 @@ def build_order(
     drop_boundary: bool = False,
     dedup_orbits: bool = False,
 ) -> OrderTable:
-    """Validate a cutting family and sort its cut lines rectangle by rectangle."""
-    A = binary_incidence(T)
+    """Validate a cutting family and sort its cut lines rectangle by rectangle.
+
+    Each cut line is sorted by its :func:`_kneading_key` of length 4P, where
+    P is the longest period in the family; that is the Fine-Wilf length
+    2(p_a + p_b) for every pair, so the sort is exact (see
+    :func:`interval_less`).  The branch table is built once, in O(alpha),
+    the keys cost O(cuts * P) and the sort O(cuts * log cuts) comparisons.
+    """
+    branches = binary_branches(T)
+    A = incidence_matrix(T)
     boundary_orbits = {c.orbit() for c in per_s_codes(T)}
     family = _prepare_family(
         T,
@@ -261,8 +309,11 @@ def build_order(
         for t in range(code.period):
             ref = IntervalRef(t, code)
             buckets[ref.host - 1].append(ref)
-    key = cmp_to_key(lambda x, y: -1 if interval_less(T, x, y) else 1)
-    entries = tuple(tuple(sorted(bucket, key=key)) for bucket in buckets)
+    span = 4 * max((code.period for code in family), default=0)
+    entries = tuple(
+        tuple(sorted(bucket, key=lambda ref: _kneading_key(branches, ref, span)))
+        for bucket in buckets
+    )
     return OrderTable(T.n, family, entries)
 
 
@@ -324,19 +375,18 @@ class RefinementResult:
     def _recode_s(self, code: PeriodicCode) -> frozenset[PeriodicCode]:
         if self.kind != "s" or self.order is None:
             raise InvariantError("only stable results with an order table recode directly")
-        T = self.source
+        branches = binary_branches(self.source)
         by_orbit = {w.orbit(): w for w in self.order.family}
         orbit = code.orbit()
         if orbit in by_orbit:
             # The two flanking rectangle codes swap sides at every
             # orientation-reversing step, so their period doubles when the
-            # orientation product over one period is -1.
+            # orientation product over one period is -1.  The product over
+            # the first t steps is the sign of symbol t of the kneading key.
             rep = by_orbit[orbit]
             P = rep.period
-            signs = [1]
-            for t in range(2 * P - 1):
-                strip = (rep.symbol(t), j_index(T, rep, t))
-                signs.append(signs[-1] * T.eps_of(strip))
+            signed = _kneading_key(branches, IntervalRef(0, rep), 2 * P)
+            signs = [1 if x > 0 else -1 for x in signed]
             length = P if signs[P] == 1 else 2 * P
             below: list[int] = []
             above: list[int] = []
@@ -357,13 +407,18 @@ class RefinementResult:
                     PeriodicCode(primitive_root(above)),
                 }
             )
+        # Count the cuts below each phase of the code by bisecting its host's
+        # sorted cuts; the key length covers the code's own period too.
+        span = 2 * (max((w.period for w in self.order.family), default=0) + code.period)
+
+        def key(ref: IntervalRef) -> tuple[int, ...]:
+            return _kneading_key(branches, ref, span)
+
         word: list[int] = []
         for t in range(code.period):
             ref = IntervalRef(t, code)
             i = ref.host
-            s = 1 + sum(
-                1 for other in self.order.refs(i) if interval_less(T, other, ref)
-            )
+            s = 1 + bisect_left(self.order.refs(i), key(ref), key=key)
             word.append(self.r_of(i, s))
         return frozenset({PeriodicCode(primitive_root(word))})
 
@@ -433,7 +488,7 @@ def s_refine(
         h_new.append(J_bar)
 
     refined = GeometricType.build(tuple(h_new), tuple(v_new), mapping)
-    binary_incidence(refined)  # postcondition: the refined type is valid and binary
+    binary_branches(refined)  # postcondition: the refined type is valid and binary
     return RefinementResult(
         refined=refined,
         source=T,
@@ -499,7 +554,7 @@ def corner_refine(T: GeometricType) -> RefinementResult:
     type along its own stable boundary codes that are not yet unstable
     boundary.
     """
-    binary_incidence(T)
+    binary_branches(T)
     sets = boundary_sets(T)
     s_orbits = {c.orbit() for c in sets.s_codes}
     b_orbits = {c.orbit() for c in sets.b_codes}
@@ -513,7 +568,7 @@ def corner_refine(T: GeometricType) -> RefinementResult:
 
 def corner_refine_along(T: GeometricType, W) -> RefinementResult:
     """Cut along W, then corner-refine; boundary members of W cut nothing."""
-    binary_incidence(T)
+    binary_branches(T)
     if not has_corner_property(T):
         raise GeoTypeError("corner refinement along a family needs the corner property")
     stage1 = s_refine(T, W, drop_boundary=True)

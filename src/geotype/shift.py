@@ -200,11 +200,28 @@ def require_binary(A: IncidenceMatrix) -> None:
         raise NonBinaryError("incidence matrix is not binary")
 
 
+def binary_branches(T: GeometricType) -> dict[tuple[int, int], tuple[int, int]]:
+    """The branch table ``{(i, k): (j, eps(i, j))}`` of a valid binary type.
+
+    Strip j of rectangle i is the unique strip mapping into rectangle
+    k = xi(i, j).  The incidence matrix is binary exactly when the pairs
+    (i, xi(i, j)) are distinct, so this guard costs O(alpha) and builds no
+    matrix.  Raises ``InvalidTypeError`` or ``NonBinaryError`` otherwise.
+    """
+    require_valid(T)
+    table = {
+        (label.i, target.k): (label.j, e)
+        for label, target, e in zip(T.h_labels(), T.rho, T.eps)
+    }
+    if len(table) != len(T.rho):
+        raise NonBinaryError("incidence matrix is not binary")
+    return table
+
+
 def binary_incidence(T: GeometricType) -> IncidenceMatrix:
     """The incidence matrix of T; raises unless T is valid and it is binary."""
-    A = incidence_matrix(T)
-    require_binary(A)
-    return A
+    binary_branches(T)
+    return incidence_matrix(T)
 
 
 def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

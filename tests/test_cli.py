@@ -192,6 +192,25 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+NOT_UTF8 = b"\xff\xfeGEOTYPE 1\n"
+
+
+def test_non_utf8_type_file_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "bad.gt"
+    bad.write_bytes(NOT_UTF8)
+    code, out, err = run_cli(capsys, "validate", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("ParseError") and "not UTF-8" in err
+
+
+def test_non_utf8_codes_file_is_a_parse_error(capsys, tmp_path, e2_path):
+    bad = tmp_path / "bad.codes"
+    bad.write_bytes(b"CODE 1 2\n\xff\xfe\n")
+    code, out, err = run_cli(capsys, "srefine", e2_path, "--codes", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("ParseError") and "not UTF-8" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["orbits"])  # missing required arguments

@@ -14,6 +14,7 @@ from geotype import (
     EventuallyPeriodicCode,
     GeometricType,
     InvalidTypeError,
+    NonBinaryError,
     SULabel,
     VLabel,
     bin_refine,
@@ -22,6 +23,7 @@ from geotype import (
     classify_code,
     corner_refine,
     corner_refine_along,
+    enumerate_orbits,
     gamma_step,
     incidence_matrix,
     invert,
@@ -40,7 +42,7 @@ from geotype import (
 )
 from geotype.boundary import boundary_report
 
-from conftest import make_e2, make_e3
+from conftest import make_e1, make_e1m, make_e2, make_e3
 
 SOURCES = Path(geotype.__file__).parent
 
@@ -112,3 +114,29 @@ def test_library_has_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} uses assert at lines {lines}"
+
+
+def test_s_refine_builds_no_matrix_larger_than_its_source(monkeypatch):
+    """The binary guards read (i, xi) pairs, so refining bin(E1m) along every
+    non-boundary orbit of period <= 8 builds no refined-size dense matrix."""
+    sizes: list[int] = []
+    real_incidence = geotype.shift.incidence_matrix
+
+    def recording_incidence(T):
+        sizes.append(T.n)
+        return real_incidence(T)
+
+    for module in (geotype.shift, geotype.boundary, geotype.refine, geotype.oracle):
+        if hasattr(module, "incidence_matrix"):
+            monkeypatch.setattr(module, "incidence_matrix", recording_incidence)
+    T = bin_refine(make_e1m()).refined
+    boundary = {c.orbit() for c in per_s_codes(T)}
+    family = [o.canonical for o in enumerate_orbits(real_incidence(T), 8) if o not in boundary]
+    result = s_refine(T, family)
+    assert result.refined.n > 100 * T.n
+    assert sizes and max(sizes) <= T.n
+
+
+def test_s_refine_rejects_a_non_binary_type():
+    with pytest.raises(NonBinaryError):
+        s_refine(make_e1(), [])

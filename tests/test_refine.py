@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from itertools import permutations
+import random
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from geotype import (
     interval_less,
     invert,
     is_binary,
+    is_mixing,
     j_index,
     mismatch_M,
     per_s_codes,
@@ -41,7 +43,13 @@ from geotype import (
 )
 from geotype.shift import AdmissibilityError
 
-from conftest import binary_mixing_corpus, cutting_families, make_e3, valid_types
+from conftest import (
+    binary_mixing_corpus,
+    cutting_families,
+    make_e3,
+    random_valid_type,
+    valid_types,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -157,6 +165,48 @@ def test_interval_less_is_strict_total_order():
                 for a, b, c in permutations(refs, 3):
                     if interval_less(T, a, b) and interval_less(T, b, c):
                         assert interval_less(T, a, c)
+
+
+def _pairwise_less(T, a, b) -> tuple[bool, int]:
+    """Reference order of two cuts from the mismatch time and the orientation
+    product before it; also returns that product."""
+    M = mismatch_M(T, a, b)
+    delta = interchange_delta(T, a, b)
+    ja = j_index(T, a.code, a.t + M - 1)
+    jb = j_index(T, b.code, b.t + M - 1)
+    return (ja < jb if delta == 1 else ja > jb), delta
+
+
+def _orientation_reversing_bin_types(seed: int, count: int):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        T = bin_refine(random_valid_type(rng, max_n=2, max_hv=2)).refined
+        if 2 <= T.n <= 4 and -1 in T.eps and is_mixing(incidence_matrix(T)):
+            out.append(T)
+    return out
+
+
+def test_key_order_matches_pairwise_reference():
+    """build_order's key sort against the pairwise mismatch/orientation order,
+    on every pair of cuts that share a host, along all non-boundary orbits of
+    period <= 6."""
+    types = binary_mixing_corpus(seed=73, count=4) + _orientation_reversing_bin_types(79, 3)
+    period_pairs: set[tuple[int, int]] = set()
+    deltas: set[int] = set()
+    for T in types:
+        boundary = {c.orbit() for c in per_s_codes(T)}
+        orbits = enumerate_orbits(incidence_matrix(T), 6)
+        family = [o.canonical for o in orbits if o not in boundary]
+        table = build_order(T, family)
+        for i in range(1, T.n + 1):
+            for a, b in combinations(table.refs(i), 2):
+                less, delta = _pairwise_less(T, a, b)
+                assert less, (T, a, b)  # a precedes b in the table
+                period_pairs.add(tuple(sorted((a.code.period, b.code.period))))
+                deltas.add(delta)
+    assert (1, 6) in period_pairs  # the longest Fine-Wilf length for P = 6
+    assert deltas == {1, -1}  # both orientations before the mismatch
 
 
 def test_build_order_examples(e2):
