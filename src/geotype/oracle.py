@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .core import GeoTypeError, GeometricType, HLabel, VLabel, require_valid
 from .shift import (
     AdmissibilityError,
     CodeOrbit,
     PeriodicCode,
-    incidence_matrix,
-    is_binary,
+    binary_branches,
     min_rotation,
 )
 from .boundary import per_s_codes
@@ -44,14 +44,14 @@ class RationalPoint:
 class StripMap:
     """Affine map of one horizontal strip onto one vertical strip.
 
-    Vertical part y' = ay + b with a = eps * h_i; horizontal part
-    x' = x / v_k + (l - 1) / v_k.
+    Vertical part y' = ay + b with integers a = eps * h_i and b = -(j - 1)
+    (eps = +1) or j (eps = -1); horizontal part x' = x / v_k + (l - 1) / v_k.
     """
 
     source: HLabel
     target: VLabel
-    a: Fraction
-    b: Fraction
+    a: int
+    b: int
     c: Fraction
     d: Fraction
 
@@ -66,10 +66,23 @@ class StripMap:
         return self.c * x + self.d
 
 
+def _require_symbols(n: int, word: tuple[int, ...]) -> None:
+    if any(not 1 <= s <= n for s in word):
+        raise AdmissibilityError(f"symbol out of range 1..{n} in word {word}")
+
+
 @dataclass(frozen=True)
 class AffineModel:
     source: GeometricType
     maps: tuple[StripMap, ...]  # aligned with the lexicographic label order
+
+    @cached_property
+    def _branches(self) -> dict[tuple[int, int], list[int]]:
+        """``{(i, k): [j, ...]}``: the strips of square i mapped into square k."""
+        table: dict[tuple[int, int], list[int]] = {}
+        for m in self.maps:
+            table.setdefault((m.source.i, m.target.k), []).append(m.source.j)
+        return table
 
     def strip_map(self, label: tuple[int, int]) -> StripMap:
         return self.maps[self.source.lex_index(label) - 1]
@@ -80,16 +93,23 @@ class AffineModel:
 
     def branch(self, i: int, target_square: int) -> int:
         """The unique strip of square i mapped into the target square."""
-        hits = [
-            j
-            for j in range(1, self.source.h[i - 1] + 1)
-            if self.strip_map((i, j)).target.k == target_square
-        ]
+        hits = self._branches.get((i, target_square), [])
         if len(hits) != 1:
             raise AdmissibilityError(
                 f"square {i} has {len(hits)} strips into square {target_square}"
             )
         return hits[0]
+
+    def admits(self, code: PeriodicCode) -> bool:
+        """True iff every transition of the cycle, wrap included, has a strip.
+
+        Raises ``AdmissibilityError`` on a symbol outside 1..n, as
+        ``shift.is_admissible_cycle`` does.
+        """
+        _require_symbols(self.source.n, code.word)
+        return all(
+            (s, code.symbol(t + 1)) in self._branches for t, s in enumerate(code.word)
+        )
 
     def extract_type(self) -> GeometricType:
         """Read (rho, eps) back off the affine data, not off the source type."""
@@ -113,63 +133,72 @@ def realize(T: GeometricType) -> AffineModel:
         k, l, e = T.phi(label)
         h_i = T.h[label.i - 1]
         v_k = T.v[k - 1]
-        if e == 1:
-            a, b = Fraction(h_i), Fraction(-(label.j - 1))
-        else:
-            a, b = Fraction(-h_i), Fraction(label.j)
+        a, b = (h_i, -(label.j - 1)) if e == 1 else (-h_i, label.j)
         maps.append(
             StripMap(label, VLabel(k, l), a, b, Fraction(1, v_k), Fraction(l - 1, v_k))
         )
     return AffineModel(T, tuple(maps))
 
 
-def _cycle_maps(model: AffineModel, code: PeriodicCode, phase: int) -> list[StripMap]:
-    steps = []
-    for m in range(code.period):
-        t = phase + m
-        i = code.symbol(t)
-        j = model.branch(i, code.symbol(t + 1))
-        steps.append(model.strip_map((i, j)))
-    return steps
+def _orbit_walk(
+    model: AffineModel, code: PeriodicCode
+) -> tuple[tuple[StripMap, ...], tuple[Fraction, ...]]:
+    """The strip maps and cut heights of ``code``'s orbit, phase by phase.
+
+    Every phase's height comes from one fixed point: y_0 = B / (1 - A) of
+    the period's composed vertical map y -> Ay + B, pushed once around the
+    cycle by y_{t+1} = a_t y_t + b_t.  The walk checks that y_t lies in
+    strip (i_t, j_t) and that it returns to y_0.  The slope A is the same
+    at every phase, so a height is undetermined (A = 1, B = 0) or missing
+    (A = 1, B != 0) at every phase alike.  All heights share the
+    denominator |1 - A|, so the walk runs on integer numerators.
+    """
+    word = code.word
+    _require_symbols(model.source.n, word)
+    steps = tuple(
+        model.strip_map((i, model.branch(i, k))) for i, k in zip(word, word[1:] + word[:1])
+    )
+    A, B = 1, 0
+    for m in steps:
+        A, B = m.a * A, m.a * B + m.b
+    if A == 1:
+        if B == 0:
+            raise GeoTypeError("vertical cut height undetermined: no expansion along cycle")
+        raise GeoTypeError("vertical holonomy has no fixed point")
+    den, num = (1 - A, B) if A < 1 else (A - 1, -B)
+    start = num
+    heights: list[Fraction] = []
+    for m in steps:
+        i, j = m.source.i, m.source.j
+        # (j - 1) / h_i <= num / den <= j / h_i, with den > 0
+        h_i = model.source.h[i - 1]
+        if not (j - 1) * den <= num * h_i <= j * den:
+            raise GeoTypeError(f"cut height {Fraction(num, den)} escapes strip ({i},{j})")
+        heights.append(Fraction(num, den))
+        num = m.a * num + m.b * den
+    if num != start:
+        raise GeoTypeError("cut height is not periodic under the strip maps")
+    return steps, tuple(heights)
 
 
 def periodic_point(model: AffineModel, code: PeriodicCode, phase: int = 0) -> RationalPoint:
     """Rational fixed point of the period-long composition starting at ``phase``.
 
     The y-coordinate is the cut height of the code's stable line in square
-    w_phase.  When no vertical expansion happens along the cycle the height
-    is undetermined and an error is raised; when the horizontal direction is
-    everywhere rigid the midpoint x = 1/2 is returned.
+    w_phase.  It is read off the orbit walk, which derives every phase's
+    height from one fixed point and raises when the height is undetermined
+    (no vertical expansion along the cycle) or has no fixed point.  The
+    x-coordinate is the fixed point D / (1 - C) of the phase's composed
+    horizontal map x -> Cx + D, or the midpoint 1/2 when the horizontal
+    direction is everywhere rigid (C = 1).
     """
-    steps = _cycle_maps(model, code, phase)
-    A, B = Fraction(1), Fraction(0)
+    steps, heights = _orbit_walk(model, code)
+    t = phase % code.period
     C, D = Fraction(1), Fraction(0)
-    for m in steps:
-        A, B = m.a * A, m.a * B + m.b
+    for m in steps[t:] + steps[:t]:
         C, D = m.c * C, m.c * D + m.d
-    if A == 1:
-        if B == 0:
-            raise GeoTypeError("vertical cut height undetermined: no expansion along cycle")
-        raise GeoTypeError("vertical holonomy has no fixed point")
-    y = B / (1 - A)
     x = D / (1 - C) if C != 1 else Fraction(1, 2)
-    point = RationalPoint(code.symbol(phase), x, y)
-    _check_orbit(model, code, phase, point)
-    return point
-
-
-def _check_orbit(model: AffineModel, code: PeriodicCode, phase: int, point: RationalPoint) -> None:
-    y = point.y
-    for m in range(code.period):
-        t = phase + m
-        i = code.symbol(t)
-        j = model.branch(i, code.symbol(t + 1))
-        lo, hi = model.strip_bounds(i, j)
-        if not (lo <= y <= hi):
-            raise GeoTypeError(f"cut height {y} escapes strip ({i},{j})")
-        y = model.strip_map((i, j)).apply_y(y)
-    if y != point.y:
-        raise GeoTypeError("cut height is not periodic under the strip maps")
+    return RationalPoint(code.symbol(t), x, heights[t])
 
 
 @dataclass(frozen=True)
@@ -188,20 +217,20 @@ def oracle_s_refine(
 ) -> OracleRefinement:
     """Recompute the stable-boundary refinement from the affine geometry.
 
-    Cut heights come from :func:`periodic_point`, bands from exact sorting,
+    Cut heights come from one fixed point and one checked walk per orbit
+    (the walk behind :func:`periodic_point`), bands from exact sorting,
     and the refined bijection from pushing each band piece through its strip
     map and reading off which bands of the target square it sweeps.
     """
-    A = incidence_matrix(T)
-    if not is_binary(A):
-        raise GeoTypeError("oracle refinement needs a binary incidence matrix")
+    binary_branches(T)
+    model = realize(T)
     boundary = {c.orbit() for c in per_s_codes(T)}
     family: list[PeriodicCode] = []
     seen: set[CodeOrbit] = set()
     for code in W:
         if not isinstance(code, PeriodicCode):
             code = PeriodicCode(tuple(code))
-        if not code.is_admissible(A):
+        if not model.admits(code):
             raise AdmissibilityError(f"code {code} is not admissible for this type")
         orbit = code.orbit()
         if orbit in seen:
@@ -215,13 +244,11 @@ def oracle_s_refine(
         seen.add(orbit)
         family.append(code)
 
-    model = realize(T)
     cuts: list[list[tuple[Fraction, int, PeriodicCode]]] = [[] for _ in range(T.n)]
     for code in family:
-        for t in range(code.period):
-            i = code.symbol(t)
-            y = periodic_point(model, code, t).y
-            cuts[i - 1].append((y, t, code))
+        _, heights = _orbit_walk(model, code)
+        for t, y in enumerate(heights):
+            cuts[code.symbol(t) - 1].append((y, t, code))
     for i in range(1, T.n + 1):
         cuts[i - 1].sort(key=lambda item: item[0])
         heights = [item[0] for item in cuts[i - 1]]
@@ -315,9 +342,9 @@ def model_svg(T: GeometricType, W=()) -> str:
         if not isinstance(code, PeriodicCode):
             code = PeriodicCode(tuple(code))
         orbit_id = ".".join(str(sym) for sym in min_rotation(code.word))
-        for t in range(code.period):
-            point = periodic_point(model, code, t)
-            cut_rows.append((code.symbol(t), point.y, f"({t},{orbit_id})"))
+        _, heights = _orbit_walk(model, code)
+        for t, y in enumerate(heights):
+            cut_rows.append((code.symbol(t), y, f"({t},{orbit_id})"))
     for i in range(1, T.n + 1):
         x0 = gap + (i - 1) * (side + gap)
         y0 = 30.0

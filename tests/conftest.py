@@ -133,6 +133,17 @@ def binary_mixing_corpus(seed: int, count: int, max_n: int = 4) -> list[Geometri
     return out
 
 
+def orientation_reversing_bin_types(seed: int, count: int) -> list[GeometricType]:
+    """Small mixing binary refinements of random types with at least one flip."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        T = bin_refine(random_valid_type(rng, max_n=2, max_hv=2)).refined
+        if 2 <= T.n <= 4 and -1 in T.eps and is_mixing(incidence_matrix(T)):
+            out.append(T)
+    return out
+
+
 def cutting_families(T: GeometricType, max_period: int = 4, max_total: int = 8):
     """Non-boundary orbit families usable as stable cutting families for T."""
     A = incidence_matrix(T)

@@ -173,6 +173,14 @@ def test_render_svg(capsys, e2_path, w12_path):
     assert out.startswith("<svg") and "(0,1.2)" in out
 
 
+def test_render_svg_rejects_a_symbol_above_n(capsys, e2_path, tmp_path):
+    codes = tmp_path / "W.codes"
+    codes.write_text("CODE 3 1\n")
+    code, out, err = run_cli(capsys, "render", e2_path, "--format", "svg", "--codes", str(codes))
+    assert (code, out) == (1, "")
+    assert err == "AdmissibilityError: symbol out of range 1..2 in word (3, 1)\n"
+
+
 def test_render_accepts_result_files(capsys, e2_path, w12_path, tmp_path):
     code, out, _ = run_cli(capsys, "srefine", e2_path, "--codes", w12_path)
     result_file = tmp_path / "result.txt"

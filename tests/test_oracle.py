@@ -9,18 +9,28 @@ import pytest
 from geotype import (
     GeoTypeError,
     IntervalRef,
+    NonBinaryError,
     PeriodicCode,
     bin_refine,
+    enumerate_orbits,
+    incidence_matrix,
     interval_less,
     model_svg,
     oracle_s_refine,
+    per_s_codes,
     periodic_point,
     realize,
     s_refine,
 )
 from geotype.oracle import TieError
+from geotype.shift import AdmissibilityError
 
-from conftest import binary_mixing_corpus, cutting_families, make_e0
+from conftest import (
+    binary_mixing_corpus,
+    cutting_families,
+    make_e0,
+    orientation_reversing_bin_types,
+)
 
 W12 = PeriodicCode((1, 2))
 
@@ -69,6 +79,32 @@ def test_periodic_point_degenerate_height():
     model = realize(make_e0())
     with pytest.raises(GeoTypeError, match="undetermined"):
         periodic_point(model, PeriodicCode((1,)))
+
+
+def test_orbit_walk_heights_are_the_phase_fixed_points():
+    """Every cut height of oracle_s_refine equals periodic_point at its
+    phase, and periodic_point's (x, y) is fixed by the phase's composed
+    strip maps, along all non-boundary orbits of period <= 6."""
+    types = binary_mixing_corpus(seed=73, count=4) + orientation_reversing_bin_types(79, 3)
+    periods: set[int] = set()
+    for T in types:
+        model = realize(T)
+        boundary = {c.orbit() for c in per_s_codes(T)}
+        orbits = enumerate_orbits(incidence_matrix(T), 6)
+        family = [o.canonical for o in orbits if o not in boundary]
+        result = oracle_s_refine(T, family)
+        for square, bucket in enumerate(result.cut_heights, start=1):
+            for y, t, code in bucket:
+                point = periodic_point(model, code, t)
+                assert (point.square, point.y) == (square, y)
+                x = point.x
+                for m in range(t, t + code.period):
+                    i = code.symbol(m)
+                    step = model.strip_map((i, model.branch(i, code.symbol(m + 1))))
+                    x, y = step.apply_x(x), step.apply_y(y)
+                assert (x, y) == (point.x, point.y)
+                periods.add(code.period)
+    assert periods == {1, 2, 3, 4, 5, 6}
 
 
 def test_oracle_refine_worked_example(e2, e3):
@@ -145,11 +181,22 @@ def test_strict_recode_matches_oracle_bands():
                 assert code.word == primitive_root(tuple(expected))
 
 
-def test_oracle_validation_mirrors_engine(e2):
+def test_oracle_validation_mirrors_engine(e1, e2, e3):
     with pytest.raises(GeoTypeError, match="s-boundary code"):
         oracle_s_refine(e2, [PeriodicCode((1,))])
     with pytest.raises(GeoTypeError, match="duplicate orbit"):
         oracle_s_refine(e2, [W12, PeriodicCode((2, 1))])
+    with pytest.raises(NonBinaryError):
+        oracle_s_refine(e1, [])
+    with pytest.raises(AdmissibilityError, match="code 1 4 is not admissible"):
+        oracle_s_refine(e3, [PeriodicCode((1, 4))])
+    for run in (
+        lambda code: oracle_s_refine(e2, [code]),
+        lambda code: periodic_point(realize(e2), code, 1),
+        lambda code: model_svg(e2, [code]),
+    ):
+        with pytest.raises(AdmissibilityError, match=r"symbol out of range 1\.\.2 in word \(3, 1\)"):
+            run(PeriodicCode((3, 1)))
     assert TieError.__mro__[1] is GeoTypeError
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -30,7 +29,6 @@ from geotype import (
     interval_less,
     invert,
     is_binary,
-    is_mixing,
     j_index,
     mismatch_M,
     per_s_codes,
@@ -47,7 +45,7 @@ from conftest import (
     binary_mixing_corpus,
     cutting_families,
     make_e3,
-    random_valid_type,
+    orientation_reversing_bin_types,
     valid_types,
 )
 
@@ -177,21 +175,11 @@ def _pairwise_less(T, a, b) -> tuple[bool, int]:
     return (ja < jb if delta == 1 else ja > jb), delta
 
 
-def _orientation_reversing_bin_types(seed: int, count: int):
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        T = bin_refine(random_valid_type(rng, max_n=2, max_hv=2)).refined
-        if 2 <= T.n <= 4 and -1 in T.eps and is_mixing(incidence_matrix(T)):
-            out.append(T)
-    return out
-
-
 def test_key_order_matches_pairwise_reference():
     """build_order's key sort against the pairwise mismatch/orientation order,
     on every pair of cuts that share a host, along all non-boundary orbits of
     period <= 6."""
-    types = binary_mixing_corpus(seed=73, count=4) + _orientation_reversing_bin_types(79, 3)
+    types = binary_mixing_corpus(seed=73, count=4) + orientation_reversing_bin_types(79, 3)
     period_pairs: set[tuple[int, int]] = set()
     deltas: set[int] = set()
     for T in types:
