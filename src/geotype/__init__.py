@@ -29,8 +29,10 @@ from .shift import (
     is_mixing,
 )
 from .boundary import (
+    BoundaryCodeError,
     BoundaryOrbitSummary,
     BoundarySets,
+    DuplicateOrbitError,
     SULabel,
     boundary_sets,
     classify_code,
@@ -45,8 +47,6 @@ from .boundary import (
 )
 from .refine import (
     BinRefinement,
-    BoundaryCodeError,
-    DuplicateOrbitError,
     IntervalRef,
     InvariantError,
     OrderTable,

@@ -5,7 +5,8 @@ Each rectangle contributes two stable boundary labels (i, -1) for the bottom
 edge and (i, +1) for the top edge.  The stable generating function follows
 the image of those edges one step at a time; iterating it writes down the
 eventually periodic code every boundary edge shadows.  The unstable side is
-the same construction run on the inverse type.
+the same construction run on the inverse type.  A cutting family must avoid
+these codes, so its check, :func:`cutting_family`, lives here too.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import GeometricType, HLabel, invert, require_valid
+from .core import GeoTypeError, GeometricType, HLabel, invert, require_valid
 from .shift import (
     AdmissibilityError,
     CodeOrbit,
@@ -24,6 +25,14 @@ from .shift import (
     is_admissible_eventually_periodic,
     primitive_root,
 )
+
+
+class BoundaryCodeError(GeoTypeError):
+    """A cutting family contains a boundary code, which cuts nothing."""
+
+
+class DuplicateOrbitError(GeoTypeError):
+    """A cutting family lists the same shift orbit twice."""
 
 
 class SULabel(NamedTuple):
@@ -168,6 +177,43 @@ def has_corner_property(T: GeometricType) -> bool:
     """True iff every periodic boundary code is both s- and u-boundary."""
     sets = boundary_sets(T)
     return sets.b_codes == sets.c_codes
+
+
+def cutting_family(
+    T: GeometricType, W, *, unstable: bool = False, drop_boundary: bool = False
+) -> tuple[PeriodicCode, ...]:
+    """The codes of W checked as a stable (or unstable) cutting family of T.
+
+    Code by code, in order: every symbol lies in 1..n, every step
+    (w_t, w_{t+1}), wrap included, is a key of :func:`shift.binary_branches`,
+    no earlier code shares its orbit, and it is not an s-boundary (u-boundary
+    when ``unstable``) code.  A boundary code is skipped when
+    ``drop_boundary`` is set and raises ``BoundaryCodeError`` otherwise.
+    Costs O(alpha + sum of periods) after the boundary codes.
+    """
+    branches = binary_branches(T)
+    boundary = {c.orbit() for c in (per_u_codes(T) if unstable else per_s_codes(T))}
+    family: list[PeriodicCode] = []
+    seen: set[CodeOrbit] = set()
+    for code in W:
+        if not isinstance(code, PeriodicCode):
+            code = PeriodicCode(tuple(code))
+        word = code.word
+        if any(not 1 <= s <= T.n for s in word):
+            raise AdmissibilityError(f"symbol out of range 1..{T.n} in word {word}")
+        if any(step not in branches for step in zip(word, word[1:] + word[:1])):
+            raise AdmissibilityError(f"code {code} is not admissible for this type")
+        orbit = code.orbit()
+        if orbit in seen:
+            raise DuplicateOrbitError(f"duplicate orbit {orbit.canonical} in cutting family")
+        if orbit in boundary:
+            if drop_boundary:
+                continue
+            kind = "u-boundary" if unstable else "s-boundary"
+            raise BoundaryCodeError(f"{kind} code {code} in cutting family cuts nothing")
+        seen.add(orbit)
+        family.append(code)
+    return tuple(family)
 
 
 # -- classification of eventually periodic codes -------------------------------

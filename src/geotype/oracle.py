@@ -10,6 +10,8 @@ h_i, and flips vertically exactly when eps = -1.  All arithmetic is in
 The module recomputes stable-boundary refinements geometrically (cut heights
 as fixed points, exact sorting, interval arithmetic on images) and is kept
 free of the formula engine in ``refine`` so the two can check each other.
+The two share only their input checks: the type's in ``core`` and ``shift``,
+and the cutting family's in :func:`boundary.cutting_family`.
 """
 
 from __future__ import annotations
@@ -19,14 +21,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .core import GeoTypeError, GeometricType, HLabel, VLabel, require_valid
-from .shift import (
-    AdmissibilityError,
-    CodeOrbit,
-    PeriodicCode,
-    binary_branches,
-    min_rotation,
-)
-from .boundary import per_s_codes
+from .shift import AdmissibilityError, PeriodicCode, min_rotation
+from .boundary import cutting_family
 
 
 class TieError(GeoTypeError):
@@ -99,17 +95,6 @@ class AffineModel:
                 f"square {i} has {len(hits)} strips into square {target_square}"
             )
         return hits[0]
-
-    def admits(self, code: PeriodicCode) -> bool:
-        """True iff every transition of the cycle, wrap included, has a strip.
-
-        Raises ``AdmissibilityError`` on a symbol outside 1..n, as
-        ``shift.is_admissible_cycle`` does.
-        """
-        _require_symbols(self.source.n, code.word)
-        return all(
-            (s, code.symbol(t + 1)) in self._branches for t, s in enumerate(code.word)
-        )
 
     def extract_type(self) -> GeometricType:
         """Read (rho, eps) back off the affine data, not off the source type."""
@@ -208,13 +193,7 @@ class OracleRefinement:
     cut_heights: tuple[tuple[tuple[Fraction, int, PeriodicCode], ...], ...]
 
 
-def oracle_s_refine(
-    T: GeometricType,
-    W,
-    *,
-    drop_boundary: bool = False,
-    dedup_orbits: bool = False,
-) -> OracleRefinement:
+def oracle_s_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> OracleRefinement:
     """Recompute the stable-boundary refinement from the affine geometry.
 
     Cut heights come from one fixed point and one checked walk per orbit
@@ -222,27 +201,8 @@ def oracle_s_refine(
     and the refined bijection from pushing each band piece through its strip
     map and reading off which bands of the target square it sweeps.
     """
-    binary_branches(T)
+    family = cutting_family(T, W, drop_boundary=drop_boundary)
     model = realize(T)
-    boundary = {c.orbit() for c in per_s_codes(T)}
-    family: list[PeriodicCode] = []
-    seen: set[CodeOrbit] = set()
-    for code in W:
-        if not isinstance(code, PeriodicCode):
-            code = PeriodicCode(tuple(code))
-        if not model.admits(code):
-            raise AdmissibilityError(f"code {code} is not admissible for this type")
-        orbit = code.orbit()
-        if orbit in seen:
-            if dedup_orbits:
-                continue
-            raise GeoTypeError(f"duplicate orbit {orbit.canonical} in cutting family")
-        if orbit in boundary:
-            if drop_boundary:
-                continue
-            raise GeoTypeError(f"s-boundary code {code} in cutting family cuts nothing")
-        seen.add(orbit)
-        family.append(code)
 
     cuts: list[list[tuple[Fraction, int, PeriodicCode]]] = [[] for _ in range(T.n)]
     for code in family:

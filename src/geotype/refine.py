@@ -27,8 +27,11 @@ from .core import (
     serialize,
 )
 from .boundary import (
+    BoundaryCodeError as BoundaryCodeError,  # re-exported
+    DuplicateOrbitError as DuplicateOrbitError,  # re-exported
     SULabel,
     boundary_sets,
+    cutting_family,
     has_corner_property,
     per_s_codes,
     per_u_codes,
@@ -36,26 +39,16 @@ from .boundary import (
 from .shift import (
     AdmissibilityError,
     CodeOrbit,
-    IncidenceMatrix,
     PeriodicCode,
     binary_branches,
     binary_incidence,
     enumerate_orbits,
-    incidence_matrix,
     primitive_root,
 )
 
 
-class BoundaryCodeError(GeoTypeError):
-    """A cutting family contains a boundary code, which cuts nothing."""
-
-
 class ShiftEqualError(GeoTypeError):
     """Two interval references denote the same shifted code."""
-
-
-class DuplicateOrbitError(GeoTypeError):
-    """A cutting family lists the same shift orbit twice."""
 
 
 class PeriodBoundError(GeoTypeError):
@@ -244,66 +237,18 @@ class OrderTable:
         return {ref: p for refs in self.entries for p, ref in enumerate(refs, start=1)}
 
 
-def _prepare_family(
-    T: GeometricType,
-    A: IncidenceMatrix,
-    W,
-    *,
-    boundary_orbits: set[CodeOrbit],
-    boundary_kind: str,
-    drop_boundary: bool,
-    dedup_orbits: bool,
-) -> tuple[PeriodicCode, ...]:
-    family: list[PeriodicCode] = []
-    seen: set[CodeOrbit] = set()
-    for code in W:
-        if not isinstance(code, PeriodicCode):
-            code = PeriodicCode(tuple(code))
-        if not code.is_admissible(A):
-            raise AdmissibilityError(f"code {code} is not admissible for this type")
-        orbit = code.orbit()
-        if orbit in seen:
-            if dedup_orbits:
-                continue
-            raise DuplicateOrbitError(f"duplicate orbit {orbit.canonical} in cutting family")
-        if orbit in boundary_orbits:
-            if drop_boundary:
-                continue
-            raise BoundaryCodeError(
-                f"{boundary_kind} code {code} in cutting family cuts nothing"
-            )
-        seen.add(orbit)
-        family.append(code)
-    return tuple(family)
-
-
-def build_order(
-    T: GeometricType,
-    W,
-    *,
-    drop_boundary: bool = False,
-    dedup_orbits: bool = False,
-) -> OrderTable:
+def build_order(T: GeometricType, W, *, drop_boundary: bool = False) -> OrderTable:
     """Validate a cutting family and sort its cut lines rectangle by rectangle.
 
     Each cut line is sorted by its :func:`_kneading_key` of length 4P, where
     P is the longest period in the family; that is the Fine-Wilf length
     2(p_a + p_b) for every pair, so the sort is exact (see
-    :func:`interval_less`).  The branch table is built once, in O(alpha),
-    the keys cost O(cuts * P) and the sort O(cuts * log cuts) comparisons.
+    :func:`interval_less`).  The family check and the branch table cost
+    O(alpha + sum of periods), the keys O(cuts * P) and the sort
+    O(cuts * log cuts) comparisons.
     """
+    family = cutting_family(T, W, drop_boundary=drop_boundary)
     branches = binary_branches(T)
-    A = incidence_matrix(T)
-    boundary_orbits = {c.orbit() for c in per_s_codes(T)}
-    family = _prepare_family(
-        T,
-        A,
-        W,
-        boundary_orbits=boundary_orbits,
-        boundary_kind="s-boundary",
-        drop_boundary=drop_boundary,
-        dedup_orbits=dedup_orbits,
-    )
     buckets: list[list[IntervalRef]] = [[] for _ in range(T.n)]
     for code in family:
         for t in range(code.period):
@@ -337,11 +282,6 @@ class RefinementResult:
     order: OrderTable | None = None
     provenance: tuple[tuple[object, object], ...] | None = None
     stages: tuple["RefinementResult", ...] = ()
-
-    def label_of(self, r: int) -> tuple[int, int]:
-        if self.label_map is None:
-            raise GeoTypeError("pipeline results have no single label map")
-        return self.label_map[r - 1]
 
     def r_of(self, i: int, s: int) -> int:
         if self.label_map is None:
@@ -435,13 +375,7 @@ def _tilde_labels(order: OrderTable) -> tuple[tuple[tuple[int, int], ...], list[
     return tuple(pairs), starts
 
 
-def s_refine(
-    T: GeometricType,
-    W,
-    *,
-    drop_boundary: bool = False,
-    dedup_orbits: bool = False,
-) -> RefinementResult:
+def s_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementResult:
     """Cut each rectangle along the stable lines of all iterates of W.
 
     Every strip j of the source that meets a refined rectangle contributes
@@ -454,7 +388,7 @@ def s_refine(
     the same way.  The images are the bands a+1..b when e = +1 and a, a-1,
     ..., b+1 when e = -1.
     """
-    order = build_order(T, W, drop_boundary=drop_boundary, dedup_orbits=dedup_orbits)
+    order = build_order(T, W, drop_boundary=drop_boundary)
     pairs, starts = _tilde_labels(order)
     h_new: list[int] = []
     v_new: list[int] = []
@@ -499,29 +433,13 @@ def s_refine(
     )
 
 
-def u_refine(
-    T: GeometricType,
-    W,
-    *,
-    drop_boundary: bool = False,
-    dedup_orbits: bool = False,
-) -> RefinementResult:
+def u_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementResult:
     """Cut along unstable lines: the stable refinement of the inverse type.
 
     Code words are reversed before feeding the inverse side, since forward
     time for the inverse is backward time for the original.
     """
-    A = binary_incidence(T)
-    boundary_orbits = {c.orbit() for c in per_u_codes(T)}
-    family = _prepare_family(
-        T,
-        A,
-        W,
-        boundary_orbits=boundary_orbits,
-        boundary_kind="u-boundary",
-        drop_boundary=drop_boundary,
-        dedup_orbits=dedup_orbits,
-    )
+    family = cutting_family(T, W, unstable=True, drop_boundary=drop_boundary)
     inner = s_refine(invert(T), [w.reversed_pointed() for w in family])
     return RefinementResult(
         refined=invert(inner.refined),

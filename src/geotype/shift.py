@@ -77,9 +77,6 @@ class PeriodicCode:
     def orbit(self) -> "CodeOrbit":
         return CodeOrbit(PeriodicCode(min_rotation(self.word)))
 
-    def is_admissible(self, A: "IncidenceMatrix") -> bool:
-        return is_admissible_cycle(A, self.word)
-
     def __str__(self) -> str:
         return " ".join(str(s) for s in self.word)
 
@@ -285,28 +282,22 @@ def enumerate_orbits(A: IncidenceMatrix, max_period: int) -> tuple[CodeOrbit, ..
 
     Depth-first search for Lyndon words over the transition digraph: a word is
     kept when it is primitive, minimal among its rotations, and closes up into
-    an allowed cycle.  Output is sorted by (period, word).
+    an allowed cycle.  The search keeps an explicit stack, so its depth, P, is
+    not bounded by the interpreter's recursion limit.  Output is sorted by
+    (period, word).
     """
     require_binary(A)
     if max_period < 0:
         raise ValueError("period bound must be nonnegative")
     found: list[tuple[int, ...]] = []
-
-    def is_lyndon(word: tuple[int, ...]) -> bool:
-        return all(word < word[k:] + word[:k] for k in range(1, len(word)))
-
-    def extend(word: tuple[int, ...]) -> None:
-        if is_lyndon(word) and A.entry(word[-1], word[0]) >= 1:
+    stack = [(start,) for start in range(1, A.n + 1)] if max_period >= 1 else []
+    while stack:
+        word = stack.pop()
+        is_lyndon = all(word < word[k:] + word[:k] for k in range(1, len(word)))
+        if is_lyndon and A.entry(word[-1], word[0]) >= 1:
             found.append(word)
-        if len(word) == max_period:
-            return
-        for nxt in A.successors(word[-1]):
-            if nxt >= word[0]:
-                extend(word + (nxt,))
-
-    for start in range(1, A.n + 1):
-        if max_period >= 1:
-            extend((start,))
+        if len(word) < max_period:
+            stack.extend(word + (nxt,) for nxt in A.successors(word[-1]) if nxt >= word[0])
     found.sort(key=lambda w: (len(w), w))
     return tuple(CodeOrbit(PeriodicCode(w)) for w in found)
 

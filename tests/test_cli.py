@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from geotype import serialize
 from geotype.cli import main
+
+from conftest import make_e0
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -77,6 +80,15 @@ def test_orbits(capsys, e2_path):
     code, out, _ = run_cli(capsys, "orbits", e2_path, "--max-period", "2")
     assert code == 0
     assert out == "CODE 1\nCODE 2\nCODE 1 2\n"
+
+
+def test_period_bound_beyond_the_recursion_limit(capsys, tmp_path):
+    path = tmp_path / "E0.gt"
+    path.write_text(serialize(make_e0()), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "orbits", str(path), "--max-period", "1500")
+    assert (code, out) == (0, "CODE 1\n")
+    code, out, _ = run_cli(capsys, "wp", str(path), "--max-period", "1500")
+    assert (code, out) == (0, serialize(make_e0()))
 
 
 def test_orbits_negative_period_is_a_usage_error(capsys, e2_path):

@@ -116,9 +116,41 @@ def test_library_has_no_assert_statements(path):
     assert lines == [], f"{path.name} uses assert at lines {lines}"
 
 
+@pytest.mark.parametrize("path", sorted(SOURCES.glob("*.py")), ids=lambda p: p.name)
+def test_library_imports_only_what_it_uses(path):
+    """The unused-import lint, as a test: every imported name is used, except
+    in ``__init__`` (the package's API) and in the re-export form
+    ``import X as X``.  ``oracle`` imports nothing from the formula engine in
+    ``refine``, so that the two stay independent checks of each other."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            base = node.module or ""
+            targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if path.name == "oracle.py":
+            refine = [t for t in targets if "refine" in t.split(".")]
+            assert refine == [], f"oracle.py imports {refine} at line {node.lineno}"
+        for alias in node.names:
+            if alias.asname != alias.name:
+                imported.add((alias.asname or alias.name).split(".")[0])
+    if path.name == "__init__.py":
+        return
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(imported - used)
+    assert unused == [], f"{path.name} imports unused names {unused}"
+
+
 def test_s_refine_builds_no_matrix_larger_than_its_source(monkeypatch):
-    """The binary guards read (i, xi) pairs, so refining bin(E1m) along every
-    non-boundary orbit of period <= 8 builds no refined-size dense matrix."""
+    """The binary guards read (i, xi) pairs and a family's admissibility is
+    read off the branch table, so refining bin(E1m) along every non-boundary
+    orbit of period <= 8 builds no dense incidence matrix on the stable side,
+    the unstable side or in the oracle.  ``wp_refine`` builds one, the input
+    of ``enumerate_orbits``."""
     sizes: list[int] = []
     real_incidence = geotype.shift.incidence_matrix
 
@@ -134,7 +166,12 @@ def test_s_refine_builds_no_matrix_larger_than_its_source(monkeypatch):
     family = [o.canonical for o in enumerate_orbits(real_incidence(T), 8) if o not in boundary]
     result = s_refine(T, family)
     assert result.refined.n > 100 * T.n
-    assert sizes and max(sizes) <= T.n
+    u_boundary = {c.orbit() for c in per_u_codes(T)}
+    u_refine(T, [w for w in family if w.orbit() not in u_boundary])
+    oracle_s_refine(T, family)
+    assert sizes == []
+    wp_refine(make_e2(), 6)
+    assert sizes == [2]
 
 
 def test_s_refine_rejects_a_non_binary_type():

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from geotype import (
+    BoundaryCodeError,
+    DuplicateOrbitError,
     GeoTypeError,
     IntervalRef,
     NonBinaryError,
@@ -182,20 +184,26 @@ def test_strict_recode_matches_oracle_bands():
 
 
 def test_oracle_validation_mirrors_engine(e1, e2, e3):
-    with pytest.raises(GeoTypeError, match="s-boundary code"):
-        oracle_s_refine(e2, [PeriodicCode((1,))])
-    with pytest.raises(GeoTypeError, match="duplicate orbit"):
-        oracle_s_refine(e2, [W12, PeriodicCode((2, 1))])
-    with pytest.raises(NonBinaryError):
-        oracle_s_refine(e1, [])
-    with pytest.raises(AdmissibilityError, match="code 1 4 is not admissible"):
-        oracle_s_refine(e3, [PeriodicCode((1, 4))])
+    """The engine and the oracle reject a bad family with one error."""
+    symbol_above_n = r"symbol out of range 1\.\.2 in word \(3, 1\)"
+    for T, family, error, message in (
+        (e2, [PeriodicCode((1,))], BoundaryCodeError, "s-boundary code 1 "),
+        (e2, [W12, PeriodicCode((2, 1))], DuplicateOrbitError, "duplicate orbit 1 2 "),
+        (e3, [PeriodicCode((1, 4))], AdmissibilityError, "code 1 4 is not admissible"),
+        (e2, [PeriodicCode((3, 1))], AdmissibilityError, symbol_above_n),
+        (e1, [], NonBinaryError, "incidence matrix is not binary"),
+    ):
+        with pytest.raises(error, match=message) as engine:
+            s_refine(T, family)
+        with pytest.raises(error) as oracle:
+            oracle_s_refine(T, family)
+        assert type(oracle.value) is type(engine.value)
+        assert str(oracle.value) == str(engine.value)
     for run in (
-        lambda code: oracle_s_refine(e2, [code]),
         lambda code: periodic_point(realize(e2), code, 1),
         lambda code: model_svg(e2, [code]),
     ):
-        with pytest.raises(AdmissibilityError, match=r"symbol out of range 1\.\.2 in word \(3, 1\)"):
+        with pytest.raises(AdmissibilityError, match=symbol_above_n):
             run(PeriodicCode((3, 1)))
     assert TieError.__mro__[1] is GeoTypeError
 

@@ -104,6 +104,12 @@ def test_enumerate_orbits_examples(e2):
     assert [o.canonical.word for o in enumerate_orbits(B, 2)] == [(2,), (1, 2)]
 
 
+def test_enumerate_orbits_beyond_the_recursion_limit(e0):
+    """The search is as deep as the period bound, here above the recursion limit."""
+    orbits = enumerate_orbits(incidence_matrix(e0), 1500)
+    assert [o.canonical.word for o in orbits] == [(1,)]
+
+
 def test_enumerate_orbits_requires_binary(e1):
     with pytest.raises(NonBinaryError):
         enumerate_orbits(incidence_matrix(e1), 2)
