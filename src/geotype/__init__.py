@@ -34,6 +34,7 @@ from .boundary import (
     BoundarySets,
     DuplicateOrbitError,
     SULabel,
+    boundary_orbits,
     boundary_sets,
     classify_code,
     gamma_step,

@@ -2,17 +2,22 @@
 Boundary labels and their generating functions.
 
 Each rectangle contributes two stable boundary labels (i, -1) for the bottom
-edge and (i, +1) for the top edge.  The stable generating function follows
-the image of those edges one step at a time; iterating it writes down the
-eventually periodic code every boundary edge shadows.  The unstable side is
-the same construction run on the inverse type.  A cutting family must avoid
-these codes, so its check, :func:`cutting_family`, lives here too.
+edge and (i, +1) for the top edge.  The stable generating function gamma
+follows the image of those edges one step at a time; iterating it writes
+down the eventually periodic code every boundary edge shadows.  The unstable
+side is the same construction run on the inverse type, read backward.
+Every boundary code comes from one gamma table per side, gamma on the 2n
+labels: label summaries walk it, and :func:`boundary_orbits`, the
+orbit-level entry point, reads off its cycles.  :func:`per_s_codes`,
+:func:`per_u_codes` and :func:`boundary_sets` are their all-phase views.  A
+cutting family must avoid these codes, so its check, :func:`cutting_family`,
+lives here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import GeoTypeError, GeometricType, HLabel, invert, require_valid
 from .shift import (
@@ -58,8 +63,7 @@ def theta(T: GeometricType, label: SULabel) -> HLabel:
 def gamma_step(T: GeometricType, label: SULabel) -> SULabel:
     """One step of the stable generating function."""
     require_valid(T)
-    strip = theta(T, label)
-    k, _, e = T.phi(strip)
+    k, _, e = T.phi(theta(T, label))
     return SULabel(k, label.eps * e)
 
 
@@ -99,14 +103,26 @@ def canonical_eventually_periodic(
     return tuple(head), tuple(root)
 
 
-def _orbit_summary(T: GeometricType, label: SULabel, step) -> BoundaryOrbitSummary:
+class _GammaTable(dict):
+    """gamma on the 2n boundary labels of T; each step is taken once, on first lookup."""
+
+    def __init__(self, T: GeometricType) -> None:
+        super().__init__()
+        self.T = T
+
+    def __missing__(self, label: SULabel) -> SULabel:
+        self[label] = gamma_step(self.T, label)
+        return self[label]
+
+
+def _orbit_summary(table: _GammaTable, label: SULabel) -> BoundaryOrbitSummary:
     seen: dict[SULabel, int] = {}
     trace: list[SULabel] = []
     current = label
     while current not in seen:
         seen[current] = len(trace)
         trace.append(current)
-        current = step(T, current)
+        current = table[current]
     start = seen[current]
     pre = tuple(lab.i for lab in trace[:start])
     cyc = tuple(lab.i for lab in trace[start:])
@@ -116,40 +132,50 @@ def _orbit_summary(T: GeometricType, label: SULabel, step) -> BoundaryOrbitSumma
 def s_boundary_positive_code(T: GeometricType, label: SULabel) -> BoundaryOrbitSummary:
     """Iterate gamma from a label until its cycle closes; <= 2n labels appear."""
     require_valid(T)
-    return _orbit_summary(T, label, gamma_step)
+    _check_label(T, label)
+    return _orbit_summary(_GammaTable(T), label)
 
 
 def u_boundary_negative_code(T: GeometricType, label: SULabel) -> BoundaryOrbitSummary:
     """Same shape as the stable side; the code reads backward in shift time."""
-    return _orbit_summary(invert(T), label, gamma_step)
+    return s_boundary_positive_code(invert(T), label)
 
 
-def _cycle_words(T: GeometricType, step) -> set[tuple[int, ...]]:
-    words: set[tuple[int, ...]] = set()
-    for label in su_labels(T):
-        summary = _orbit_summary(T, label, step)
-        words.add(primitive_root(summary.cycle))
-    return words
+def _cycles(T: GeometricType) -> Iterator[tuple[int, ...]]:
+    """First components of every cycle of gamma on T, each cycle once: 2n steps."""
+    table = _GammaTable(T)
+    for start in su_labels(T):
+        path: list[SULabel] = []
+        label = start
+        while label not in table:  # no walk has stepped from this label yet
+            path.append(label)
+            label = table[label]
+        if label in path:  # this walk closed a cycle no earlier walk reached
+            yield tuple(lab.i for lab in path[path.index(label):])
+
+
+def boundary_orbits(T: GeometricType, *, unstable: bool = False) -> frozenset[CodeOrbit]:
+    """Orbits of the periodic s-boundary (u-boundary when ``unstable``) codes.
+
+    They are the cycles of the gamma table.  The u-side cycles are those of
+    the inverse type read backward, since forward time for the inverse is
+    backward time for T.  Raises unless T is valid and binary.
+    """
+    binary_branches(T)
+    return frozenset(
+        CodeOrbit.from_word(primitive_root(word[::-1] if unstable else word))
+        for word in _cycles(invert(T) if unstable else T)
+    )
 
 
 def per_s_codes(T: GeometricType) -> frozenset[PeriodicCode]:
-    """Pointed periodic codes of all phases of every gamma cycle."""
-    binary_branches(T)
-    codes: set[PeriodicCode] = set()
-    for word in _cycle_words(T, gamma_step):
-        root = PeriodicCode(word)
-        codes.update(root.rotate(t) for t in range(root.period))
-    return frozenset(codes)
+    """Pointed periodic codes of all phases of every s-boundary orbit."""
+    return frozenset(code for orbit in boundary_orbits(T) for code in orbit.phases())
 
 
 def per_u_codes(T: GeometricType) -> frozenset[PeriodicCode]:
-    """Pointed periodic codes of the upsilon cycles, reversed to forward time."""
-    binary_branches(T)
-    codes: set[PeriodicCode] = set()
-    for word in _cycle_words(invert(T), gamma_step):
-        root = PeriodicCode(word).reversed_pointed()
-        codes.update(root.rotate(t) for t in range(root.period))
-    return frozenset(codes)
+    """Pointed periodic codes of all phases of every u-boundary orbit, in forward time."""
+    return frozenset(code for orbit in boundary_orbits(T, unstable=True) for code in orbit.phases())
 
 
 @dataclass(frozen=True)
@@ -175,8 +201,7 @@ def boundary_sets(T: GeometricType) -> BoundarySets:
 
 def has_corner_property(T: GeometricType) -> bool:
     """True iff every periodic boundary code is both s- and u-boundary."""
-    sets = boundary_sets(T)
-    return sets.b_codes == sets.c_codes
+    return boundary_orbits(T) == boundary_orbits(T, unstable=True)
 
 
 def cutting_family(
@@ -189,10 +214,10 @@ def cutting_family(
     no earlier code shares its orbit, and it is not an s-boundary (u-boundary
     when ``unstable``) code.  A boundary code is skipped when
     ``drop_boundary`` is set and raises ``BoundaryCodeError`` otherwise.
-    Costs O(alpha + sum of periods) after the boundary codes.
+    Costs O(alpha + sum of periods).
     """
     branches = binary_branches(T)
-    boundary = {c.orbit() for c in (per_u_codes(T) if unstable else per_s_codes(T))}
+    boundary = boundary_orbits(T, unstable=unstable)
     family: list[PeriodicCode] = []
     seen: set[CodeOrbit] = set()
     for code in W:
@@ -221,24 +246,16 @@ def cutting_family(
 
 def _tails(middle: tuple[int, ...], cycle: tuple[int, ...]):
     """Distinct positive tails (as canonical eventually periodic pairs)."""
-    for k in range(len(middle) + len(cycle)):
-        if k < len(middle):
-            pre = middle[k:]
-            cyc = cycle
-        else:
-            shift = (k - len(middle)) % len(cycle)
-            pre = ()
-            cyc = cycle[shift:] + cycle[:shift]
-        yield canonical_eventually_periodic(pre, cyc)
+    for k in range(len(middle)):
+        yield canonical_eventually_periodic(middle[k:], cycle)
+    for k in range(len(cycle)):
+        yield canonical_eventually_periodic((), cycle[k:] + cycle[:k])
 
 
-def _matches_boundary_tail(
-    middle: tuple[int, ...],
-    cycle: tuple[int, ...],
-    summaries: list[BoundaryOrbitSummary],
-) -> bool:
-    targets = {s.canonical_tail() for s in summaries}
-    return any(tail in targets for tail in _tails(middle, cycle))
+def _has_boundary_tail(code: EventuallyPeriodicCode, table: _GammaTable) -> bool:
+    """True iff a positive tail of the code is the code of a label of the table."""
+    targets = {_orbit_summary(table, label).canonical_tail() for label in su_labels(table.T)}
+    return any(tail in targets for tail in _tails(code.middle, code.right_cycle))
 
 
 def classify_code(T: GeometricType, code: EventuallyPeriodicCode) -> str:
@@ -252,11 +269,8 @@ def classify_code(T: GeometricType, code: EventuallyPeriodicCode) -> str:
     A = binary_incidence(T)
     if not is_admissible_eventually_periodic(A, code):
         raise AdmissibilityError("code uses transitions forbidden by the incidence matrix")
-    s_summaries = [s_boundary_positive_code(T, lab) for lab in su_labels(T)]
-    u_summaries = [u_boundary_negative_code(T, lab) for lab in su_labels(T)]
-    is_s = _matches_boundary_tail(code.middle, code.right_cycle, s_summaries)
-    mirrored = code.mirror()
-    is_u = _matches_boundary_tail(mirrored.middle, mirrored.right_cycle, u_summaries)
+    is_s = _has_boundary_tail(code, _GammaTable(T))
+    is_u = _has_boundary_tail(code.mirror(), _GammaTable(invert(T)))
     if is_s and is_u:
         return "corner-leaf"
     if is_s:
@@ -270,19 +284,18 @@ def boundary_report(T: GeometricType) -> str:
     """Deterministic S/U/B/C report used by the CLI."""
     require_valid(T)
     lines: list[str] = []
-    for label in sorted(su_labels(T)):
-        lines.append("SLABEL " + str(s_boundary_positive_code(T, label)))
-    for label in sorted(su_labels(T)):
-        lines.append("ULABEL " + str(u_boundary_negative_code(T, label)))
-    sets = boundary_sets(T)
+    for tag, table in (("SLABEL", _GammaTable(T)), ("ULABEL", _GammaTable(invert(T)))):
+        lines += [f"{tag} {_orbit_summary(table, label)}" for label in sorted(su_labels(T))]
+    s_orbits = boundary_orbits(T)
+    u_orbits = boundary_orbits(T, unstable=True)
     for name, group in (
-        ("PER-S", sets.s_codes),
-        ("PER-U", sets.u_codes),
-        ("PER-B", sets.b_codes),
-        ("PER-C", sets.c_codes),
+        ("PER-S", s_orbits),
+        ("PER-U", u_orbits),
+        ("PER-B", s_orbits | u_orbits),
+        ("PER-C", s_orbits & u_orbits),
     ):
-        for orbit in sets.orbits(group):
+        for orbit in sorted(group, key=CodeOrbit.sort_key):
             phases = " ; ".join(str(p) for p in sorted(orbit.phases(), key=lambda c: c.word))
             lines.append(f"{name} orbit {orbit.canonical} : {phases}")
-    lines.append(f"CORNER {'true' if sets.b_codes == sets.c_codes else 'false'}")
+    lines.append(f"CORNER {'true' if s_orbits == u_orbits else 'false'}")
     return "\n".join(lines) + "\n"

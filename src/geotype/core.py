@@ -144,15 +144,6 @@ class GeometricType:
             raise ValueError(f"label ({i},{j}) is not a horizontal label of this type")
         return self._offsets[i - 1] + j
 
-    def lex_unindex(self, r: int) -> HLabel:
-        if not (1 <= r <= sum(self.h)):
-            raise ValueError(f"lexicographic index {r} out of range")
-        i = 1
-        while r > self.h[i - 1]:
-            r -= self.h[i - 1]
-            i += 1
-        return HLabel(i, r)
-
     def rho_of(self, label: tuple[int, int]) -> VLabel:
         return self.rho[self.lex_index(label) - 1]
 

@@ -193,7 +193,7 @@ class OracleRefinement:
     cut_heights: tuple[tuple[tuple[Fraction, int, PeriodicCode], ...], ...]
 
 
-def oracle_s_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> OracleRefinement:
+def oracle_s_refine(T: GeometricType, W) -> OracleRefinement:
     """Recompute the stable-boundary refinement from the affine geometry.
 
     Cut heights come from one fixed point and one checked walk per orbit
@@ -201,7 +201,7 @@ def oracle_s_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> Orac
     and the refined bijection from pushing each band piece through its strip
     map and reading off which bands of the target square it sweeps.
     """
-    family = cutting_family(T, W, drop_boundary=drop_boundary)
+    family = cutting_family(T, W)
     model = realize(T)
 
     cuts: list[list[tuple[Fraction, int, PeriodicCode]]] = [[] for _ in range(T.n)]
@@ -281,10 +281,6 @@ def oracle_s_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> Orac
 
 
 # -- diagram emission -----------------------------------------------------------
-
-
-def _fmt(value: Fraction, scale: float, offset: float = 0.0) -> str:
-    return f"{offset + float(value) * scale:.2f}"
 
 
 def model_svg(T: GeometricType, W=()) -> str:

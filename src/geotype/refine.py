@@ -29,12 +29,9 @@ from .core import (
 from .boundary import (
     BoundaryCodeError as BoundaryCodeError,  # re-exported
     DuplicateOrbitError as DuplicateOrbitError,  # re-exported
-    SULabel,
-    boundary_sets,
+    boundary_orbits,
     cutting_family,
     has_corner_property,
-    per_s_codes,
-    per_u_codes,
 )
 from .shift import (
     AdmissibilityError,
@@ -115,9 +112,6 @@ class IntervalRef:
     def host(self) -> int:
         return self.code.symbol(self.t)
 
-    def shifted_word(self) -> tuple[int, ...]:
-        return self.code.rotate(self.t).word
-
     def successor(self) -> "IntervalRef":
         return IntervalRef((self.t + 1) % self.code.period, self.code)
 
@@ -138,7 +132,7 @@ def mismatch_M(T: GeometricType, a: IntervalRef, b: IntervalRef) -> int:
     """First forward time at which the two shifted codes disagree."""
     if a.host != b.host:
         raise ValueError("interval references must share a host rectangle")
-    if a.shifted_word() == b.shifted_word():
+    if a.code.rotate(a.t) == b.code.rotate(b.t):
         raise ShiftEqualError(f"intervals ({a.t},{a.code}) and ({b.t},{b.code}) are shift-equal")
     window = lcm(a.code.period, b.code.period)
     for m in range(1, window + 1):
@@ -269,10 +263,10 @@ def build_order(T: GeometricType, W, *, drop_boundary: bool = False) -> OrderTab
 class RefinementResult:
     """A refined type plus the bookkeeping that produced it.
 
-    Single-stage results carry the label map r <-> (i, s), the order table and
-    per-rectangle bounding intervals; pipeline results chain stages and carry
-    only the final type.  For 'u' results the bookkeeping refers to the
-    stable-side run on the inverse type (rectangle labels r agree).
+    Single-stage results carry the label map r <-> (i, s) and the order
+    table; pipeline results chain stages and carry only the final type.  For
+    'u' results the bookkeeping refers to the stable-side run on the inverse
+    type (rectangle labels r agree).
     """
 
     refined: GeometricType
@@ -280,7 +274,6 @@ class RefinementResult:
     kind: str  # 's' | 'u' | 'pipeline'
     label_map: tuple[tuple[int, int], ...] | None = None
     order: OrderTable | None = None
-    provenance: tuple[tuple[object, object], ...] | None = None
     stages: tuple["RefinementResult", ...] = ()
 
     def r_of(self, i: int, s: int) -> int:
@@ -393,17 +386,14 @@ def s_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementR
     h_new: list[int] = []
     v_new: list[int] = []
     mapping: dict[tuple[int, int], tuple[int, int, int]] = {}
-    provenance: list[tuple[object, object]] = []
 
     for r, (i, s) in enumerate(pairs, start=1):
         count_i = order.count(i)
-        lower: object = SULabel(i, -1) if s == 1 else order.refs(i)[s - 2]
-        upper: object = SULabel(i, +1) if s == count_i + 1 else order.refs(i)[s - 1]
-        provenance.append((lower, upper))
-        cut_lo = isinstance(lower, IntervalRef)
-        cut_hi = isinstance(upper, IntervalRef)
-        j_lo = j_index(T, lower.code, lower.t) if cut_lo else 1
-        j_hi = j_index(T, upper.code, upper.t) if cut_hi else T.h[i - 1]
+        # the cut lines bounding band s; None stands for the bottom or top edge
+        lower = None if s == 1 else order.refs(i)[s - 2]
+        upper = None if s == count_i + 1 else order.refs(i)[s - 1]
+        j_lo = j_index(T, lower.code, lower.t) if lower else 1
+        j_hi = j_index(T, upper.code, upper.t) if upper else T.h[i - 1]
         if j_lo > j_hi:
             raise InvariantError(f"cut lines of rectangle {i} are out of order")
         v_new.append(T.v[i - 1])
@@ -412,8 +402,8 @@ def s_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementR
         for j in range(j_lo, j_hi + 1):
             k, l, e = T.phi((i, j))
             bottom, top = (0, order.count(k) + 1) if e == 1 else (order.count(k) + 1, 0)
-            a = order.position(lower.successor()) if cut_lo and j == j_lo else bottom
-            b = order.position(upper.successor()) if cut_hi and j == j_hi else top
+            a = order.position(lower.successor()) if lower and j == j_lo else bottom
+            b = order.position(upper.successor()) if upper and j == j_hi else top
             if e * (b - a) < 1:
                 raise InvariantError(f"strip ({i},{j}) has no image in rectangle {k}")
             for band in range(a + 1, b + 1) if e == 1 else range(a, b, -1):
@@ -429,7 +419,6 @@ def s_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementR
         kind="s",
         label_map=pairs,
         order=order,
-        provenance=tuple(provenance),
     )
 
 
@@ -447,7 +436,6 @@ def u_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementR
         kind="u",
         label_map=inner.label_map,
         order=inner.order,
-        provenance=inner.provenance,
         stages=(inner,),
     )
 
@@ -455,7 +443,7 @@ def u_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementR
 # -- pipelines ---------------------------------------------------------------------
 
 
-def _orbit_reps(orbits: set[CodeOrbit]) -> list[PeriodicCode]:
+def _orbit_reps(orbits: frozenset[CodeOrbit]) -> list[PeriodicCode]:
     return [o.canonical for o in sorted(orbits, key=CodeOrbit.sort_key)]
 
 
@@ -472,21 +460,14 @@ def corner_refine(T: GeometricType) -> RefinementResult:
     type along its own stable boundary codes that are not yet unstable
     boundary.
     """
-    binary_branches(T)
-    sets = boundary_sets(T)
-    s_orbits = {c.orbit() for c in sets.s_codes}
-    b_orbits = {c.orbit() for c in sets.b_codes}
-    stage1 = s_refine(T, _orbit_reps(b_orbits - s_orbits))
+    stage1 = s_refine(T, _orbit_reps(boundary_orbits(T, unstable=True) - boundary_orbits(T)))
     T1 = stage1.refined
-    s1_orbits = {c.orbit() for c in per_s_codes(T1)}
-    u1_orbits = {c.orbit() for c in per_u_codes(T1)}
-    stage2 = u_refine(T1, _orbit_reps(s1_orbits - u1_orbits))
+    stage2 = u_refine(T1, _orbit_reps(boundary_orbits(T1) - boundary_orbits(T1, unstable=True)))
     return _pipeline(T, (stage1, stage2))
 
 
 def corner_refine_along(T: GeometricType, W) -> RefinementResult:
     """Cut along W, then corner-refine; boundary members of W cut nothing."""
-    binary_branches(T)
     if not has_corner_property(T):
         raise GeoTypeError("corner refinement along a family needs the corner property")
     stage1 = s_refine(T, W, drop_boundary=True)
@@ -497,10 +478,10 @@ def corner_refine_along(T: GeometricType, W) -> RefinementResult:
 def wp_refine(T: GeometricType, P: int) -> RefinementResult:
     """Put every periodic orbit of period <= P on refined rectangle corners."""
     A = binary_incidence(T)
-    sets = boundary_sets(T)
-    if sets.b_codes != sets.c_codes:
+    boundary = boundary_orbits(T)
+    if boundary != boundary_orbits(T, unstable=True):
         raise GeoTypeError("bounded-period refinement needs the corner property")
-    p_bound = max(code.period for code in sets.b_codes)
+    p_bound = max(orbit.period for orbit in boundary)
     if P < p_bound:
         raise PeriodBoundError(f"P below P_B(T)={p_bound}")
     orbits = enumerate_orbits(A, P)

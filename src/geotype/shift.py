@@ -163,15 +163,6 @@ class IncidenceMatrix:
     def entry(self, i: int, k: int) -> int:
         return self.rows[i - 1][k - 1]
 
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.rows)
-
-    def col_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row[k] for row in self.rows) for k in range(self.n))
-
-    def transpose(self) -> "IncidenceMatrix":
-        return IncidenceMatrix(tuple(zip(*self.rows)))
-
     def successors(self, i: int) -> tuple[int, ...]:
         return tuple(k for k in range(1, self.n + 1) if self.entry(i, k) >= 1)
 

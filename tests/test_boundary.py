@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+import geotype
 from geotype import (
+    CodeOrbit,
     EventuallyPeriodicCode,
+    GeometricType,
     PeriodicCode,
     SULabel,
     bin_refine,
+    boundary_orbits,
     boundary_sets,
     classify_code,
     gamma_step,
@@ -22,11 +26,12 @@ from geotype import (
     theta,
     u_boundary_negative_code,
     upsilon_step,
+    wp_refine,
 )
 from geotype.boundary import boundary_report, su_labels
 from geotype.shift import AdmissibilityError
 
-from conftest import binary_mixing_corpus, make_e0
+from conftest import binary_mixing_corpus, make_e0, make_e2, orientation_reversing_bin_types
 
 
 def words(codes):
@@ -116,6 +121,11 @@ def test_per_codes_examples(e2, e3):
     assert words(per_u_codes(e2)) == [(1,), (2,)]
     assert words(per_s_codes(e3)) == [(1,), (1, 3), (2, 4), (3, 1), (4,), (4, 2)]
     assert words(per_u_codes(e3)) == [(1,), (4,)]
+    assert words(o.canonical for o in boundary_orbits(e3)) == [(1,), (1, 3), (2, 4), (4,)]
+    assert words(o.canonical for o in boundary_orbits(e3, unstable=True)) == [(1,), (4,)]
+    for T in binary_mixing_corpus(seed=29, count=8) + orientation_reversing_bin_types(79, 6):
+        assert boundary_orbits(T) == {c.orbit() for c in per_s_codes(T)}
+        assert boundary_orbits(T, unstable=True) == {c.orbit() for c in per_u_codes(T)}
 
 
 def test_per_s_codes_are_admissible():
@@ -126,11 +136,33 @@ def test_per_s_codes_are_admissible():
 
 
 def test_per_u_agrees_with_inverse_route():
-    for T in binary_mixing_corpus(seed=31, count=8):
+    for T in binary_mixing_corpus(seed=31, count=8) + orientation_reversing_bin_types(83, 6):
         via_inverse = {
             c.reversed_pointed() for c in per_s_codes(invert(T))
         }
         assert per_u_codes(T) == via_inverse
+        reversed_orbits = {CodeOrbit.from_word(o.canonical.word[::-1]) for o in boundary_orbits(invert(T))}
+        assert boundary_orbits(T, unstable=True) == reversed_orbits
+
+
+def test_boundary_codes_take_linear_gamma_steps(monkeypatch):
+    """Each side's codes come from one table of gamma on the 2n labels, so a
+    derivation makes O(n) gamma steps, not one walk per label."""
+    refined = wp_refine(make_e2(), 6).refined
+    T = GeometricType(refined.h, refined.v, refined.rho, refined.eps)  # no cached facts
+    assert T.n == 314
+    steps: list[SULabel] = []
+    real_step = geotype.boundary.gamma_step
+
+    def counting_step(T, label):
+        steps.append(label)
+        return real_step(T, label)
+
+    monkeypatch.setattr(geotype.boundary, "gamma_step", counting_step)
+    for fn, bound in ((per_s_codes, 2 * T.n), (per_u_codes, 2 * T.n), (boundary_report, 8 * T.n)):
+        steps.clear()
+        fn(T)
+        assert 0 < len(steps) <= bound, (fn.__name__, len(steps))
 
 
 def test_boundary_sets_examples(e0, e2, e3):

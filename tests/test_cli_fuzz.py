@@ -101,3 +101,35 @@ def test_mutated_inputs_exit_cleanly(capsys, tmp_path):
         exits[code] = exits.get(code, 0) + 1
     assert exits.get(1, 0) >= 30 and exits.get(2, 0) >= 30, exits
     assert above_n >= 30
+
+
+def _symbol(rng: random.Random, n: int) -> int:
+    """Mostly a rectangle 1..n, else one of -1, 0, n + 1 and n + 2."""
+    return rng.randint(1, n) if rng.random() < 0.85 else rng.choice((-1, 0, n + 1, n + 2))
+
+
+def _random_spec(rng: random.Random, n: int) -> str:
+    """Usually three parts, sometimes 2 or 4, each of 0 to 3 symbols."""
+    parts = rng.choice((2, 3, 3, 3, 3, 3, 3, 4))
+    return " | ".join(
+        " ".join(str(_symbol(rng, n)) for _ in range(rng.choice((0, 1, 1, 2, 2, 3))))
+        for _ in range(parts)
+    )
+
+
+def test_classify_random_specs_exit_cleanly(capsys):
+    rng = random.Random(SEED + 1)
+    exits: dict[int, int] = {}
+    for _ in range(CASES):
+        name = rng.choice(("E1.gt", "E2.gt", "E3.gt"))
+        n = int((GOLDEN / name).read_text(encoding="utf-8").splitlines()[1].removeprefix("n="))
+        spec = _random_spec(rng, n)
+        code = main(["classify", str(GOLDEN / name), f"--code={spec}"])
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), (name, spec)
+        if code == 0:
+            assert out.count("\n") == 1 and err == "", (name, spec, out, err)
+        else:
+            assert out == "" and err.count("\n") == 1 and "Error: " in err, (name, spec, err)
+        exits[code] = exits.get(code, 0) + 1
+    assert min(exits.get(code, 0) for code in (0, 1, 2)) >= 10, exits

@@ -18,6 +18,7 @@ from geotype import (
     SULabel,
     VLabel,
     bin_refine,
+    boundary_orbits,
     boundary_sets,
     build_order,
     classify_code,
@@ -64,6 +65,7 @@ GUARDED = [
     (u_boundary_negative_code, (EDGE,)),
     (per_s_codes, ()),
     (per_u_codes, ()),
+    (boundary_orbits, ()),
     (boundary_sets, ()),
     (classify_code, (EventuallyPeriodicCode((1,), (), (1,)),)),
     (boundary_report, ()),

@@ -262,20 +262,6 @@ def test_recode_tracks_orientation_reversal():
     assert recoded <= per_s_codes(result.refined)
 
 
-def test_s_refine_provenance(e2):
-    from geotype import SULabel
-
-    result = s_refine(e2, [W12])
-    ref0 = IntervalRef(0, W12)
-    ref1 = IntervalRef(1, W12)
-    assert result.provenance == (
-        (SULabel(1, -1), ref0),
-        (ref0, SULabel(1, 1)),
-        (SULabel(2, -1), ref1),
-        (ref1, SULabel(2, 1)),
-    )
-
-
 def test_s_refine_count_identities():
     for T in binary_mixing_corpus(seed=43, count=6):
         for family in cutting_families(T)[:5]:
