@@ -17,7 +17,7 @@ lives here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .core import GeoTypeError, GeometricType, HLabel, invert, require_valid
 from .shift import (
@@ -141,17 +141,25 @@ def u_boundary_negative_code(T: GeometricType, label: SULabel) -> BoundaryOrbitS
     return s_boundary_positive_code(invert(T), label)
 
 
-def _cycles(T: GeometricType) -> Iterator[tuple[int, ...]]:
-    """First components of every cycle of gamma on T, each cycle once: 2n steps."""
-    table = _GammaTable(T)
-    for start in su_labels(T):
+def _table_orbits(table: _GammaTable, unstable: bool) -> frozenset[CodeOrbit]:
+    """Orbits of the table's cycles, each cycle read backward when ``unstable``.
+
+    Each of the 2n labels is stepped from once, by this walk or an earlier
+    lookup, so a table that has already been walked costs no new step.
+    """
+    walked: set[SULabel] = set()
+    orbits: set[CodeOrbit] = set()
+    for start in su_labels(table.T):
         path: list[SULabel] = []
         label = start
-        while label not in table:  # no walk has stepped from this label yet
+        while label not in walked:
+            walked.add(label)
             path.append(label)
             label = table[label]
         if label in path:  # this walk closed a cycle no earlier walk reached
-            yield tuple(lab.i for lab in path[path.index(label):])
+            word = tuple(lab.i for lab in path[path.index(label):])
+            orbits.add(CodeOrbit.from_word(primitive_root(word[::-1] if unstable else word)))
+    return frozenset(orbits)
 
 
 def boundary_orbits(T: GeometricType, *, unstable: bool = False) -> frozenset[CodeOrbit]:
@@ -162,10 +170,7 @@ def boundary_orbits(T: GeometricType, *, unstable: bool = False) -> frozenset[Co
     backward time for T.  Raises unless T is valid and binary.
     """
     binary_branches(T)
-    return frozenset(
-        CodeOrbit.from_word(primitive_root(word[::-1] if unstable else word))
-        for word in _cycles(invert(T) if unstable else T)
-    )
+    return _table_orbits(_GammaTable(invert(T) if unstable else T), unstable)
 
 
 def per_s_codes(T: GeometricType) -> frozenset[PeriodicCode]:
@@ -281,13 +286,15 @@ def classify_code(T: GeometricType, code: EventuallyPeriodicCode) -> str:
 
 
 def boundary_report(T: GeometricType) -> str:
-    """Deterministic S/U/B/C report used by the CLI."""
+    """Deterministic S/U/B/C report used by the CLI, off one gamma table per side."""
     require_valid(T)
     lines: list[str] = []
-    for tag, table in (("SLABEL", _GammaTable(T)), ("ULABEL", _GammaTable(invert(T)))):
+    s_table, u_table = _GammaTable(T), _GammaTable(invert(T))
+    for tag, table in (("SLABEL", s_table), ("ULABEL", u_table)):
         lines += [f"{tag} {_orbit_summary(table, label)}" for label in sorted(su_labels(T))]
-    s_orbits = boundary_orbits(T)
-    u_orbits = boundary_orbits(T, unstable=True)
+    binary_branches(T)  # the orbits are read for binary types only, as in boundary_orbits
+    s_orbits = _table_orbits(s_table, unstable=False)
+    u_orbits = _table_orbits(u_table, unstable=True)
     for name, group in (
         ("PER-S", s_orbits),
         ("PER-U", u_orbits),

@@ -4,12 +4,14 @@ Exact-rational piecewise-affine realization of a geometric type.
 Every rectangle becomes the unit square; horizontal strip j of square i is
 [0,1] x [(j-1)/h_i, j/h_i] and is sent onto vertical strip l of square k by
 an affine map that contracts horizontally by 1/v_k, expands vertically by
-h_i, and flips vertically exactly when eps = -1.  All arithmetic is in
-``fractions.Fraction``; comparisons are exact.
+h_i, and flips vertically exactly when eps = -1.  All arithmetic is exact:
+heights are ``fractions.Fraction`` values and band edges are reduced integer
+pairs (num, den).
 
 The module recomputes stable-boundary refinements geometrically (cut heights
-as fixed points, exact sorting, interval arithmetic on images) and is kept
-free of the formula engine in ``refine`` so the two can check each other.
+as fixed points, sorted by value; each band's pieces pushed through the
+monotone strip maps onto the integer cut grids) and is kept free of the
+formula engine in ``refine`` so the two can check each other.
 The two share only their input checks: the type's in ``core`` and ``shift``,
 and the cutting family's in :func:`boundary.cutting_family`.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .core import GeoTypeError, GeometricType, HLabel, VLabel, require_valid
 from .shift import AdmissibilityError, PeriodicCode, min_rotation
@@ -55,9 +58,6 @@ class StripMap:
     def eps(self) -> int:
         return 1 if self.a > 0 else -1
 
-    def apply_y(self, y: Fraction) -> Fraction:
-        return self.a * y + self.b
-
     def apply_x(self, x: Fraction) -> Fraction:
         return self.c * x + self.d
 
@@ -82,10 +82,6 @@ class AffineModel:
 
     def strip_map(self, label: tuple[int, int]) -> StripMap:
         return self.maps[self.source.lex_index(label) - 1]
-
-    def strip_bounds(self, i: int, j: int) -> tuple[Fraction, Fraction]:
-        h = self.source.h[i - 1]
-        return Fraction(j - 1, h), Fraction(j, h)
 
     def branch(self, i: int, target_square: int) -> int:
         """The unique strip of square i mapped into the target square."""
@@ -193,13 +189,25 @@ class OracleRefinement:
     cut_heights: tuple[tuple[tuple[Fraction, int, PeriodicCode], ...], ...]
 
 
+def _grid_point(m: StripMap, num: int, den: int) -> tuple[int, int]:
+    """The reduced pair of a * y + b for y = num / den, den > 0."""
+    num = m.a * num + m.b * den
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 def oracle_s_refine(T: GeometricType, W) -> OracleRefinement:
     """Recompute the stable-boundary refinement from the affine geometry.
 
     Cut heights come from one fixed point and one checked walk per orbit
-    (the walk behind :func:`periodic_point`), bands from exact sorting,
-    and the refined bijection from pushing each band piece through its strip
-    map and reading off which bands of the target square it sweeps.
+    (the walk behind :func:`periodic_point`) and are sorted exactly.  Each
+    square's marks, 0, its cut heights and 1, form a cut grid of reduced
+    integer pairs (num, den).  A band [lo, hi] of square i meets the strips
+    j = floor(lo h_i) + 1 .. ceil(hi h_i); its piece in strip j is pushed
+    through the strip map on integers and both ends are looked up on the
+    target square's grid.  The map is monotone, so the bands the piece
+    sweeps come in preimage order: upward when it preserves orientation,
+    downward when it flips.
     """
     family = cutting_family(T, W)
     model = realize(T)
@@ -209,67 +217,49 @@ def oracle_s_refine(T: GeometricType, W) -> OracleRefinement:
         _, heights = _orbit_walk(model, code)
         for t, y in enumerate(heights):
             cuts[code.symbol(t) - 1].append((y, t, code))
-    for i in range(1, T.n + 1):
-        cuts[i - 1].sort(key=lambda item: item[0])
-        heights = [item[0] for item in cuts[i - 1]]
-        if len(set(heights)) != len(heights):
+    for i, bucket in enumerate(cuts, start=1):
+        bucket.sort(key=lambda item: item[0])
+        if any(a[0] == b[0] for a, b in zip(bucket, bucket[1:])):
             raise TieError(f"exact tie between distinct cut lines in square {i}")
 
-    boundaries: list[list[Fraction]] = [
-        [Fraction(0)] + [item[0] for item in cuts[i - 1]] + [Fraction(1)]
-        for i in range(1, T.n + 1)
+    marks: list[list[tuple[int, int]]] = [
+        [(0, 1)] + [(y.numerator, y.denominator) for y, _, _ in bucket] + [(1, 1)]
+        for bucket in cuts
     ]
-    # position of each height on its square's cut grid, so that a band edge's
-    # image is found by one lookup instead of a scan
-    grid_index: list[dict[Fraction, int]] = [
-        {y: pos for pos, y in enumerate(marks)} for marks in boundaries
+    grid: list[dict[tuple[int, int], int]] = [
+        {mark: pos for pos, mark in enumerate(row)} for row in marks
     ]
 
     pairs: list[tuple[int, int]] = []
     starts: list[int] = []
-    total = 0
-    for i in range(1, T.n + 1):
-        starts.append(total)
-        bands = len(boundaries[i - 1]) - 1
-        pairs.extend((i, s) for s in range(1, bands + 1))
-        total += bands
-
-    def r_tilde(k: int, s: int) -> int:
-        return starts[k - 1] + s
+    for i, bucket in enumerate(cuts, start=1):
+        starts.append(len(pairs))
+        pairs.extend((i, s) for s in range(1, len(bucket) + 2))
 
     h_new: list[int] = []
     v_new: list[int] = []
     mapping: dict[tuple[int, int], tuple[int, int, int]] = {}
     for r, (i, s) in enumerate(pairs, start=1):
-        lo = boundaries[i - 1][s - 1]
-        hi = boundaries[i - 1][s]
+        (p_lo, q_lo), (p_hi, q_hi) = marks[i - 1][s - 1], marks[i - 1][s]
+        h_i = T.h[i - 1]
         v_new.append(T.v[i - 1])
-        pieces: list[tuple[Fraction, int, int, int]] = []  # (preimage lo, r', l, eps)
-        for j in range(1, T.h[i - 1] + 1):
-            strip_lo, strip_hi = model.strip_bounds(i, j)
-            piece_lo = max(lo, strip_lo)
-            piece_hi = min(hi, strip_hi)
-            if piece_lo >= piece_hi:
-                continue
+        first, last = p_lo * h_i // q_lo + 1, -(-p_hi * h_i // q_hi)
+        J_bar = 0
+        for j in range(first, last + 1):
+            # the band's piece in strip j; only the first and last strips clip it
+            lo = (p_lo, q_lo) if j == first else (j - 1, h_i)
+            hi = (p_hi, q_hi) if j == last else (j, h_i)
             m = model.strip_map((i, j))
-            y1, y2 = m.apply_y(piece_lo), m.apply_y(piece_hi)
-            img_lo, img_hi = (y1, y2) if y1 < y2 else (y2, y1)
             k = m.target.k
-            marks = boundaries[k - 1]
-            idx_lo = grid_index[k - 1].get(img_lo)
-            idx_hi = grid_index[k - 1].get(img_hi)
-            if idx_lo is None or idx_hi is None:
+            end_lo = grid[k - 1].get(_grid_point(m, *lo))
+            end_hi = grid[k - 1].get(_grid_point(m, *hi))
+            if end_lo is None or end_hi is None:
                 raise GeoTypeError("image of a band edge missed the cut grid")
-            for band in range(idx_lo + 1, idx_hi + 1):
-                band_lo, band_hi = marks[band - 1], marks[band]
-                pre_points = sorted(
-                    ((band_lo - m.b) / m.a, (band_hi - m.b) / m.a)
-                )
-                pieces.append((pre_points[0], r_tilde(k, band), m.target.l, m.eps))
-        pieces.sort(key=lambda item: item[0])
-        for J_bar, (_, target_r, l, e) in enumerate(pieces, start=1):
-            mapping[(r, J_bar)] = (target_r, l, e)
-        h_new.append(len(pieces))
+            sweep = range(end_lo + 1, end_hi + 1) if m.a > 0 else range(end_lo, end_hi, -1)
+            for band in sweep:
+                J_bar += 1
+                mapping[(r, J_bar)] = (starts[k - 1] + band, m.target.l, m.eps)
+        h_new.append(J_bar)
 
     refined = GeometricType.build(tuple(h_new), tuple(v_new), mapping)
     require_valid(refined)
@@ -293,14 +283,14 @@ def model_svg(T: GeometricType, W=()) -> str:
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}">'
     ]
-    cut_rows: list[tuple[int, Fraction, str]] = []
+    cut_rows: list[list[tuple[Fraction, str]]] = [[] for _ in range(T.n)]
     for code in W:
         if not isinstance(code, PeriodicCode):
             code = PeriodicCode(tuple(code))
         orbit_id = ".".join(str(sym) for sym in min_rotation(code.word))
         _, heights = _orbit_walk(model, code)
         for t, y in enumerate(heights):
-            cut_rows.append((code.symbol(t), y, f"({t},{orbit_id})"))
+            cut_rows[code.symbol(t) - 1].append((y, f"({t},{orbit_id})"))
     for i in range(1, T.n + 1):
         x0 = gap + (i - 1) * (side + gap)
         y0 = 30.0
@@ -324,9 +314,7 @@ def model_svg(T: GeometricType, W=()) -> str:
                 f'<line x1="{x:.2f}" y1="{y0:.2f}" x2="{x:.2f}" y2="{y0 + side:.2f}" '
                 'stroke="gray" stroke-dasharray="2,3"/>'
             )
-        for square, y_frac, label in sorted(cut_rows, key=lambda row: (row[0], row[1], row[2])):
-            if square != i:
-                continue
+        for y_frac, label in sorted(cut_rows[i - 1]):
             y = y0 + side - float(y_frac) * side
             lines.append(
                 f'<line x1="{x0:.2f}" y1="{y:.2f}" x2="{x0 + side:.2f}" y2="{y:.2f}" '

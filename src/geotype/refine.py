@@ -382,6 +382,7 @@ def s_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementR
     ..., b+1 when e = -1.
     """
     order = build_order(T, W, drop_boundary=drop_boundary)
+    branches = binary_branches(T)
     pairs, starts = _tilde_labels(order)
     h_new: list[int] = []
     v_new: list[int] = []
@@ -392,8 +393,8 @@ def s_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementR
         # the cut lines bounding band s; None stands for the bottom or top edge
         lower = None if s == 1 else order.refs(i)[s - 2]
         upper = None if s == count_i + 1 else order.refs(i)[s - 1]
-        j_lo = j_index(T, lower.code, lower.t) if lower else 1
-        j_hi = j_index(T, upper.code, upper.t) if upper else T.h[i - 1]
+        j_lo = branches[(i, lower.code.symbol(lower.t + 1))][0] if lower else 1
+        j_hi = branches[(i, upper.code.symbol(upper.t + 1))][0] if upper else T.h[i - 1]
         if j_lo > j_hi:
             raise InvariantError(f"cut lines of rectangle {i} are out of order")
         v_new.append(T.v[i - 1])

@@ -159,7 +159,7 @@ def test_boundary_codes_take_linear_gamma_steps(monkeypatch):
         return real_step(T, label)
 
     monkeypatch.setattr(geotype.boundary, "gamma_step", counting_step)
-    for fn, bound in ((per_s_codes, 2 * T.n), (per_u_codes, 2 * T.n), (boundary_report, 8 * T.n)):
+    for fn, bound in ((per_s_codes, 2 * T.n), (per_u_codes, 2 * T.n), (boundary_report, 4 * T.n)):
         steps.clear()
         fn(T)
         assert 0 < len(steps) <= bound, (fn.__name__, len(steps))

@@ -31,18 +31,23 @@ from conftest import (
     binary_mixing_corpus,
     cutting_families,
     make_e0,
+    make_e1m,
     orientation_reversing_bin_types,
 )
 
 W12 = PeriodicCode((1, 2))
 
 
-def test_realize_shapes(e0, e1):
-    model0 = realize(e0)
-    assert model0.strip_bounds(1, 1) == (0, 1)
-    model1 = realize(e1)
-    assert model1.strip_bounds(1, 1) == (Fraction(0), Fraction(1, 2))
-    assert model1.strip_bounds(1, 2) == (Fraction(1, 2), Fraction(1))
+def test_realize_shapes(e0, e1, e1m):
+    """Strip j of square i is [(j-1)/h_i, j/h_i]; its map y -> ay + b sends
+    it onto [0, 1], upward exactly when eps = +1."""
+    for T in (e0, e1, e1m, bin_refine(e1m).refined):
+        model = realize(T)
+        for i, j in T.h_labels():
+            h_i = T.h[i - 1]
+            m = model.strip_map((i, j))
+            ends = tuple(m.a * y + m.b for y in (Fraction(j - 1, h_i), Fraction(j, h_i)))
+            assert ends == ((0, 1) if T.eps_of((i, j)) == 1 else (1, 0))
 
 
 def test_reextraction_roundtrip(e0, e1, e2, e1m):
@@ -103,10 +108,68 @@ def test_orbit_walk_heights_are_the_phase_fixed_points():
                 for m in range(t, t + code.period):
                     i = code.symbol(m)
                     step = model.strip_map((i, model.branch(i, code.symbol(m + 1))))
-                    x, y = step.apply_x(x), step.apply_y(y)
+                    x, y = step.apply_x(x), step.a * y + step.b
                 assert (x, y) == (point.x, point.y)
                 periods.add(code.period)
     assert periods == {1, 2, 3, 4, 5, 6}
+
+
+def _reference_pieces(model, marks, i, lo, hi):
+    """The pieces of band [lo, hi] of square i, found by scanning every strip
+    and dividing in Fractions: ``{(k, band, l): (preimage, j, a)}``, where a
+    target band of the piece's image contributes the lower end of its
+    preimage under strip j's map y -> ay + b."""
+    h_i = model.source.h[i - 1]
+    pieces = {}
+    for j in range(1, h_i + 1):
+        piece_lo, piece_hi = max(lo, Fraction(j - 1, h_i)), min(hi, Fraction(j, h_i))
+        if piece_lo >= piece_hi:
+            continue
+        m = model.strip_map((i, j))
+        row = marks[m.target.k - 1]
+        img_lo, img_hi = sorted(m.a * y + m.b for y in (piece_lo, piece_hi))
+        for band in range(row.index(img_lo) + 1, row.index(img_hi) + 1):
+            pre = min((row[band - 1] - m.b) / m.a, (row[band] - m.b) / m.a)
+            pieces[(m.target.k, band, m.target.l)] = (pre, j, m.a)
+    return pieces
+
+
+def test_oracle_band_order_is_preimage_order():
+    """Each refined rectangle's strips come in the order of their preimages
+    in the source band, though the oracle derives that order from the strip
+    maps' monotonicity instead of sorting preimages."""
+    types = (
+        binary_mixing_corpus(seed=97, count=5)
+        + orientation_reversing_bin_types(101, 4)
+        + [bin_refine(make_e1m()).refined]
+    )
+    assert any(max(T.h) >= 3 for T in types)
+    multi_strip_band = reversed_sweep = False
+    for T in types:
+        model = realize(T)
+        for family in cutting_families(T)[:8]:
+            result = oracle_s_refine(T, family)
+            marks = [
+                [Fraction(0)] + [y for y, _, _ in bucket] + [Fraction(1)]
+                for bucket in result.cut_heights
+            ]
+            refined = result.refined
+            for r, (i, s) in enumerate(result.label_map, start=1):
+                reference = _reference_pieces(model, marks, i, *marks[i - 1][s - 1:s + 1])
+                pieces = []
+                for J in range(1, refined.h[r - 1] + 1):
+                    target, l, e = refined.phi((r, J))
+                    pre, j, a = reference[(*result.label_map[target - 1], l)]
+                    assert e == (1 if a > 0 else -1)
+                    pieces.append((pre, j, a))
+                assert len(pieces) == len(reference)
+                assert all(p[0] < q[0] for p, q in zip(pieces, pieces[1:]))
+                strips = [j for _, j, _ in pieces]
+                multi_strip_band |= len(set(strips)) >= 2
+                reversed_sweep |= any(
+                    a < 0 and strips.count(j) >= 2 for _, j, a in pieces
+                )
+    assert multi_strip_band and reversed_sweep
 
 
 def test_oracle_refine_worked_example(e2, e3):
