@@ -7,19 +7,19 @@ follows the image of those edges one step at a time; iterating it writes
 down the eventually periodic code every boundary edge shadows.  The unstable
 side is the same construction run on the inverse type, read backward.
 Every boundary code comes from one gamma table per side, gamma on the 2n
-labels: label summaries walk it, and :func:`boundary_orbits`, the
-orbit-level entry point, reads off its cycles.  :func:`per_s_codes`,
-:func:`per_u_codes` and :func:`boundary_sets` are their all-phase views.  A
-cutting family must avoid these codes, so its check, :func:`cutting_family`,
-lives here too.
+labels, kept on T and on ``invert(T)``: label summaries walk it, and
+:func:`boundary_orbits`, the orbit-level entry point, reads off its cycles.
+:func:`per_s_codes`, :func:`per_u_codes` and :func:`boundary_sets` are their
+all-phase views.  A cutting family must avoid these codes, so its check,
+:func:`cutting_family`, lives here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .core import GeoTypeError, GeometricType, HLabel, invert, require_valid
+from .core import GeoTypeError, GeometricType, invert, require_valid
+from .core import SULabel as SULabel, theta as theta  # re-exported
 from .shift import (
     AdmissibilityError,
     CodeOrbit,
@@ -29,6 +29,7 @@ from .shift import (
     binary_incidence,
     is_admissible_eventually_periodic,
     primitive_root,
+    require_symbols,
 )
 
 
@@ -40,13 +41,9 @@ class DuplicateOrbitError(GeoTypeError):
     """A cutting family lists the same shift orbit twice."""
 
 
-class SULabel(NamedTuple):
-    i: int
-    eps: int
-
-
 def _check_label(T: GeometricType, label: SULabel) -> None:
-    if not (1 <= label.i <= T.n) or label.eps not in (1, -1):
+    """Needs a valid type: the labels are the keys of its gamma table."""
+    if label not in T._gamma:
         raise ValueError(f"invalid boundary label {label}")
 
 
@@ -54,17 +51,11 @@ def su_labels(T: GeometricType) -> tuple[SULabel, ...]:
     return tuple(SULabel(i, e) for i in range(1, T.n + 1) for e in (-1, 1))
 
 
-def theta(T: GeometricType, label: SULabel) -> HLabel:
-    """Strip holding the boundary edge: bottom edge -> strip 1, top -> strip h_i."""
-    _check_label(T, label)
-    return HLabel(label.i, 1 if label.eps == -1 else T.h[label.i - 1])
-
-
 def gamma_step(T: GeometricType, label: SULabel) -> SULabel:
     """One step of the stable generating function."""
     require_valid(T)
-    k, _, e = T.phi(theta(T, label))
-    return SULabel(k, label.eps * e)
+    _check_label(T, label)
+    return T._gamma[label]
 
 
 def upsilon_step(T: GeometricType, label: SULabel) -> SULabel:
@@ -103,26 +94,14 @@ def canonical_eventually_periodic(
     return tuple(head), tuple(root)
 
 
-class _GammaTable(dict):
-    """gamma on the 2n boundary labels of T; each step is taken once, on first lookup."""
-
-    def __init__(self, T: GeometricType) -> None:
-        super().__init__()
-        self.T = T
-
-    def __missing__(self, label: SULabel) -> SULabel:
-        self[label] = gamma_step(self.T, label)
-        return self[label]
-
-
-def _orbit_summary(table: _GammaTable, label: SULabel) -> BoundaryOrbitSummary:
+def _orbit_summary(gamma: dict[SULabel, SULabel], label: SULabel) -> BoundaryOrbitSummary:
     seen: dict[SULabel, int] = {}
     trace: list[SULabel] = []
     current = label
     while current not in seen:
         seen[current] = len(trace)
         trace.append(current)
-        current = table[current]
+        current = gamma[current]
     start = seen[current]
     pre = tuple(lab.i for lab in trace[:start])
     cyc = tuple(lab.i for lab in trace[start:])
@@ -133,7 +112,7 @@ def s_boundary_positive_code(T: GeometricType, label: SULabel) -> BoundaryOrbitS
     """Iterate gamma from a label until its cycle closes; <= 2n labels appear."""
     require_valid(T)
     _check_label(T, label)
-    return _orbit_summary(_GammaTable(T), label)
+    return _orbit_summary(T._gamma, label)
 
 
 def u_boundary_negative_code(T: GeometricType, label: SULabel) -> BoundaryOrbitSummary:
@@ -141,36 +120,29 @@ def u_boundary_negative_code(T: GeometricType, label: SULabel) -> BoundaryOrbitS
     return s_boundary_positive_code(invert(T), label)
 
 
-def _table_orbits(table: _GammaTable, unstable: bool) -> frozenset[CodeOrbit]:
-    """Orbits of the table's cycles, each cycle read backward when ``unstable``.
+def boundary_orbits(T: GeometricType, *, unstable: bool = False) -> frozenset[CodeOrbit]:
+    """Orbits of the periodic s-boundary (u-boundary when ``unstable``) codes.
 
-    Each of the 2n labels is stepped from once, by this walk or an earlier
-    lookup, so a table that has already been walked costs no new step.
+    They are the cycles of the gamma table, found by stepping from each
+    label once.  The u-side cycles are those of the inverse type read
+    backward, since forward time for the inverse is backward time for T.
+    Raises unless T is valid and binary.
     """
+    binary_branches(T)
+    gamma = invert(T)._gamma if unstable else T._gamma
     walked: set[SULabel] = set()
     orbits: set[CodeOrbit] = set()
-    for start in su_labels(table.T):
+    for start in gamma:
         path: list[SULabel] = []
         label = start
         while label not in walked:
             walked.add(label)
             path.append(label)
-            label = table[label]
+            label = gamma[label]
         if label in path:  # this walk closed a cycle no earlier walk reached
             word = tuple(lab.i for lab in path[path.index(label):])
             orbits.add(CodeOrbit.from_word(primitive_root(word[::-1] if unstable else word)))
     return frozenset(orbits)
-
-
-def boundary_orbits(T: GeometricType, *, unstable: bool = False) -> frozenset[CodeOrbit]:
-    """Orbits of the periodic s-boundary (u-boundary when ``unstable``) codes.
-
-    They are the cycles of the gamma table.  The u-side cycles are those of
-    the inverse type read backward, since forward time for the inverse is
-    backward time for T.  Raises unless T is valid and binary.
-    """
-    binary_branches(T)
-    return _table_orbits(_GammaTable(invert(T) if unstable else T), unstable)
 
 
 def per_s_codes(T: GeometricType) -> frozenset[PeriodicCode]:
@@ -229,8 +201,7 @@ def cutting_family(
         if not isinstance(code, PeriodicCode):
             code = PeriodicCode(tuple(code))
         word = code.word
-        if any(not 1 <= s <= T.n for s in word):
-            raise AdmissibilityError(f"symbol out of range 1..{T.n} in word {word}")
+        require_symbols(T.n, word)
         if any(step not in branches for step in zip(word, word[1:] + word[:1])):
             raise AdmissibilityError(f"code {code} is not admissible for this type")
         orbit = code.orbit()
@@ -257,9 +228,9 @@ def _tails(middle: tuple[int, ...], cycle: tuple[int, ...]):
         yield canonical_eventually_periodic((), cycle[k:] + cycle[:k])
 
 
-def _has_boundary_tail(code: EventuallyPeriodicCode, table: _GammaTable) -> bool:
-    """True iff a positive tail of the code is the code of a label of the table."""
-    targets = {_orbit_summary(table, label).canonical_tail() for label in su_labels(table.T)}
+def _has_boundary_tail(code: EventuallyPeriodicCode, gamma: dict[SULabel, SULabel]) -> bool:
+    """True iff a positive tail of the code is the code of a label of the gamma table."""
+    targets = {_orbit_summary(gamma, label).canonical_tail() for label in gamma}
     return any(tail in targets for tail in _tails(code.middle, code.right_cycle))
 
 
@@ -274,8 +245,8 @@ def classify_code(T: GeometricType, code: EventuallyPeriodicCode) -> str:
     A = binary_incidence(T)
     if not is_admissible_eventually_periodic(A, code):
         raise AdmissibilityError("code uses transitions forbidden by the incidence matrix")
-    is_s = _has_boundary_tail(code, _GammaTable(T))
-    is_u = _has_boundary_tail(code.mirror(), _GammaTable(invert(T)))
+    is_s = _has_boundary_tail(code, T._gamma)
+    is_u = _has_boundary_tail(code.mirror(), invert(T)._gamma)
     if is_s and is_u:
         return "corner-leaf"
     if is_s:
@@ -287,14 +258,11 @@ def classify_code(T: GeometricType, code: EventuallyPeriodicCode) -> str:
 
 def boundary_report(T: GeometricType) -> str:
     """Deterministic S/U/B/C report used by the CLI, off one gamma table per side."""
-    require_valid(T)
+    s_orbits = boundary_orbits(T)
+    u_orbits = boundary_orbits(T, unstable=True)
     lines: list[str] = []
-    s_table, u_table = _GammaTable(T), _GammaTable(invert(T))
-    for tag, table in (("SLABEL", s_table), ("ULABEL", u_table)):
-        lines += [f"{tag} {_orbit_summary(table, label)}" for label in sorted(su_labels(T))]
-    binary_branches(T)  # the orbits are read for binary types only, as in boundary_orbits
-    s_orbits = _table_orbits(s_table, unstable=False)
-    u_orbits = _table_orbits(u_table, unstable=True)
+    for tag, gamma in (("SLABEL", T._gamma), ("ULABEL", invert(T)._gamma)):
+        lines += [f"{tag} {_orbit_summary(gamma, label)}" for label in sorted(gamma)]
     for name, group in (
         ("PER-S", s_orbits),
         ("PER-U", u_orbits),

@@ -40,6 +40,11 @@ class VLabel(NamedTuple):
     l: int
 
 
+class SULabel(NamedTuple):
+    i: int
+    eps: int
+
+
 @dataclass(frozen=True)
 class GeometricType:
     """Immutable geometric type.
@@ -48,9 +53,9 @@ class GeometricType:
     horizontal labels, so two structurally equal types compare equal.
 
     Facts derived from the fields (the validation report, the lexicographic
-    offsets and the inverse type) are computed at most once per object and
-    kept in private cached members, which are not fields and so take no part
-    in ``==``, ``hash`` or ``repr``.
+    offsets, the inverse type, the branch table and the gamma table) are
+    computed at most once per object and kept in private cached members,
+    which are not fields and so take no part in ``==``, ``hash`` or ``repr``.
     """
 
     h: tuple[int, ...]
@@ -120,6 +125,23 @@ class GeometricType:
         for label, (k, l), e in zip(self.h_labels(), self.rho, self.eps):
             inv_map[(k, l)] = (label.i, label.j, e)
         return GeometricType.build(self.v, self.h, inv_map)
+
+    @cached_property
+    def _branches(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """``{(i, xi(i, j)): (j, eps(i, j))}``; :func:`shift.binary_branches` checks it."""
+        return {
+            (label.i, target.k): (label.j, e)
+            for label, target, e in zip(self.h_labels(), self.rho, self.eps)
+        }
+
+    @cached_property
+    def _gamma(self) -> dict[SULabel, SULabel]:
+        """gamma on the 2n boundary labels; needs a valid type, as ``_inverse`` does."""
+        table: dict[SULabel, SULabel] = {}
+        for label in (SULabel(i, e) for i in range(1, self.n + 1) for e in (-1, 1)):
+            k, _, sign = self.phi(theta(self, label))
+            table[label] = SULabel(k, label.eps * sign)
+        return table
 
     # -- basic accessors ------------------------------------------------------
 
@@ -222,6 +244,13 @@ def invert(T: GeometricType) -> GeometricType:
     """
     require_valid(T)
     return T._inverse
+
+
+def theta(T: GeometricType, label: SULabel) -> HLabel:
+    """Strip holding the boundary edge: bottom edge -> strip 1, top -> strip h_i."""
+    if not (1 <= label.i <= T.n) or label.eps not in (1, -1):
+        raise ValueError(f"invalid boundary label {label}")
+    return HLabel(label.i, 1 if label.eps == -1 else T.h[label.i - 1])
 
 
 # -- canonical text format ----------------------------------------------------

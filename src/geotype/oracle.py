@@ -24,7 +24,7 @@ from functools import cached_property
 from math import gcd
 
 from .core import GeoTypeError, GeometricType, HLabel, VLabel, require_valid
-from .shift import AdmissibilityError, PeriodicCode, min_rotation
+from .shift import AdmissibilityError, PeriodicCode, min_rotation, require_symbols
 from .boundary import cutting_family
 
 
@@ -60,11 +60,6 @@ class StripMap:
 
     def apply_x(self, x: Fraction) -> Fraction:
         return self.c * x + self.d
-
-
-def _require_symbols(n: int, word: tuple[int, ...]) -> None:
-    if any(not 1 <= s <= n for s in word):
-        raise AdmissibilityError(f"symbol out of range 1..{n} in word {word}")
 
 
 @dataclass(frozen=True)
@@ -135,7 +130,7 @@ def _orbit_walk(
     denominator |1 - A|, so the walk runs on integer numerators.
     """
     word = code.word
-    _require_symbols(model.source.n, word)
+    require_symbols(model.source.n, word)
     steps = tuple(
         model.strip_map((i, model.branch(i, k))) for i, k in zip(word, word[1:] + word[:1])
     )

@@ -41,6 +41,7 @@ from .shift import (
     binary_incidence,
     enumerate_orbits,
     primitive_root,
+    require_symbols,
 )
 
 
@@ -118,6 +119,7 @@ class IntervalRef:
 
 def j_index(T: GeometricType, code: PeriodicCode, t: int) -> int:
     """The unique strip of rectangle w_t that maps into rectangle w_{t+1}."""
+    require_symbols(T.n, code.word)
     i = code.symbol(t)
     nxt = code.symbol(t + 1)
     for j in range(1, T.h[i - 1] + 1):
@@ -237,9 +239,9 @@ def build_order(T: GeometricType, W, *, drop_boundary: bool = False) -> OrderTab
     Each cut line is sorted by its :func:`_kneading_key` of length 4P, where
     P is the longest period in the family; that is the Fine-Wilf length
     2(p_a + p_b) for every pair, so the sort is exact (see
-    :func:`interval_less`).  The family check and the branch table cost
-    O(alpha + sum of periods), the keys O(cuts * P) and the sort
-    O(cuts * log cuts) comparisons.
+    :func:`interval_less`).  The family check costs O(sum of periods) past
+    T's branch and gamma tables (O(alpha), once per type object), the keys
+    O(cuts * P) and the sort O(cuts * log cuts) comparisons.
     """
     family = cutting_family(T, W, drop_boundary=drop_boundary)
     branches = binary_branches(T)
@@ -294,6 +296,7 @@ class RefinementResult:
         just above the cut line); any other admissible periodic code yields
         the single code of the rectangles its orbit passes through.
         """
+        require_symbols(self.source.n, code.word)
         if self.kind == "pipeline":
             current = {code}
             for stage in self.stages:

@@ -193,17 +193,14 @@ def binary_branches(T: GeometricType) -> dict[tuple[int, int], tuple[int, int]]:
 
     Strip j of rectangle i is the unique strip mapping into rectangle
     k = xi(i, j).  The incidence matrix is binary exactly when the pairs
-    (i, xi(i, j)) are distinct, so this guard costs O(alpha) and builds no
-    matrix.  Raises ``InvalidTypeError`` or ``NonBinaryError`` otherwise.
+    (i, xi(i, j)) are distinct, so this guard builds no matrix.  The table
+    is kept on T, built once in O(alpha), so callers must not mutate it.
+    Raises ``InvalidTypeError`` or ``NonBinaryError`` otherwise.
     """
     require_valid(T)
-    table = {
-        (label.i, target.k): (label.j, e)
-        for label, target, e in zip(T.h_labels(), T.rho, T.eps)
-    }
-    if len(table) != len(T.rho):
+    if len(T._branches) != len(T.rho):
         raise NonBinaryError("incidence matrix is not binary")
-    return table
+    return T._branches
 
 
 def binary_incidence(T: GeometricType) -> IncidenceMatrix:
@@ -249,13 +246,18 @@ def is_mixing(A: IncidenceMatrix) -> bool:
     return False
 
 
+def require_symbols(n: int, word: tuple[int, ...]) -> None:
+    """Raise ``AdmissibilityError`` unless every symbol of the word lies in 1..n."""
+    if any(not 1 <= s <= n for s in word):
+        raise AdmissibilityError(f"symbol out of range 1..{n} in word {word}")
+
+
 def is_admissible_cycle(A: IncidenceMatrix, word: Sequence[int]) -> bool:
     """True iff every consecutive pair, including the wrap, has a_ik >= 1."""
     word = tuple(word)
     if not word:
         raise ValueError("word must be nonempty")
-    if any(not (1 <= s <= A.n) for s in word):
-        raise AdmissibilityError(f"symbol out of range 1..{A.n} in word {word}")
+    require_symbols(A.n, word)
     return all(A.entry(word[t], word[(t + 1) % len(word)]) >= 1 for t in range(len(word)))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import cached_property
 
 import pytest
 from hypothesis import strategies as st
@@ -155,6 +156,33 @@ def cutting_families(T: GeometricType, max_period: int = 4, max_total: int = 8):
             if usable[a].period + usable[b].period <= max_total:
                 families.append([usable[a], usable[b]])
     return families
+
+
+# -- derived facts ---------------------------------------------------------------
+
+
+def record_builds(monkeypatch, name: str) -> list[tuple[GeometricType, int]]:
+    """Record (type object, size of the result) at every build of a derived
+    fact of ``GeometricType``, such as ``_gamma``.
+
+    The wrapper keeps the member's descriptor kind: a cached member is built
+    once per object, and one that is not cached is recorded at every access.
+    """
+    member = vars(GeometricType)[name]
+    cached = isinstance(member, cached_property)
+    build = member.func if cached else member.fget
+    builds: list[tuple[GeometricType, int]] = []
+
+    def recording(T: GeometricType):
+        result = build(T)
+        builds.append((T, len(result)))
+        return result
+
+    wrapper = type(member)(recording)
+    if cached:
+        wrapper.__set_name__(GeometricType, name)
+    monkeypatch.setattr(GeometricType, name, wrapper)
+    return builds
 
 
 # -- hypothesis -----------------------------------------------------------------

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-import geotype
 from geotype import (
     CodeOrbit,
     EventuallyPeriodicCode,
@@ -31,7 +30,13 @@ from geotype import (
 from geotype.boundary import boundary_report, su_labels
 from geotype.shift import AdmissibilityError
 
-from conftest import binary_mixing_corpus, make_e0, make_e2, orientation_reversing_bin_types
+from conftest import (
+    binary_mixing_corpus,
+    make_e0,
+    make_e2,
+    orientation_reversing_bin_types,
+    record_builds,
+)
 
 
 def words(codes):
@@ -146,23 +151,20 @@ def test_per_u_agrees_with_inverse_route():
 
 
 def test_boundary_codes_take_linear_gamma_steps(monkeypatch):
-    """Each side's codes come from one table of gamma on the 2n labels, so a
-    derivation makes O(n) gamma steps, not one walk per label."""
+    """Each side's codes come from one table of gamma on the 2n labels, kept
+    on the type: every boundary derivation on T together builds one table on
+    T and one on invert(T), and no walk takes a gamma step of its own."""
     refined = wp_refine(make_e2(), 6).refined
     T = GeometricType(refined.h, refined.v, refined.rho, refined.eps)  # no cached facts
     assert T.n == 314
-    steps: list[SULabel] = []
-    real_step = geotype.boundary.gamma_step
-
-    def counting_step(T, label):
-        steps.append(label)
-        return real_step(T, label)
-
-    monkeypatch.setattr(geotype.boundary, "gamma_step", counting_step)
-    for fn, bound in ((per_s_codes, 2 * T.n), (per_u_codes, 2 * T.n), (boundary_report, 4 * T.n)):
-        steps.clear()
-        fn(T)
-        assert 0 < len(steps) <= bound, (fn.__name__, len(steps))
+    builds = record_builds(monkeypatch, "_gamma")
+    per_s_codes(T)
+    per_u_codes(T)
+    boundary_report(T)
+    assert has_corner_property(T)
+    cycle = min(boundary_orbits(T), key=CodeOrbit.sort_key).canonical.word
+    assert classify_code(T, EventuallyPeriodicCode(cycle, (), cycle)) == "corner-leaf"
+    assert [(id(U), size) for U, size in builds] == [(id(T), 2 * T.n), (id(invert(T)), 2 * T.n)]
 
 
 def test_boundary_sets_examples(e0, e2, e3):

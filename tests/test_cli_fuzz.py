@@ -14,6 +14,7 @@ TYPES = ("E1.gt", "E2.gt", "E3.gt", "srefine_E2_w12.txt")
 CODES = ("W12.codes",)
 SEED = 20241018
 CASES = 300
+CASES_PER_COMMAND = 30
 
 
 def _mutate_digit(rng: random.Random, line: str, n: int) -> str:
@@ -57,14 +58,27 @@ def _random_codes(rng: random.Random, n: int) -> str:
 
 
 def _commands(type_path: str, codes_path: str) -> list[list[str]]:
+    """Every subcommand but ``classify`` (fuzzed below), with each of its flags."""
     return [
         ["validate", type_path],
+        ["invert", type_path],
+        ["alpha", type_path],
+        ["incidence", type_path],
+        ["incidence", type_path, "--check", "binary"],
+        ["incidence", type_path, "--check", "mixing"],
+        ["orbits", type_path, "--max-period", "3"],
+        ["bin", type_path],
         ["codes", type_path],
         ["corner", type_path],
         ["corner", type_path, "--along", codes_path],
         ["srefine", type_path, "--codes", codes_path],
+        ["srefine", type_path, "--codes", codes_path, "--drop-boundary"],
+        ["urefine", type_path, "--codes", codes_path],
+        ["urefine", type_path, "--codes", codes_path, "--drop-boundary"],
+        ["wp", type_path, "--max-period", "3"],
         ["oracle-check", type_path, "--codes", codes_path],
         ["render", type_path, "--format", "svg", "--codes", codes_path],
+        ["render", type_path, "--format", "dot"],
     ]
 
 
@@ -74,7 +88,8 @@ def test_mutated_inputs_exit_cleanly(capsys, tmp_path):
     codes_file = tmp_path / "W.codes"
     exits: dict[int, int] = {}
     above_n = 0
-    for case in range(CASES):
+    commands = _commands(str(type_file), str(codes_file))
+    for case in range(CASES_PER_COMMAND * len(commands)):
         type_text = (GOLDEN / rng.choice(TYPES)).read_text(encoding="utf-8")
         n = int(type_text.splitlines()[1].removeprefix("n="))
         if rng.random() < 0.3:
@@ -90,7 +105,7 @@ def test_mutated_inputs_exit_cleanly(capsys, tmp_path):
         )
         type_file.write_text(type_text, encoding="utf-8")
         codes_file.write_text(codes_text, encoding="utf-8")
-        argv = _commands(str(type_file), str(codes_file))[case % 7]
+        argv = commands[case % len(commands)]
         code = main(argv)
         out, err = capsys.readouterr()
         assert code in (0, 1, 2), (argv, type_text, codes_text)

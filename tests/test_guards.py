@@ -42,8 +42,9 @@ from geotype import (
     wp_refine,
 )
 from geotype.boundary import boundary_report
+from geotype.shift import binary_branches
 
-from conftest import make_e1, make_e1m, make_e2, make_e3
+from conftest import make_e1, make_e1m, make_e2, make_e3, record_builds
 
 SOURCES = Path(geotype.__file__).parent
 
@@ -93,11 +94,16 @@ def test_cached_facts_stay_out_of_eq_hash_and_repr():
     validate(T)
     T.lex_index((4, 3))
     assert invert(T) is invert(T)
+    assert binary_branches(T) is binary_branches(T)
+    gamma_step(T, EDGE)
+    assert "_branches" in vars(T) and "_gamma" in vars(T)
     assert T == fresh and hash(T) == hash(fresh) and repr(T) == repr(fresh)
     assert invert(invert(T)) == T
 
 
 def test_wp_refine_validates_each_type_object_at_most_once(monkeypatch):
+    """Validation, the branch table and the gamma table are each built at most
+    once per type object over a whole pipeline."""
     checked: list[GeometricType] = []  # holding the objects keeps their ids unique
     real_check = geotype.core._check_invariants
 
@@ -106,9 +112,13 @@ def test_wp_refine_validates_each_type_object_at_most_once(monkeypatch):
         return real_check(T)
 
     monkeypatch.setattr(geotype.core, "_check_invariants", counting_check)
-    wp_refine(make_e2(), 3)
-    assert checked
+    branch_builds = record_builds(monkeypatch, "_branches")
+    gamma_builds = record_builds(monkeypatch, "_gamma")
+    wp_refine(make_e2(), 6)
+    assert checked and branch_builds and gamma_builds
     assert len({id(T) for T in checked}) == len(checked)
+    for builds in (branch_builds, gamma_builds):
+        assert len({id(T) for T, _ in builds}) == len(builds)
 
 
 @pytest.mark.parametrize("path", sorted(SOURCES.glob("*.py")), ids=lambda p: p.name)

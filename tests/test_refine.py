@@ -262,6 +262,18 @@ def test_recode_tracks_orientation_reversal():
     assert recoded <= per_s_codes(result.refined)
 
 
+def test_out_of_range_symbols_raise_admissibility_error(e2):
+    """A symbol above n is reported as such, as the cutting-family check does,
+    by the strip lookup and by recoding on every kind of result."""
+    code = PeriodicCode((3, 1))
+    message = r"symbol out of range 1\.\.2 in word \(3, 1\)"
+    with pytest.raises(AdmissibilityError, match=message):
+        j_index(e2, code, 0)
+    for result in (s_refine(e2, [W12]), u_refine(e2, [W12]), corner_refine_along(e2, [W12])):
+        with pytest.raises(AdmissibilityError, match=message):
+            result.recode(code)
+
+
 def test_s_refine_count_identities():
     for T in binary_mixing_corpus(seed=43, count=6):
         for family in cutting_families(T)[:5]:
