@@ -129,9 +129,10 @@ class GeometricType:
     @cached_property
     def _branches(self) -> dict[tuple[int, int], tuple[int, int]]:
         """``{(i, xi(i, j)): (j, eps(i, j))}``; :func:`shift.binary_branches` checks it."""
+        rows = (i for i, h_i in enumerate(self.h, start=1) for _ in range(h_i))
+        strips = (j for h_i in self.h for j in range(1, h_i + 1))
         return {
-            (label.i, target.k): (label.j, e)
-            for label, target, e in zip(self.h_labels(), self.rho, self.eps)
+            (i, k): (j, e) for i, j, (k, _), e in zip(rows, strips, self.rho, self.eps)
         }
 
     @cached_property
@@ -189,6 +190,19 @@ class ValidationReport:
 
 
 def _check_invariants(T: GeometricType) -> ValidationReport:
+    """The validation report; a valid type costs one pass and builds no labels.
+
+    ``GeometricType`` has range-checked rho, and len(rho) = Σh, so when
+    Σh = Σv an injective rho is also surjective.  Only an invalid type gets
+    the label-by-label scan that names every violation.
+    """
+    if (
+        min(T.h) >= 1
+        and min(T.v) >= 1
+        and sum(T.h) == sum(T.v)
+        and len(set(T.rho)) == len(T.rho)
+    ):
+        return ValidationReport(True, ())
     violations: list[str] = []
     bad_h = [i for i in range(1, T.n + 1) if T.h[i - 1] < 1]
     bad_v = [i for i in range(1, T.n + 1) if T.v[i - 1] < 1]

@@ -9,9 +9,9 @@ heights are ``fractions.Fraction`` values and band edges are reduced integer
 pairs (num, den).
 
 The module recomputes stable-boundary refinements geometrically (cut heights
-as fixed points, sorted by value; each band's pieces pushed through the
-monotone strip maps onto the integer cut grids) and is kept free of the
-formula engine in ``refine`` so the two can check each other.
+as fixed points, sorted by an exact integer key; each band's pieces pushed
+through the monotone strip maps onto the integer cut grids) and is kept free
+of the formula engine in ``refine`` so the two can check each other.
 The two share only their input checks: the type's in ``core`` and ``shift``,
 and the cutting family's in :func:`boundary.cutting_family`.
 """
@@ -184,6 +184,18 @@ class OracleRefinement:
     cut_heights: tuple[tuple[tuple[Fraction, int, PeriodicCode], ...], ...]
 
 
+def _height_keys(heights: list[Fraction]) -> list[int]:
+    """Exact integer sort keys floor(y * 2^K) of heights in [0, 1].
+
+    K = 2B + 1, where B is the largest denominator bit length.  Two distinct
+    heights a/q_1 and b/q_2 differ by at least 1/(q_1 q_2) > 2^-2B, more
+    than two steps of 2^-K, so the keys keep their order strictly, and equal
+    keys mean equal heights.
+    """
+    K = 2 * max((y.denominator.bit_length() for y in heights), default=0) + 1
+    return [(y.numerator << K) // y.denominator for y in heights]
+
+
 def _grid_point(m: StripMap, num: int, den: int) -> tuple[int, int]:
     """The reduced pair of a * y + b for y = num / den, den > 0."""
     num = m.a * num + m.b * den
@@ -195,14 +207,14 @@ def oracle_s_refine(T: GeometricType, W) -> OracleRefinement:
     """Recompute the stable-boundary refinement from the affine geometry.
 
     Cut heights come from one fixed point and one checked walk per orbit
-    (the walk behind :func:`periodic_point`) and are sorted exactly.  Each
-    square's marks, 0, its cut heights and 1, form a cut grid of reduced
-    integer pairs (num, den).  A band [lo, hi] of square i meets the strips
-    j = floor(lo h_i) + 1 .. ceil(hi h_i); its piece in strip j is pushed
-    through the strip map on integers and both ends are looked up on the
-    target square's grid.  The map is monotone, so the bands the piece
-    sweeps come in preimage order: upward when it preserves orientation,
-    downward when it flips.
+    (the walk behind :func:`periodic_point`) and are sorted by an exact
+    integer key (:func:`_height_keys`).  Each square's marks, 0, its cut
+    heights and 1, form a cut grid of reduced integer pairs (num, den).  A
+    band [lo, hi] of square i meets the strips j = floor(lo h_i) + 1 ..
+    ceil(hi h_i); its piece in strip j is pushed through the strip map on
+    integers and both ends are looked up on the target square's grid.  The
+    map is monotone, so the bands the piece sweeps come in preimage order:
+    upward when it preserves orientation, downward when it flips.
     """
     family = cutting_family(T, W)
     model = realize(T)
@@ -213,9 +225,11 @@ def oracle_s_refine(T: GeometricType, W) -> OracleRefinement:
         for t, y in enumerate(heights):
             cuts[code.symbol(t) - 1].append((y, t, code))
     for i, bucket in enumerate(cuts, start=1):
-        bucket.sort(key=lambda item: item[0])
-        if any(a[0] == b[0] for a, b in zip(bucket, bucket[1:])):
+        keys = _height_keys([y for y, _, _ in bucket])
+        ranked = sorted(zip(keys, bucket), key=lambda pair: pair[0])
+        if any(a[0] == b[0] for a, b in zip(ranked, ranked[1:])):
             raise TieError(f"exact tie between distinct cut lines in square {i}")
+        bucket[:] = [item for _, item in ranked]
 
     marks: list[list[tuple[int, int]]] = [
         [(0, 1)] + [(y.numerator, y.denominator) for y, _, _ in bucket] + [(1, 1)]

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import accumulate
 from math import lcm
 
 from .core import (
@@ -113,9 +114,6 @@ class IntervalRef:
     def host(self) -> int:
         return self.code.symbol(self.t)
 
-    def successor(self) -> "IntervalRef":
-        return IntervalRef((self.t + 1) % self.code.period, self.code)
-
 
 def j_index(T: GeometricType, code: PeriodicCode, t: int) -> int:
     """The unique strip of rectangle w_t that maps into rectangle w_{t+1}."""
@@ -158,28 +156,44 @@ def interchange_delta(T: GeometricType, a: IntervalRef, b: IntervalRef) -> int:
     return delta_a
 
 
-def _kneading_key(
-    branches: dict[tuple[int, int], tuple[int, int]], ref: IntervalRef, span: int
-) -> tuple[int, ...]:
-    """The first ``span`` symbols of the signed strip sequence of a cut line.
+def _orbit_keys(
+    branches: dict[tuple[int, int], tuple[int, int]], code: PeriodicCode, span: int
+) -> list[tuple[int, ...]]:
+    """The kneading keys of length ``span`` of every phase of a code, by phase.
 
-    Symbol m is delta_m * j_m: j_m is the strip that step t + m of the code
+    The key of phase t is the signed strip sequence of its cut line: symbol
+    m is delta_m * j_m, where j_m is the strip that step t + m of the code
     runs through and delta_m the orientation product of the m steps before
-    it.  The sequence has period 2p, so one signed period is computed from
-    the branch table of :func:`shift.binary_branches` and repeated.
+    it.  One period of the sequence of phase 0 is walked once, p steps on
+    the branch table of :func:`shift.binary_branches`; the sequence has
+    period p, or 2p when the orientation product over one period is -1, so
+    repeating it gives the p + span symbols that every phase needs.  The key
+    of phase t is the slice [t, t + span), negated when the orientation
+    product delta_t of the first t steps is -1; delta_t is the sign of
+    symbol t, since every strip index j is positive.
     """
-    code, t = ref.code, ref.t
-    steps = 2 * (code.word[t:] + code.word[:t])
+    word = code.word
     period: list[int] = []
     delta = 1
-    for step in zip(steps, steps[1:] + steps[:1]):
+    for step in zip(word, word[1:] + word[:1]):
         branch = branches.get(step)
         if branch is None:
             raise AdmissibilityError(f"code {code} is not admissible for this type")
         j, e = branch
         period.append(delta * j)
         delta *= e
-    return tuple(period * -(-span // len(period)))[:span]
+    if delta == -1:
+        period += [-x for x in period]  # the sequence has period 2p
+    seq = tuple(period) * -(-(len(word) + span) // len(period))
+    neg = tuple(-x for x in seq)
+    return [(seq if seq[t] > 0 else neg)[t : t + span] for t in range(len(word))]
+
+
+def _kneading_key(
+    branches: dict[tuple[int, int], tuple[int, int]], ref: IntervalRef, span: int
+) -> tuple[int, ...]:
+    """The key of one cut line: its phase's entry of :func:`_orbit_keys`."""
+    return _orbit_keys(branches, ref.code, span)[ref.t]
 
 
 def interval_less(T: GeometricType, a: IntervalRef, b: IntervalRef) -> bool:
@@ -210,27 +224,41 @@ def interval_less(T: GeometricType, a: IntervalRef, b: IntervalRef) -> bool:
 class OrderTable:
     """Per-rectangle vertical order of the cut lines, sentinels implicit.
 
+    ``cuts[i - 1]`` lists the cut lines of rectangle i from the bottom up,
+    each as a pair (f, t): the stable line of phase t of ``family[f]``.
     Position 0 is the bottom edge (i, -1) and position count+1 the top edge
-    (i, +1); the interval at table position p (1-based) sits p-th from the
+    (i, +1); the cut line at table position p (1-based) sits p-th from the
     bottom.
     """
 
     n: int
     family: tuple[PeriodicCode, ...]
-    entries: tuple[tuple[IntervalRef, ...], ...]
+    cuts: tuple[tuple[tuple[int, int], ...], ...]
 
     def count(self, i: int) -> int:
-        return len(self.entries[i - 1])
+        return len(self.cuts[i - 1])
 
     def refs(self, i: int) -> tuple[IntervalRef, ...]:
         return self.entries[i - 1]
 
     def position(self, ref: IntervalRef) -> int:
-        return self._positions[ref]
+        return self.positions[self.family.index(ref.code)][ref.t]
 
     @cached_property
-    def _positions(self) -> dict[IntervalRef, int]:
-        return {ref: p for refs in self.entries for p, ref in enumerate(refs, start=1)}
+    def entries(self) -> tuple[tuple[IntervalRef, ...], ...]:
+        """The cut lines of every rectangle as interval references."""
+        return tuple(
+            tuple(IntervalRef(t, self.family[f]) for f, t in row) for row in self.cuts
+        )
+
+    @cached_property
+    def positions(self) -> tuple[tuple[int, ...], ...]:
+        """``positions[f][t]`` is the table position of phase t of ``family[f]``."""
+        table = [[0] * code.period for code in self.family]
+        for row in self.cuts:
+            for p, (f, t) in enumerate(row, start=1):
+                table[f][t] = p
+        return tuple(tuple(row) for row in table)
 
 
 def build_order(T: GeometricType, W, *, drop_boundary: bool = False) -> OrderTable:
@@ -239,23 +267,21 @@ def build_order(T: GeometricType, W, *, drop_boundary: bool = False) -> OrderTab
     Each cut line is sorted by its :func:`_kneading_key` of length 4P, where
     P is the longest period in the family; that is the Fine-Wilf length
     2(p_a + p_b) for every pair, so the sort is exact (see
-    :func:`interval_less`).  The family check costs O(sum of periods) past
-    T's branch and gamma tables (O(alpha), once per type object), the keys
-    O(cuts * P) and the sort O(cuts * log cuts) comparisons.
+    :func:`interval_less`).  The keys of all phases of a code come from one
+    walk of its orbit (:func:`_orbit_keys`).  The family check costs O(sum
+    of periods) past T's branch and gamma tables (O(alpha), once per type
+    object), the keys O(cuts * P) and the sort O(cuts * log cuts)
+    comparisons.
     """
     family = cutting_family(T, W, drop_boundary=drop_boundary)
     branches = binary_branches(T)
-    buckets: list[list[IntervalRef]] = [[] for _ in range(T.n)]
-    for code in family:
-        for t in range(code.period):
-            ref = IntervalRef(t, code)
-            buckets[ref.host - 1].append(ref)
     span = 4 * max((code.period for code in family), default=0)
-    entries = tuple(
-        tuple(sorted(bucket, key=lambda ref: _kneading_key(branches, ref, span)))
-        for bucket in buckets
-    )
-    return OrderTable(T.n, family, entries)
+    buckets: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in range(T.n)]
+    for f, code in enumerate(family):
+        for t, key in enumerate(_orbit_keys(branches, code, span)):
+            buckets[code.word[t] - 1].append((key, f, t))
+    cuts = tuple(tuple((f, t) for _, f, t in sorted(bucket)) for bucket in buckets)
+    return OrderTable(T.n, family, cuts)
 
 
 # -- refinement results -----------------------------------------------------------
@@ -312,25 +338,26 @@ class RefinementResult:
         if self.kind != "s" or self.order is None:
             raise InvariantError("only stable results with an order table recode directly")
         branches = binary_branches(self.source)
-        by_orbit = {w.orbit(): w for w in self.order.family}
+        family = self.order.family
+        by_orbit = {w.orbit(): f for f, w in enumerate(family)}
         orbit = code.orbit()
         if orbit in by_orbit:
             # The two flanking rectangle codes swap sides at every
             # orientation-reversing step, so their period doubles when the
             # orientation product over one period is -1.  The product over
             # the first t steps is the sign of symbol t of the kneading key.
-            rep = by_orbit[orbit]
+            f = by_orbit[orbit]
+            rep, positions = family[f], self.order.positions[f]
             P = rep.period
-            signed = _kneading_key(branches, IntervalRef(0, rep), 2 * P)
+            signed = _orbit_keys(branches, rep, 2 * P)[0]
             signs = [1 if x > 0 else -1 for x in signed]
             length = P if signs[P] == 1 else 2 * P
             below: list[int] = []
             above: list[int] = []
             for t in range(length):
-                ref = IntervalRef(t % P, rep)
-                pos = self.order.position(ref)
-                low = self.r_of(ref.host, pos)
-                high = self.r_of(ref.host, pos + 1)
+                host, pos = rep.word[t % P], positions[t % P]
+                low = self.r_of(host, pos)
+                high = self.r_of(host, pos + 1)
                 if signs[t] == 1:
                     below.append(low)
                     above.append(high)
@@ -345,30 +372,18 @@ class RefinementResult:
             )
         # Count the cuts below each phase of the code by bisecting its host's
         # sorted cuts; the key length covers the code's own period too.
-        span = 2 * (max((w.period for w in self.order.family), default=0) + code.period)
+        span = 2 * (max((w.period for w in family), default=0) + code.period)
 
-        def key(ref: IntervalRef) -> tuple[int, ...]:
-            return _kneading_key(branches, ref, span)
+        @cache
+        def keys(f: int) -> list[tuple[int, ...]]:
+            return _orbit_keys(branches, family[f], span)
 
         word: list[int] = []
-        for t in range(code.period):
-            ref = IntervalRef(t, code)
-            i = ref.host
-            s = 1 + bisect_left(self.order.refs(i), key(ref), key=key)
+        for t, key in enumerate(_orbit_keys(branches, code, span)):
+            i = code.word[t]
+            s = 1 + bisect_left(self.order.cuts[i - 1], key, key=lambda cut: keys(cut[0])[cut[1]])
             word.append(self.r_of(i, s))
         return frozenset({PeriodicCode(primitive_root(word))})
-
-
-def _tilde_labels(order: OrderTable) -> tuple[tuple[tuple[int, int], ...], list[int]]:
-    pairs: list[tuple[int, int]] = []
-    starts: list[int] = []
-    total = 0
-    for i in range(1, order.n + 1):
-        starts.append(total)
-        for s in range(1, order.count(i) + 2):
-            pairs.append((i, s))
-        total += order.count(i) + 1
-    return tuple(pairs), starts
 
 
 def s_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementResult:
@@ -386,42 +401,51 @@ def s_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementR
     """
     order = build_order(T, W, drop_boundary=drop_boundary)
     branches = binary_branches(T)
-    pairs, starts = _tilde_labels(order)
+    family, positions = order.family, order.positions
+    tops = [len(row) + 1 for row in order.cuts]
+    starts = tuple(accumulate(tops, initial=0))  # bands before rectangle i
+    pairs: list[tuple[int, int]] = []
     h_new: list[int] = []
     v_new: list[int] = []
-    mapping: dict[tuple[int, int], tuple[int, int, int]] = {}
+    rho: list[tuple[int, int]] = []
+    eps: list[int] = []
 
-    for r, (i, s) in enumerate(pairs, start=1):
-        count_i = order.count(i)
-        # the cut lines bounding band s; None stands for the bottom or top edge
-        lower = None if s == 1 else order.refs(i)[s - 2]
-        upper = None if s == count_i + 1 else order.refs(i)[s - 1]
-        j_lo = branches[(i, lower.code.symbol(lower.t + 1))][0] if lower else 1
-        j_hi = branches[(i, upper.code.symbol(upper.t + 1))][0] if upper else T.h[i - 1]
-        if j_lo > j_hi:
-            raise InvariantError(f"cut lines of rectangle {i} are out of order")
-        v_new.append(T.v[i - 1])
+    for i, row in enumerate(order.cuts, start=1):
+        # each cut line as (the strip j it lies in, its successor's position)
+        lines: list[tuple[int, int]] = []
+        for f, t in row:
+            word = family[f].word
+            nxt = (t + 1) % len(word)
+            lines.append((branches[(i, word[nxt])][0], positions[f][nxt]))
+        offset = T._offsets[i - 1] - 1  # strip (i, j) sits at rho[offset + j]
+        edges = zip([(1, None)] + lines, lines + [(T.h[i - 1], None)])
+        for s, ((j_lo, a_cut), (j_hi, b_cut)) in enumerate(edges, start=1):
+            if j_lo > j_hi:
+                raise InvariantError(f"cut lines of rectangle {i} are out of order")
+            pairs.append((i, s))
+            v_new.append(T.v[i - 1])
+            J_bar = 0
+            for j in range(j_lo, j_hi + 1):
+                (k, l), e = T.rho[offset + j], T.eps[offset + j]
+                bottom, top = (0, tops[k - 1]) if e == 1 else (tops[k - 1], 0)
+                a = a_cut if a_cut is not None and j == j_lo else bottom
+                b = b_cut if b_cut is not None and j == j_hi else top
+                if e * (b - a) < 1:
+                    raise InvariantError(f"strip ({i},{j}) has no image in rectangle {k}")
+                base = starts[k - 1]
+                bands = range(base + a + 1, base + b + 1) if e == 1 else range(base + a, base + b, -1)
+                rho.extend((band, l) for band in bands)
+                eps.extend([e] * len(bands))
+                J_bar += len(bands)
+            h_new.append(J_bar)
 
-        J_bar = 0
-        for j in range(j_lo, j_hi + 1):
-            k, l, e = T.phi((i, j))
-            bottom, top = (0, order.count(k) + 1) if e == 1 else (order.count(k) + 1, 0)
-            a = order.position(lower.successor()) if lower and j == j_lo else bottom
-            b = order.position(upper.successor()) if upper and j == j_hi else top
-            if e * (b - a) < 1:
-                raise InvariantError(f"strip ({i},{j}) has no image in rectangle {k}")
-            for band in range(a + 1, b + 1) if e == 1 else range(a, b, -1):
-                J_bar += 1
-                mapping[(r, J_bar)] = (starts[k - 1] + band, l, e)
-        h_new.append(J_bar)
-
-    refined = GeometricType.build(tuple(h_new), tuple(v_new), mapping)
+    refined = GeometricType(tuple(h_new), tuple(v_new), tuple(rho), tuple(eps))
     binary_branches(refined)  # postcondition: the refined type is valid and binary
     return RefinementResult(
         refined=refined,
         source=T,
         kind="s",
-        label_map=pairs,
+        label_map=tuple(pairs),
         order=order,
     )
 

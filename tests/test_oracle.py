@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geotype import (
     BoundaryCodeError,
@@ -24,7 +27,8 @@ from geotype import (
     realize,
     s_refine,
 )
-from geotype.oracle import TieError
+import geotype.oracle
+from geotype.oracle import TieError, _height_keys
 from geotype.shift import AdmissibilityError
 
 from conftest import (
@@ -269,6 +273,54 @@ def test_oracle_validation_mirrors_engine(e1, e2, e3):
         with pytest.raises(AdmissibilityError, match=symbol_above_n):
             run(PeriodicCode((3, 1)))
     assert TieError.__mro__[1] is GeoTypeError
+
+
+def _farey_neighbour(y: Fraction) -> Fraction:
+    """The fraction b/q_2 above y = a/q (or below, for y = 1) with
+    |b q - a q_2| = 1, so the two differ by exactly 1/(q q_2)."""
+    if y.denominator == 1:
+        return 1 - y
+    q2 = -pow(y.numerator, -1, y.denominator) % y.denominator
+    return Fraction((y.numerator * q2 + 1) // y.denominator, q2)
+
+
+@st.composite
+def height_lists(draw):
+    """Heights in [0, 1] with denominators up to 2^64, often of full 64-bit
+    length: each drawn height with its Farey neighbour, plus some repeated
+    heights, in random order."""
+    heights: list[Fraction] = []
+    for _ in range(draw(st.integers(1, 4))):
+        q = draw(st.integers(1, 2**64) | st.integers(2**63, 2**64))
+        y = Fraction(draw(st.integers(0, q)), q)
+        heights += [y, _farey_neighbour(y)]
+    heights += draw(st.lists(st.sampled_from(heights), max_size=3))
+    return draw(st.permutations(heights))
+
+
+@settings(max_examples=300, deadline=None)
+@given(height_lists())
+def test_height_keys_order_exactly_as_fractions(heights):
+    for y in heights:
+        n = _farey_neighbour(y)
+        assert 0 <= n <= 1 and abs(n - y) == Fraction(1, y.denominator * n.denominator)
+    keys = _height_keys(heights)
+    for (y, key_y), (z, key_z) in product(zip(heights, keys), repeat=2):
+        assert (key_y < key_z) == (y < z)
+        assert (key_y == key_z) == (y == z)
+
+
+def test_equal_heights_in_one_square_raise_tie_error(e2, monkeypatch):
+    """Two cut lines of square 1 put at one height: the sort reports the tie."""
+    walk = geotype.oracle._orbit_walk
+
+    def flattened(model, code):
+        steps, heights = walk(model, code)
+        return steps, tuple(Fraction(1, 2) for _ in heights)
+
+    monkeypatch.setattr(geotype.oracle, "_orbit_walk", flattened)
+    with pytest.raises(TieError, match="exact tie between distinct cut lines in square 1"):
+        oracle_s_refine(e2, [W12, PeriodicCode((1, 2, 2))])
 
 
 def test_svg_emission(e2):

@@ -2,8 +2,9 @@
 
 Seeded mixing binary refinements with up to 8 rectangles, refined along
 every non-boundary orbit of period <= P for P = 1..8, and along a random
-subfamily at random phases in random order.  The suite is marked ``slow``
-and deselected by default; run it with
+subfamily at random phases in random order; and bin(E1m) along every
+non-boundary orbit of period <= 12 (746 orbits, refined n = 8033).  The
+suite is marked ``slow`` and deselected by default; run it with
 ``PYTHONPATH=src python -m pytest -q -m slow``.
 """
 
@@ -24,7 +25,7 @@ from geotype import (
     s_refine,
 )
 
-from conftest import random_valid_type
+from conftest import make_e1m, random_valid_type
 
 pytestmark = pytest.mark.slow
 
@@ -70,3 +71,16 @@ def test_s_refine_equals_oracle(seed):
                 engine, oracle = s_refine(T, W), oracle_s_refine(T, W)
                 assert engine.refined == oracle.refined, (T, P)
                 assert engine.label_map == oracle.label_map, (T, P)
+
+
+def test_s_refine_equals_oracle_on_long_periods():
+    """The benchmark's srefine-oracle family, two period steps further."""
+    T = bin_refine(make_e1m()).refined
+    boundary = {c.orbit() for c in per_s_codes(T)}
+    family = [
+        o.canonical for o in enumerate_orbits(incidence_matrix(T), 12) if o not in boundary
+    ]
+    engine, oracle = s_refine(T, family), oracle_s_refine(T, family)
+    assert (len(family), engine.refined.n) == (746, 8033)
+    assert engine.refined == oracle.refined
+    assert engine.label_map == oracle.label_map

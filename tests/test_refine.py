@@ -39,11 +39,13 @@ from geotype import (
     validate,
     wp_refine,
 )
-from geotype.shift import AdmissibilityError
+from geotype.refine import _kneading_key, _orbit_keys
+from geotype.shift import AdmissibilityError, binary_branches
 
 from conftest import (
     binary_mixing_corpus,
     cutting_families,
+    make_e1m,
     make_e3,
     orientation_reversing_bin_types,
     valid_types,
@@ -195,6 +197,42 @@ def test_key_order_matches_pairwise_reference():
                 deltas.add(delta)
     assert (1, 6) in period_pairs  # the longest Fine-Wilf length for P = 6
     assert deltas == {1, -1}  # both orientations before the mismatch
+
+
+def test_orbit_keys_match_per_phase_walk():
+    """Every phase's sliced key against its signed strip sequence, walked
+    step by step from that phase on the type's own strip maps, along all
+    non-boundary orbits of period <= 6."""
+    types = binary_mixing_corpus(seed=73, count=4) + orientation_reversing_bin_types(79, 3)
+    types.append(bin_refine(make_e1m()).refined)
+    span = 4 * 6  # build_order's key length at P = 6
+    deltas: set[int] = set()
+    for T in types:
+        branches = binary_branches(T)
+        boundary = {c.orbit() for c in per_s_codes(T)}
+        for orbit in enumerate_orbits(incidence_matrix(T), 6):
+            if orbit in boundary:
+                continue
+            code = orbit.canonical
+            keys = _orbit_keys(branches, code, span)
+            steps: list[tuple[int, int]] = []  # (strip, orientation) of each step
+            for t in range(code.period):
+                i, k = code.symbol(t), code.symbol(t + 1)
+                (j,) = [j for j in range(1, T.h[i - 1] + 1) if T.xi((i, j)) == k]
+                steps.append((j, T.eps_of((i, j))))
+            delta_t = 1  # orientation product of the steps before phase t
+            for t in range(code.period):
+                walk: list[int] = []
+                delta = 1
+                for m in range(span):
+                    j, e = steps[(t + m) % code.period]
+                    walk.append(delta * j)
+                    delta *= e
+                assert keys[t] == tuple(walk), (T, code, t)
+                assert _kneading_key(branches, IntervalRef(t, code), span) == keys[t]
+                deltas.add(delta_t)
+                delta_t *= steps[t][1]
+    assert deltas == {1, -1}  # both slices: the sequence and its negation
 
 
 def test_build_order_examples(e2):
