@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import GeoTypeError, GeometricType, invert, require_valid
-from .core import SULabel as SULabel, theta as theta  # re-exported
+from .core import SULabel as SULabel, su_labels as su_labels, theta as theta  # re-exported
 from .shift import (
     AdmissibilityError,
     CodeOrbit,
@@ -45,10 +45,6 @@ def _check_label(T: GeometricType, label: SULabel) -> None:
     """Needs a valid type: the labels are the keys of its gamma table."""
     if label not in T._gamma:
         raise ValueError(f"invalid boundary label {label}")
-
-
-def su_labels(T: GeometricType) -> tuple[SULabel, ...]:
-    return tuple(SULabel(i, e) for i in range(1, T.n + 1) for e in (-1, 1))
 
 
 def gamma_step(T: GeometricType, label: SULabel) -> SULabel:

@@ -72,12 +72,11 @@ class GeometricType:
         alpha = sum(self.h)
         if len(self.rho) != alpha or len(self.eps) != alpha:
             raise ValueError("rho and eps must have one entry per horizontal label")
-        for target in self.rho:
-            k, l = target
+        for k, l in self.rho:
             if not (1 <= k <= n):
-                raise ValueError(f"rho target {target}: rectangle index out of range")
+                raise ValueError(f"rho target {VLabel(k, l)}: rectangle index out of range")
             if not (1 <= l <= self.v[k - 1]):
-                raise ValueError(f"rho target {target}: vertical position out of range")
+                raise ValueError(f"rho target {VLabel(k, l)}: vertical position out of range")
         if any(e not in (1, -1) for e in self.eps):
             raise ValueError("eps entries must be +1 or -1")
         object.__setattr__(self, "rho", tuple(VLabel(*t) for t in self.rho))
@@ -91,17 +90,18 @@ class GeometricType:
         v: tuple[int, ...] | list[int],
         mapping: Mapping[tuple[int, int], tuple[int, int, int]],
     ) -> "GeometricType":
-        """Build a type from ``{(i, j): (k, l, eps)}``, one entry per label."""
+        """Build a type from ``{(i, j): (k, l, eps)}``, one entry per label: for
+        callers holding a label-keyed map (the library passes aligned sequences)."""
         h = tuple(h)
         v = tuple(v)
-        rho: list[VLabel] = []
+        rho: list[tuple[int, int]] = []
         eps: list[int] = []
         for i in range(1, len(h) + 1):
             for j in range(1, h[i - 1] + 1):
                 if (i, j) not in mapping:
                     raise ValueError(f"mapping is missing horizontal label ({i},{j})")
                 k, l, e = mapping[(i, j)]
-                rho.append(VLabel(k, l))
+                rho.append((k, l))
                 eps.append(e)
         if len(mapping) != len(rho):
             raise ValueError("mapping contains labels outside H(T)")
@@ -121,10 +121,12 @@ class GeometricType:
     @cached_property
     def _inverse(self) -> "GeometricType":
         """Needs a valid type; :func:`invert` checks that first."""
-        inv_map: dict[tuple[int, int], tuple[int, int, int]] = {}
+        offsets = tuple(accumulate(self.v, initial=0))
+        rho, eps = [(0, 0)] * len(self.rho), [0] * len(self.eps)
         for label, (k, l), e in zip(self.h_labels(), self.rho, self.eps):
-            inv_map[(k, l)] = (label.i, label.j, e)
-        return GeometricType.build(self.v, self.h, inv_map)
+            slot = offsets[k - 1] + l - 1  # (k, l)'s lexicographic slot
+            rho[slot], eps[slot] = label, e
+        return GeometricType(self.v, self.h, tuple(rho), tuple(eps))
 
     @cached_property
     def _branches(self) -> dict[tuple[int, int], tuple[int, int]]:
@@ -139,7 +141,7 @@ class GeometricType:
     def _gamma(self) -> dict[SULabel, SULabel]:
         """gamma on the 2n boundary labels; needs a valid type, as ``_inverse`` does."""
         table: dict[SULabel, SULabel] = {}
-        for label in (SULabel(i, e) for i in range(1, self.n + 1) for e in (-1, 1)):
+        for label in su_labels(self):
             k, _, sign = self.phi(theta(self, label))
             table[label] = SULabel(k, label.eps * sign)
         return table
@@ -267,6 +269,11 @@ def theta(T: GeometricType, label: SULabel) -> HLabel:
     return HLabel(label.i, 1 if label.eps == -1 else T.h[label.i - 1])
 
 
+def su_labels(T: GeometricType) -> tuple[SULabel, ...]:
+    """The 2n boundary labels: bottom (i, -1) then top (i, +1), rectangle by rectangle."""
+    return tuple(SULabel(i, e) for i in range(1, T.n + 1) for e in (-1, 1))
+
+
 # -- canonical text format ----------------------------------------------------
 
 _MAP_RE = re.compile(r"^map \((\d+),(\d+)\)->\((\d+),(\d+)\) ([+-])$")
@@ -277,10 +284,9 @@ def serialize(T: GeometricType) -> str:
     lines = ["GEOTYPE 1", f"n={T.n}"]
     lines.append("h=" + ",".join(str(x) for x in T.h))
     lines.append("v=" + ",".join(str(x) for x in T.v))
-    for label in T.h_labels():
-        k, l, e = T.phi(label)
+    for (i, j), (k, l), e in zip(T.h_labels(), T.rho, T.eps):
         sign = "+" if e == 1 else "-"
-        lines.append(f"map ({label.i},{label.j})->({k},{l}) {sign}")
+        lines.append(f"map ({i},{j})->({k},{l}) {sign}")
     return "\n".join(lines) + "\n"
 
 
@@ -303,9 +309,11 @@ def _parse_counts(line: str, lineno: int, key: str, n: int) -> tuple[int, ...]:
 def parse(text: str) -> GeometricType:
     """Parse the canonical geometric-type format with line-precise errors.
 
-    Syntax, index ranges, duplicate and missing map lines are parse errors;
-    the counting and bijection invariants are left to :func:`validate` so
-    that structurally well-formed but invalid types can be reported on.
+    Syntax, index ranges, the map-line count and duplicate labels are parse
+    errors; the counting and bijection invariants are left to :func:`validate`
+    so that well-formed but invalid types can be reported on.  Each of the
+    Σh map lines fills its label's lexicographic slot; distinct, in-range
+    labels fill them all, so no label can be missing.
     """
     lines = text.splitlines()
     if len(lines) < 4:
@@ -322,7 +330,9 @@ def parse(text: str) -> GeometricType:
     v = _parse_counts(lines[3], 4, "v", n)
     alpha_h = sum(h)
 
-    entries: dict[tuple[int, int], tuple[int, int, int]] = {}
+    offsets = tuple(accumulate(h, initial=0))
+    rho: list[tuple[int, int] | None] = [None] * alpha_h
+    eps = [0] * alpha_h
     body = lines[4:]
     if len(body) != alpha_h:
         raise ParseError(f"line {len(lines)}: expected {alpha_h} map lines, got {len(body)}")
@@ -332,16 +342,12 @@ def parse(text: str) -> GeometricType:
         if not m:
             raise ParseError(f"line {lineno}: malformed map line")
         i, j, k, l = (int(m.group(g)) for g in range(1, 5))
-        e = 1 if m.group(5) == "+" else -1
         if not (1 <= i <= n and 1 <= j <= h[i - 1]):
             raise ParseError(f"line {lineno}: horizontal label ({i},{j}) out of range")
         if not (1 <= k <= n and 1 <= l <= v[k - 1]):
             raise ParseError(f"line {lineno}: vertical label ({k},{l}) out of range")
-        if (i, j) in entries:
+        slot = offsets[i - 1] + j - 1
+        if rho[slot] is not None:
             raise ParseError(f"line {lineno}: duplicate horizontal label ({i},{j})")
-        entries[(i, j)] = (k, l, e)
-    for i in range(1, n + 1):
-        for j in range(1, h[i - 1] + 1):
-            if (i, j) not in entries:
-                raise ParseError(f"line {len(lines)}: missing map line for horizontal label ({i},{j})")
-    return GeometricType.build(h, v, entries)
+        rho[slot], eps[slot] = (k, l), 1 if m.group(5) == "+" else -1
+    return GeometricType(h, v, tuple(rho), tuple(eps))

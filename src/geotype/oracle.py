@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import gcd
 
 from .core import GeoTypeError, GeometricType, HLabel, VLabel, require_valid
@@ -89,24 +90,23 @@ class AffineModel:
 
     def extract_type(self) -> GeometricType:
         """Read (rho, eps) back off the affine data, not off the source type."""
-        mapping: dict[tuple[int, int], tuple[int, int, int]] = {}
-        for label in self.source.h_labels():
-            m = self.strip_map(label)
+        rho: list[tuple[int, int]] = []
+        for m in self.maps:
             k = m.target.k
             # left endpoint of the x-image of [0,1] identifies the vertical slot
             left = m.apply_x(Fraction(0))
             l = left * self.source.v[k - 1] + 1
             if l.denominator != 1:
                 raise GeoTypeError("image is not aligned with a vertical strip")
-            mapping[(label.i, label.j)] = (k, int(l), m.eps)
-        return GeometricType.build(self.source.h, self.source.v, mapping)
+            rho.append((k, int(l)))
+        eps = tuple(m.eps for m in self.maps)
+        return GeometricType(self.source.h, self.source.v, tuple(rho), eps)
 
 
 def realize(T: GeometricType) -> AffineModel:
     require_valid(T)
     maps: list[StripMap] = []
-    for label in T.h_labels():
-        k, l, e = T.phi(label)
+    for label, (k, l), e in zip(T.h_labels(), T.rho, T.eps):
         h_i = T.h[label.i - 1]
         v_k = T.v[k - 1]
         a, b = (h_i, -(label.j - 1)) if e == 1 else (-h_i, label.j)
@@ -239,38 +239,37 @@ def oracle_s_refine(T: GeometricType, W) -> OracleRefinement:
         {mark: pos for pos, mark in enumerate(row)} for row in marks
     ]
 
-    pairs: list[tuple[int, int]] = []
-    starts: list[int] = []
-    for i, bucket in enumerate(cuts, start=1):
-        starts.append(len(pairs))
-        pairs.extend((i, s) for s in range(1, len(bucket) + 2))
+    pairs = [(i, s) for i, bucket in enumerate(cuts, start=1) for s in range(1, len(bucket) + 2)]
+    starts = tuple(accumulate((len(bucket) + 1 for bucket in cuts), initial=0))
 
     h_new: list[int] = []
     v_new: list[int] = []
-    mapping: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for r, (i, s) in enumerate(pairs, start=1):
+    rho: list[tuple[int, int]] = []
+    eps: list[int] = []
+    for i, s in pairs:
         (p_lo, q_lo), (p_hi, q_hi) = marks[i - 1][s - 1], marks[i - 1][s]
         h_i = T.h[i - 1]
         v_new.append(T.v[i - 1])
+        row = T._offsets[i - 1] - 1  # strip (i, j) maps by model.maps[row + j]
         first, last = p_lo * h_i // q_lo + 1, -(-p_hi * h_i // q_hi)
         J_bar = 0
         for j in range(first, last + 1):
             # the band's piece in strip j; only the first and last strips clip it
             lo = (p_lo, q_lo) if j == first else (j - 1, h_i)
             hi = (p_hi, q_hi) if j == last else (j, h_i)
-            m = model.strip_map((i, j))
+            m = model.maps[row + j]
             k = m.target.k
             end_lo = grid[k - 1].get(_grid_point(m, *lo))
             end_hi = grid[k - 1].get(_grid_point(m, *hi))
             if end_lo is None or end_hi is None:
                 raise GeoTypeError("image of a band edge missed the cut grid")
             sweep = range(end_lo + 1, end_hi + 1) if m.a > 0 else range(end_lo, end_hi, -1)
-            for band in sweep:
-                J_bar += 1
-                mapping[(r, J_bar)] = (starts[k - 1] + band, m.target.l, m.eps)
+            rho.extend((starts[k - 1] + band, m.target.l) for band in sweep)
+            eps.extend([m.eps] * len(sweep))
+            J_bar += len(sweep)
         h_new.append(J_bar)
 
-    refined = GeometricType.build(tuple(h_new), tuple(v_new), mapping)
+    refined = GeometricType(tuple(h_new), tuple(v_new), tuple(rho), tuple(eps))
     require_valid(refined)
     return OracleRefinement(
         refined,

@@ -72,26 +72,23 @@ def bin_refine(T: GeometricType) -> BinRefinement:
 
     Rectangle r(i, j) inherits v_i vertical strips and h_k horizontal ones,
     where (k, l) = rho(i, j).  Orientation decides whether the new strips
-    enumerate the strips of rectangle k bottom-up or top-down.
+    enumerate the strips of rectangle k bottom-up or top-down; r(k, j0) is
+    the lexicographic position of (k, j0).
     """
     require_valid(T)
     labels = tuple(T.h_labels())
-    r_of = {label: pos + 1 for pos, label in enumerate(labels)}
     h_new: list[int] = []
     v_new: list[int] = []
-    mapping: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for label in labels:
-        k, l, e = T.phi(label)
-        r = r_of[label]
-        v_new.append(T.v[label.i - 1])
-        h_new.append(T.h[k - 1])
-        for j0 in range(1, T.h[k - 1] + 1):
-            if e == 1:
-                target = r_of[HLabel(k, j0)]
-            else:
-                target = r_of[HLabel(k, T.h[k - 1] - (j0 - 1))]
-            mapping[(r, j0)] = (target, l, e)
-    refined = GeometricType.build(tuple(h_new), tuple(v_new), mapping)
+    rho: list[tuple[int, int]] = []
+    eps: list[int] = []
+    for (i, _), (k, l), e in zip(labels, T.rho, T.eps):
+        h_k, first = T.h[k - 1], T._offsets[k - 1]
+        v_new.append(T.v[i - 1])
+        h_new.append(h_k)
+        targets = range(first + 1, first + h_k + 1) if e == 1 else range(first + h_k, first, -1)
+        rho.extend((target, l) for target in targets)
+        eps.extend([e] * h_k)
+    refined = GeometricType(tuple(h_new), tuple(v_new), tuple(rho), tuple(eps))
     require_valid(refined)
     return BinRefinement(refined, labels)
 
@@ -344,18 +341,19 @@ class RefinementResult:
         if orbit in by_orbit:
             # The two flanking rectangle codes swap sides at every
             # orientation-reversing step, so their period doubles when the
-            # orientation product over one period is -1.  The product over
-            # the first t steps is the sign of symbol t of the kneading key.
+            # orientation product over one period is -1.  The product over t
+            # steps from the code's phase d is the sign of symbol t of d's key.
             f = by_orbit[orbit]
             rep, positions = family[f], self.order.positions[f]
             P = rep.period
-            signed = _orbit_keys(branches, rep, 2 * P)[0]
+            d = next(d for d in range(P) if rep.rotate(d) == code)
+            signed = _orbit_keys(branches, rep, 2 * P)[d]
             signs = [1 if x > 0 else -1 for x in signed]
             length = P if signs[P] == 1 else 2 * P
             below: list[int] = []
             above: list[int] = []
             for t in range(length):
-                host, pos = rep.word[t % P], positions[t % P]
+                host, pos = rep.word[(d + t) % P], positions[(d + t) % P]
                 low = self.r_of(host, pos)
                 high = self.r_of(host, pos + 1)
                 if signs[t] == 1:

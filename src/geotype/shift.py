@@ -174,8 +174,8 @@ def incidence_matrix(T: GeometricType) -> IncidenceMatrix:
     """a_ik = number of horizontal strips of rectangle i mapped into rectangle k."""
     require_valid(T)
     rows = [[0] * T.n for _ in range(T.n)]
-    for label in T.h_labels():
-        rows[label.i - 1][T.xi(label) - 1] += 1
+    for (i, _), (k, _) in zip(T.h_labels(), T.rho):
+        rows[i - 1][k - 1] += 1
     return IncidenceMatrix(tuple(tuple(row) for row in rows))
 
 

@@ -134,6 +134,21 @@ def test_parse_missing_label():
         parse(text)
 
 
+def test_parse_relabelled_map_line_never_leaves_a_label_unmapped():
+    """alpha map lines holding distinct in-range labels cover every label, so
+    moving one line's label off its own is a duplicate or out of range."""
+    for T in random_corpus(seed=23, count=15):
+        lines = serialize(T).splitlines()
+        labels = list(T.h_labels())
+        outside = [(T.n + 1, 1)] + [(i, T.h[i - 1] + 1) for i in range(1, T.n + 1)]
+        for row, (i, j) in enumerate(labels):
+            for a, b in [label for label in labels if label != (i, j)] + outside:
+                edited = list(lines)
+                edited[4 + row] = edited[4 + row].replace(f"map ({i},{j})", f"map ({a},{b})", 1)
+                with pytest.raises(ParseError, match="duplicate horizontal label|out of range"):
+                    parse("\n".join(edited) + "\n")
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

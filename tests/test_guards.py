@@ -15,6 +15,7 @@ from geotype import (
     GeometricType,
     InvalidTypeError,
     NonBinaryError,
+    PeriodicCode,
     SULabel,
     VLabel,
     bin_refine,
@@ -30,6 +31,7 @@ from geotype import (
     invert,
     model_svg,
     oracle_s_refine,
+    parse,
     per_s_codes,
     per_u_codes,
     realize,
@@ -42,6 +44,7 @@ from geotype import (
     wp_refine,
 )
 from geotype.boundary import boundary_report
+from geotype.cli import main
 from geotype.shift import binary_branches
 
 from conftest import make_e1, make_e1m, make_e2, make_e3, record_builds
@@ -189,3 +192,57 @@ def test_s_refine_builds_no_matrix_larger_than_its_source(monkeypatch):
 def test_s_refine_rejects_a_non_binary_type():
     with pytest.raises(NonBinaryError):
         s_refine(make_e1(), [])
+
+
+def test_library_builds_no_type_from_a_label_map(monkeypatch, capsys):
+    """Every library builder writes rho and eps in lexicographic order and
+    constructs the type from those sequences; ``GeometricType.build`` is the
+    convenience for callers holding a label-keyed map."""
+    e1m = make_e1m()  # built through build() before the count starts
+    calls: list[tuple] = []
+    build = GeometricType.build.__func__
+
+    def counting_build(cls, *args, **kwargs):
+        calls.append(args)
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(GeometricType, "build", classmethod(counting_build))
+    golden = Path(__file__).parent / "golden"
+    e1, e2, e3 = (parse((golden / f"{name}.gt").read_text()) for name in ("E1", "E2", "E3"))
+    for T in (e1, e2, e3, e1m):
+        invert(T)
+        bin_refine(T)
+        realize(T).extract_type()
+    T = bin_refine(e1m).refined
+    boundary = {c.orbit() for c in per_s_codes(T)}
+    family = [o.canonical for o in enumerate_orbits(incidence_matrix(T), 4) if o not in boundary]
+    u_boundary = {c.orbit() for c in per_u_codes(T)}
+    s_refine(T, family)
+    u_refine(T, [w for w in family if w.orbit() not in u_boundary])
+    oracle_s_refine(T, family)
+    w12 = [PeriodicCode((1, 2))]
+    s_refine(e2, w12)
+    u_refine(e2, w12)
+    oracle_s_refine(e2, w12)
+    corner_refine(e3)
+    wp_refine(e2, 3)
+    type_path, codes_path = str(golden / "E2.gt"), str(golden / "W12.codes")
+    for argv in (
+        ["validate", type_path],
+        ["invert", type_path],
+        ["alpha", type_path],
+        ["incidence", type_path, "--check", "mixing"],
+        ["orbits", type_path, "--max-period", "3"],
+        ["bin", str(golden / "E1.gt")],
+        ["codes", type_path],
+        ["srefine", type_path, "--codes", codes_path],
+        ["urefine", type_path, "--codes", codes_path],
+        ["corner", str(golden / "E3.gt")],
+        ["corner", type_path, "--along", codes_path],
+        ["wp", type_path, "--max-period", "3"],
+        ["oracle-check", type_path, "--codes", codes_path],
+        ["render", type_path, "--format", "svg", "--codes", codes_path],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert calls == []

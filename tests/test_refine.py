@@ -281,6 +281,8 @@ def test_s_refine_recoded_cut_codes_are_boundary(e2):
     recoded = result.recode(W12)
     assert {c.word for c in recoded} == {(1, 3), (2, 4)}
     assert recoded <= per_s_codes(result.refined)
+    # the same cut code pointed at its other phase keeps that phase
+    assert {c.word for c in result.recode(W12.rotate(1))} == {(3, 1), (4, 2)}
 
 
 def test_recode_tracks_orientation_reversal():
@@ -333,6 +335,34 @@ def test_s_refine_recoding_property():
             boundary = per_s_codes(result.refined)
             for code in family:
                 assert result.recode(code) <= boundary
+
+
+def test_recoded_cut_codes_shadow_every_phase():
+    """Each flanking code of a cut code, given at any phase, runs through
+    refined rectangles whose source rectangles spell the cut code itself."""
+    corpus = binary_mixing_corpus(seed=47, count=5) + orientation_reversing_bin_types(3, 4)
+    checked = 0
+    for T in corpus:
+        u_boundary = {c.orbit() for c in per_u_codes(T)}
+        for family in cutting_families(T)[:3]:
+            s_result = s_refine(T, family)
+            u_family = [w for w in family if w.orbit() not in u_boundary]
+            u_result = u_refine(T, u_family)
+            for result, codes in ((s_result, family), (u_result, u_family)):
+                for w in codes:
+                    for d in range(w.period):
+                        code = w.rotate(d)
+                        recoded = result.recode(code)
+                        assert len(recoded) == 2
+                        for c in recoded:
+                            checked += 1
+                            assert all(
+                                result.label_map[c.symbol(t) - 1][0] == code.symbol(t)
+                                for t in range(c.period)
+                            ), (code, c)
+                        if result is s_result:
+                            assert recoded <= per_s_codes(result.refined)
+    assert checked > 200
 
 
 def test_s_refine_orbit_vs_phase_feeding(e2, e3):
