@@ -7,11 +7,13 @@ follows the image of those edges one step at a time; iterating it writes
 down the eventually periodic code every boundary edge shadows.  The unstable
 side is the same construction run on the inverse type, read backward.
 Every boundary code comes from one gamma table per side, gamma on the 2n
-labels, kept on T and on ``invert(T)``: label summaries walk it, and
-:func:`boundary_orbits`, the orbit-level entry point, reads off its cycles.
-:func:`per_s_codes`, :func:`per_u_codes` and :func:`boundary_sets` are their
-all-phase views.  A cutting family must avoid these codes, so its check,
-:func:`cutting_family`, lives here too.
+integer slots (2(i-1) for (i, -1), 2i-1 for (i, +1)), kept on T and on
+``invert(T)``: label summaries walk it, and :func:`boundary_orbits`, the
+orbit-level entry point, reads off its cycles once per side and type
+object.  :func:`per_s_codes`, :func:`per_u_codes` and :func:`boundary_sets`
+are their all-phase views.  A cutting family must avoid these codes, so its
+check, :func:`cutting_family`, lives here too: it reads the kept orbits,
+and each refinement, ``u_refine`` included, runs it once per call.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import GeoTypeError, GeometricType, invert, require_valid
-from .core import SULabel as SULabel, su_labels as su_labels, theta as theta  # re-exported
+from .core import SULabel as SULabel, theta as theta  # re-exported
 from .shift import (
     AdmissibilityError,
     CodeOrbit,
@@ -41,17 +43,22 @@ class DuplicateOrbitError(GeoTypeError):
     """A cutting family lists the same shift orbit twice."""
 
 
-def _check_label(T: GeometricType, label: SULabel) -> None:
-    """Needs a valid type: the labels are the keys of its gamma table."""
-    if label not in T._gamma:
+def _slot(T: GeometricType, label: SULabel) -> int:
+    """The gamma-table slot of a boundary label: 2(i-1) for (i, -1), 2i-1 for (i, +1)."""
+    i, eps = label
+    if not (1 <= i <= T.n) or eps not in (1, -1):
         raise ValueError(f"invalid boundary label {label}")
+    return 2 * i - 1 if eps == 1 else 2 * i - 2
+
+
+def _label(slot: int) -> SULabel:
+    return SULabel(slot // 2 + 1, 1 if slot % 2 else -1)
 
 
 def gamma_step(T: GeometricType, label: SULabel) -> SULabel:
     """One step of the stable generating function."""
     require_valid(T)
-    _check_label(T, label)
-    return T._gamma[label]
+    return _label(T._gamma[_slot(T, label)])
 
 
 def upsilon_step(T: GeometricType, label: SULabel) -> SULabel:
@@ -90,25 +97,20 @@ def canonical_eventually_periodic(
     return tuple(head), tuple(root)
 
 
-def _orbit_summary(gamma: dict[SULabel, SULabel], label: SULabel) -> BoundaryOrbitSummary:
-    seen: dict[SULabel, int] = {}
-    trace: list[SULabel] = []
-    current = label
+def _orbit_summary(gamma: list[int], slot: int) -> BoundaryOrbitSummary:
+    seen: dict[int, int] = {}
+    current = slot
     while current not in seen:
-        seen[current] = len(trace)
-        trace.append(current)
+        seen[current] = len(seen)
         current = gamma[current]
-    start = seen[current]
-    pre = tuple(lab.i for lab in trace[:start])
-    cyc = tuple(lab.i for lab in trace[start:])
-    return BoundaryOrbitSummary(label, pre, cyc, tuple(trace))
+    word, start = tuple(s // 2 + 1 for s in seen), seen[current]
+    return BoundaryOrbitSummary(_label(slot), word[:start], word[start:], tuple(map(_label, seen)))
 
 
 def s_boundary_positive_code(T: GeometricType, label: SULabel) -> BoundaryOrbitSummary:
     """Iterate gamma from a label until its cycle closes; <= 2n labels appear."""
     require_valid(T)
-    _check_label(T, label)
-    return _orbit_summary(T._gamma, label)
+    return _orbit_summary(T._gamma, _slot(T, label))
 
 
 def u_boundary_negative_code(T: GeometricType, label: SULabel) -> BoundaryOrbitSummary:
@@ -119,24 +121,31 @@ def u_boundary_negative_code(T: GeometricType, label: SULabel) -> BoundaryOrbitS
 def boundary_orbits(T: GeometricType, *, unstable: bool = False) -> frozenset[CodeOrbit]:
     """Orbits of the periodic s-boundary (u-boundary when ``unstable``) codes.
 
-    They are the cycles of the gamma table, found by stepping from each
-    label once.  The u-side cycles are those of the inverse type read
-    backward, since forward time for the inverse is backward time for T.
-    Raises unless T is valid and binary.
+    They are the cycles of the gamma table, walked once per side and type
+    object and kept on it.  The u-side cycles are those of the inverse type
+    read backward, since forward time for the inverse is backward time for
+    T.  Raises unless T is valid and binary.
     """
     binary_branches(T)
+    kept = T._boundary_orbits
+    if unstable not in kept:
+        kept[unstable] = _cycle_orbits(T, unstable)
+    return kept[unstable]
+
+
+def _cycle_orbits(T: GeometricType, unstable: bool) -> frozenset[CodeOrbit]:
     gamma = invert(T)._gamma if unstable else T._gamma
-    walked: set[SULabel] = set()
+    walked = [False] * len(gamma)
     orbits: set[CodeOrbit] = set()
-    for start in gamma:
-        path: list[SULabel] = []
-        label = start
-        while label not in walked:
-            walked.add(label)
-            path.append(label)
-            label = gamma[label]
-        if label in path:  # this walk closed a cycle no earlier walk reached
-            word = tuple(lab.i for lab in path[path.index(label):])
+    for start in range(len(gamma)):
+        path: list[int] = []
+        slot = start
+        while not walked[slot]:
+            walked[slot] = True
+            path.append(slot)
+            slot = gamma[slot]
+        if slot in path:  # this walk closed a cycle no earlier walk reached
+            word = tuple(s // 2 + 1 for s in path[path.index(slot):])
             orbits.add(CodeOrbit.from_word(primitive_root(word[::-1] if unstable else word)))
     return frozenset(orbits)
 
@@ -224,9 +233,9 @@ def _tails(middle: tuple[int, ...], cycle: tuple[int, ...]):
         yield canonical_eventually_periodic((), cycle[k:] + cycle[:k])
 
 
-def _has_boundary_tail(code: EventuallyPeriodicCode, gamma: dict[SULabel, SULabel]) -> bool:
-    """True iff a positive tail of the code is the code of a label of the gamma table."""
-    targets = {_orbit_summary(gamma, label).canonical_tail() for label in gamma}
+def _has_boundary_tail(code: EventuallyPeriodicCode, gamma: list[int]) -> bool:
+    """True iff a positive tail of the code is the code of a slot of the gamma table."""
+    targets = {_orbit_summary(gamma, slot).canonical_tail() for slot in range(len(gamma))}
     return any(tail in targets for tail in _tails(code.middle, code.right_cycle))
 
 
@@ -258,7 +267,7 @@ def boundary_report(T: GeometricType) -> str:
     u_orbits = boundary_orbits(T, unstable=True)
     lines: list[str] = []
     for tag, gamma in (("SLABEL", T._gamma), ("ULABEL", invert(T)._gamma)):
-        lines += [f"{tag} {_orbit_summary(gamma, label)}" for label in sorted(gamma)]
+        lines += [f"{tag} {_orbit_summary(gamma, slot)}" for slot in range(len(gamma))]
     for name, group in (
         ("PER-S", s_orbits),
         ("PER-U", u_orbits),

@@ -52,10 +52,10 @@ class GeometricType:
     ``rho`` and ``eps`` are stored aligned with the lexicographic order of the
     horizontal labels, so two structurally equal types compare equal.
 
-    Facts derived from the fields (the validation report, the lexicographic
-    offsets, the inverse type, the branch table and the gamma table) are
-    computed at most once per object and kept in private cached members,
-    which are not fields and so take no part in ``==``, ``hash`` or ``repr``.
+    Facts derived from the fields (validation report, lexicographic offsets,
+    inverse type, branch table, gamma table over the 2n boundary slots, each
+    side's boundary orbits) are computed at most once per object and kept in
+    private cached members, which ``==``, ``hash`` and ``repr`` ignore.
     """
 
     h: tuple[int, ...]
@@ -73,13 +73,13 @@ class GeometricType:
         if len(self.rho) != alpha or len(self.eps) != alpha:
             raise ValueError("rho and eps must have one entry per horizontal label")
         for k, l in self.rho:
-            if not (1 <= k <= n):
-                raise ValueError(f"rho target {VLabel(k, l)}: rectangle index out of range")
-            if not (1 <= l <= self.v[k - 1]):
-                raise ValueError(f"rho target {VLabel(k, l)}: vertical position out of range")
-        if any(e not in (1, -1) for e in self.eps):
+            if not (1 <= k <= n and 1 <= l <= self.v[k - 1]):
+                part = "vertical position" if 1 <= k <= n else "rectangle index"
+                raise ValueError(f"rho target {VLabel(k, l)}: {part} out of range")
+        if not set(self.eps) <= {1, -1}:
             raise ValueError("eps entries must be +1 or -1")
-        object.__setattr__(self, "rho", tuple(VLabel(*t) for t in self.rho))
+        if type(self.rho) is not tuple or set(map(type, self.rho)) - {VLabel}:
+            object.__setattr__(self, "rho", tuple(VLabel(*t) for t in self.rho))
 
     # -- construction helpers -------------------------------------------------
 
@@ -123,7 +123,8 @@ class GeometricType:
         """Needs a valid type; :func:`invert` checks that first."""
         offsets = tuple(accumulate(self.v, initial=0))
         rho, eps = [(0, 0)] * len(self.rho), [0] * len(self.eps)
-        for label, (k, l), e in zip(self.h_labels(), self.rho, self.eps):
+        labels = (VLabel(i, j) for i, h_i in enumerate(self.h, 1) for j in range(1, h_i + 1))
+        for label, (k, l), e in zip(labels, self.rho, self.eps):
             slot = offsets[k - 1] + l - 1  # (k, l)'s lexicographic slot
             rho[slot], eps[slot] = label, e
         return GeometricType(self.v, self.h, tuple(rho), tuple(eps))
@@ -138,13 +139,20 @@ class GeometricType:
         }
 
     @cached_property
-    def _gamma(self) -> dict[SULabel, SULabel]:
-        """gamma on the 2n boundary labels; needs a valid type, as ``_inverse`` does."""
-        table: dict[SULabel, SULabel] = {}
-        for label in su_labels(self):
-            k, _, sign = self.phi(theta(self, label))
-            table[label] = SULabel(k, label.eps * sign)
+    def _gamma(self) -> list[int]:
+        """gamma on the 2n boundary slots, 2(i-1) for (i, -1) and 2i-1 for (i, +1),
+        read off strips (i, 1) and (i, h_i); needs a valid type, as ``_inverse`` does."""
+        table: list[int] = []
+        for first, end in zip(self._offsets, self._offsets[1:]):
+            for strip, sign in ((first, -1), (end - 1, 1)):
+                k = self.rho[strip][0]
+                table.append(2 * k - 1 if sign * self.eps[strip] == 1 else 2 * k - 2)
         return table
+
+    @cached_property
+    def _boundary_orbits(self) -> dict[bool, frozenset]:
+        """``{unstable: orbits}``, filled in side by side by :func:`boundary.boundary_orbits`."""
+        return {}
 
     # -- basic accessors ------------------------------------------------------
 
@@ -269,11 +277,6 @@ def theta(T: GeometricType, label: SULabel) -> HLabel:
     return HLabel(label.i, 1 if label.eps == -1 else T.h[label.i - 1])
 
 
-def su_labels(T: GeometricType) -> tuple[SULabel, ...]:
-    """The 2n boundary labels: bottom (i, -1) then top (i, +1), rectangle by rectangle."""
-    return tuple(SULabel(i, e) for i in range(1, T.n + 1) for e in (-1, 1))
-
-
 # -- canonical text format ----------------------------------------------------
 
 _MAP_RE = re.compile(r"^map \((\d+),(\d+)\)->\((\d+),(\d+)\) ([+-])$")
@@ -331,7 +334,7 @@ def parse(text: str) -> GeometricType:
     alpha_h = sum(h)
 
     offsets = tuple(accumulate(h, initial=0))
-    rho: list[tuple[int, int] | None] = [None] * alpha_h
+    rho: list[VLabel | None] = [None] * alpha_h
     eps = [0] * alpha_h
     body = lines[4:]
     if len(body) != alpha_h:
@@ -349,5 +352,5 @@ def parse(text: str) -> GeometricType:
         slot = offsets[i - 1] + j - 1
         if rho[slot] is not None:
             raise ParseError(f"line {lineno}: duplicate horizontal label ({i},{j})")
-        rho[slot], eps[slot] = (k, l), 1 if m.group(5) == "+" else -1
+        rho[slot], eps[slot] = VLabel(k, l), 1 if m.group(5) == "+" else -1
     return GeometricType(h, v, tuple(rho), tuple(eps))

@@ -244,7 +244,7 @@ def oracle_s_refine(T: GeometricType, W) -> OracleRefinement:
 
     h_new: list[int] = []
     v_new: list[int] = []
-    rho: list[tuple[int, int]] = []
+    rho: list[VLabel] = []
     eps: list[int] = []
     for i, s in pairs:
         (p_lo, q_lo), (p_hi, q_hi) = marks[i - 1][s - 1], marks[i - 1][s]
@@ -264,7 +264,7 @@ def oracle_s_refine(T: GeometricType, W) -> OracleRefinement:
             if end_lo is None or end_hi is None:
                 raise GeoTypeError("image of a band edge missed the cut grid")
             sweep = range(end_lo + 1, end_hi + 1) if m.a > 0 else range(end_lo, end_hi, -1)
-            rho.extend((starts[k - 1] + band, m.target.l) for band in sweep)
+            rho.extend(VLabel(starts[k - 1] + band, m.target.l) for band in sweep)
             eps.extend([m.eps] * len(sweep))
             J_bar += len(sweep)
         h_new.append(J_bar)

@@ -23,6 +23,7 @@ from .core import (
     GeoTypeError,
     GeometricType,
     HLabel,
+    VLabel,
     invert,
     require_valid,
     serialize,
@@ -79,14 +80,14 @@ def bin_refine(T: GeometricType) -> BinRefinement:
     labels = tuple(T.h_labels())
     h_new: list[int] = []
     v_new: list[int] = []
-    rho: list[tuple[int, int]] = []
+    rho: list[VLabel] = []
     eps: list[int] = []
     for (i, _), (k, l), e in zip(labels, T.rho, T.eps):
         h_k, first = T.h[k - 1], T._offsets[k - 1]
         v_new.append(T.v[i - 1])
         h_new.append(h_k)
         targets = range(first + 1, first + h_k + 1) if e == 1 else range(first + h_k, first, -1)
-        rho.extend((target, l) for target in targets)
+        rho.extend(VLabel(target, l) for target in targets)
         eps.extend([e] * h_k)
     refined = GeometricType(tuple(h_new), tuple(v_new), tuple(rho), tuple(eps))
     require_valid(refined)
@@ -270,7 +271,11 @@ def build_order(T: GeometricType, W, *, drop_boundary: bool = False) -> OrderTab
     object), the keys O(cuts * P) and the sort O(cuts * log cuts)
     comparisons.
     """
-    family = cutting_family(T, W, drop_boundary=drop_boundary)
+    return _sort_cuts(T, cutting_family(T, W, drop_boundary=drop_boundary))
+
+
+def _sort_cuts(T: GeometricType, family: tuple[PeriodicCode, ...]) -> OrderTable:
+    """:func:`build_order` past the family check."""
     branches = binary_branches(T)
     span = 4 * max((code.period for code in family), default=0)
     buckets: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in range(T.n)]
@@ -310,6 +315,10 @@ class RefinementResult:
     def _r_index(self) -> dict[tuple[int, int], int]:
         return {label: r for r, label in enumerate(self.label_map, start=1)}
 
+    @cached_property
+    def _family_index(self) -> dict[CodeOrbit, int]:
+        return {w.orbit(): f for f, w in enumerate(self.order.family)}
+
     # -- recoding ------------------------------------------------------------
 
     def recode(self, code: PeriodicCode) -> frozenset[PeriodicCode]:
@@ -336,14 +345,12 @@ class RefinementResult:
             raise InvariantError("only stable results with an order table recode directly")
         branches = binary_branches(self.source)
         family = self.order.family
-        by_orbit = {w.orbit(): f for f, w in enumerate(family)}
-        orbit = code.orbit()
-        if orbit in by_orbit:
+        f = self._family_index.get(code.orbit())
+        if f is not None:
             # The two flanking rectangle codes swap sides at every
             # orientation-reversing step, so their period doubles when the
             # orientation product over one period is -1.  The product over t
             # steps from the code's phase d is the sign of symbol t of d's key.
-            f = by_orbit[orbit]
             rep, positions = family[f], self.order.positions[f]
             P = rep.period
             d = next(d for d in range(P) if rep.rotate(d) == code)
@@ -397,7 +404,11 @@ def s_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementR
     the same way.  The images are the bands a+1..b when e = +1 and a, a-1,
     ..., b+1 when e = -1.
     """
-    order = build_order(T, W, drop_boundary=drop_boundary)
+    return _assemble(T, build_order(T, W, drop_boundary=drop_boundary))
+
+
+def _assemble(T: GeometricType, order: OrderTable) -> RefinementResult:
+    """:func:`s_refine` past the family check and the sort."""
     branches = binary_branches(T)
     family, positions = order.family, order.positions
     tops = [len(row) + 1 for row in order.cuts]
@@ -405,7 +416,7 @@ def s_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementR
     pairs: list[tuple[int, int]] = []
     h_new: list[int] = []
     v_new: list[int] = []
-    rho: list[tuple[int, int]] = []
+    rho: list[VLabel] = []
     eps: list[int] = []
 
     for i, row in enumerate(order.cuts, start=1):
@@ -432,7 +443,7 @@ def s_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementR
                     raise InvariantError(f"strip ({i},{j}) has no image in rectangle {k}")
                 base = starts[k - 1]
                 bands = range(base + a + 1, base + b + 1) if e == 1 else range(base + a, base + b, -1)
-                rho.extend((band, l) for band in bands)
+                rho.extend(VLabel(band, l) for band in bands)
                 eps.extend([e] * len(bands))
                 J_bar += len(bands)
             h_new.append(J_bar)
@@ -452,10 +463,12 @@ def u_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementR
     """Cut along unstable lines: the stable refinement of the inverse type.
 
     Code words are reversed before feeding the inverse side, since forward
-    time for the inverse is backward time for the original.
+    time for the inverse is backward time for the original.  The family is
+    checked once, on T: reversal keeps it a cutting family of the inverse.
     """
     family = cutting_family(T, W, unstable=True, drop_boundary=drop_boundary)
-    inner = s_refine(invert(T), [w.reversed_pointed() for w in family])
+    reversed_family = tuple(w.reversed_pointed() for w in family)
+    inner = _assemble(invert(T), _sort_cuts(invert(T), reversed_family))
     return RefinementResult(
         refined=invert(inner.refined),
         source=T,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from geotype import (
     GeometricType,
     PeriodicCode,
+    SULabel,
     bin_refine,
     enumerate_orbits,
     incidence_matrix,
@@ -158,30 +159,35 @@ def cutting_families(T: GeometricType, max_period: int = 4, max_total: int = 8):
     return families
 
 
+def su_labels(T: GeometricType) -> tuple[SULabel, ...]:
+    """The 2n boundary labels: bottom (i, -1) then top (i, +1), rectangle by rectangle."""
+    return tuple(SULabel(i, e) for i in range(1, T.n + 1) for e in (-1, 1))
+
+
 # -- derived facts ---------------------------------------------------------------
 
 
-def record_builds(monkeypatch, name: str) -> list[tuple[GeometricType, int]]:
-    """Record (type object, size of the result) at every build of a derived
-    fact of ``GeometricType``, such as ``_gamma``.
+def record_builds(monkeypatch, name: str, cls: type = GeometricType) -> list[tuple[object, int]]:
+    """Record (object, size of the result) at every build of a derived fact
+    of ``cls``, such as ``GeometricType._gamma``.
 
     The wrapper keeps the member's descriptor kind: a cached member is built
     once per object, and one that is not cached is recorded at every access.
     """
-    member = vars(GeometricType)[name]
+    member = vars(cls)[name]
     cached = isinstance(member, cached_property)
     build = member.func if cached else member.fget
-    builds: list[tuple[GeometricType, int]] = []
+    builds: list[tuple[object, int]] = []
 
-    def recording(T: GeometricType):
-        result = build(T)
-        builds.append((T, len(result)))
+    def recording(obj):
+        result = build(obj)
+        builds.append((obj, len(result)))
         return result
 
     wrapper = type(member)(recording)
     if cached:
-        wrapper.__set_name__(GeometricType, name)
-    monkeypatch.setattr(GeometricType, name, wrapper)
+        wrapper.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, wrapper)
     return builds
 
 

@@ -33,7 +33,6 @@ from geotype import (
 )
 from geotype.boundary import (
     s_boundary_positive_code,
-    su_labels,
     u_boundary_negative_code,
 )
 
@@ -44,6 +43,7 @@ from conftest import (
     make_e2,
     make_e3,
     random_corpus,
+    su_labels,
 )
 
 GOLDEN = Path(__file__).parent / "golden"

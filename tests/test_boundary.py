@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
 from geotype import (
     CodeOrbit,
@@ -27,7 +28,7 @@ from geotype import (
     upsilon_step,
     wp_refine,
 )
-from geotype.boundary import boundary_report, su_labels
+from geotype.boundary import boundary_report
 from geotype.shift import AdmissibilityError
 
 from conftest import (
@@ -36,6 +37,8 @@ from conftest import (
     make_e2,
     orientation_reversing_bin_types,
     record_builds,
+    su_labels,
+    valid_types,
 )
 
 
@@ -60,6 +63,26 @@ def test_upsilon_step_examples(e0, e2):
     assert upsilon_step(e2, SULabel(1, +1)) == SULabel(2, +1)
     assert upsilon_step(e0, SULabel(1, 1)) == SULabel(1, 1)
     assert upsilon_step(e0, SULabel(1, -1)) == SULabel(1, -1)
+
+
+@settings(max_examples=60)
+@given(valid_types())
+def test_gamma_slots_agree_with_the_per_label_definition(T):
+    """Slot 2(i-1) of the gamma table holds the bottom edge (i, -1) and slot
+    2i-1 the top edge (i, +1); each agrees with gamma read label by label off
+    the strip theta(L) that holds the edge, and a bad label raises."""
+    for slot, label in enumerate(su_labels(T)):
+        k, _, eps = T.phi(theta(T, label))
+        expected = SULabel(k, label.eps * eps)
+        assert gamma_step(T, label) == expected
+        assert T._gamma[slot] == (2 * k - 1 if expected.eps == 1 else 2 * k - 2)
+        trace = s_boundary_positive_code(T, label).trace
+        assert trace[0] == label and (trace[1] if len(trace) > 1 else label) == expected
+    for bad in (SULabel(0, 1), SULabel(T.n + 1, -1), SULabel(1, 0)):
+        with pytest.raises(ValueError, match="invalid boundary label"):
+            gamma_step(T, bad)
+        with pytest.raises(ValueError, match="invalid boundary label"):
+            s_boundary_positive_code(T, bad)
 
 
 def test_upsilon_matches_direct_formula():

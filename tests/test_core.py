@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from geotype import (
     HLabel,
     InvalidTypeError,
     ParseError,
+    VLabel,
     alpha,
     bin_refine,
     invert,
@@ -20,7 +22,7 @@ from geotype import (
     validate,
 )
 
-from conftest import random_corpus, valid_types
+from conftest import make_e2, random_corpus, valid_types
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -177,6 +179,35 @@ def test_build_rejects_bad_shapes():
         GeometricType.build((1,), (1,), {(1, 1): (1, 1, 2)})
     with pytest.raises(ValueError):
         GeometricType.build((1,), (1,), {(1, 1): (1, 1, 1), (1, 2): (1, 1, 1)})
+
+
+def test_construction_stores_a_tuple_of_vlabels():
+    """Plain pairs, lists and ``VLabel``s all give the same stored tuple of
+    ``VLabel``s; a tuple of ``VLabel``s is kept as it is."""
+    e2 = make_e2()
+    pairs = ((1, 1), (2, 1), (1, 2), (2, 2))
+    labels = tuple(VLabel(k, l) for k, l in pairs)
+    for rho in (pairs, [list(t) for t in pairs], list(labels), labels):
+        T = GeometricType((2, 2), (2, 2), rho, (1, 1, 1, 1))
+        assert type(T.rho) is tuple and all(type(t) is VLabel for t in T.rho)
+        assert T == e2 and hash(T) == hash(e2) and repr(T) == repr(e2)
+    assert GeometricType((2, 2), (2, 2), labels, (1, 1, 1, 1)).rho is labels
+
+
+@pytest.mark.parametrize(
+    "rho, eps, message",
+    [
+        (((3, 1), (1, 1)), (1, 1), "rho target VLabel(k=3, l=1): rectangle index out of range"),
+        (((0, 1), (1, 1)), (1, 1), "rho target VLabel(k=0, l=1): rectangle index out of range"),
+        (((1, 3), (1, 1)), (1, 1), "rho target VLabel(k=1, l=3): vertical position out of range"),
+        (((1, 0), (1, 1)), (1, 1), "rho target VLabel(k=1, l=0): vertical position out of range"),
+        (((1, 2), (1, 1)), (1, 0), "eps entries must be +1 or -1"),
+        ((VLabel(1, 2), VLabel(1, 1)), (1, -2), "eps entries must be +1 or -1"),
+    ],
+)
+def test_construction_range_errors(rho, eps, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GeometricType((2,), (2,), rho, eps)
 
 
 def test_labels_are_tuples(e2):

@@ -16,6 +16,7 @@ from geotype import (
     InvalidTypeError,
     NonBinaryError,
     PeriodicCode,
+    RefinementResult,
     SULabel,
     VLabel,
     bin_refine,
@@ -105,8 +106,9 @@ def test_cached_facts_stay_out_of_eq_hash_and_repr():
 
 
 def test_wp_refine_validates_each_type_object_at_most_once(monkeypatch):
-    """Validation, the branch table and the gamma table are each built at most
-    once per type object over a whole pipeline."""
+    """Validation, the branch table, the gamma table and the walk of each
+    side's boundary cycles are each made at most once per type object over a
+    whole pipeline and the oracle's checks of its two stable stages."""
     checked: list[GeometricType] = []  # holding the objects keeps their ids unique
     real_check = geotype.core._check_invariants
 
@@ -114,14 +116,40 @@ def test_wp_refine_validates_each_type_object_at_most_once(monkeypatch):
         checked.append(T)
         return real_check(T)
 
+    walks: list[tuple[GeometricType, bool]] = []
+    real_walk = geotype.boundary._cycle_orbits
+
+    def counting_walk(T, unstable):
+        walks.append((T, unstable))
+        return real_walk(T, unstable)
+
     monkeypatch.setattr(geotype.core, "_check_invariants", counting_check)
+    monkeypatch.setattr(geotype.boundary, "_cycle_orbits", counting_walk)
     branch_builds = record_builds(monkeypatch, "_branches")
     gamma_builds = record_builds(monkeypatch, "_gamma")
-    wp_refine(make_e2(), 6)
-    assert checked and branch_builds and gamma_builds
+    result = wp_refine(make_e2(), 6)
+    for stage in result.stages[:2]:
+        assert stage.kind == "s"
+        oracle_s_refine(stage.source, stage.order.family)
+    assert checked and branch_builds and gamma_builds and walks
     assert len({id(T) for T in checked}) == len(checked)
     for builds in (branch_builds, gamma_builds):
         assert len({id(T) for T, _ in builds}) == len(builds)
+    assert len({(id(T), unstable) for T, unstable in walks}) == len(walks)
+
+
+def test_recoding_builds_each_stage_family_map_once(monkeypatch):
+    """Recoding every pointed code of period <= 6 through a pipeline builds
+    each stable stage's ``{orbit: family index}`` map once."""
+    builds = record_builds(monkeypatch, "_family_index", RefinementResult)
+    T = make_e2()
+    result = wp_refine(T, 6)
+    codes = [code for o in enumerate_orbits(incidence_matrix(T), 6) for code in o.phases()]
+    for code in codes:
+        assert result.recode(code)
+    stable = list(result.stages[:2]) + list(result.stages[2].stages)
+    assert len(codes) == 106 and all(stage.kind == "s" for stage in stable)
+    assert sorted(id(R) for R, _ in builds) == sorted(id(R) for R in stable)
 
 
 @pytest.mark.parametrize("path", sorted(SOURCES.glob("*.py")), ids=lambda p: p.name)

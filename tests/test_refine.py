@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import re
 from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import geotype
 from geotype import (
     BoundaryCodeError,
     DuplicateOrbitError,
     GeoTypeError,
     IntervalRef,
+    NonBinaryError,
     PeriodBoundError,
     PeriodicCode,
     ShiftEqualError,
@@ -45,7 +48,9 @@ from geotype.shift import AdmissibilityError, binary_branches
 from conftest import (
     binary_mixing_corpus,
     cutting_families,
+    make_e1,
     make_e1m,
+    make_e2,
     make_e3,
     orientation_reversing_bin_types,
     valid_types,
@@ -395,6 +400,36 @@ def test_u_refine_empty_family_is_identity(e2):
 def test_u_refine_boundary_code_errors(e2):
     with pytest.raises(BoundaryCodeError, match="u-boundary code"):
         u_refine(e2, [PeriodicCode((2,))])
+
+
+def test_u_refine_checks_its_family_once(monkeypatch, e2):
+    """The family is checked once, as an unstable family of T; the stable
+    refinement of the inverse type then runs past that check."""
+    calls: list[dict] = []
+    real = geotype.refine.cutting_family
+
+    def counting(T, W, **kwargs):
+        calls.append(kwargs)
+        return real(T, W, **kwargs)
+
+    monkeypatch.setattr(geotype.refine, "cutting_family", counting)
+    u_refine(e2, [W12])
+    assert calls == [{"unstable": True, "drop_boundary": False}]
+
+
+@pytest.mark.parametrize(
+    "make, words, error, message",
+    [
+        (make_e2, [(2,)], BoundaryCodeError, "u-boundary code 2 in cutting family cuts nothing"),
+        (make_e2, [(1, 2), (2, 1)], DuplicateOrbitError, "duplicate orbit 1 2 in cutting family"),
+        (make_e2, [(3, 1)], AdmissibilityError, "symbol out of range 1..2 in word (3, 1)"),
+        (make_e3, [(2, 3)], AdmissibilityError, "code 2 3 is not admissible for this type"),
+        (make_e1, [], NonBinaryError, "incidence matrix is not binary"),
+    ],
+)
+def test_u_refine_family_errors(make, words, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        u_refine(make(), [PeriodicCode(w) for w in words])
 
 
 def test_u_refine_duality():
