@@ -64,6 +64,9 @@ class GeometricType:
     eps: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for name in ("h", "v", "eps"):
+            if type(getattr(self, name)) is not tuple:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         n = len(self.h)
         if n == 0 or len(self.v) != n:
             raise ValueError("h and v must be nonempty lists of equal length")

@@ -9,9 +9,10 @@ heights are ``fractions.Fraction`` values and band edges are reduced integer
 pairs (num, den).
 
 The module recomputes stable-boundary refinements geometrically (cut heights
-as fixed points, sorted by an exact integer key; each band's pieces pushed
-through the monotone strip maps onto the integer cut grids) and is kept free
-of the formula engine in ``refine`` so the two can check each other.
+as fixed points, sorted by an exact integer key; each strip's edges and cut
+heights pushed once through its monotone strip map onto the integer cut
+grids) and is kept free of the formula engine in ``refine`` so the two can
+check each other.
 The two share only their input checks: the type's in ``core`` and ``shift``,
 and the cutting family's in :func:`boundary.cutting_family`.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import gcd
 
 from .core import GeoTypeError, GeometricType, HLabel, VLabel, require_valid
@@ -209,12 +210,14 @@ def oracle_s_refine(T: GeometricType, W) -> OracleRefinement:
     Cut heights come from one fixed point and one checked walk per orbit
     (the walk behind :func:`periodic_point`) and are sorted by an exact
     integer key (:func:`_height_keys`).  Each square's marks, 0, its cut
-    heights and 1, form a cut grid of reduced integer pairs (num, den).  A
-    band [lo, hi] of square i meets the strips j = floor(lo h_i) + 1 ..
-    ceil(hi h_i); its piece in strip j is pushed through the strip map on
-    integers and both ends are looked up on the target square's grid.  The
-    map is monotone, so the bands the piece sweeps come in preimage order:
-    upward when it preserves orientation, downward when it flips.
+    heights and 1, form a cut grid of reduced integer pairs (num, den).  The
+    strips of each square are walked upward, and each strip's bottom edge,
+    the cut heights inside it and its top edge are pushed once through its
+    strip map, on integers, and looked up on the target square's grid.  The
+    map is monotone, so the images must strictly increase (a > 0) or
+    decrease (a < 0).  The strip's refined strips are the sweep between the
+    images of its edges, in preimage order, and a band's length sums the
+    steps between images until the next cut closes it.
     """
     family = cutting_family(T, W)
     model = realize(T)
@@ -243,33 +246,40 @@ def oracle_s_refine(T: GeometricType, W) -> OracleRefinement:
     starts = tuple(accumulate((len(bucket) + 1 for bucket in cuts), initial=0))
 
     h_new: list[int] = []
-    v_new: list[int] = []
     rho: list[VLabel] = []
     eps: list[int] = []
-    for i, s in pairs:
-        (p_lo, q_lo), (p_hi, q_hi) = marks[i - 1][s - 1], marks[i - 1][s]
+    for i, row in enumerate(marks, start=1):
         h_i = T.h[i - 1]
-        v_new.append(T.v[i - 1])
-        row = T._offsets[i - 1] - 1  # strip (i, j) maps by model.maps[row + j]
-        first, last = p_lo * h_i // q_lo + 1, -(-p_hi * h_i // q_hi)
-        J_bar = 0
-        for j in range(first, last + 1):
-            # the band's piece in strip j; only the first and last strips clip it
-            lo = (p_lo, q_lo) if j == first else (j - 1, h_i)
-            hi = (p_hi, q_hi) if j == last else (j, h_i)
-            m = model.maps[row + j]
-            k = m.target.k
-            end_lo = grid[k - 1].get(_grid_point(m, *lo))
-            end_hi = grid[k - 1].get(_grid_point(m, *hi))
-            if end_lo is None or end_hi is None:
-                raise GeoTypeError("image of a band edge missed the cut grid")
-            sweep = range(end_lo + 1, end_hi + 1) if m.a > 0 else range(end_lo, end_hi, -1)
-            rho.extend(VLabel(starts[k - 1] + band, m.target.l) for band in sweep)
-            eps.extend([m.eps] * len(sweep))
-            J_bar += len(sweep)
+        first = T._offsets[i - 1]  # strip (i, j) maps by model.maps[first + j - 1]
+        c, J_bar = 1, 0  # row[c] is the lowest mark above the strips walked so far
+        for j in range(1, h_i + 1):
+            m = model.maps[first + j - 1]
+            k, l = m.target
+            cells = grid[k - 1]
+            prev = lo = cells.get(_grid_point(m, j - 1, h_i))
+            while True:
+                # the next mark inside strip j, else the strip's top edge
+                p, q = row[c]
+                inside = p * h_i < j * q
+                pos = cells.get(_grid_point(m, p, q) if inside else _grid_point(m, j, h_i))
+                if pos is None or prev is None:
+                    raise GeoTypeError("image of a band edge missed the cut grid")
+                step = pos - prev if m.a > 0 else prev - pos
+                if step < 1:
+                    raise GeoTypeError(f"strip ({i},{j}) does not map its marks monotonically")
+                J_bar += step
+                if not inside:
+                    break
+                h_new.append(J_bar)
+                c, J_bar, prev = c + 1, 0, pos
+            base = starts[k - 1]
+            bands = range(base + lo + 1, base + pos + 1) if m.a > 0 else range(base + lo, base + pos, -1)
+            rho.extend(map(tuple.__new__, repeat(VLabel), zip(bands, repeat(l))))
+            eps.extend([m.eps] * len(bands))
         h_new.append(J_bar)
 
-    refined = GeometricType(tuple(h_new), tuple(v_new), tuple(rho), tuple(eps))
+    v_new = tuple(T.v[i - 1] for i, _ in pairs)
+    refined = GeometricType(tuple(h_new), v_new, tuple(rho), tuple(eps))
     require_valid(refined)
     return OracleRefinement(
         refined,

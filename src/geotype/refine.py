@@ -6,7 +6,8 @@ horizontal strip to a rectangle of its own, which forces a 0/1 incidence
 matrix.  The stable-boundary refinement cuts rectangles along the horizontal
 lines carried by a family of periodic codes; its engine sorts the cut lines
 of each rectangle by a kneading key (a finite signed strip sequence), then
-applies one image formula per strip to assemble the refined bijection.
+lays each strip's whole target block of bands end to end and splits every
+rectangle's run of blocks at its cut lines.
 The unstable-boundary refinement is the same construction run on the inverse
 type, and the corner / bounded-period refinements are pipelines of the two.
 """
@@ -16,8 +17,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from math import lcm
+from operator import sub
 
 from .core import (
     GeoTypeError,
@@ -394,67 +396,63 @@ class RefinementResult:
 def s_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementResult:
     """Cut each rectangle along the stable lines of all iterates of W.
 
-    Every strip j of the source that meets a refined rectangle contributes
-    one refined strip per band of the target rectangle k that its piece
-    sweeps.  Positions in k run from 0 (bottom edge) through the cut lines
-    to count + 1 (top edge), and band s lies between positions s - 1 and s.
-    The piece's lower end lands at position a: the successor of the lower
-    cut when that cut lies in strip j, else the edge of k that the
-    orientation e sends the strip's bottom to.  The upper end lands at b in
-    the same way.  The images are the bands a+1..b when e = +1 and a, a-1,
-    ..., b+1 when e = -1.
+    Strip (i, j) maps onto the full height of its target rectangle k, so
+    its refined strips, read bottom-up, are every band of k, in reverse when
+    e = -1, whatever the cuts are.  The refined rho and eps are these whole
+    target blocks laid end to end in lexicographic order, and the cut lines
+    of rectangle i only split its run of blocks into bands (:func:`_assemble`).
     """
     return _assemble(T, build_order(T, W, drop_boundary=drop_boundary))
 
 
 def _assemble(T: GeometricType, order: OrderTable) -> RefinementResult:
-    """:func:`s_refine` past the family check and the sort."""
+    """:func:`s_refine` past the family check and the sort, in O(cuts) steps.
+
+    A cut line of rectangle i lies in the strip j that maps into its
+    successor's rectangle k, at the successor's position p.  Its offset in
+    i's run of blocks is p past the start of j's block, or p before its end
+    when e = -1.  The offsets must strictly increase within a rectangle,
+    which also leaves no band, and no piece of a strip, empty.  The blocks'
+    ``VLabel``s are built in C, by ``tuple.__new__``, not one call each.
+    """
     branches = binary_branches(T)
     family, positions = order.family, order.positions
     tops = [len(row) + 1 for row in order.cuts]
-    starts = tuple(accumulate(tops, initial=0))  # bands before rectangle i
-    pairs: list[tuple[int, int]] = []
-    h_new: list[int] = []
-    v_new: list[int] = []
+    starts = tuple(accumulate(tops, initial=0))  # bands before rectangle k
+    sizes = [tops[k - 1] for k, _ in T.rho]
+    runs = tuple(accumulate(sizes, initial=0))  # strip x's block starts at runs[x]
     rho: list[VLabel] = []
-    eps: list[int] = []
+    for (k, l), e in zip(T.rho, T.eps):
+        base = starts[k - 1]
+        bands = range(base + 1, starts[k] + 1) if e == 1 else range(starts[k], base, -1)
+        rho.extend(map(tuple.__new__, repeat(VLabel), zip(bands, repeat(l))))
+    eps = tuple(chain.from_iterable(map(repeat, T.eps, sizes)))
+    pairs = tuple((i, s) for i, top in enumerate(tops, start=1) for s in range(1, top + 1))
 
+    h_new: list[int] = []
     for i, row in enumerate(order.cuts, start=1):
-        # each cut line as (the strip j it lies in, its successor's position)
-        lines: list[tuple[int, int]] = []
+        first = T._offsets[i - 1]  # strip (i, j) is source strip first + j - 1
+        ends: list[int] = []
         for f, t in row:
             word = family[f].word
             nxt = (t + 1) % len(word)
-            lines.append((branches[(i, word[nxt])][0], positions[f][nxt]))
-        offset = T._offsets[i - 1] - 1  # strip (i, j) sits at rho[offset + j]
-        edges = zip([(1, None)] + lines, lines + [(T.h[i - 1], None)])
-        for s, ((j_lo, a_cut), (j_hi, b_cut)) in enumerate(edges, start=1):
-            if j_lo > j_hi:
-                raise InvariantError(f"cut lines of rectangle {i} are out of order")
-            pairs.append((i, s))
-            v_new.append(T.v[i - 1])
-            J_bar = 0
-            for j in range(j_lo, j_hi + 1):
-                (k, l), e = T.rho[offset + j], T.eps[offset + j]
-                bottom, top = (0, tops[k - 1]) if e == 1 else (tops[k - 1], 0)
-                a = a_cut if a_cut is not None and j == j_lo else bottom
-                b = b_cut if b_cut is not None and j == j_hi else top
-                if e * (b - a) < 1:
-                    raise InvariantError(f"strip ({i},{j}) has no image in rectangle {k}")
-                base = starts[k - 1]
-                bands = range(base + a + 1, base + b + 1) if e == 1 else range(base + a, base + b, -1)
-                rho.extend(VLabel(band, l) for band in bands)
-                eps.extend([e] * len(bands))
-                J_bar += len(bands)
-            h_new.append(J_bar)
+            j, e = branches[(i, word[nxt])]
+            p = positions[f][nxt]
+            ends.append(runs[first + j - 1] + p if e == 1 else runs[first + j] - p)
+        ends.append(runs[T._offsets[i]])
+        lengths = list(map(sub, ends, [runs[first]] + ends))
+        if min(lengths) < 1:
+            raise InvariantError(f"cut lines of rectangle {i} are out of order")
+        h_new.extend(lengths)
 
-    refined = GeometricType(tuple(h_new), tuple(v_new), tuple(rho), tuple(eps))
+    v_new = tuple(T.v[i - 1] for i, _ in pairs)
+    refined = GeometricType(tuple(h_new), v_new, tuple(rho), eps)
     binary_branches(refined)  # postcondition: the refined type is valid and binary
     return RefinementResult(
         refined=refined,
         source=T,
         kind="s",
-        label_map=tuple(pairs),
+        label_map=pairs,
         order=order,
     )
 

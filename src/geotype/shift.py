@@ -9,6 +9,7 @@ one-period words, and eventually periodic codes (a finite triple of words).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .core import GeoTypeError, GeometricType, ParseError, require_valid
@@ -42,7 +43,11 @@ def min_rotation(word: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class PeriodicCode:
-    """One minimal period of a pointed periodic code; index 0 is the phase."""
+    """One minimal period of a pointed periodic code; index 0 is the phase.
+
+    Its orbit is built on the first :meth:`orbit` call and kept on the
+    object, out of ``==``, ``hash`` and ``repr``.
+    """
 
     word: tuple[int, ...]
 
@@ -75,6 +80,10 @@ class PeriodicCode:
         return PeriodicCode((self.word[0],) + tuple(reversed(self.word[1:])))
 
     def orbit(self) -> "CodeOrbit":
+        return self._orbit
+
+    @cached_property
+    def _orbit(self) -> "CodeOrbit":
         return CodeOrbit(PeriodicCode(min_rotation(self.word)))
 
     def __str__(self) -> str:

@@ -194,6 +194,19 @@ def test_construction_stores_a_tuple_of_vlabels():
     assert GeometricType((2, 2), (2, 2), labels, (1, 1, 1, 1)).rho is labels
 
 
+def test_list_built_type_equals_its_tuple_twin():
+    """h, v and eps given as lists are stored as tuples, so the type is
+    equal to its tuple-built twin, hashable, and inversion is an involution."""
+    e2 = make_e2()
+    T = GeometricType([2, 2], [2, 2], [(1, 1), (2, 1), (1, 2), (2, 2)], [1, 1, 1, 1])
+    assert all(type(x) is tuple for x in (T.h, T.v, T.rho, T.eps))
+    assert T == e2 and hash(T) == hash(e2) and repr(T) == repr(e2)
+    assert invert(invert(T)) == T
+    h, v, eps = e2.h, e2.v, e2.eps
+    U = GeometricType(h, v, e2.rho, eps)
+    assert U.h is h and U.v is v and U.eps is eps
+
+
 @pytest.mark.parametrize(
     "rho, eps, message",
     [

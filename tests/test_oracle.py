@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from itertools import product
 
@@ -28,6 +29,7 @@ from geotype import (
     s_refine,
 )
 import geotype.oracle
+import geotype.shift
 from geotype.oracle import TieError, _height_keys
 from geotype.shift import AdmissibilityError
 
@@ -321,6 +323,66 @@ def test_equal_heights_in_one_square_raise_tie_error(e2, monkeypatch):
     monkeypatch.setattr(geotype.oracle, "_orbit_walk", flattened)
     with pytest.raises(TieError, match="exact tie between distinct cut lines in square 1"):
         oracle_s_refine(e2, [W12, PeriodicCode((1, 2, 2))])
+
+
+def test_perturbed_strip_map_misses_the_cut_grid(e2, monkeypatch):
+    """Strip (1,1), which no cut line's orbit runs through, shifted up by one:
+    the image of its top edge misses square 1's grid."""
+    real = geotype.oracle.realize
+
+    def perturbed(T):
+        model = real(T)
+        m = model.maps[0]
+        maps = (dataclasses.replace(m, b=m.b + 1),) + model.maps[1:]
+        return dataclasses.replace(model, maps=maps)
+
+    monkeypatch.setattr(geotype.oracle, "realize", perturbed)
+    with pytest.raises(GeoTypeError, match="image of a band edge missed the cut grid"):
+        oracle_s_refine(e2, [W12, PeriodicCode((1, 2, 2))])
+
+
+def test_reversed_mark_order_is_not_monotone(e2, monkeypatch):
+    """Square 1's two cuts, both in strip (1,2), put top down: their images
+    come out in decreasing order on square 2's grid."""
+    real = geotype.oracle._height_keys
+    calls = []
+
+    def reversed_first_square(heights):
+        calls.append(heights)
+        keys = real(heights)
+        return [-key for key in keys] if len(calls) == 1 else keys
+
+    monkeypatch.setattr(geotype.oracle, "_height_keys", reversed_first_square)
+    with pytest.raises(GeoTypeError, match=r"strip \(1,2\) does not map its marks monotonically"):
+        oracle_s_refine(e2, [W12, PeriodicCode((1, 2, 2))])
+
+
+def test_each_code_builds_its_orbit_once(monkeypatch):
+    """A code keeps its orbit, outside ==, hash and repr, so s_refine and
+    then oracle_s_refine on the same code objects build each orbit once."""
+    T = bin_refine(make_e1m()).refined
+    s_orbits = {c.orbit() for c in per_s_codes(T)}
+    W = [o.canonical.rotate(1) for o in enumerate_orbits(incidence_matrix(T), 5)]
+    W = [w for w in W if w.orbit() not in s_orbits]
+    code, twin = W[0], PeriodicCode(W[0].word)
+    assert code.orbit() is code.orbit()
+    assert code == twin and hash(code) == hash(twin) and repr(code) == repr(twin)
+
+    real = geotype.shift.min_rotation
+    calls = []
+
+    def counting(word):
+        calls.append(tuple(word))
+        return real(word)
+
+    monkeypatch.setattr(geotype.shift, "min_rotation", counting)
+    twin.orbit()
+    per_build = len(calls)
+    fresh = [PeriodicCode(w.word) for w in W]
+    calls.clear()
+    s_refine(T, fresh)
+    oracle_s_refine(T, fresh)
+    assert per_build >= 1 and len(calls) == per_build * len(fresh)
 
 
 def test_svg_emission(e2):

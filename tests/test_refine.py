@@ -14,6 +14,7 @@ from geotype import (
     BoundaryCodeError,
     DuplicateOrbitError,
     GeoTypeError,
+    GeometricType,
     IntervalRef,
     NonBinaryError,
     PeriodBoundError,
@@ -42,7 +43,7 @@ from geotype import (
     validate,
     wp_refine,
 )
-from geotype.refine import _kneading_key, _orbit_keys
+from geotype.refine import InvariantError, OrderTable, _assemble, _kneading_key, _orbit_keys
 from geotype.shift import AdmissibilityError, binary_branches
 
 from conftest import (
@@ -331,6 +332,35 @@ def test_s_refine_count_identities():
             assert sum(result.refined.h) == sum(result.refined.v)
             assert validate(result.refined).ok
             assert is_binary(incidence_matrix(result.refined))
+
+
+def test_equal_cut_counts_give_equal_rho_and_eps():
+    """Each source strip's refined strips are its target rectangle's whole
+    block of bands, so two families that cut every rectangle the same number
+    of times give the same rho and eps, wherever their cuts lie."""
+    compared = 0
+    for T in orientation_reversing_bin_types(131, 6):
+        first: dict[tuple[int, ...], GeometricType] = {}
+        for family in cutting_families(T, max_period=5, max_total=10):
+            result = s_refine(T, family)
+            refined, counts = result.refined, tuple(map(len, result.order.cuts))
+            other = first.setdefault(counts, refined)
+            assert (refined.rho, refined.eps) == (other.rho, other.eps)
+            compared += refined.h != other.h
+    assert compared >= 10
+
+
+@pytest.mark.parametrize("corrupt", ["swap", "repeat"])
+def test_assemble_rejects_a_corrupted_order_table(e2, corrupt):
+    """Two cuts of rectangle 1 swapped, or one of them repeated, put the cut
+    offsets of rectangle 1 out of order."""
+    order = build_order(e2, [W12, PeriodicCode((1, 2, 2))])
+    row = order.cuts[0]
+    assert len(row) == 2
+    bad = (row[1], row[0]) if corrupt == "swap" else (row[0],) + row
+    corrupted = OrderTable(order.n, order.family, (bad,) + order.cuts[1:])
+    with pytest.raises(InvariantError, match=r"cut lines of rectangle 1 are out of order"):
+        _assemble(e2, corrupted)
 
 
 def test_s_refine_recoding_property():
