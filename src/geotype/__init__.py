@@ -53,15 +53,10 @@ from .refine import (
     OrderTable,
     PeriodBoundError,
     RefinementResult,
-    ShiftEqualError,
     bin_refine,
     build_order,
     corner_refine,
     corner_refine_along,
-    interchange_delta,
-    interval_less,
-    j_index,
-    mismatch_M,
     s_refine,
     serialize_result,
     u_refine,

@@ -18,7 +18,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, chain, repeat
-from math import lcm
 from operator import sub
 
 from .core import (
@@ -47,10 +46,6 @@ from .shift import (
     primitive_root,
     require_symbols,
 )
-
-
-class ShiftEqualError(GeoTypeError):
-    """Two interval references denote the same shifted code."""
 
 
 class PeriodBoundError(GeoTypeError):
@@ -115,47 +110,6 @@ class IntervalRef:
         return self.code.symbol(self.t)
 
 
-def j_index(T: GeometricType, code: PeriodicCode, t: int) -> int:
-    """The unique strip of rectangle w_t that maps into rectangle w_{t+1}."""
-    require_symbols(T.n, code.word)
-    i = code.symbol(t)
-    nxt = code.symbol(t + 1)
-    for j in range(1, T.h[i - 1] + 1):
-        if T.xi((i, j)) == nxt:
-            return j
-    raise AdmissibilityError(
-        f"no strip of rectangle {i} maps into rectangle {nxt} (code {code})"
-    )
-
-
-def mismatch_M(T: GeometricType, a: IntervalRef, b: IntervalRef) -> int:
-    """First forward time at which the two shifted codes disagree."""
-    if a.host != b.host:
-        raise ValueError("interval references must share a host rectangle")
-    if a.code.rotate(a.t) == b.code.rotate(b.t):
-        raise ShiftEqualError(f"intervals ({a.t},{a.code}) and ({b.t},{b.code}) are shift-equal")
-    window = lcm(a.code.period, b.code.period)
-    for m in range(1, window + 1):
-        if a.code.symbol(a.t + m) != b.code.symbol(b.t + m):
-            return m
-    raise ShiftEqualError("mismatch search window exceeded; inputs are shift-equal")
-
-
-def interchange_delta(T: GeometricType, a: IntervalRef, b: IntervalRef) -> int:
-    """Sign of the orientation product before the codes diverge; +1 when M = 1."""
-    M = mismatch_M(T, a, b)
-    if M == 1:
-        return 1
-    delta_a = 1
-    delta_b = 1
-    for m in range(M - 1):
-        delta_a *= T.eps_of((a.code.symbol(a.t + m), j_index(T, a.code, a.t + m)))
-        delta_b *= T.eps_of((b.code.symbol(b.t + m), j_index(T, b.code, b.t + m)))
-    if delta_a != delta_b:
-        raise InvariantError("orientation product must not depend on the code")
-    return delta_a
-
-
 def _orbit_keys(
     branches: dict[tuple[int, int], tuple[int, int]], code: PeriodicCode, span: int
 ) -> list[tuple[int, ...]]:
@@ -189,37 +143,6 @@ def _orbit_keys(
     return [(seq if seq[t] > 0 else neg)[t : t + span] for t in range(len(word))]
 
 
-def _kneading_key(
-    branches: dict[tuple[int, int], tuple[int, int]], ref: IntervalRef, span: int
-) -> tuple[int, ...]:
-    """The key of one cut line: its phase's entry of :func:`_orbit_keys`."""
-    return _orbit_keys(branches, ref.code, span)[ref.t]
-
-
-def interval_less(T: GeometricType, a: IntervalRef, b: IntervalRef) -> bool:
-    """Strict vertical order of two cut lines with a common host rectangle.
-
-    The order is the twisted lexicographic (kneading) order of Milnor and
-    Thurston, *On iterated maps of the interval* (1988): ``a`` lies below
-    ``b`` exactly when its :func:`_kneading_key` is smaller.  Up to the
-    mismatch time M of :func:`mismatch_M` both codes run through the same
-    strips, so their keys first differ at index M - 1, where the strips
-    differ and ``interchange_delta`` gives the common sign.  The keys have
-    periods 2p_a and 2p_b, so by Fine and Wilf two distinct ones differ
-    within 2p_a + 2p_b - gcd(2p_a, 2p_b) symbols, and keys of length
-    2(p_a + p_b) decide the order exactly.
-    """
-    if a.host != b.host:
-        raise ValueError("interval references must share a host rectangle")
-    branches = binary_branches(T)
-    span = 2 * (a.code.period + b.code.period)
-    key_a = _kneading_key(branches, a, span)
-    key_b = _kneading_key(branches, b, span)
-    if key_a == key_b:
-        raise ShiftEqualError(f"intervals ({a.t},{a.code}) and ({b.t},{b.code}) are shift-equal")
-    return key_a < key_b
-
-
 @dataclass(frozen=True)
 class OrderTable:
     """Per-rectangle vertical order of the cut lines, sentinels implicit.
@@ -236,20 +159,17 @@ class OrderTable:
     cuts: tuple[tuple[tuple[int, int], ...], ...]
 
     def count(self, i: int) -> int:
-        return len(self.cuts[i - 1])
+        return len(self.refs(i))
 
     def refs(self, i: int) -> tuple[IntervalRef, ...]:
+        if not 1 <= i <= self.n:
+            raise ValueError(f"rectangle {i} is not a rectangle of this table (1..{self.n})")
         return self.entries[i - 1]
-
-    def position(self, ref: IntervalRef) -> int:
-        return self.positions[self.family.index(ref.code)][ref.t]
 
     @cached_property
     def entries(self) -> tuple[tuple[IntervalRef, ...], ...]:
         """The cut lines of every rectangle as interval references."""
-        return tuple(
-            tuple(IntervalRef(t, self.family[f]) for f, t in row) for row in self.cuts
-        )
+        return tuple(tuple(IntervalRef(t, self.family[f]) for f, t in row) for row in self.cuts)
 
     @cached_property
     def positions(self) -> tuple[tuple[int, ...], ...]:
@@ -264,14 +184,21 @@ class OrderTable:
 def build_order(T: GeometricType, W, *, drop_boundary: bool = False) -> OrderTable:
     """Validate a cutting family and sort its cut lines rectangle by rectangle.
 
-    Each cut line is sorted by its :func:`_kneading_key` of length 4P, where
-    P is the longest period in the family; that is the Fine-Wilf length
-    2(p_a + p_b) for every pair, so the sort is exact (see
-    :func:`interval_less`).  The keys of all phases of a code come from one
-    walk of its orbit (:func:`_orbit_keys`).  The family check costs O(sum
-    of periods) past T's branch and gamma tables (O(alpha), once per type
-    object), the keys O(cuts * P) and the sort O(cuts * log cuts)
-    comparisons.
+    The vertical order of two cut lines with a common host rectangle is the
+    twisted lexicographic (kneading) order of Milnor and Thurston, *On
+    iterated maps of the interval* (1988): a line lies below another exactly
+    when its kneading key (:func:`_orbit_keys`) is smaller.  Up to the first
+    time at which the two codes disagree they run through the same strips,
+    so their keys first differ where the strips differ, signed by the common
+    orientation product of the steps before.  The keys have periods 2p_a and
+    2p_b, so by Fine and Wilf two distinct ones differ within 2p_a + 2p_b -
+    gcd(2p_a, 2p_b) symbols, and keys of length 2(p_a + p_b) decide the
+    order exactly.  Every cut is sorted by its key of length 4P, where P is
+    the longest period in the family, which is that length for every pair.
+    The keys of all phases of a code come from one walk of its orbit.  The
+    family check costs O(sum of periods) past T's branch and gamma tables
+    (O(alpha), once per type object), the keys O(cuts * P) and the sort
+    O(cuts * log cuts) comparisons.
     """
     return _sort_cuts(T, cutting_family(T, W, drop_boundary=drop_boundary))
 
@@ -317,10 +244,6 @@ class RefinementResult:
     def _r_index(self) -> dict[tuple[int, int], int]:
         return {label: r for r, label in enumerate(self.label_map, start=1)}
 
-    @cached_property
-    def _family_index(self) -> dict[CodeOrbit, int]:
-        return {w.orbit(): f for f, w in enumerate(self.order.family)}
-
     # -- recoding ------------------------------------------------------------
 
     def recode(self, code: PeriodicCode) -> frozenset[PeriodicCode]:
@@ -337,60 +260,50 @@ class RefinementResult:
                 current = {new for c in current for new in stage.recode(c)}
             return frozenset(current)
         if self.kind == "u":
-            inner = self.stages[0]
-            reversed_out = inner.recode(code.reversed_pointed())
+            reversed_out = self.stages[0].recode(code.reversed_pointed())
             return frozenset(c.reversed_pointed() for c in reversed_out)
         return self._recode_s(code)
 
     def _recode_s(self, code: PeriodicCode) -> frozenset[PeriodicCode]:
+        """Bisect each phase's kneading key into its host's sorted cuts.
+
+        A phase with s - 1 cuts below it lies in band s, or on the cut
+        between bands s and s + 1 when that cut's key is its own; keys of
+        length 2(P + the family's longest period) decide both exactly (see
+        :func:`build_order`).  The two sides of a cut swap at every
+        orientation-reversing step, the sign of symbol t of the phase-0 key
+        being the orientation product of the first t steps, so the walk
+        takes 2P steps when that product over one period is -1.
+        """
         if self.kind != "s" or self.order is None:
             raise InvariantError("only stable results with an order table recode directly")
         branches = binary_branches(self.source)
-        family = self.order.family
-        f = self._family_index.get(code.orbit())
-        if f is not None:
-            # The two flanking rectangle codes swap sides at every
-            # orientation-reversing step, so their period doubles when the
-            # orientation product over one period is -1.  The product over t
-            # steps from the code's phase d is the sign of symbol t of d's key.
-            rep, positions = family[f], self.order.positions[f]
-            P = rep.period
-            d = next(d for d in range(P) if rep.rotate(d) == code)
-            signed = _orbit_keys(branches, rep, 2 * P)[d]
-            signs = [1 if x > 0 else -1 for x in signed]
-            length = P if signs[P] == 1 else 2 * P
-            below: list[int] = []
-            above: list[int] = []
-            for t in range(length):
-                host, pos = rep.word[(d + t) % P], positions[(d + t) % P]
-                low = self.r_of(host, pos)
-                high = self.r_of(host, pos + 1)
-                if signs[t] == 1:
-                    below.append(low)
-                    above.append(high)
-                else:
-                    below.append(high)
-                    above.append(low)
-            return frozenset(
-                {
-                    PeriodicCode(primitive_root(below)),
-                    PeriodicCode(primitive_root(above)),
-                }
-            )
-        # Count the cuts below each phase of the code by bisecting its host's
-        # sorted cuts; the key length covers the code's own period too.
-        span = 2 * (max((w.period for w in family), default=0) + code.period)
+        family, cuts = self.order.family, self.order.cuts
+        P = code.period
+        span = 2 * (max((w.period for w in family), default=0) + P)
 
         @cache
         def keys(f: int) -> list[tuple[int, ...]]:
             return _orbit_keys(branches, family[f], span)
 
-        word: list[int] = []
-        for t, key in enumerate(_orbit_keys(branches, code, span)):
-            i = code.word[t]
-            s = 1 + bisect_left(self.order.cuts[i - 1], key, key=lambda cut: keys(cut[0])[cut[1]])
-            word.append(self.r_of(i, s))
-        return frozenset({PeriodicCode(primitive_root(word))})
+        def cut_key(cut: tuple[int, int]) -> tuple[int, ...]:
+            return keys(cut[0])[cut[1]]
+
+        phases = _orbit_keys(branches, code, span)
+        signs = phases[0]
+        below: list[int] = []
+        above: list[int] = []
+        for t in range(P if signs[P] > 0 else 2 * P):
+            i, key = code.word[t % P], phases[t % P]
+            row = cuts[i - 1]
+            s = 1 + bisect_left(row, key, key=cut_key)
+            low = self.r_of(i, s)
+            high = self.r_of(i, s + 1) if s <= len(row) and cut_key(row[s - 1]) == key else low
+            if signs[t] < 0:
+                low, high = high, low
+            below.append(low)
+            above.append(high)
+        return frozenset({PeriodicCode(primitive_root(below)), PeriodicCode(primitive_root(above))})
 
 
 def s_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementResult:

@@ -167,14 +167,14 @@ def su_labels(T: GeometricType) -> tuple[SULabel, ...]:
 # -- derived facts ---------------------------------------------------------------
 
 
-def record_builds(monkeypatch, name: str, cls: type = GeometricType) -> list[tuple[object, int]]:
+def record_builds(monkeypatch, name: str) -> list[tuple[object, int]]:
     """Record (object, size of the result) at every build of a derived fact
-    of ``cls``, such as ``GeometricType._gamma``.
+    of a type, such as ``GeometricType._gamma``.
 
     The wrapper keeps the member's descriptor kind: a cached member is built
     once per object, and one that is not cached is recorded at every access.
     """
-    member = vars(cls)[name]
+    member = vars(GeometricType)[name]
     cached = isinstance(member, cached_property)
     build = member.func if cached else member.fget
     builds: list[tuple[object, int]] = []
@@ -186,8 +186,8 @@ def record_builds(monkeypatch, name: str, cls: type = GeometricType) -> list[tup
 
     wrapper = type(member)(recording)
     if cached:
-        wrapper.__set_name__(cls, name)
-    monkeypatch.setattr(cls, name, wrapper)
+        wrapper.__set_name__(GeometricType, name)
+    monkeypatch.setattr(GeometricType, name, wrapper)
     return builds
 
 

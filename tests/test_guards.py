@@ -16,7 +16,6 @@ from geotype import (
     InvalidTypeError,
     NonBinaryError,
     PeriodicCode,
-    RefinementResult,
     SULabel,
     VLabel,
     bin_refine,
@@ -138,18 +137,34 @@ def test_wp_refine_validates_each_type_object_at_most_once(monkeypatch):
     assert len({(id(T), unstable) for T, unstable in walks}) == len(walks)
 
 
-def test_recoding_builds_each_stage_family_map_once(monkeypatch):
-    """Recoding every pointed code of period <= 6 through a pipeline builds
-    each stable stage's ``{orbit: family index}`` map once."""
-    builds = record_builds(monkeypatch, "_family_index", RefinementResult)
-    T = make_e2()
-    result = wp_refine(T, 6)
-    codes = [code for o in enumerate_orbits(incidence_matrix(T), 6) for code in o.phases()]
+def test_each_recode_walks_few_family_orbits(monkeypatch):
+    """A recode bisects each phase's kneading key into its host's sorted
+    cuts, so it walks the code itself and the family codes that bisection
+    reads, each once, and never builds keys or a map over the whole family.
+    bin(E1m) cut along every non-boundary orbit of period <= 10; every
+    pointed code of period <= 6 and every phase of 40 family codes."""
+    T = bin_refine(make_e1m()).refined
+    boundary = {c.orbit() for c in per_s_codes(T)}
+    orbits = enumerate_orbits(incidence_matrix(T), 10)
+    family = [o.canonical for o in orbits if o not in boundary]
+    result = s_refine(T, family)
+    assert len(family) == 225 and sum(map(len, result.order.cuts)) == 1965
+    codes = [code for o in orbits if o.period <= 6 for code in o.phases()]
+    codes += [w.rotate(t) for w in family[:40] for t in range(w.period)]
+    walks: list[PeriodicCode] = []
+    real = geotype.refine._orbit_keys
+
+    def counting(branches, code, span):
+        walks.append(code)
+        return real(branches, code, span)
+
+    monkeypatch.setattr(geotype.refine, "_orbit_keys", counting)
+    worst = 0
     for code in codes:
+        walks.clear()
         assert result.recode(code)
-    stable = list(result.stages[:2]) + list(result.stages[2].stages)
-    assert len(codes) == 106 and all(stage.kind == "s" for stage in stable)
-    assert sorted(id(R) for R, _ in builds) == sorted(id(R) for R in stable)
+        worst = max(worst, len(walks))
+    assert 1 < worst < len(family) / 4
 
 
 @pytest.mark.parametrize("path", sorted(SOURCES.glob("*.py")), ids=lambda p: p.name)
@@ -164,7 +179,8 @@ def test_library_imports_only_what_it_uses(path):
     """The unused-import lint, as a test: every imported name is used, except
     in ``__init__`` (the package's API) and in the re-export form
     ``import X as X``.  ``oracle`` imports nothing from the formula engine in
-    ``refine``, so that the two stay independent checks of each other."""
+    ``refine``, so that the two stay independent checks of each other, and
+    no module imports from the test suite or its pairwise reference order."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported: set[str] = set()
     for node in ast.walk(tree):
@@ -175,6 +191,8 @@ def test_library_imports_only_what_it_uses(path):
             targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
         else:
             continue
+        tested = [t for t in targets if {"tests", "reference", "conftest"} & set(t.split("."))]
+        assert tested == [], f"{path.name} imports {tested} at line {node.lineno}"
         if path.name == "oracle.py":
             refine = [t for t in targets if "refine" in t.split(".")]
             assert refine == [], f"oracle.py imports {refine} at line {node.lineno}"
@@ -186,6 +204,14 @@ def test_library_imports_only_what_it_uses(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(imported - used)
     assert unused == [], f"{path.name} imports unused names {unused}"
+
+
+def test_pairwise_reference_order_is_not_exported():
+    """The paper's pairwise formulas live in the tests' reference module."""
+    moved = {"ShiftEqualError", "interchange_delta", "interval_less", "j_index", "mismatch_M"}
+    assert moved.isdisjoint(geotype.__all__)
+    assert all(not hasattr(geotype.refine, name) for name in moved | {"_kneading_key"})
+    assert not hasattr(geotype.OrderTable, "position")
 
 
 def test_s_refine_builds_no_matrix_larger_than_its_source(monkeypatch):

@@ -20,7 +20,6 @@ from geotype import (
     bin_refine,
     enumerate_orbits,
     incidence_matrix,
-    interval_less,
     model_svg,
     oracle_s_refine,
     per_s_codes,
@@ -31,7 +30,7 @@ from geotype import (
 import geotype.oracle
 import geotype.shift
 from geotype.oracle import TieError, _height_keys
-from geotype.shift import AdmissibilityError
+from geotype.shift import AdmissibilityError, primitive_root
 
 from conftest import (
     binary_mixing_corpus,
@@ -40,6 +39,7 @@ from conftest import (
     make_e1m,
     orientation_reversing_bin_types,
 )
+from reference import interval_less
 
 W12 = PeriodicCode((1, 2))
 
@@ -250,6 +250,45 @@ def test_strict_recode_matches_oracle_bands():
                     s = 1 + sum(1 for cy in cut_heights[i] if cy < y)
                     expected.append(result.r_of(i, s))
                 assert code.word == primitive_root(tuple(expected))
+
+
+def test_recoded_cut_codes_match_oracle_flanks():
+    """Each cut code, given at any phase, recodes to the two itineraries
+    that flank its stable line in the affine model: bands p and p + 1 of
+    the host square, where p ranks the line among the square's exact cut
+    heights, trading sides after every strip map that reverses y.  The walk
+    takes two periods, which covers both orientation products."""
+    corpus = binary_mixing_corpus(seed=47, count=5) + orientation_reversing_bin_types(3, 4)
+    checked = swapped = 0
+    for T in corpus:
+        model = realize(T)
+        for family in cutting_families(T)[:3]:
+            result = s_refine(T, family)
+            geometric = oracle_s_refine(T, family)
+            heights = [sorted(y for y, _, _ in bucket) for bucket in geometric.cut_heights]
+            band = {label: r for r, label in enumerate(geometric.label_map, start=1)}
+            for w in family:
+                for d in range(w.period):
+                    code = w.rotate(d)
+                    sides = []  # (band below, band above, slope sign) at each phase
+                    for t in range(code.period):
+                        i, k = code.symbol(t), code.symbol(t + 1)
+                        p = 1 + heights[i - 1].index(periodic_point(model, code, t).y)
+                        a = model.strip_map((i, model.branch(i, k))).a
+                        sides.append((band[(i, p)], band[(i, p + 1)], 1 if a > 0 else -1))
+                    below: list[int] = []
+                    above: list[int] = []
+                    delta = 1  # orientation product of the steps so far
+                    for t in range(2 * code.period):
+                        low, high, sign = sides[t % code.period]
+                        below.append(low if delta == 1 else high)
+                        above.append(high if delta == 1 else low)
+                        delta *= sign
+                    swapped += any(sign == -1 for _, _, sign in sides)
+                    expected = {PeriodicCode(primitive_root(x)) for x in (below, above)}
+                    assert result.recode(code) == expected, (T, family, code)
+                    checked += 1
+    assert checked >= 60 and swapped >= 40
 
 
 def test_oracle_validation_mirrors_engine(e1, e2, e3):

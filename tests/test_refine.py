@@ -19,7 +19,6 @@ from geotype import (
     NonBinaryError,
     PeriodBoundError,
     PeriodicCode,
-    ShiftEqualError,
     alpha,
     bin_refine,
     boundary_sets,
@@ -29,12 +28,8 @@ from geotype import (
     enumerate_orbits,
     has_corner_property,
     incidence_matrix,
-    interchange_delta,
-    interval_less,
     invert,
     is_binary,
-    j_index,
-    mismatch_M,
     per_s_codes,
     per_u_codes,
     s_refine,
@@ -43,7 +38,7 @@ from geotype import (
     validate,
     wp_refine,
 )
-from geotype.refine import InvariantError, OrderTable, _assemble, _kneading_key, _orbit_keys
+from geotype.refine import InvariantError, OrderTable, _assemble, _orbit_keys
 from geotype.shift import AdmissibilityError, binary_branches
 
 from conftest import (
@@ -55,6 +50,15 @@ from conftest import (
     make_e3,
     orientation_reversing_bin_types,
     valid_types,
+)
+from reference import (
+    ShiftEqualError,
+    _kneading_key,
+    interchange_delta,
+    interval_less,
+    j_index,
+    mismatch_M,
+    position,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -244,10 +248,14 @@ def test_orbit_keys_match_per_phase_walk():
 def test_build_order_examples(e2):
     table = build_order(e2, [W12])
     assert table.count(1) == 1 and table.count(2) == 1
-    assert table.position(IntervalRef(0, W12)) == 1
-    assert table.position(IntervalRef(1, W12)) == 1
+    assert position(table, IntervalRef(0, W12)) == 1
+    assert position(table, IntervalRef(1, W12)) == 1
     empty = build_order(e2, [])
     assert empty.count(1) == 0 and empty.count(2) == 0
+    for i in (0, 3):  # outside 1..n: no wrap onto the last rectangle
+        for read in (table.count, table.refs):
+            with pytest.raises(ValueError, match=rf"^rectangle {i} is not a rectangle of this"):
+                read(i)
 
 
 def test_build_order_error_cases(e2):
