@@ -28,8 +28,6 @@ from .shift import (
     EventuallyPeriodicCode,
     PeriodicCode,
     binary_branches,
-    binary_incidence,
-    is_admissible_eventually_periodic,
     primitive_root,
     require_symbols,
 )
@@ -247,9 +245,12 @@ def classify_code(T: GeometricType, code: EventuallyPeriodicCode) -> str:
     are compared through their unique canonical form, so the bounded window
     of one aligned super-period decides equality.
     """
-    A = binary_incidence(T)
-    if not is_admissible_eventually_periodic(A, code):
-        raise AdmissibilityError("code uses transitions forbidden by the incidence matrix")
+    branches = binary_branches(T)
+    for a, b in code.transition_pairs():
+        if not (1 <= a <= T.n and 1 <= b <= T.n):
+            raise AdmissibilityError(f"symbol out of range 1..{T.n}")
+        if (a, b) not in branches:
+            raise AdmissibilityError("code uses transitions forbidden by the incidence matrix")
     is_s = _has_boundary_tail(code, T._gamma)
     is_u = _has_boundary_tail(code.mirror(), invert(T)._gamma)
     if is_s and is_u:

@@ -70,24 +70,28 @@ class AffineModel:
     maps: tuple[StripMap, ...]  # aligned with the lexicographic label order
 
     @cached_property
-    def _branches(self) -> dict[tuple[int, int], list[int]]:
-        """``{(i, k): [j, ...]}``: the strips of square i mapped into square k."""
-        table: dict[tuple[int, int], list[int]] = {}
+    def _branches(self) -> dict[tuple[int, int], list[StripMap]]:
+        """``{(i, k): [map, ...]}``: the maps of the strips of square i into square k."""
+        table: dict[tuple[int, int], list[StripMap]] = {}
         for m in self.maps:
-            table.setdefault((m.source.i, m.target.k), []).append(m.source.j)
+            table.setdefault((m.source.i, m.target.k), []).append(m)
         return table
 
     def strip_map(self, label: tuple[int, int]) -> StripMap:
         return self.maps[self.source.lex_index(label) - 1]
 
-    def branch(self, i: int, target_square: int) -> int:
-        """The unique strip of square i mapped into the target square."""
+    def _branch_map(self, i: int, target_square: int) -> StripMap:
+        """The map of the unique strip of square i into the target square."""
         hits = self._branches.get((i, target_square), [])
         if len(hits) != 1:
             raise AdmissibilityError(
                 f"square {i} has {len(hits)} strips into square {target_square}"
             )
         return hits[0]
+
+    def branch(self, i: int, target_square: int) -> int:
+        """The unique strip of square i mapped into the target square."""
+        return self._branch_map(i, target_square).source.j
 
     def extract_type(self) -> GeometricType:
         """Read (rho, eps) back off the affine data, not off the source type."""
@@ -132,9 +136,7 @@ def _orbit_walk(
     """
     word = code.word
     require_symbols(model.source.n, word)
-    steps = tuple(
-        model.strip_map((i, model.branch(i, k))) for i, k in zip(word, word[1:] + word[:1])
-    )
+    steps = tuple(model._branch_map(i, k) for i, k in zip(word, word[1:] + word[:1]))
     A, B = 1, 0
     for m in steps:
         A, B = m.a * A, m.a * B + m.b

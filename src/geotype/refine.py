@@ -41,8 +41,8 @@ from .shift import (
     CodeOrbit,
     PeriodicCode,
     binary_branches,
-    binary_incidence,
     enumerate_orbits,
+    incidence_matrix,
     primitive_root,
     require_symbols,
 )
@@ -427,14 +427,14 @@ def corner_refine_along(T: GeometricType, W) -> RefinementResult:
 
 def wp_refine(T: GeometricType, P: int) -> RefinementResult:
     """Put every periodic orbit of period <= P on refined rectangle corners."""
-    A = binary_incidence(T)
+    binary_branches(T)
     boundary = boundary_orbits(T)
     if boundary != boundary_orbits(T, unstable=True):
         raise GeoTypeError("bounded-period refinement needs the corner property")
     p_bound = max(orbit.period for orbit in boundary)
     if P < p_bound:
         raise PeriodBoundError(f"P below P_B(T)={p_bound}")
-    orbits = enumerate_orbits(A, P)
+    orbits = enumerate_orbits(incidence_matrix(T), P)
     return corner_refine_along(T, [o.canonical for o in orbits])
 
 

@@ -2,14 +2,16 @@
 Incidence matrices and the symbolic side: admissibility, mixing, periodic
 codes and their shift orbits.
 
-The subshift itself is only ever materialized through finite data: matrices,
-one-period words, and eventually periodic codes (a finite triple of words).
+The subshift itself is only ever materialized through finite data: its
+sparse transition graph, one-period words, and eventually periodic codes (a
+finite triple of words).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Sequence
 
 from .core import GeoTypeError, GeometricType, ParseError, require_valid
@@ -155,46 +157,47 @@ class EventuallyPeriodicCode:
 
 @dataclass(frozen=True)
 class IncidenceMatrix:
-    rows: tuple[tuple[int, ...], ...]
+    """The transition graph: ``succ[i - 1]`` is ``{k: a_ik}`` over the entries
+    a_ik >= 1 of row i, keys in increasing order; every symbolic operation reads it."""
+
+    succ: tuple[dict[int, int], ...]
 
     def __post_init__(self) -> None:
-        n = len(self.rows)
-        if n == 0 or any(len(row) != n for row in self.rows):
-            raise ValueError("incidence matrix must be square and nonempty")
-        if any(x < 0 for row in self.rows for x in row):
-            raise ValueError("incidence entries must be nonnegative")
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
+        succ, n = tuple(dict(sorted(row.items())) for row in self.succ), len(self.succ)
+        if n == 0 or any(not 1 <= k <= n or a < 1 for row in succ for k, a in row.items()):
+            raise ValueError(f"incidence matrix must be nonempty, entries positive, columns 1..{n}")
+        object.__setattr__(self, "succ", succ)
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.succ)
 
-    def entry(self, i: int, k: int) -> int:
-        return self.rows[i - 1][k - 1]
-
-    def successors(self, i: int) -> tuple[int, ...]:
-        return tuple(k for k in range(1, self.n + 1) if self.entry(i, k) >= 1)
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The dense n x n rows, built on first use, for printing."""
+        rows = []
+        for row in self.succ:
+            dense = [0] * self.n
+            for k, a in row.items():
+                dense[k - 1] = a
+            rows.append(tuple(dense))
+        return tuple(rows)
 
     def __str__(self) -> str:
-        return "\n".join(",".join(str(x) for x in row) for row in self.rows)
+        return "\n".join(",".join(map(str, row)) for row in self.rows)
 
 
 def incidence_matrix(T: GeometricType) -> IncidenceMatrix:
     """a_ik = number of horizontal strips of rectangle i mapped into rectangle k."""
     require_valid(T)
-    rows = [[0] * T.n for _ in range(T.n)]
+    succ: list[dict[int, int]] = [{} for _ in range(T.n)]
     for (i, _), (k, _) in zip(T.h_labels(), T.rho):
-        rows[i - 1][k - 1] += 1
-    return IncidenceMatrix(tuple(tuple(row) for row in rows))
+        succ[i - 1][k] = succ[i - 1].get(k, 0) + 1
+    return IncidenceMatrix(tuple(succ))
 
 
 def is_binary(A: IncidenceMatrix) -> bool:
-    return all(x in (0, 1) for row in A.rows for x in row)
-
-
-def require_binary(A: IncidenceMatrix) -> None:
-    if not is_binary(A):
-        raise NonBinaryError("incidence matrix is not binary")
+    return all(a == 1 for row in A.succ for a in row.values())
 
 
 def binary_branches(T: GeometricType) -> dict[tuple[int, int], tuple[int, int]]:
@@ -212,47 +215,34 @@ def binary_branches(T: GeometricType) -> dict[tuple[int, int], tuple[int, int]]:
     return T._branches
 
 
-def binary_incidence(T: GeometricType) -> IncidenceMatrix:
-    """The incidence matrix of T; raises unless T is valid and it is binary."""
-    binary_branches(T)
-    return incidence_matrix(T)
-
-
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    return [
-        [sum(a[i][m] * b[m][k] for m in range(n)) for k in range(n)]
-        for i in range(n)
-    ]
-
-
-def matrix_power(A: IncidenceMatrix, p: int) -> list[list[int]]:
-    n = A.n
-    result = [[1 if i == k else 0 for k in range(n)] for i in range(n)]
-    base = [list(row) for row in A.rows]
-    while p:
-        if p & 1:
-            result = _mat_mul(result, base)
-        base = _mat_mul(base, base)
-        p >>= 1
-    return result
+def _bfs_levels(succ: Sequence[Iterable[int]]) -> list[int]:
+    """BFS distances from vertex 1 over 1-based successor lists; -1 where unreached."""
+    level = [-1] * len(succ)
+    level[0] = 0
+    queue = [1]
+    for i in queue:  # the queue grows while it is read
+        for k in succ[i - 1]:
+            if level[k - 1] < 0:
+                level[k - 1] = level[i - 1] + 1
+                queue.append(k)
+    return level
 
 
 def is_mixing(A: IncidenceMatrix) -> bool:
-    """Primitivity: some power is entrywise positive.
+    """Primitivity: strongly connected with period 1, in O(n + edges).
 
-    Checking powers up to the Wielandt bound n^2 - 2n + 2 is sufficient, so
-    the scan is finite and exact.
+    Strongly connected: a BFS from rectangle 1 reaches every rectangle along
+    the edges and one against them.  The period is then the gcd of level(i)
+    + 1 - level(k) over the edges i -> k, with forward levels (Denardo 1977).
     """
-    n = A.n
-    bound = n * n - 2 * n + 2
-    boolean = [[1 if x else 0 for x in row] for row in A.rows]
-    power = boolean
-    for _ in range(bound):
-        if all(all(x for x in row) for row in power):
-            return True
-        power = [[1 if x else 0 for x in row] for row in _mat_mul(power, boolean)]
-    return False
+    level = _bfs_levels(A.succ)
+    pred: list[list[int]] = [[] for _ in A.succ]
+    for i, row in enumerate(A.succ, start=1):
+        for k in row:
+            pred[k - 1].append(i)
+    if -1 in level or -1 in _bfs_levels(pred):
+        return False
+    return gcd(*(level[i] + 1 - level[k - 1] for i, row in enumerate(A.succ) for k in row)) == 1
 
 
 def require_symbols(n: int, word: tuple[int, ...]) -> None:
@@ -267,14 +257,14 @@ def is_admissible_cycle(A: IncidenceMatrix, word: Sequence[int]) -> bool:
     if not word:
         raise ValueError("word must be nonempty")
     require_symbols(A.n, word)
-    return all(A.entry(word[t], word[(t + 1) % len(word)]) >= 1 for t in range(len(word)))
+    return all(word[(t + 1) % len(word)] in A.succ[word[t] - 1] for t in range(len(word)))
 
 
 def is_admissible_eventually_periodic(A: IncidenceMatrix, code: EventuallyPeriodicCode) -> bool:
     for a, b in code.transition_pairs():
         if not (1 <= a <= A.n and 1 <= b <= A.n):
             raise AdmissibilityError(f"symbol out of range 1..{A.n}")
-        if A.entry(a, b) < 1:
+        if b not in A.succ[a - 1]:
             return False
     return True
 
@@ -288,7 +278,8 @@ def enumerate_orbits(A: IncidenceMatrix, max_period: int) -> tuple[CodeOrbit, ..
     not bounded by the interpreter's recursion limit.  Output is sorted by
     (period, word).
     """
-    require_binary(A)
+    if not is_binary(A):
+        raise NonBinaryError("incidence matrix is not binary")
     if max_period < 0:
         raise ValueError("period bound must be nonnegative")
     found: list[tuple[int, ...]] = []
@@ -296,20 +287,30 @@ def enumerate_orbits(A: IncidenceMatrix, max_period: int) -> tuple[CodeOrbit, ..
     while stack:
         word = stack.pop()
         is_lyndon = all(word < word[k:] + word[:k] for k in range(1, len(word)))
-        if is_lyndon and A.entry(word[-1], word[0]) >= 1:
+        if is_lyndon and word[0] in A.succ[word[-1] - 1]:
             found.append(word)
         if len(word) < max_period:
-            stack.extend(word + (nxt,) for nxt in A.successors(word[-1]) if nxt >= word[0])
+            stack.extend(word + (nxt,) for nxt in A.succ[word[-1] - 1] if nxt >= word[0])
     found.sort(key=lambda w: (len(w), w))
     return tuple(CodeOrbit(PeriodicCode(w)) for w in found)
 
 
 def count_periodic_points(A: IncidenceMatrix, P: int) -> int:
-    """Number of sigma^P-fixed admissible codes: tr(A^P)."""
+    """Number of sigma^P-fixed admissible codes: tr(A^P), the sum over i of
+    entry i of the sparse vector e_i pushed P steps along the successor maps."""
     if P < 1:
         raise ValueError("P must be positive")
-    power = matrix_power(A, P)
-    return sum(power[i][i] for i in range(A.n))
+    total = 0
+    for i in range(1, A.n + 1):
+        walks = {i: 1}
+        for _ in range(P):
+            step: dict[int, int] = {}
+            for k, count in walks.items():
+                for m, a in A.succ[k - 1].items():
+                    step[m] = step.get(m, 0) + count * a
+            walks = step
+        total += walks.get(i, 0)
+    return total
 
 
 # -- code file format -----------------------------------------------------------
@@ -342,13 +343,8 @@ def serialize_codes(codes: Iterable[PeriodicCode]) -> str:
 
 def incidence_dot(A: IncidenceMatrix) -> str:
     """Graphviz digraph of the incidence matrix with edge multiplicities."""
-    lines = ["digraph incidence {"]
-    for i in range(1, A.n + 1):
-        lines.append(f"  {i};")
-    for i in range(1, A.n + 1):
-        for k in range(1, A.n + 1):
-            m = A.entry(i, k)
-            if m >= 1:
-                lines.append(f'  {i} -> {k} [label="{m}"];')
+    lines = ["digraph incidence {"] + [f"  {i};" for i in range(1, A.n + 1)]
+    for i, row in enumerate(A.succ, start=1):
+        lines.extend(f'  {i} -> {k} [label="{m}"];' for k, m in row.items())
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,19 +1,31 @@
-"""The paper's pairwise order of cut lines, kept as the test reference.
+"""Textbook definitions kept as test references; nothing under
+``src/geotype`` imports this module.
 
 The library sorts and recodes cut lines by one kneading key per phase
 (``geotype.refine._orbit_keys``).  The formulas here are the paper's
 pairwise definitions of that order: the strip index ``j_index``, the
 mismatch time ``mismatch_M`` of two shifted codes, the orientation product
 ``interchange_delta`` before it, and the comparison ``interval_less`` built
-on single keys.  Tests check the key sort against them; nothing under
-``src/geotype`` imports this module.
+on single keys.  Tests check the key sort against them.
+
+The library's symbolic side reads a sparse transition graph.  The dense
+matrix arithmetic here is its reference: ``matrix_power``, the trace
+``trace_power`` behind ``count_periodic_points``, and the Wielandt scan
+``wielandt_is_mixing`` behind ``is_mixing``.
 """
 
 from __future__ import annotations
 
 from math import lcm
 
-from geotype import GeoTypeError, GeometricType, IntervalRef, OrderTable, PeriodicCode
+from geotype import (
+    GeoTypeError,
+    GeometricType,
+    IncidenceMatrix,
+    IntervalRef,
+    OrderTable,
+    PeriodicCode,
+)
 from geotype.refine import InvariantError, _orbit_keys
 from geotype.shift import AdmissibilityError, binary_branches, require_symbols
 
@@ -90,3 +102,49 @@ def interval_less(T: GeometricType, a: IntervalRef, b: IntervalRef) -> bool:
 def position(table: OrderTable, ref: IntervalRef) -> int:
     """The table position of a cut line: its rank from the bottom, 1-based."""
     return table.positions[table.family.index(ref.code)][ref.t]
+
+
+# -- dense matrix arithmetic -----------------------------------------------------
+
+
+def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    n = len(a)
+    return [
+        [sum(a[i][m] * b[m][k] for m in range(n)) for k in range(n)]
+        for i in range(n)
+    ]
+
+
+def matrix_power(A: IncidenceMatrix, p: int) -> list[list[int]]:
+    n = A.n
+    result = [[1 if i == k else 0 for k in range(n)] for i in range(n)]
+    base = [list(row) for row in A.rows]
+    while p:
+        if p & 1:
+            result = _mat_mul(result, base)
+        base = _mat_mul(base, base)
+        p >>= 1
+    return result
+
+
+def trace_power(A: IncidenceMatrix, p: int) -> int:
+    """tr(A^p) off the dense power."""
+    power = matrix_power(A, p)
+    return sum(power[i][i] for i in range(A.n))
+
+
+def wielandt_is_mixing(A: IncidenceMatrix) -> bool:
+    """Primitivity: some power is entrywise positive.
+
+    Checking powers up to the Wielandt bound n^2 - 2n + 2 is sufficient, so
+    the scan is finite and exact.
+    """
+    n = A.n
+    bound = n * n - 2 * n + 2
+    boolean = [[1 if x else 0 for x in row] for row in A.rows]
+    power = boolean
+    for _ in range(bound):
+        if all(all(x for x in row) for row in power):
+            return True
+        power = [[1 if x else 0 for x in row] for row in _mat_mul(power, boolean)]
+    return False

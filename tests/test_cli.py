@@ -82,6 +82,18 @@ def test_orbits(capsys, e2_path):
     assert out == "CODE 1\nCODE 2\nCODE 1 2\n"
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["orbits", "E3.gt", "--max-period", "6"], "orbits_E3_6.txt"),
+        (["incidence", "E3.gt"], "E3_incidence.txt"),
+    ],
+)
+def test_symbolic_goldens(capsys, argv, golden):
+    code, out, err = run_cli(capsys, argv[0], str(GOLDEN / argv[1]), *argv[2:])
+    assert (code, out, err) == (0, (GOLDEN / golden).read_text(), "")
+
+
 def test_period_bound_beyond_the_recursion_limit(capsys, tmp_path):
     path = tmp_path / "E0.gt"
     path.write_text(serialize(make_e0()), encoding="utf-8")

@@ -215,11 +215,12 @@ def test_pairwise_reference_order_is_not_exported():
 
 
 def test_s_refine_builds_no_matrix_larger_than_its_source(monkeypatch):
-    """The binary guards read (i, xi) pairs and a family's admissibility is
+    """The binary guards read (i, xi) pairs and a code's admissibility is
     read off the branch table, so refining bin(E1m) along every non-boundary
-    orbit of period <= 8 builds no dense incidence matrix on the stable side,
-    the unstable side or in the oracle.  ``wp_refine`` builds one, the input
-    of ``enumerate_orbits``."""
+    orbit of period <= 8 builds no incidence matrix on the stable side, the
+    unstable side or in the oracle, and neither do ``classify_code`` and
+    ``boundary_report``.  ``wp_refine`` builds a single sparse graph, the
+    input of ``enumerate_orbits``."""
     sizes: list[int] = []
     real_incidence = geotype.shift.incidence_matrix
 
@@ -238,6 +239,8 @@ def test_s_refine_builds_no_matrix_larger_than_its_source(monkeypatch):
     u_boundary = {c.orbit() for c in per_u_codes(T)}
     u_refine(T, [w for w in family if w.orbit() not in u_boundary])
     oracle_s_refine(T, family)
+    classify_code(T, EventuallyPeriodicCode(family[0].word, (), family[0].word))
+    boundary_report(T)
     assert sizes == []
     wp_refine(make_e2(), 6)
     assert sizes == [2]

@@ -10,6 +10,7 @@ from geotype import (
     IncidenceMatrix,
     NonBinaryError,
     PeriodicCode,
+    bin_refine,
     count_periodic_points,
     enumerate_orbits,
     incidence_matrix,
@@ -28,11 +29,21 @@ from geotype.shift import (
 )
 from geotype import ParseError
 
-from conftest import binary_mixing_corpus, random_corpus
+from conftest import (
+    binary_mixing_corpus,
+    make_e0,
+    make_e1,
+    make_e1m,
+    make_e2,
+    make_e3,
+    orientation_reversing_bin_types,
+    random_corpus,
+)
+from reference import matrix_power, trace_power, wielandt_is_mixing
 
 
 def matrix(rows):
-    return IncidenceMatrix(tuple(tuple(r) for r in rows))
+    return IncidenceMatrix(tuple({k: a for k, a in enumerate(r, start=1) if a} for r in rows))
 
 
 def test_incidence_examples(e0, e1, e2):
@@ -79,12 +90,76 @@ def test_is_mixing_wielandt_extremal():
     # 1->2->3->1 plus the chord 3->2: primitive with index exactly n^2-2n+2 = 5
     A = matrix([[0, 1, 0], [0, 0, 1], [1, 1, 0]])
     assert is_mixing(A)
-    from geotype.shift import matrix_power
-
     p4 = matrix_power(A, 4)
     assert any(p4[i][k] == 0 for i in range(3) for k in range(3))
     p5 = matrix_power(A, 5)
     assert all(p5[i][k] > 0 for i in range(3) for k in range(3))
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ([[1, 1], [0, 1]], False),  # forward from 1 reaches 2, backward does not
+        ([[1, 0], [1, 1]], False),  # backward from 1 reaches 2, forward does not
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], False),  # strongly connected, period 3
+        ([[0]], False),  # no edge, so no period
+        ([[2]], True),
+    ],
+)
+def test_is_mixing_hand_cases(rows, expected):
+    """Each non-mixing case fails exactly one condition: forward reach,
+    backward reach or period 1; ``[[2]]`` is the mixing n = 1 case."""
+    assert is_mixing(matrix(rows)) is expected
+    assert wielandt_is_mixing(matrix(rows)) is expected
+
+
+def _small_corpus_types():
+    named = [make_e0(), make_e1(), make_e1m(), make_e2(), make_e3()]
+    types = named + random_corpus(seed=11, count=80, max_n=5, max_hv=4)
+    types += binary_mixing_corpus(seed=12, count=8) + orientation_reversing_bin_types(13, 6)
+    types += [bin_refine(T).refined for T in random_corpus(seed=14, count=40, max_n=5, max_hv=3)]
+    return [T for T in types if T.n <= 12]
+
+
+def test_is_mixing_agrees_with_the_wielandt_scan():
+    verdicts = set()
+    for T in _small_corpus_types():
+        A = incidence_matrix(T)
+        verdicts.add(is_mixing(A))
+        assert is_mixing(A) is wielandt_is_mixing(A), T
+    assert verdicts == {True, False}
+
+
+def test_count_periodic_points_agrees_with_the_dense_trace():
+    types = [make_e1()] + [
+        T for T in random_corpus(seed=15, count=40) if not is_binary(incidence_matrix(T))
+    ]
+    assert len(types) > 10
+    for T in types:
+        A = incidence_matrix(T)
+        for P in range(1, 9):
+            assert count_periodic_points(A, P) == trace_power(A, P)
+    assert count_periodic_points(incidence_matrix(make_e1()), 8) == 2**8
+
+
+def test_symbolic_operations_build_no_dense_rows():
+    for T in binary_mixing_corpus(seed=16, count=6) + [make_e1()]:
+        A = incidence_matrix(T)
+        is_binary(A)
+        is_mixing(A)
+        count_periodic_points(A, 5)
+        if is_binary(A):
+            enumerate_orbits(A, 5)
+        assert "rows" not in vars(A)
+    assert A.rows == ((2,),) and "rows" in vars(A)
+
+
+def test_constructor_rejects_bad_successor_maps():
+    for succ in [(), ({2: 1},), ({0: 1},), ({1: 0},), ({1: -1},)]:
+        with pytest.raises(ValueError):
+            IncidenceMatrix(succ)
+    A = IncidenceMatrix(({2: 1, 1: 3}, {}))
+    assert list(A.succ[0]) == [1, 2] and A.rows == ((3, 1), (0, 0))
 
 
 def test_is_admissible_cycle(e2):
