@@ -14,6 +14,9 @@ object.  :func:`per_s_codes`, :func:`per_u_codes` and :func:`boundary_sets`
 are their all-phase views.  A cutting family must avoid these codes, so its
 check, :func:`cutting_family`, lives here too: it reads the kept orbits,
 and each refinement, ``u_refine`` included, runs it once per call.
+:func:`classify_code` reads them as well: the boundary codes are closed
+under the shift, so a code is an S- or U-leaf exactly when its periodic
+end on that side is a boundary orbit.
 """
 
 from __future__ import annotations
@@ -223,27 +226,17 @@ def cutting_family(
 # -- classification of eventually periodic codes -------------------------------
 
 
-def _tails(middle: tuple[int, ...], cycle: tuple[int, ...]):
-    """Distinct positive tails (as canonical eventually periodic pairs)."""
-    for k in range(len(middle)):
-        yield canonical_eventually_periodic(middle[k:], cycle)
-    for k in range(len(cycle)):
-        yield canonical_eventually_periodic((), cycle[k:] + cycle[:k])
-
-
-def _has_boundary_tail(code: EventuallyPeriodicCode, gamma: list[int]) -> bool:
-    """True iff a positive tail of the code is the code of a slot of the gamma table."""
-    targets = {_orbit_summary(gamma, slot).canonical_tail() for slot in range(len(gamma))}
-    return any(tail in targets for tail in _tails(code.middle, code.right_cycle))
-
-
 def classify_code(T: GeometricType, code: EventuallyPeriodicCode) -> str:
-    """Sort a code into S-leaf / U-leaf / corner-leaf / interior.
+    """Sort a code L^inf M R^inf into S-leaf / U-leaf / corner-leaf / interior.
 
-    A code is an S-leaf when some forward shift has positive part equal to a
-    stable boundary code; mirrored for U-leaves.  Eventually periodic tails
-    are compared through their unique canonical form, so the bounded window
-    of one aligned super-period decides equality.
+    A code is an S-leaf when some forward tail is a stable boundary code,
+    the code of a gamma slot; mirrored, backward, for U-leaves.  Gamma maps
+    each slot's code to its shift, so the set of those codes is
+    shift-invariant and its periodic members are the phases of
+    :func:`boundary_orbits`.  A tail of the code is therefore a boundary
+    code exactly when its periodic end R^inf is one: the code is an S-leaf
+    iff the orbit of R lies in ``boundary_orbits(T)``, and a U-leaf iff
+    the orbit of L lies in ``boundary_orbits(T, unstable=True)``.
     """
     branches = binary_branches(T)
     for a, b in code.transition_pairs():
@@ -251,8 +244,8 @@ def classify_code(T: GeometricType, code: EventuallyPeriodicCode) -> str:
             raise AdmissibilityError(f"symbol out of range 1..{T.n}")
         if (a, b) not in branches:
             raise AdmissibilityError("code uses transitions forbidden by the incidence matrix")
-    is_s = _has_boundary_tail(code, T._gamma)
-    is_u = _has_boundary_tail(code.mirror(), invert(T)._gamma)
+    is_s = CodeOrbit.from_word(primitive_root(code.right_cycle)) in boundary_orbits(T)
+    is_u = CodeOrbit.from_word(primitive_root(code.left_cycle)) in boundary_orbits(T, unstable=True)
     if is_s and is_u:
         return "corner-leaf"
     if is_s:

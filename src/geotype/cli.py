@@ -215,16 +215,11 @@ def main(argv=None) -> int:
     color = os.environ.get("GEOTYPE_COLOR") == "1"
     try:
         return _run(args)
-    except ParseError as exc:
-        name = type(exc).__name__
-        prefix = f"\x1b[31m{name}\x1b[0m" if color else name
-        print(f"{prefix}: {exc}", file=sys.stderr)
-        return 2
     except GeoTypeError as exc:
         name = type(exc).__name__
         prefix = f"\x1b[31m{name}\x1b[0m" if color else name
         print(f"{prefix}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
 
 
 if __name__ == "__main__":

@@ -427,11 +427,9 @@ def corner_refine_along(T: GeometricType, W) -> RefinementResult:
 
 def wp_refine(T: GeometricType, P: int) -> RefinementResult:
     """Put every periodic orbit of period <= P on refined rectangle corners."""
-    binary_branches(T)
-    boundary = boundary_orbits(T)
-    if boundary != boundary_orbits(T, unstable=True):
+    if not has_corner_property(T):
         raise GeoTypeError("bounded-period refinement needs the corner property")
-    p_bound = max(orbit.period for orbit in boundary)
+    p_bound = max(orbit.period for orbit in boundary_orbits(T))
     if P < p_bound:
         raise PeriodBoundError(f"P below P_B(T)={p_bound}")
     orbits = enumerate_orbits(incidence_matrix(T), P)

@@ -4,7 +4,8 @@ codes and their shift orbits.
 
 The subshift itself is only ever materialized through finite data: its
 sparse transition graph, one-period words, and eventually periodic codes (a
-finite triple of words).
+finite triple of words).  No dense matrix is kept: the ``incidence``
+printout writes each row's text from that row's successor map.
 """
 
 from __future__ import annotations
@@ -132,14 +133,6 @@ class EventuallyPeriodicCode:
             if any(s < 1 for s in word):
                 raise ValueError("code symbols must be positive integers")
 
-    def mirror(self) -> "EventuallyPeriodicCode":
-        """Reverse time: position z of the mirror reads position -z."""
-        return EventuallyPeriodicCode(
-            tuple(reversed(self.right_cycle)),
-            tuple(reversed(self.middle)),
-            tuple(reversed(self.left_cycle)),
-        )
-
     def transition_pairs(self) -> list[tuple[int, int]]:
         pairs = []
         L, M, R = self.left_cycle, self.middle, self.right_cycle
@@ -172,19 +165,15 @@ class IncidenceMatrix:
     def n(self) -> int:
         return len(self.succ)
 
-    @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The dense n x n rows, built on first use, for printing."""
-        rows = []
-        for row in self.succ:
-            dense = [0] * self.n
-            for k, a in row.items():
-                dense[k - 1] = a
-            rows.append(tuple(dense))
-        return tuple(rows)
-
     def __str__(self) -> str:
-        return "\n".join(",".join(map(str, row)) for row in self.rows)
+        """The dense n x n rows as text, each written from its successor map."""
+        lines = []
+        for row in self.succ:
+            dense = ["0"] * self.n
+            for k, a in row.items():
+                dense[k - 1] = str(a)
+            lines.append(",".join(dense))
+        return "\n".join(lines)
 
 
 def incidence_matrix(T: GeometricType) -> IncidenceMatrix:

@@ -9,9 +9,15 @@ mismatch time ``mismatch_M`` of two shifted codes, the orientation product
 on single keys.  Tests check the key sort against them.
 
 The library's symbolic side reads a sparse transition graph.  The dense
-matrix arithmetic here is its reference: ``matrix_power``, the trace
-``trace_power`` behind ``count_periodic_points``, and the Wielandt scan
-``wielandt_is_mixing`` behind ``is_mixing``.
+matrix arithmetic here is its reference: the dense view ``dense_rows``,
+``matrix_power``, the trace ``trace_power`` behind
+``count_periodic_points``, and the Wielandt scan ``wielandt_is_mixing``
+behind ``is_mixing``.
+
+The library classifies an eventually periodic code by the orbit of its
+periodic end on each side.  ``tail_scan_classify`` is the definition it is
+tested against: it compares every positive tail of the code, and of its
+time reversal, with the code of every boundary label.
 """
 
 from __future__ import annotations
@@ -19,13 +25,18 @@ from __future__ import annotations
 from math import lcm
 
 from geotype import (
+    EventuallyPeriodicCode,
     GeoTypeError,
     GeometricType,
     IncidenceMatrix,
     IntervalRef,
     OrderTable,
     PeriodicCode,
+    SULabel,
+    s_boundary_positive_code,
+    u_boundary_negative_code,
 )
+from geotype.boundary import canonical_eventually_periodic
 from geotype.refine import InvariantError, _orbit_keys
 from geotype.shift import AdmissibilityError, binary_branches, require_symbols
 
@@ -104,7 +115,66 @@ def position(table: OrderTable, ref: IntervalRef) -> int:
     return table.positions[table.family.index(ref.code)][ref.t]
 
 
+# -- classification by tail scan -------------------------------------------------
+
+
+def _tails(middle: tuple[int, ...], cycle: tuple[int, ...]):
+    """Distinct positive tails (as canonical eventually periodic pairs)."""
+    for k in range(len(middle)):
+        yield canonical_eventually_periodic(middle[k:], cycle)
+    for k in range(len(cycle)):
+        yield canonical_eventually_periodic((), cycle[k:] + cycle[:k])
+
+
+def _has_boundary_tail(middle: tuple[int, ...], cycle: tuple[int, ...], codes) -> bool:
+    """True iff a positive tail of middle + cycle^inf is one of the boundary codes."""
+    targets = {summary.canonical_tail() for summary in codes}
+    return any(tail in targets for tail in _tails(middle, cycle))
+
+
+def tail_scan_classify(T: GeometricType, code: EventuallyPeriodicCode) -> str:
+    """S-leaf / U-leaf / corner-leaf / interior by scanning every tail.
+
+    A code is an S-leaf when some forward tail equals the stable code of a
+    boundary label, and a U-leaf when some backward tail, read in reversed
+    time, equals the unstable code of a boundary label.  Eventually periodic
+    tails are compared through their unique canonical form.  Admissibility
+    is checked pair by pair, with the library's errors.
+    """
+    branches = binary_branches(T)
+    for a, b in code.transition_pairs():
+        if not (1 <= a <= T.n and 1 <= b <= T.n):
+            raise AdmissibilityError(f"symbol out of range 1..{T.n}")
+        if (a, b) not in branches:
+            raise AdmissibilityError("code uses transitions forbidden by the incidence matrix")
+    labels = [SULabel(i, eps) for i in range(1, T.n + 1) for eps in (-1, 1)]
+    is_s = _has_boundary_tail(
+        code.middle, code.right_cycle, (s_boundary_positive_code(T, x) for x in labels)
+    )
+    is_u = _has_boundary_tail(
+        code.middle[::-1], code.left_cycle[::-1], (u_boundary_negative_code(T, x) for x in labels)
+    )
+    if is_s and is_u:
+        return "corner-leaf"
+    if is_s:
+        return "S-leaf"
+    if is_u:
+        return "U-leaf"
+    return "interior"
+
+
 # -- dense matrix arithmetic -----------------------------------------------------
+
+
+def dense_rows(A: IncidenceMatrix) -> tuple[tuple[int, ...], ...]:
+    """The n x n rows of the matrix, zeros included."""
+    rows = []
+    for row in A.succ:
+        dense = [0] * A.n
+        for k, a in row.items():
+            dense[k - 1] = a
+        rows.append(tuple(dense))
+    return tuple(rows)
 
 
 def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -118,7 +188,7 @@ def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 def matrix_power(A: IncidenceMatrix, p: int) -> list[list[int]]:
     n = A.n
     result = [[1 if i == k else 0 for k in range(n)] for i in range(n)]
-    base = [list(row) for row in A.rows]
+    base = [list(row) for row in dense_rows(A)]
     while p:
         if p & 1:
             result = _mat_mul(result, base)
@@ -141,7 +211,7 @@ def wielandt_is_mixing(A: IncidenceMatrix) -> bool:
     """
     n = A.n
     bound = n * n - 2 * n + 2
-    boolean = [[1 if x else 0 for x in row] for row in A.rows]
+    boolean = [[1 if x else 0 for x in row] for row in dense_rows(A)]
     power = boolean
     for _ in range(bound):
         if all(all(x for x in row) for row in power):

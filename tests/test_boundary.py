@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 
@@ -28,18 +30,22 @@ from geotype import (
     upsilon_step,
     wp_refine,
 )
+from geotype import GeoTypeError, boundary
 from geotype.boundary import boundary_report
-from geotype.shift import AdmissibilityError
+from geotype.shift import AdmissibilityError, binary_branches, primitive_root
 
 from conftest import (
     binary_mixing_corpus,
     make_e0,
+    make_e1m,
     make_e2,
+    make_e3,
     orientation_reversing_bin_types,
     record_builds,
     su_labels,
     valid_types,
 )
+from reference import tail_scan_classify
 
 
 def words(codes):
@@ -227,6 +233,78 @@ def test_classify_rejects_inadmissible():
     T = bin_refine(make_e0()).refined
     with pytest.raises(AdmissibilityError):
         classify_code(T, EventuallyPeriodicCode((1,), (2,), (1,)))
+
+
+VERDICTS = {"S-leaf", "U-leaf", "corner-leaf", "interior"}
+
+
+def _classify_types(max_n: int):
+    """E0, E2, E3, bin(E1m) and bin(E3), four more mixing binary types and
+    three orientation-reversing ones, keeping those with n <= max_n."""
+    types = [make_e0(), make_e2(), make_e3(), bin_refine(make_e1m()).refined]
+    types += [bin_refine(make_e3()).refined] + binary_mixing_corpus(seed=35, count=7)[3:]
+    types += orientation_reversing_bin_types(seed=36, count=3)
+    return [T for T in types if T.n <= max_n]
+
+
+def _outcome(classify, T, code):
+    try:
+        return classify(T, code)
+    except GeoTypeError as exc:
+        return type(exc), str(exc)
+
+
+def _compare_with_tail_scan(types, max_cycle: int, max_middle: int) -> list:
+    """Every L^inf M R^inf with admissible cycles L and R of length <= max_cycle
+    and any middle of length <= max_middle: ``classify_code`` must give the
+    tail scan's verdict, or raise its error.  Returns the (code, verdict)
+    pairs of the admissible codes."""
+    seen = []
+    for T in types:
+        branches = binary_branches(T)
+        symbols = range(1, T.n + 1)
+        cycles = [
+            w
+            for k in range(1, max_cycle + 1)
+            for w in product(symbols, repeat=k)
+            if all(step in branches for step in zip(w, w[1:] + w[:1]))
+        ]
+        middles = [w for k in range(max_middle + 1) for w in product(symbols, repeat=k)]
+        for left, middle, right in product(cycles, middles, cycles):
+            code = EventuallyPeriodicCode(left, middle, right)
+            expected = _outcome(tail_scan_classify, T, code)
+            assert _outcome(classify_code, T, code) == expected, (T, code)
+            if expected in VERDICTS:
+                seen.append((code, expected))
+    return seen
+
+
+def _assert_coverage(seen) -> None:
+    assert {verdict for _, verdict in seen} == VERDICTS
+    assert any(
+        code.middle and primitive_root(code.right_cycle) != code.right_cycle and verdict != "interior"
+        for code, verdict in seen
+    )
+
+
+def test_classify_agrees_with_the_tail_scan():
+    _assert_coverage(_compare_with_tail_scan(_classify_types(max_n=4), max_cycle=2, max_middle=1))
+
+
+@pytest.mark.slow
+def test_classify_agrees_with_the_tail_scan_on_longer_codes():
+    _assert_coverage(_compare_with_tail_scan(_classify_types(max_n=8), max_cycle=3, max_middle=2))
+
+
+def test_classify_walks_no_boundary_label(monkeypatch, e3):
+    """Classification reads the kept boundary orbits, not one walk per label."""
+
+    def walk(*args):
+        raise AssertionError("classify_code walked a boundary label")
+
+    monkeypatch.setattr(boundary, "_orbit_summary", walk)
+    assert classify_code(e3, EventuallyPeriodicCode((1,), (2, 4), (4,))) == "corner-leaf"
+    assert classify_code(make_e2(), EventuallyPeriodicCode((1, 2), (), (1, 2))) == "interior"
 
 
 def test_corner_codes_classify_as_corner_leaves():

@@ -126,6 +126,16 @@ def test_classify(capsys, e2_path):
     assert (code, out) == (0, "interior\n")
 
 
+def test_classify_golden(capsys, e2_path):
+    """One spec per verdict; the console-script CI job diffs the same lines."""
+    outs = []
+    for spec in ("1 | 2 | 2", "1 2 | | 2", "1 | | 1 2", "1 2 | | 1 2"):
+        code, out, err = run_cli(capsys, "classify", e2_path, "--code", spec)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert "".join(outs) == (GOLDEN / "classify_E2.txt").read_text()
+
+
 def test_srefine_golden(capsys, e2_path, w12_path):
     code, out, err = run_cli(capsys, "srefine", e2_path, "--codes", w12_path)
     assert code == 0

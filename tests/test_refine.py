@@ -54,6 +54,7 @@ from conftest import (
 from reference import (
     ShiftEqualError,
     _kneading_key,
+    dense_rows,
     interchange_delta,
     interval_less,
     j_index,
@@ -70,7 +71,7 @@ def test_bin_refine_worked_example(e1, e2):
     result = bin_refine(e1)
     assert result.refined == e2
     assert result.label_map == ((1, 1), (1, 2))
-    assert incidence_matrix(result.refined).rows == ((1, 1), (1, 1))
+    assert dense_rows(incidence_matrix(result.refined)) == ((1, 1), (1, 1))
 
 
 def test_bin_refine_fixes_singleton(e0):

@@ -18,6 +18,7 @@ from geotype import (
     is_admissible_cycle,
     is_binary,
     is_mixing,
+    wp_refine,
 )
 from geotype.shift import (
     AdmissibilityError,
@@ -39,7 +40,7 @@ from conftest import (
     orientation_reversing_bin_types,
     random_corpus,
 )
-from reference import matrix_power, trace_power, wielandt_is_mixing
+from reference import dense_rows, matrix_power, trace_power, wielandt_is_mixing
 
 
 def matrix(rows):
@@ -47,21 +48,23 @@ def matrix(rows):
 
 
 def test_incidence_examples(e0, e1, e2):
-    assert incidence_matrix(e1).rows == ((2,),)
-    assert incidence_matrix(e2).rows == ((1, 1), (1, 1))
-    assert incidence_matrix(e0).rows == ((1,),)
+    assert dense_rows(incidence_matrix(e1)) == ((2,),)
+    assert dense_rows(incidence_matrix(e2)) == ((1, 1), (1, 1))
+    assert dense_rows(incidence_matrix(e0)) == ((1,),)
 
 
 def test_incidence_row_col_sums_match_type():
     for T in random_corpus(seed=5, count=30):
         A = incidence_matrix(T)
-        assert tuple(sum(row) for row in A.rows) == T.h
-        assert tuple(sum(col) for col in zip(*A.rows)) == T.v
+        assert tuple(sum(row) for row in dense_rows(A)) == T.h
+        assert tuple(sum(col) for col in zip(*dense_rows(A))) == T.v
 
 
 def test_incidence_of_inverse_is_transpose():
     for T in random_corpus(seed=7, count=30):
-        assert incidence_matrix(invert(T)).rows == tuple(zip(*incidence_matrix(T).rows))
+        assert dense_rows(incidence_matrix(invert(T))) == tuple(
+            zip(*dense_rows(incidence_matrix(T)))
+        )
 
 
 def test_is_binary_examples(e1, e2):
@@ -150,8 +153,16 @@ def test_symbolic_operations_build_no_dense_rows():
         count_periodic_points(A, 5)
         if is_binary(A):
             enumerate_orbits(A, 5)
-        assert "rows" not in vars(A)
-    assert A.rows == ((2,),) and "rows" in vars(A)
+        str(A)
+        assert set(vars(A)) == {"succ"}
+    assert dense_rows(A) == ((2,),)
+
+
+def test_printout_is_the_text_of_the_dense_rows():
+    types = random_corpus(seed=5, count=30) + binary_mixing_corpus(seed=16, count=6)
+    for T in types + [make_e0(), make_e1(), make_e3(), wp_refine(make_e2(), 6).refined]:
+        A = incidence_matrix(T)
+        assert str(A) == "\n".join(",".join(map(str, row)) for row in dense_rows(A))
 
 
 def test_constructor_rejects_bad_successor_maps():
@@ -159,7 +170,7 @@ def test_constructor_rejects_bad_successor_maps():
         with pytest.raises(ValueError):
             IncidenceMatrix(succ)
     A = IncidenceMatrix(({2: 1, 1: 3}, {}))
-    assert list(A.succ[0]) == [1, 2] and A.rows == ((3, 1), (0, 0))
+    assert list(A.succ[0]) == [1, 2] and dense_rows(A) == ((3, 1), (0, 0))
 
 
 def test_is_admissible_cycle(e2):
