@@ -142,7 +142,8 @@ def _run(args: argparse.Namespace) -> int:
         elif args.check == "mixing":
             _emit(f"{'true' if shift.is_mixing(A) else 'false'}\n")
         else:
-            _emit(str(A) + "\n")
+            for row in A._text_rows():
+                _emit(row + "\n")
         return 0
     if cmd == "orbits":
         A = shift.incidence_matrix(_load_type(args.type))

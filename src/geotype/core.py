@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterator, Mapping, NamedTuple
 
 
@@ -123,12 +123,20 @@ class GeometricType:
 
     @cached_property
     def _inverse(self) -> "GeometricType":
-        """Needs a valid type; :func:`invert` checks that first."""
-        offsets = tuple(accumulate(self.v, initial=0))
+        """Needs a valid type; :func:`invert` checks that first.
+
+        The ``VLabel``s are built in C, by ``tuple.__new__``, not one call
+        each.  The inverse keeps no reference back to this type, so the two
+        form no reference cycle.  A refinement along a family that cuts
+        nothing returns its source object, so its inverse, once built, is
+        kept for the next stage as well.
+        """
+        offsets = tuple(accumulate(self.v, initial=-1))
         rho, eps = [(0, 0)] * len(self.rho), [0] * len(self.eps)
-        labels = (VLabel(i, j) for i, h_i in enumerate(self.h, 1) for j in range(1, h_i + 1))
+        pairs = ((i, j) for i, h_i in enumerate(self.h, 1) for j in range(1, h_i + 1))
+        labels = map(tuple.__new__, repeat(VLabel), pairs)
         for label, (k, l), e in zip(labels, self.rho, self.eps):
-            slot = offsets[k - 1] + l - 1  # (k, l)'s lexicographic slot
+            slot = offsets[k - 1] + l  # (k, l)'s lexicographic slot, 0-based
             rho[slot], eps[slot] = label, e
         return GeometricType(self.v, self.h, tuple(rho), tuple(eps))
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import sub
 
@@ -273,23 +273,24 @@ class RefinementResult:
         :func:`build_order`).  The two sides of a cut swap at every
         orientation-reversing step, the sign of symbol t of the phase-0 key
         being the orientation product of the first t steps, so the walk
-        takes 2P steps when that product over one period is -1.
+        takes 2P steps when that product over one period is -1.  The
+        family's keys are kept on the result by (family index, span), so a
+        batch of recodes walks each family code once per span.
         """
         if self.kind != "s" or self.order is None:
             raise InvariantError("only stable results with an order table recode directly")
-        branches = binary_branches(self.source)
         family, cuts = self.order.family, self.order.cuts
         P = code.period
         span = 2 * (max((w.period for w in family), default=0) + P)
 
-        @cache
-        def keys(f: int) -> list[tuple[int, ...]]:
-            return _orbit_keys(branches, family[f], span)
-
         def cut_key(cut: tuple[int, int]) -> tuple[int, ...]:
-            return keys(cut[0])[cut[1]]
+            return self._family_keys(cut[0], span)[cut[1]]
 
-        phases = _orbit_keys(branches, code, span)
+        f = self._family_index.get(code)
+        if f is None:
+            phases = _orbit_keys(binary_branches(self.source), code, span)
+        else:
+            phases = self._family_keys(f, span)
         signs = phases[0]
         below: list[int] = []
         above: list[int] = []
@@ -305,6 +306,23 @@ class RefinementResult:
             above.append(high)
         return frozenset({PeriodicCode(primitive_root(below)), PeriodicCode(primitive_root(above))})
 
+    @cached_property
+    def _family_index(self) -> dict[PeriodicCode, int]:
+        return {code: f for f, code in enumerate(self.order.family)}
+
+    @cached_property
+    def _kept_keys(self) -> dict[tuple[int, int], list[tuple[int, ...]]]:
+        """``{(f, span): keys}``, filled in by :meth:`_family_keys`."""
+        return {}
+
+    def _family_keys(self, f: int, span: int) -> list[tuple[int, ...]]:
+        """The kneading keys of length ``span`` of ``family[f]``, walked once
+        per result, so a batch of recodes walks each (code, span) pair once."""
+        kept = self._kept_keys
+        if (f, span) not in kept:
+            kept[(f, span)] = _orbit_keys(binary_branches(self.source), self.order.family[f], span)
+        return kept[(f, span)]
+
 
 def s_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementResult:
     """Cut each rectangle along the stable lines of all iterates of W.
@@ -314,6 +332,8 @@ def s_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementR
     e = -1, whatever the cuts are.  The refined rho and eps are these whole
     target blocks laid end to end in lexicographic order, and the cut lines
     of rectangle i only split its run of blocks into bands (:func:`_assemble`).
+    A family that cuts nothing (empty once boundary codes are dropped)
+    returns T itself as ``refined``, not an equal copy.
     """
     return _assemble(T, build_order(T, W, drop_boundary=drop_boundary))
 
@@ -327,8 +347,12 @@ def _assemble(T: GeometricType, order: OrderTable) -> RefinementResult:
     when e = -1.  The offsets must strictly increase within a rectangle,
     which also leaves no band, and no piece of a strip, empty.  The blocks'
     ``VLabel``s are built in C, by ``tuple.__new__``, not one call each.
+    An empty family cuts nothing, so the refined type is T itself, with
+    every table already kept on it.
     """
     branches = binary_branches(T)
+    if not order.family:
+        return RefinementResult(T, T, "s", tuple((i, 1) for i in range(1, T.n + 1)), order)
     family, positions = order.family, order.positions
     tops = [len(row) + 1 for row in order.cuts]
     starts = tuple(accumulate(tops, initial=0))  # bands before rectangle k
@@ -376,12 +400,14 @@ def u_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementR
     Code words are reversed before feeding the inverse side, since forward
     time for the inverse is backward time for the original.  The family is
     checked once, on T: reversal keeps it a cutting family of the inverse.
+    A family that cuts nothing returns T itself as ``refined``, not
+    ``invert(invert(T))``, which would be a fresh equal copy.
     """
     family = cutting_family(T, W, unstable=True, drop_boundary=drop_boundary)
     reversed_family = tuple(w.reversed_pointed() for w in family)
     inner = _assemble(invert(T), _sort_cuts(invert(T), reversed_family))
     return RefinementResult(
-        refined=invert(inner.refined),
+        refined=invert(inner.refined) if family else T,
         source=T,
         kind="u",
         label_map=inner.label_map,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import GeoTypeError, GeometricType, ParseError, require_valid
 
@@ -167,13 +167,16 @@ class IncidenceMatrix:
 
     def __str__(self) -> str:
         """The dense n x n rows as text, each written from its successor map."""
-        lines = []
+        return "\n".join(self._text_rows())
+
+    def _text_rows(self) -> Iterator[str]:
+        """The rows of :meth:`__str__` one at a time, so a caller that writes
+        each as it comes holds one dense row, not the whole text."""
         for row in self.succ:
             dense = ["0"] * self.n
             for k, a in row.items():
                 dense[k - 1] = str(a)
-            lines.append(",".join(dense))
-        return "\n".join(lines)
+            yield ",".join(dense)
 
 
 def incidence_matrix(T: GeometricType) -> IncidenceMatrix:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import re
+from dataclasses import replace
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -282,8 +284,9 @@ def test_s_refine_worked_example(e2, e3):
 
 def test_s_refine_empty_family_is_identity(e2):
     result = s_refine(e2, [])
-    assert result.refined == e2
+    assert result.refined is e2
     assert result.label_map == ((1, 1), (2, 1))
+    assert result.order.cuts == ((), ())
 
 
 def test_s_refine_boundary_code_errors(e2):
@@ -433,7 +436,10 @@ def test_u_refine_worked_example(e2):
 
 
 def test_u_refine_empty_family_is_identity(e2):
-    assert u_refine(e2, []).refined == e2
+    result = u_refine(e2, [])
+    assert result.refined is e2
+    assert result.label_map == ((1, 1), (2, 1))
+    assert result.stages[0].refined is invert(e2)
 
 
 def test_u_refine_boundary_code_errors(e2):
@@ -485,7 +491,9 @@ def test_u_refine_duality():
 
 
 def test_corner_refine_fixed_point(e2):
-    assert corner_refine(e2).refined == e2
+    result = corner_refine(e2)
+    assert result.refined is e2
+    assert all(stage.refined is stage.source for stage in result.stages)
 
 
 def test_corner_refine_e3(e3):
@@ -520,6 +528,76 @@ def test_wp_refine_examples(e2):
     assert has_corner_property(result.refined)
     with pytest.raises(PeriodBoundError, match="P below"):
         wp_refine(e2, 0)
+
+
+def test_wp_refine_corner_s_pass_returns_its_source(e2):
+    """Stage 1 cuts only stable lines, so the corner s-pass has an empty
+    family; it returns its source object, and the u-pass starts from it."""
+    result = wp_refine(e2, 6)
+    assert len(result.stages) == 3
+    s_pass, u_pass = result.stages[1:]
+    assert s_pass.refined is s_pass.source is result.stages[0].refined
+    assert u_pass.source is s_pass.refined
+    assert s_pass.label_map == tuple((i, 1) for i in range(1, s_pass.source.n + 1))
+
+
+def test_wp_refine_builds_no_copy_for_its_empty_pass(monkeypatch, e2):
+    """wp_refine(E2, 6) builds five types: invert(E2) for the corner check,
+    stage 1's refined type, and in the u-pass the inverse of its input, the
+    inverse's stable refinement and that refinement's inverse.  A corner
+    s-pass that assembled a copy of its input would add two: the copy and
+    the copy's inverse."""
+    built: list[int] = []
+    real = GeometricType.__post_init__
+
+    def counting(self):
+        real(self)
+        built.append(self.n)
+
+    monkeypatch.setattr(GeometricType, "__post_init__", counting)
+    result = wp_refine(e2, 6)
+    assert len(built) == 5
+    assert built[-1] == result.refined.n == 314
+
+
+def test_wp_pipeline_leaves_no_reference_cycles(e2):
+    """A type, its inverse and the results that chain them free by reference
+    counting alone: a back-reference or a closure cycle left for the cyclic
+    collector would show here before it shows as a latency spike."""
+    from geotype.oracle import oracle_s_refine
+
+    gc.collect()
+    gc.disable()
+    try:
+        result = wp_refine(e2, 6)
+        for stage in result.stages[:2]:
+            oracle_s_refine(stage.source, stage.order.family)
+        result.recode(W12)
+        del result, stage
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_recode_batch_walks_each_code_once_per_span(monkeypatch):
+    """Recoding a batch through one result walks each (code, span) pair
+    once, family codes and recoded codes alike, and gives what a fresh
+    result gives for every code."""
+    T = bin_refine(make_e1m()).refined
+    orbits = enumerate_orbits(incidence_matrix(T), 6)
+    s_orbits = {c.orbit() for c in per_s_codes(T)}
+    result = s_refine(T, [o.canonical for o in orbits if o not in s_orbits])
+    batch = [code for o in orbits for code in sorted(o.phases(), key=lambda c: c.word)]
+    expected = [replace(result).recode(code) for code in batch]
+    walks: list[tuple[PeriodicCode, int]] = []
+
+    def counting(branches, code, span):
+        walks.append((code, span))
+        return _orbit_keys(branches, code, span)
+
+    monkeypatch.setattr(geotype.refine, "_orbit_keys", counting)
+    assert [result.recode(code) for code in batch] == expected
+    assert len(walks) == len(set(walks))
 
 
 def test_wp_refine_recodings_are_boundary(e2):
