@@ -14,8 +14,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, repeat
-from typing import Iterator, Mapping, NamedTuple
+from itertools import accumulate, chain, repeat
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 
 class GeoTypeError(Exception):
@@ -43,6 +43,15 @@ class VLabel(NamedTuple):
 class SULabel(NamedTuple):
     i: int
     eps: int
+
+
+def _lex_pairs(counts: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The pairs (i, j), j = 1..counts[i - 1], in lexicographic order: the one
+    walk of a label sequence, such as T's horizontal labels for ``T.h``.  Two
+    ``chain``s of ``repeat``s and ``range``s zipped in C, no frame per strip."""
+    rows = chain.from_iterable(map(repeat, range(1, len(counts) + 1), counts))
+    strips = chain.from_iterable(map(range, repeat(1), [c + 1 for c in counts]))
+    return zip(rows, strips)
 
 
 @dataclass(frozen=True)
@@ -99,13 +108,12 @@ class GeometricType:
         v = tuple(v)
         rho: list[tuple[int, int]] = []
         eps: list[int] = []
-        for i in range(1, len(h) + 1):
-            for j in range(1, h[i - 1] + 1):
-                if (i, j) not in mapping:
-                    raise ValueError(f"mapping is missing horizontal label ({i},{j})")
-                k, l, e = mapping[(i, j)]
-                rho.append((k, l))
-                eps.append(e)
+        for i, j in _lex_pairs(h):
+            if (i, j) not in mapping:
+                raise ValueError(f"mapping is missing horizontal label ({i},{j})")
+            k, l, e = mapping[(i, j)]
+            rho.append((k, l))
+            eps.append(e)
         if len(mapping) != len(rho):
             raise ValueError("mapping contains labels outside H(T)")
         return cls(h, v, tuple(rho), tuple(eps))
@@ -133,8 +141,7 @@ class GeometricType:
         """
         offsets = tuple(accumulate(self.v, initial=-1))
         rho, eps = [(0, 0)] * len(self.rho), [0] * len(self.eps)
-        pairs = ((i, j) for i, h_i in enumerate(self.h, 1) for j in range(1, h_i + 1))
-        labels = map(tuple.__new__, repeat(VLabel), pairs)
+        labels = map(tuple.__new__, repeat(VLabel), _lex_pairs(self.h))
         for label, (k, l), e in zip(labels, self.rho, self.eps):
             slot = offsets[k - 1] + l  # (k, l)'s lexicographic slot, 0-based
             rho[slot], eps[slot] = label, e
@@ -143,11 +150,7 @@ class GeometricType:
     @cached_property
     def _branches(self) -> dict[tuple[int, int], tuple[int, int]]:
         """``{(i, xi(i, j)): (j, eps(i, j))}``; :func:`shift.binary_branches` checks it."""
-        rows = (i for i, h_i in enumerate(self.h, start=1) for _ in range(h_i))
-        strips = (j for h_i in self.h for j in range(1, h_i + 1))
-        return {
-            (i, k): (j, e) for i, j, (k, _), e in zip(rows, strips, self.rho, self.eps)
-        }
+        return {(i, k): (j, e) for (i, j), (k, _), e in zip(_lex_pairs(self.h), self.rho, self.eps)}
 
     @cached_property
     def _gamma(self) -> list[int]:
@@ -172,14 +175,7 @@ class GeometricType:
         return len(self.h)
 
     def h_labels(self) -> Iterator[HLabel]:
-        for i in range(1, self.n + 1):
-            for j in range(1, self.h[i - 1] + 1):
-                yield HLabel(i, j)
-
-    def v_labels(self) -> Iterator[VLabel]:
-        for k in range(1, self.n + 1):
-            for l in range(1, self.v[k - 1] + 1):
-                yield VLabel(k, l)
+        return map(tuple.__new__, repeat(HLabel), _lex_pairs(self.h))
 
     def lex_index(self, label: tuple[int, int]) -> int:
         """Position of a horizontal label in lexicographic order, 1-based."""
@@ -188,20 +184,11 @@ class GeometricType:
             raise ValueError(f"label ({i},{j}) is not a horizontal label of this type")
         return self._offsets[i - 1] + j
 
-    def rho_of(self, label: tuple[int, int]) -> VLabel:
-        return self.rho[self.lex_index(label) - 1]
-
-    def eps_of(self, label: tuple[int, int]) -> int:
-        return self.eps[self.lex_index(label) - 1]
-
-    def xi(self, label: tuple[int, int]) -> int:
-        """First component of rho: the rectangle the labelled strip maps into."""
-        return self.rho_of(label).k
-
     def phi(self, label: tuple[int, int]) -> tuple[int, int, int]:
-        """(k, l, eps) for a horizontal label."""
-        target = self.rho_of(label)
-        return (target.k, target.l, self.eps_of(label))
+        """The one strip lookup: (k, l, eps(i, j)) for (k, l) = rho(i, j)."""
+        x = self.lex_index(label) - 1
+        k, l = self.rho[x]
+        return (k, l, self.eps[x])
 
 
 @dataclass(frozen=True)
@@ -233,17 +220,18 @@ def _check_invariants(T: GeometricType) -> ValidationReport:
         violations.append(f"v_i < 1 for rectangles {bad_v}")
     if sum(T.h) != sum(T.v):
         violations.append(f"Σh ≠ Σv ({sum(T.h)} ≠ {sum(T.v)})")
-    seen: dict[VLabel, HLabel] = {}
+    seen: dict[VLabel, tuple[int, int]] = {}
     duplicated: list[str] = []
-    for label, target in zip(T.h_labels(), T.rho):
+    for (i, j), target in zip(_lex_pairs(T.h), T.rho):
         if target in seen:
-            duplicated.append(f"rho({seen[target].i},{seen[target].j}) = rho({label.i},{label.j}) = ({target.k},{target.l})")
+            a, b = seen[target]
+            duplicated.append(f"rho({a},{b}) = rho({i},{j}) = ({target.k},{target.l})")
         else:
-            seen[target] = label
+            seen[target] = (i, j)
     if duplicated:
         violations.append("rho not injective: " + "; ".join(duplicated))
     elif len(seen) != sum(T.v):
-        missing = [t for t in T.v_labels() if t not in seen]
+        missing = [VLabel(k, l) for k, l in _lex_pairs(T.v) if (k, l) not in seen]
         violations.append(f"rho not surjective: unreached vertical labels {missing}")
     return ValidationReport(not violations, tuple(violations))
 
@@ -298,10 +286,18 @@ def serialize(T: GeometricType) -> str:
     lines = ["GEOTYPE 1", f"n={T.n}"]
     lines.append("h=" + ",".join(str(x) for x in T.h))
     lines.append("v=" + ",".join(str(x) for x in T.v))
-    for (i, j), (k, l), e in zip(T.h_labels(), T.rho, T.eps):
+    for (i, j), (k, l), e in zip(_lex_pairs(T.h), T.rho, T.eps):
         sign = "+" if e == 1 else "-"
         lines.append(f"map ({i},{j})->({k},{l}) {sign}")
     return "\n".join(lines) + "\n"
+
+
+def _parse_int(digits: str, lineno: int) -> int:
+    """``int(digits)``; a run past the interpreter's digit limit is a ``ParseError``."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"line {lineno}: integer of {len(digits)} digits is too long") from None
 
 
 def _parse_counts(line: str, lineno: int, key: str, n: int) -> tuple[int, ...]:
@@ -337,25 +333,25 @@ def parse(text: str) -> GeometricType:
     m = re.fullmatch(r"n=(\d+)", lines[1])
     if not m:
         raise ParseError("line 2: expected 'n=<positive integer>'")
-    n = int(m.group(1))
+    n = _parse_int(m.group(1), 2)
     if n < 1:
         raise ParseError("line 2: n must be positive")
     h = _parse_counts(lines[2], 3, "h", n)
     v = _parse_counts(lines[3], 4, "v", n)
     alpha_h = sum(h)
+    body = lines[4:]
+    if len(body) != alpha_h:  # before the tables of alpha_h slots are allocated
+        raise ParseError(f"line {len(lines)}: expected {alpha_h} map lines, got {len(body)}")
 
     offsets = tuple(accumulate(h, initial=0))
     rho: list[VLabel | None] = [None] * alpha_h
     eps = [0] * alpha_h
-    body = lines[4:]
-    if len(body) != alpha_h:
-        raise ParseError(f"line {len(lines)}: expected {alpha_h} map lines, got {len(body)}")
     for offset, line in enumerate(body):
         lineno = 5 + offset
         m = _MAP_RE.match(line)
         if not m:
             raise ParseError(f"line {lineno}: malformed map line")
-        i, j, k, l = (int(m.group(g)) for g in range(1, 5))
+        i, j, k, l = (_parse_int(m.group(g), lineno) for g in range(1, 5))
         if not (1 <= i <= n and 1 <= j <= h[i - 1]):
             raise ParseError(f"line {lineno}: horizontal label ({i},{j}) out of range")
         if not (1 <= k <= n and 1 <= l <= v[k - 1]):

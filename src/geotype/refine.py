@@ -19,12 +19,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import sub
+from typing import Sequence
 
 from .core import (
     GeoTypeError,
     GeometricType,
     HLabel,
     VLabel,
+    _lex_pairs,
     invert,
     require_valid,
     serialize,
@@ -69,26 +71,34 @@ def bin_refine(T: GeometricType) -> BinRefinement:
     """Promote horizontal strips to rectangles; the result is always binary.
 
     Rectangle r(i, j) inherits v_i vertical strips and h_k horizontal ones,
-    where (k, l) = rho(i, j).  Orientation decides whether the new strips
-    enumerate the strips of rectangle k bottom-up or top-down; r(k, j0) is
-    the lexicographic position of (k, j0).
+    where (k, l) = rho(i, j).  That is :func:`_blocks` with a cut at every
+    strip edge: every strip is a band, and the block sizes are the refined h.
     """
     require_valid(T)
-    labels = tuple(T.h_labels())
-    h_new: list[int] = []
-    v_new: list[int] = []
-    rho: list[VLabel] = []
-    eps: list[int] = []
-    for (i, _), (k, l), e in zip(labels, T.rho, T.eps):
-        h_k, first = T.h[k - 1], T._offsets[k - 1]
-        v_new.append(T.v[i - 1])
-        h_new.append(h_k)
-        targets = range(first + 1, first + h_k + 1) if e == 1 else range(first + h_k, first, -1)
-        rho.extend(VLabel(target, l) for target in targets)
-        eps.extend([e] * h_k)
-    refined = GeometricType(tuple(h_new), tuple(v_new), tuple(rho), tuple(eps))
+    refined = GeometricType(*_blocks(T, T.h))
     require_valid(refined)
-    return BinRefinement(refined, labels)
+    return BinRefinement(refined, tuple(T.h_labels()))
+
+
+def _blocks(T: GeometricType, tops: Sequence[int]) -> tuple[list[int], tuple, tuple, tuple]:
+    """Block sizes and refined v, rho and eps when rectangle i of T is cut into
+    ``tops[i - 1]`` bands (i, 1), ... bottom-up, numbered lexicographically.
+
+    A band of i keeps v_i.  Strip x maps onto the full height of its target
+    k at position l, so its block of ``sizes[x]`` refined strips is every
+    band of k at l, reversed when e = -1; the blocks run in strip order,
+    their ``VLabel``s built in C by ``tuple.__new__``.
+    """
+    starts = tuple(accumulate(tops, initial=0))  # bands before rectangle k
+    sizes = [tops[k - 1] for k, _ in T.rho]
+    rho: list[VLabel] = []
+    for (k, l), e in zip(T.rho, T.eps):
+        base = starts[k - 1]
+        bands = range(base + 1, starts[k] + 1) if e == 1 else range(starts[k], base, -1)
+        rho.extend(map(tuple.__new__, repeat(VLabel), zip(bands, repeat(l))))
+    eps = tuple(chain.from_iterable(map(repeat, T.eps, sizes)))
+    v = tuple(chain.from_iterable(map(repeat, T.v, tops)))
+    return sizes, v, tuple(rho), eps
 
 
 # -- the interval order engine ---------------------------------------------------
@@ -341,30 +351,23 @@ def s_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementR
 def _assemble(T: GeometricType, order: OrderTable) -> RefinementResult:
     """:func:`s_refine` past the family check and the sort, in O(cuts) steps.
 
-    A cut line of rectangle i lies in the strip j that maps into its
-    successor's rectangle k, at the successor's position p.  Its offset in
-    i's run of blocks is p past the start of j's block, or p before its end
-    when e = -1.  The offsets must strictly increase within a rectangle,
-    which also leaves no band, and no piece of a strip, empty.  The blocks'
-    ``VLabel``s are built in C, by ``tuple.__new__``, not one call each.
+    :func:`_blocks` lays out rho and eps, a rectangle having one band more
+    than cut lines.  A cut line of rectangle i lies in the strip j that maps
+    into its successor's rectangle k, at the successor's position p.  Its
+    offset in i's run of blocks is p past the start of j's block, or p
+    before its end when e = -1.  The offsets must strictly increase within a
+    rectangle, which also leaves no band, and no piece of a strip, empty.
     An empty family cuts nothing, so the refined type is T itself, with
     every table already kept on it.
     """
     branches = binary_branches(T)
-    if not order.family:
-        return RefinementResult(T, T, "s", tuple((i, 1) for i in range(1, T.n + 1)), order)
-    family, positions = order.family, order.positions
     tops = [len(row) + 1 for row in order.cuts]
-    starts = tuple(accumulate(tops, initial=0))  # bands before rectangle k
-    sizes = [tops[k - 1] for k, _ in T.rho]
+    pairs = tuple(_lex_pairs(tops))
+    if not order.family:
+        return RefinementResult(T, T, "s", pairs, order)
+    family, positions = order.family, order.positions
+    sizes, v_new, rho, eps = _blocks(T, tops)
     runs = tuple(accumulate(sizes, initial=0))  # strip x's block starts at runs[x]
-    rho: list[VLabel] = []
-    for (k, l), e in zip(T.rho, T.eps):
-        base = starts[k - 1]
-        bands = range(base + 1, starts[k] + 1) if e == 1 else range(starts[k], base, -1)
-        rho.extend(map(tuple.__new__, repeat(VLabel), zip(bands, repeat(l))))
-    eps = tuple(chain.from_iterable(map(repeat, T.eps, sizes)))
-    pairs = tuple((i, s) for i, top in enumerate(tops, start=1) for s in range(1, top + 1))
 
     h_new: list[int] = []
     for i, row in enumerate(order.cuts, start=1):
@@ -382,8 +385,7 @@ def _assemble(T: GeometricType, order: OrderTable) -> RefinementResult:
             raise InvariantError(f"cut lines of rectangle {i} are out of order")
         h_new.extend(lengths)
 
-    v_new = tuple(T.v[i - 1] for i, _ in pairs)
-    refined = GeometricType(tuple(h_new), v_new, tuple(rho), eps)
+    refined = GeometricType(tuple(h_new), v_new, rho, eps)
     binary_branches(refined)  # postcondition: the refined type is valid and binary
     return RefinementResult(
         refined=refined,

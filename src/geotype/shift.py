@@ -15,7 +15,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-from .core import GeoTypeError, GeometricType, ParseError, require_valid
+from .core import GeoTypeError, GeometricType, ParseError, _lex_pairs, require_valid
 
 
 class NonBinaryError(GeoTypeError):
@@ -183,7 +183,7 @@ def incidence_matrix(T: GeometricType) -> IncidenceMatrix:
     """a_ik = number of horizontal strips of rectangle i mapped into rectangle k."""
     require_valid(T)
     succ: list[dict[int, int]] = [{} for _ in range(T.n)]
-    for (i, _), (k, _) in zip(T.h_labels(), T.rho):
+    for (i, _), (k, _) in zip(_lex_pairs(T.h), T.rho):
         succ[i - 1][k] = succ[i - 1].get(k, 0) + 1
     return IncidenceMatrix(tuple(succ))
 

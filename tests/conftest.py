@@ -88,6 +88,18 @@ def e3() -> GeometricType:
     return make_e3()
 
 
+# Type files that once ended in a traceback, not a ParseError: an h too large
+# to allocate its map slots, and integers longer than the default limit of
+# 4300 digits on int() of a string.  The long runs are built here, so where
+# the interpreter has no such limit the same lines fail a range check.
+_LONG = "1" * 5000
+UNUSABLE_INTEGER_FILES = {
+    "huge-h": "GEOTYPE 1\nn=1\nh=10000000000000000000\nv=1\nmap (1,1)->(1,1) +\n",
+    "long-n": f"GEOTYPE 1\nn={_LONG}\nh=1\nv=1\nmap (1,1)->(1,1) +\n",
+    "long-map-index": f"GEOTYPE 1\nn=1\nh=1\nv=1\nmap ({_LONG},1)->(1,1) +\n",
+}
+
+
 # -- random corpora -------------------------------------------------------------
 
 

@@ -14,6 +14,10 @@ matrix arithmetic here is its reference: the dense view ``dense_rows``,
 ``count_periodic_points``, and the Wielandt scan ``wielandt_is_mixing``
 behind ``is_mixing``.
 
+The library's binary refinement is the stable refinement's block layout
+with a cut at every strip edge.  ``bin_refine_by_strips`` is the paper's
+definition it is tested against, strip by strip.
+
 The library classifies an eventually periodic code by the orbit of its
 periodic end on each side.  ``tail_scan_classify`` is the definition it is
 tested against: it compares every positive tail of the code, and of its
@@ -25,14 +29,17 @@ from __future__ import annotations
 from math import lcm
 
 from geotype import (
+    BinRefinement,
     EventuallyPeriodicCode,
     GeoTypeError,
     GeometricType,
+    HLabel,
     IncidenceMatrix,
     IntervalRef,
     OrderTable,
     PeriodicCode,
     SULabel,
+    VLabel,
     s_boundary_positive_code,
     u_boundary_negative_code,
 )
@@ -45,13 +52,32 @@ class ShiftEqualError(GeoTypeError):
     """Two interval references denote the same shifted code."""
 
 
+def bin_refine_by_strips(T: GeometricType) -> BinRefinement:
+    """The binary refinement, strip by strip: r(i, j) is the rectangle made
+    of strip (i, j), numbered by the lexicographic position of (i, j).  It
+    gets v_i vertical and h_k horizontal strips, where (k, l) = rho(i, j);
+    its strips, read bottom-up, map to position l of r(k, 1), ..., r(k, h_k),
+    in reverse when eps(i, j) = -1."""
+    labels = [HLabel(i, j) for i in range(1, T.n + 1) for j in range(1, T.h[i - 1] + 1)]
+    r = {label: x for x, label in enumerate(labels, start=1)}
+    h, v, rho, eps = [], [], [], []
+    for label in labels:
+        k, l, e = T.phi(label)
+        targets = [r[(k, j)] for j in range(1, T.h[k - 1] + 1)]
+        v.append(T.v[label.i - 1])
+        h.append(len(targets))
+        rho.extend(VLabel(target, l) for target in (targets if e == 1 else targets[::-1]))
+        eps.extend([e] * len(targets))
+    return BinRefinement(GeometricType(tuple(h), tuple(v), tuple(rho), tuple(eps)), tuple(labels))
+
+
 def j_index(T: GeometricType, code: PeriodicCode, t: int) -> int:
     """The unique strip of rectangle w_t that maps into rectangle w_{t+1}."""
     require_symbols(T.n, code.word)
     i = code.symbol(t)
     nxt = code.symbol(t + 1)
     for j in range(1, T.h[i - 1] + 1):
-        if T.xi((i, j)) == nxt:
+        if T.phi((i, j))[0] == nxt:
             return j
     raise AdmissibilityError(
         f"no strip of rectangle {i} maps into rectangle {nxt} (code {code})"
@@ -79,8 +105,8 @@ def interchange_delta(T: GeometricType, a: IntervalRef, b: IntervalRef) -> int:
     delta_a = 1
     delta_b = 1
     for m in range(M - 1):
-        delta_a *= T.eps_of((a.code.symbol(a.t + m), j_index(T, a.code, a.t + m)))
-        delta_b *= T.eps_of((b.code.symbol(b.t + m), j_index(T, b.code, b.t + m)))
+        delta_a *= T.phi((a.code.symbol(a.t + m), j_index(T, a.code, a.t + m)))[2]
+        delta_b *= T.phi((b.code.symbol(b.t + m), j_index(T, b.code, b.t + m)))[2]
     if delta_a != delta_b:
         raise InvariantError("orientation product must not depend on the code")
     return delta_a

@@ -11,7 +11,7 @@ import pytest
 from geotype import serialize
 from geotype.cli import main
 
-from conftest import make_e0
+from conftest import UNUSABLE_INTEGER_FILES, make_e0
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -178,6 +178,11 @@ def test_srefine_drop_boundary_warns(capsys, e2_path, tmp_path):
     assert "dropped 1 boundary code" in err
 
 
+def test_urefine_golden(capsys, e2_path, w12_path):
+    code, out, err = run_cli(capsys, "urefine", e2_path, "--codes", w12_path)
+    assert (code, out, err) == (0, (GOLDEN / "urefine_E2_w12.txt").read_text(), "")
+
+
 def test_urefine(capsys, e2_path, tmp_path):
     codes = tmp_path / "W.codes"
     codes.write_text("CODE 2\n")
@@ -248,6 +253,18 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert err.startswith("ParseError")
     code, _, err = run_cli(capsys, "validate", str(tmp_path / "missing.gt"))
     assert code == 2
+
+
+@pytest.mark.parametrize("name", sorted(UNUSABLE_INTEGER_FILES))
+@pytest.mark.parametrize(
+    "command", [["validate"], ["render", "--format", "dot"]], ids=["validate", "render-dot"]
+)
+def test_unusable_integers_are_parse_errors(capsys, tmp_path, name, command):
+    path = tmp_path / f"{name}.gt"
+    path.write_text(UNUSABLE_INTEGER_FILES[name])
+    code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("ParseError: line ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 NOT_UTF8 = b"\xff\xfeGEOTYPE 1\n"

@@ -22,7 +22,7 @@ from geotype import (
     validate,
 )
 
-from conftest import make_e2, random_corpus, valid_types
+from conftest import UNUSABLE_INTEGER_FILES, make_e2, random_corpus, valid_types
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -40,6 +40,40 @@ def test_validate_reports_count_and_injectivity_violations():
     text = " ".join(report.violations)
     assert "Σh ≠ Σv" in text
     assert "rho not injective" in text
+
+
+@pytest.mark.parametrize(
+    "h, v, rho, eps, violations",
+    [
+        ((0, 2), (1, 1), ((1, 1), (2, 1)), (1, -1), ("h_i < 1 for rectangles [1]",)),
+        ((1, 1), (2, 0), ((1, 1), (1, 2)), (1, 1), ("v_i < 1 for rectangles [2]",)),
+        (
+            (0, 1, 2), (2, 1, 0), ((1, 2), (2, 1), (1, 1)), (1, 1, 1),
+            ("h_i < 1 for rectangles [1]", "v_i < 1 for rectangles [3]"),
+        ),
+        (
+            (2, 1), (1, 1), ((1, 1), (2, 1), (1, 1)), (1, 1, 1),
+            ("Σh ≠ Σv (3 ≠ 2)", "rho not injective: rho(1,1) = rho(2,1) = (1,1)"),
+        ),
+        (
+            (2, 2), (2, 2), ((1, 1), (2, 2), (1, 1), (2, 2)), (1, 1, -1, 1),
+            ("rho not injective: rho(1,1) = rho(2,1) = (1,1); rho(1,2) = rho(2,2) = (2,2)",),
+        ),
+        (
+            (1, 1), (2, 2), ((1, 2), (2, 1)), (1, -1),
+            (
+                "Σh ≠ Σv (2 ≠ 4)",
+                "rho not surjective: unreached vertical labels"
+                " [VLabel(k=1, l=1), VLabel(k=2, l=2)]",
+            ),
+        ),
+    ],
+    ids=["zero-h", "zero-v", "zero-h-and-v", "sums", "not-injective", "not-surjective"],
+)
+def test_validation_report_text(h, v, rho, eps, violations):
+    """The exact messages of the label-by-label scan of an invalid type."""
+    report = validate(GeometricType(h, v, rho, eps))
+    assert (report.ok, report.violations) == (False, violations)
 
 
 def test_validate_bin_refined_type(e1):
@@ -165,6 +199,14 @@ def test_parse_relabelled_map_line_never_leaves_a_label_unmapped():
 def test_parse_rejects_malformed(text, message):
     with pytest.raises(ParseError, match=message):
         parse(text)
+
+
+@pytest.mark.parametrize("name", sorted(UNUSABLE_INTEGER_FILES))
+def test_parse_rejects_unusable_integers(name):
+    """The map-line count is checked before Σh slots are allocated, and an
+    integer too long to convert is a ParseError that names its line."""
+    with pytest.raises(ParseError, match=r"^line [25]: "):
+        parse(UNUSABLE_INTEGER_FILES[name])
 
 
 def test_roundtrip_on_corpus():

@@ -53,7 +53,7 @@ def test_realize_shapes(e0, e1, e1m):
             h_i = T.h[i - 1]
             m = model.strip_map((i, j))
             ends = tuple(m.a * y + m.b for y in (Fraction(j - 1, h_i), Fraction(j, h_i)))
-            assert ends == ((0, 1) if T.eps_of((i, j)) == 1 else (1, 0))
+            assert ends == ((0, 1) if T.phi((i, j))[2] == 1 else (1, 0))
 
 
 def test_reextraction_roundtrip(e0, e1, e2, e1m):

@@ -17,6 +17,7 @@ from geotype import (
     DuplicateOrbitError,
     GeoTypeError,
     GeometricType,
+    HLabel,
     IntervalRef,
     NonBinaryError,
     PeriodBoundError,
@@ -46,16 +47,19 @@ from geotype.shift import AdmissibilityError, binary_branches
 from conftest import (
     binary_mixing_corpus,
     cutting_families,
+    make_e0,
     make_e1,
     make_e1m,
     make_e2,
     make_e3,
     orientation_reversing_bin_types,
+    random_corpus,
     valid_types,
 )
 from reference import (
     ShiftEqualError,
     _kneading_key,
+    bin_refine_by_strips,
     dense_rows,
     interchange_delta,
     interval_less,
@@ -86,6 +90,19 @@ def test_bin_refine_orientation_reversing_branch(e1m):
     assert refined.phi((2, 2)) == (1, 2, -1)
     assert refined.phi((1, 1)) == (1, 1, 1)
     assert refined.phi((1, 2)) == (2, 1, 1)
+
+
+def test_bin_refine_matches_the_strip_by_strip_definition():
+    """The block layout gives the paper's refinement, label map included, on
+    random types, E0-E3 and the n = 314 output of ``wp_refine(E2, 6)``."""
+    types = random_corpus(seed=41, count=60) + [make_e0(), make_e1(), make_e1m(), make_e2()]
+    types += [make_e3(), wp_refine(make_e2(), 6).refined]
+    assert types[-1].n == 314
+    for T in types:
+        result, expected = bin_refine(T), bin_refine_by_strips(T)
+        assert result.refined == expected.refined
+        assert result.label_map == expected.label_map
+        assert all(type(label) is HLabel for label in result.label_map)
 
 
 @settings(max_examples=60)
@@ -231,8 +248,8 @@ def test_orbit_keys_match_per_phase_walk():
             steps: list[tuple[int, int]] = []  # (strip, orientation) of each step
             for t in range(code.period):
                 i, k = code.symbol(t), code.symbol(t + 1)
-                (j,) = [j for j in range(1, T.h[i - 1] + 1) if T.xi((i, j)) == k]
-                steps.append((j, T.eps_of((i, j))))
+                (j,) = [j for j in range(1, T.h[i - 1] + 1) if T.phi((i, j))[0] == k]
+                steps.append((j, T.phi((i, j))[2]))
             delta_t = 1  # orientation product of the steps before phase t
             for t in range(code.period):
                 walk: list[int] = []
