@@ -6,14 +6,12 @@ from .core import (
     HLabel,
     InvalidTypeError,
     ParseError,
-    SULabel,
     VLabel,
     ValidationReport,
     alpha,
     invert,
     parse,
     serialize,
-    theta,
     validate,
 )
 from .shift import (
@@ -35,6 +33,7 @@ from .boundary import (
     BoundaryOrbitSummary,
     BoundarySets,
     DuplicateOrbitError,
+    SULabel,
     boundary_orbits,
     boundary_sets,
     classify_code,
@@ -43,6 +42,7 @@ from .boundary import (
     per_s_codes,
     per_u_codes,
     s_boundary_positive_code,
+    theta,
     u_boundary_negative_code,
     upsilon_step,
 )

@@ -1,30 +1,32 @@
 """
 Boundary labels and their generating functions.
 
-Each rectangle contributes two stable boundary labels (i, -1) for the bottom
-edge and (i, +1) for the top edge.  The stable generating function gamma
-follows the image of those edges one step at a time; iterating it writes
-down the eventually periodic code every boundary edge shadows.  The unstable
-side is the same construction run on the inverse type, read backward.
-Every boundary code comes from one gamma table per side, gamma on the 2n
-integer slots (2(i-1) for (i, -1), 2i-1 for (i, +1)), kept on T and on
-``invert(T)``: label summaries walk it, and :func:`boundary_orbits`, the
-orbit-level entry point, reads off its cycles once per side and type
-object.  :func:`per_s_codes`, :func:`per_u_codes` and :func:`boundary_sets`
-are their all-phase views.  A cutting family must avoid these codes, so its
-check, :func:`cutting_family`, lives here too: it reads the kept orbits,
-and each refinement, ``u_refine`` included, runs it once per call.
-:func:`classify_code` reads them as well: the boundary codes are closed
-under the shift, so a code is an S- or U-leaf exactly when its periodic
-end on that side is a boundary orbit.
+Each rectangle contributes two boundary labels, the ``SULabel``s (i, -1) for
+the bottom edge and (i, +1) for the top edge.  :func:`theta` names the strip
+holding an edge, and one range check rejects every other label.  The stable
+generating function gamma follows the image of those edges one step at a
+time; iterating it writes down the eventually periodic code every boundary
+edge shadows.  The unstable side is the same construction run on the
+inverse type, read backward.  Every boundary code comes from one gamma
+table per side, gamma on the 2n integer slots (2(i-1) for (i, -1), 2i-1
+for (i, +1)), kept on T and on ``invert(T)``: label summaries walk it, and
+:func:`boundary_orbits`, the orbit-level entry point, reads off its cycles
+once per side and type object.  :func:`per_s_codes`, :func:`per_u_codes`
+and :func:`boundary_sets` are their all-phase views.  A cutting family must
+avoid these codes, so its check, :func:`cutting_family`, lives here too: it
+reads the kept orbits, and each refinement, ``u_refine`` included, runs it
+once per call.  :func:`classify_code`, the library's one admissibility check
+of an eventually periodic code, reads them as well: the boundary codes are
+closed under the shift, so a code is an S- or U-leaf exactly when its
+periodic end on that side is a boundary orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import GeoTypeError, GeometricType, invert, require_valid
-from .core import SULabel as SULabel, theta as theta  # re-exported
+from .core import GeoTypeError, GeometricType, HLabel, invert, require_valid
 from .shift import (
     AdmissibilityError,
     CodeOrbit,
@@ -34,6 +36,11 @@ from .shift import (
     primitive_root,
     require_symbols,
 )
+
+
+class SULabel(NamedTuple):
+    i: int
+    eps: int
 
 
 class BoundaryCodeError(GeoTypeError):
@@ -50,6 +57,11 @@ def _slot(T: GeometricType, label: SULabel) -> int:
     if not (1 <= i <= T.n) or eps not in (1, -1):
         raise ValueError(f"invalid boundary label {label}")
     return 2 * i - 1 if eps == 1 else 2 * i - 2
+
+
+def theta(T: GeometricType, label: SULabel) -> HLabel:
+    """Strip holding the boundary edge: bottom edge -> strip 1, top -> strip h_i."""
+    return HLabel(label.i, T.h[label.i - 1] if _slot(T, label) % 2 else 1)
 
 
 def _label(slot: int) -> SULabel:
@@ -76,26 +88,11 @@ class BoundaryOrbitSummary:
     cycle: tuple[int, ...]
     trace: tuple[SULabel, ...]
 
-    def canonical_tail(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return canonical_eventually_periodic(self.preperiod, self.cycle)
-
     def __str__(self) -> str:
         pre = ",".join(str(s) for s in self.preperiod) or "-"
         cyc = ",".join(str(s) for s in self.cycle)
         sign = "+" if self.label.eps == 1 else "-"
         return f"({self.label.i},{sign}) : pre={pre} cyc={cyc}"
-
-
-def canonical_eventually_periodic(
-    pre: tuple[int, ...], cyc: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Unique minimal (preperiod, primitive cycle) representation of pre + cyc^inf."""
-    root = list(primitive_root(cyc))
-    head = list(pre)
-    while head and head[-1] == root[-1]:
-        head.pop()
-        root = [root[-1]] + root[:-1]
-    return tuple(head), tuple(root)
 
 
 def _orbit_summary(gamma: list[int], slot: int) -> BoundaryOrbitSummary:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain, takewhile
 from pathlib import Path
 
 from . import core, boundary, oracle, refine, shift
@@ -32,16 +33,11 @@ def _load_type(path: str) -> GeometricType:
 
 
 def _load_leading_type(path: str) -> GeometricType:
-    """Parse the GEOTYPE block at the head of a type or refinement file."""
+    """Parse the GEOTYPE block at the head of a type or refinement file: its
+    first four lines and the ``map`` lines after them."""
     lines = _read(path).splitlines()
-    if len(lines) < 3 or not lines[2].startswith("h="):
-        raise ParseError(f"{path}: no GEOTYPE block found")
-    try:
-        alpha = sum(int(tok) for tok in lines[2][2:].split(","))
-    except ValueError:
-        raise ParseError(f"{path}: malformed h= line") from None
-    head = lines[: 4 + alpha]
-    return core.parse("\n".join(head) + "\n")
+    maps = takewhile(lambda line: line.startswith("map "), lines[4:])
+    return core.parse("\n".join(chain(lines[:4], maps)) + "\n")
 
 
 def _load_codes(path: str) -> tuple[shift.PeriodicCode, ...]:

@@ -32,8 +32,6 @@ from .core import (
     serialize,
 )
 from .boundary import (
-    BoundaryCodeError as BoundaryCodeError,  # re-exported
-    DuplicateOrbitError as DuplicateOrbitError,  # re-exported
     boundary_orbits,
     cutting_family,
     has_corner_property,

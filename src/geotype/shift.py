@@ -252,15 +252,6 @@ def is_admissible_cycle(A: IncidenceMatrix, word: Sequence[int]) -> bool:
     return all(word[(t + 1) % len(word)] in A.succ[word[t] - 1] for t in range(len(word)))
 
 
-def is_admissible_eventually_periodic(A: IncidenceMatrix, code: EventuallyPeriodicCode) -> bool:
-    for a, b in code.transition_pairs():
-        if not (1 <= a <= A.n and 1 <= b <= A.n):
-            raise AdmissibilityError(f"symbol out of range 1..{A.n}")
-        if b not in A.succ[a - 1]:
-            return False
-    return True
-
-
 def enumerate_orbits(A: IncidenceMatrix, max_period: int) -> tuple[CodeOrbit, ...]:
     """All shift orbits of admissible periodic codes with minimal period <= P.
 

@@ -21,7 +21,9 @@ definition it is tested against, strip by strip.
 The library classifies an eventually periodic code by the orbit of its
 periodic end on each side.  ``tail_scan_classify`` is the definition it is
 tested against: it compares every positive tail of the code, and of its
-time reversal, with the code of every boundary label.
+time reversal, with the code of every boundary label, each in the unique
+minimal form ``canonical_eventually_periodic`` (``canonical_tail`` for a
+boundary label's summary).
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ from geotype import (
     s_boundary_positive_code,
     u_boundary_negative_code,
 )
-from geotype.boundary import canonical_eventually_periodic
+from geotype.boundary import BoundaryOrbitSummary
 from geotype.refine import InvariantError, _orbit_keys
-from geotype.shift import AdmissibilityError, binary_branches, require_symbols
+from geotype.shift import AdmissibilityError, binary_branches, primitive_root, require_symbols
 
 
 class ShiftEqualError(GeoTypeError):
@@ -144,6 +146,23 @@ def position(table: OrderTable, ref: IntervalRef) -> int:
 # -- classification by tail scan -------------------------------------------------
 
 
+def canonical_eventually_periodic(
+    pre: tuple[int, ...], cyc: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Unique minimal (preperiod, primitive cycle) representation of pre + cyc^inf."""
+    root = list(primitive_root(cyc))
+    head = list(pre)
+    while head and head[-1] == root[-1]:
+        head.pop()
+        root = [root[-1]] + root[:-1]
+    return tuple(head), tuple(root)
+
+
+def canonical_tail(summary: BoundaryOrbitSummary) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The canonical form of a boundary label's eventually periodic code."""
+    return canonical_eventually_periodic(summary.preperiod, summary.cycle)
+
+
 def _tails(middle: tuple[int, ...], cycle: tuple[int, ...]):
     """Distinct positive tails (as canonical eventually periodic pairs)."""
     for k in range(len(middle)):
@@ -154,7 +173,7 @@ def _tails(middle: tuple[int, ...], cycle: tuple[int, ...]):
 
 def _has_boundary_tail(middle: tuple[int, ...], cycle: tuple[int, ...], codes) -> bool:
     """True iff a positive tail of middle + cycle^inf is one of the boundary codes."""
-    targets = {summary.canonical_tail() for summary in codes}
+    targets = {canonical_tail(summary) for summary in codes}
     return any(tail in targets for tail in _tails(middle, cycle))
 
 

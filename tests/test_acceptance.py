@@ -45,6 +45,7 @@ from conftest import (
     random_corpus,
     su_labels,
 )
+from reference import canonical_tail
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -127,7 +128,7 @@ def test_criterion_5_generating_function_bounds(random_types, mixing_types):
         for T in mixing_types:
             if T.n < 2:
                 continue
-            tails = {s_boundary_positive_code(T, lab).canonical_tail() for lab in su_labels(T)}
+            tails = {canonical_tail(s_boundary_positive_code(T, lab)) for lab in su_labels(T)}
             assert len(tails) == 2 * T.n
 
 

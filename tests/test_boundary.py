@@ -45,7 +45,7 @@ from conftest import (
     su_labels,
     valid_types,
 )
-from reference import tail_scan_classify
+from reference import canonical_tail, tail_scan_classify
 
 
 def words(codes):
@@ -85,6 +85,8 @@ def test_gamma_slots_agree_with_the_per_label_definition(T):
         trace = s_boundary_positive_code(T, label).trace
         assert trace[0] == label and (trace[1] if len(trace) > 1 else label) == expected
     for bad in (SULabel(0, 1), SULabel(T.n + 1, -1), SULabel(1, 0)):
+        with pytest.raises(ValueError, match="invalid boundary label"):
+            theta(T, bad)
         with pytest.raises(ValueError, match="invalid boundary label"):
             gamma_step(T, bad)
         with pytest.raises(ValueError, match="invalid boundary label"):
@@ -132,12 +134,12 @@ def test_boundary_codes_injective_when_mixing():
     for T in binary_mixing_corpus(seed=25, count=10):
         assert T.n >= 2
         tails = [
-            s_boundary_positive_code(T, label).canonical_tail()
+            canonical_tail(s_boundary_positive_code(T, label))
             for label in su_labels(T)
         ]
         assert len(set(tails)) == 2 * T.n
         tails_u = [
-            u_boundary_negative_code(T, label).canonical_tail()
+            canonical_tail(u_boundary_negative_code(T, label))
             for label in su_labels(T)
         ]
         assert len(set(tails_u)) == 2 * T.n
@@ -145,7 +147,7 @@ def test_boundary_codes_injective_when_mixing():
 
 def test_injectivity_fails_for_degenerate_singleton(e0):
     tails = {
-        s_boundary_positive_code(e0, label).canonical_tail() for label in su_labels(e0)
+        canonical_tail(s_boundary_positive_code(e0, label)) for label in su_labels(e0)
     }
     assert len(tails) == 1
 

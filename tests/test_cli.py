@@ -245,6 +245,40 @@ def test_render_accepts_result_files(capsys, e2_path, w12_path, tmp_path):
     assert dot.startswith("digraph incidence {")
 
 
+def test_render_rejects_a_malformed_type_block(capsys, e2_path, w12_path, tmp_path):
+    """The type block of a result file is its first four lines and the map
+    lines after them, so one map line too few or too many is a parse error."""
+    _, out, _ = run_cli(capsys, "srefine", e2_path, "--codes", w12_path)
+    lines = out.splitlines(keepends=True)
+    alpha = 4 + sum(map(int, lines[2][2:].split(",")))
+    for name, text, lineno in (
+        ("short", lines[: alpha - 1] + lines[alpha:], alpha - 1),
+        ("long", lines[:alpha] + ["map (1,1)->(1,1) +\n"] + lines[alpha:], alpha + 1),
+    ):
+        path = tmp_path / f"{name}.txt"
+        path.write_text("".join(text))
+        code, out, err = run_cli(capsys, "render", str(path), "--format", "dot")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"ParseError: line {lineno}: ") and err.count("\n") == 1
+
+
+HUGE_V = "GEOTYPE 1\nn=1\nh=1\nv=100000000000000000000\nmap (1,1)->(1,1) +\n"
+
+
+def test_a_huge_v_is_an_invalid_type(capsys, tmp_path):
+    """validate reports a v far past alpha in two short lines, and every
+    command that needs a valid type exits 1 with one line on stderr."""
+    path = tmp_path / "huge_v.gt"
+    path.write_text(HUGE_V)
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, err, out.count("\n")) == (1, "", 2) and len(out) < 1024
+    for command in ("alpha", "invert", "incidence", "bin", "codes", "orbits"):
+        options = ["--max-period", "2"] if command == "orbits" else []
+        code, out, err = run_cli(capsys, command, str(path), *options)
+        assert (code, out) == (1, "")
+        assert err.startswith("InvalidTypeError: ") and err.count("\n") == 1 and len(err) < 1024
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.gt"
     bad.write_text("not a geotype\n")

@@ -76,6 +76,27 @@ def test_validation_report_text(h, v, rho, eps, violations):
     assert (report.ok, report.violations) == (False, violations)
 
 
+@pytest.mark.parametrize("extra", [9, 10, 11, 25])
+def test_validation_report_names_at_most_ten_unreached_labels(extra):
+    """Past ten unreached vertical labels the report names the first ten and
+    counts the rest."""
+    T = GeometricType((1, 1), (1, 1 + extra), ((2, 1), (1, 1)), (1, 1))
+    missing = [VLabel(2, l) for l in range(2, 2 + extra)]
+    more = f" and {extra - 10} more" if extra > 10 else ""
+    text = f"rho not surjective: unreached vertical labels {missing[:10]}{more}"
+    assert validate(T).violations == (f"Σh ≠ Σv (2 ≠ {2 + extra})", text)
+
+
+def test_validation_report_of_a_huge_v_is_bounded():
+    """A v far past alpha costs a scan of alpha + 10 labels, not of v."""
+    report = validate(GeometricType((1,), (10**20,), ((1, 1),), (1,)))
+    missing = [VLabel(1, l) for l in range(2, 12)]
+    assert report.violations == (
+        f"Σh ≠ Σv (1 ≠ {10**20})",
+        f"rho not surjective: unreached vertical labels {missing} and {10**20 - 11} more",
+    )
+
+
 def test_validate_bin_refined_type(e1):
     assert validate(bin_refine(e1).refined).ok
 

@@ -214,6 +214,23 @@ def test_pairwise_reference_order_is_not_exported():
     assert not hasattr(geotype.OrderTable, "position")
 
 
+def test_trimmed_names_stay_out_of_the_library():
+    """``classify_code`` is the one admissibility check of an eventually
+    periodic code, the boundary labels live in ``boundary``, and the canonical
+    tail form lives in the tests' reference module."""
+    gone = {
+        geotype.shift: {"is_admissible_eventually_periodic"},
+        geotype.boundary: {"canonical_eventually_periodic"},
+        geotype.refine: {"BoundaryCodeError", "DuplicateOrbitError"},
+        geotype.core: {"SULabel", "theta"},
+    }
+    for module, names in gone.items():
+        assert [name for name in names if hasattr(module, name)] == [], module.__name__
+    assert not hasattr(geotype.BoundaryOrbitSummary, "canonical_tail")
+    assert geotype.SULabel is geotype.boundary.SULabel
+    assert geotype.theta is geotype.boundary.theta
+
+
 def test_s_refine_builds_no_matrix_larger_than_its_source(monkeypatch):
     """The binary guards read (i, xi) pairs and a code's admissibility is
     read off the branch table, so refining bin(E1m) along every non-boundary

@@ -7,10 +7,12 @@ import pytest
 from geotype import (
     CodeOrbit,
     EventuallyPeriodicCode,
+    GeometricType,
     IncidenceMatrix,
     NonBinaryError,
     PeriodicCode,
     bin_refine,
+    classify_code,
     count_periodic_points,
     enumerate_orbits,
     incidence_matrix,
@@ -22,7 +24,6 @@ from geotype import (
 )
 from geotype.shift import (
     AdmissibilityError,
-    is_admissible_eventually_periodic,
     min_rotation,
     parse_codes,
     primitive_root,
@@ -261,12 +262,15 @@ def test_primitive_root():
 
 
 def test_eventually_periodic_admissibility(e2):
-    A = incidence_matrix(e2)
+    """``classify_code`` is the admissibility check of an eventually periodic
+    code: it gives an admissible code a verdict and raises otherwise."""
     corner = EventuallyPeriodicCode((1,), (2,), (2,))
-    assert is_admissible_eventually_periodic(A, corner)
-    B = matrix([[0, 1], [1, 1]])
-    assert not is_admissible_eventually_periodic(B, EventuallyPeriodicCode((1,), (), (1,)))
-    assert is_admissible_eventually_periodic(B, EventuallyPeriodicCode((1, 2), (), (2,)))
+    assert classify_code(e2, corner) == "corner-leaf"
+    B = GeometricType((1, 2), (1, 2), ((2, 1), (1, 1), (2, 2)), (1, 1, 1))
+    assert dense_rows(incidence_matrix(B)) == ((0, 1), (1, 1))
+    with pytest.raises(AdmissibilityError, match="forbidden by the incidence matrix"):
+        classify_code(B, EventuallyPeriodicCode((1,), (), (1,)))
+    assert classify_code(B, EventuallyPeriodicCode((1, 2), (), (2,))) == "corner-leaf"
 
 
 def test_code_file_roundtrip():
