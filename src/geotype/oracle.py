@@ -4,9 +4,12 @@ Exact-rational piecewise-affine realization of a geometric type.
 Every rectangle becomes the unit square; horizontal strip j of square i is
 [0,1] x [(j-1)/h_i, j/h_i] and is sent onto vertical strip l of square k by
 an affine map that contracts horizontally by 1/v_k, expands vertically by
-h_i, and flips vertically exactly when eps = -1.  All arithmetic is exact:
-heights are ``fractions.Fraction`` values and band edges are reduced integer
-pairs (num, den).
+h_i, and flips vertically exactly when eps = -1.  All arithmetic is exact
+and on integers: a strip map is held as integers, and cut heights and band
+edges are reduced integer pairs (num, den).  ``fractions.Fraction`` values
+are made only where a caller reads them: the point of
+:func:`periodic_point`, ``OracleRefinement.cut_heights``, the views
+``StripMap.c``, ``d`` and ``apply_x``, and the SVG's cut lines.
 
 The module recomputes stable-boundary refinements geometrically (cut heights
 as fixed points, sorted by an exact integer key; each strip's edges and cut
@@ -46,22 +49,31 @@ class StripMap:
     """Affine map of one horizontal strip onto one vertical strip.
 
     Vertical part y' = ay + b with integers a = eps * h_i and b = -(j - 1)
-    (eps = +1) or j (eps = -1); horizontal part x' = x / v_k + (l - 1) / v_k.
+    (eps = +1) or j (eps = -1); horizontal part x' = (x + l - 1) / v with
+    the integer v = v_k and l = ``target.l``.  ``c`` = 1/v and ``d`` =
+    (l - 1)/v are its coefficients as ``Fraction``s.
     """
 
     source: HLabel
     target: VLabel
     a: int
     b: int
-    c: Fraction
-    d: Fraction
+    v: int
 
     @property
     def eps(self) -> int:
         return 1 if self.a > 0 else -1
 
+    @property
+    def c(self) -> Fraction:
+        return Fraction(1, self.v)
+
+    @property
+    def d(self) -> Fraction:
+        return Fraction(self.target.l - 1, self.v)
+
     def apply_x(self, x: Fraction) -> Fraction:
-        return self.c * x + self.d
+        return (x + self.target.l - 1) / self.v
 
 
 @dataclass(frozen=True)
@@ -111,19 +123,16 @@ class AffineModel:
 def realize(T: GeometricType) -> AffineModel:
     require_valid(T)
     maps: list[StripMap] = []
-    for label, (k, l), e in zip(T.h_labels(), T.rho, T.eps):
+    for label, target, e in zip(T.h_labels(), T.rho, T.eps):
         h_i = T.h[label.i - 1]
-        v_k = T.v[k - 1]
-        a, b = (h_i, -(label.j - 1)) if e == 1 else (-h_i, label.j)
-        maps.append(
-            StripMap(label, VLabel(k, l), a, b, Fraction(1, v_k), Fraction(l - 1, v_k))
-        )
+        a, b = (h_i, 1 - label.j) if e == 1 else (-h_i, label.j)
+        maps.append(StripMap(label, target, a, b, T.v[target.k - 1]))
     return AffineModel(T, tuple(maps))
 
 
 def _orbit_walk(
     model: AffineModel, code: PeriodicCode
-) -> tuple[tuple[StripMap, ...], tuple[Fraction, ...]]:
+) -> tuple[tuple[StripMap, ...], tuple[tuple[int, int], ...]]:
     """The strip maps and cut heights of ``code``'s orbit, phase by phase.
 
     Every phase's height comes from one fixed point: y_0 = B / (1 - A) of
@@ -132,7 +141,8 @@ def _orbit_walk(
     strip (i_t, j_t) and that it returns to y_0.  The slope A is the same
     at every phase, so a height is undetermined (A = 1, B = 0) or missing
     (A = 1, B != 0) at every phase alike.  All heights share the
-    denominator |1 - A|, so the walk runs on integer numerators.
+    denominator |1 - A|, so the walk runs on integer numerators, and each
+    height is returned as a reduced pair (num, den).
     """
     word = code.word
     require_symbols(model.source.n, word)
@@ -146,14 +156,15 @@ def _orbit_walk(
         raise GeoTypeError("vertical holonomy has no fixed point")
     den, num = (1 - A, B) if A < 1 else (A - 1, -B)
     start = num
-    heights: list[Fraction] = []
+    heights: list[tuple[int, int]] = []
     for m in steps:
         i, j = m.source.i, m.source.j
         # (j - 1) / h_i <= num / den <= j / h_i, with den > 0
         h_i = model.source.h[i - 1]
         if not (j - 1) * den <= num * h_i <= j * den:
             raise GeoTypeError(f"cut height {Fraction(num, den)} escapes strip ({i},{j})")
-        heights.append(Fraction(num, den))
+        g = gcd(num, den)
+        heights.append((num // g, den // g))
         num = m.a * num + m.b * den
     if num != start:
         raise GeoTypeError("cut height is not periodic under the strip maps")
@@ -169,34 +180,43 @@ def periodic_point(model: AffineModel, code: PeriodicCode, phase: int = 0) -> Ra
     (no vertical expansion along the cycle) or has no fixed point.  The
     x-coordinate is the fixed point D / (1 - C) of the phase's composed
     horizontal map x -> Cx + D, or the midpoint 1/2 when the horizontal
-    direction is everywhere rigid (C = 1).
+    direction is everywhere rigid (C = 1).  The composed map is held as
+    x -> (x + N) / M in integers, so C = 1/M and the fixed point is N / (M - 1).
     """
     steps, heights = _orbit_walk(model, code)
     t = phase % code.period
-    C, D = Fraction(1), Fraction(0)
+    N, M = 0, 1
     for m in steps[t:] + steps[:t]:
-        C, D = m.c * C, m.c * D + m.d
-    x = D / (1 - C) if C != 1 else Fraction(1, 2)
-    return RationalPoint(code.symbol(t), x, heights[t])
+        N, M = N + (m.target.l - 1) * M, m.v * M
+    x = Fraction(N, M - 1) if M != 1 else Fraction(1, 2)
+    return RationalPoint(code.symbol(t), x, Fraction(*heights[t]))
 
 
 @dataclass(frozen=True)
 class OracleRefinement:
+    """The refined type, its label map and each square's cut lines from the
+    bottom up, kept as (height, phase, code) with the height a reduced pair
+    (num, den); ``cut_heights`` makes the heights ``Fraction``s on first read."""
+
     refined: GeometricType
     label_map: tuple[tuple[int, int], ...]
-    cut_heights: tuple[tuple[tuple[Fraction, int, PeriodicCode], ...], ...]
+    _cuts: tuple[tuple[tuple[tuple[int, int], int, PeriodicCode], ...], ...]
+
+    @cached_property
+    def cut_heights(self) -> tuple[tuple[tuple[Fraction, int, PeriodicCode], ...], ...]:
+        return tuple(tuple((Fraction(*y), t, code) for y, t, code in row) for row in self._cuts)
 
 
-def _height_keys(heights: list[Fraction]) -> list[int]:
-    """Exact integer sort keys floor(y * 2^K) of heights in [0, 1].
+def _height_keys(heights: list[tuple[int, int]]) -> list[int]:
+    """Exact integer sort keys floor(y * 2^K) of heights y = num / den in [0, 1].
 
     K = 2B + 1, where B is the largest denominator bit length.  Two distinct
     heights a/q_1 and b/q_2 differ by at least 1/(q_1 q_2) > 2^-2B, more
     than two steps of 2^-K, so the keys keep their order strictly, and equal
     keys mean equal heights.
     """
-    K = 2 * max((y.denominator.bit_length() for y in heights), default=0) + 1
-    return [(y.numerator << K) // y.denominator for y in heights]
+    K = 2 * max(den.bit_length() for _, den in heights) + 1
+    return [(num << K) // den for num, den in heights]
 
 
 def _grid_point(m: StripMap, num: int, den: int) -> tuple[int, int]:
@@ -211,25 +231,28 @@ def oracle_s_refine(T: GeometricType, W) -> OracleRefinement:
 
     Cut heights come from one fixed point and one checked walk per orbit
     (the walk behind :func:`periodic_point`) and are sorted by an exact
-    integer key (:func:`_height_keys`).  Each square's marks, 0, its cut
-    heights and 1, form a cut grid of reduced integer pairs (num, den).  The
-    strips of each square are walked upward, and each strip's bottom edge,
-    the cut heights inside it and its top edge are pushed once through its
-    strip map, on integers, and looked up on the target square's grid.  The
-    map is monotone, so the images must strictly increase (a > 0) or
-    decrease (a < 0).  The strip's refined strips are the sweep between the
-    images of its edges, in preimage order, and a band's length sums the
-    steps between images until the next cut closes it.
+    integer key (:func:`_height_keys`); a square with no cut heights skips
+    the sort.  Each square's marks, 0, its cut heights and 1, form a cut
+    grid of reduced integer pairs (num, den).  The strips of each square
+    are walked upward, and each strip's bottom edge, the cut heights inside
+    it and its top edge are pushed once through its strip map, on integers,
+    and looked up on the target square's grid.  The map is monotone, so the
+    images must strictly increase (a > 0) or decrease (a < 0).  The strip's
+    refined strips are the sweep between the images of its edges, in
+    preimage order, and a band's length sums the steps between images until
+    the next cut closes it.
     """
     family = cutting_family(T, W)
     model = realize(T)
 
-    cuts: list[list[tuple[Fraction, int, PeriodicCode]]] = [[] for _ in range(T.n)]
+    cuts: list[list[tuple[tuple[int, int], int, PeriodicCode]]] = [[] for _ in range(T.n)]
     for code in family:
         _, heights = _orbit_walk(model, code)
         for t, y in enumerate(heights):
             cuts[code.symbol(t) - 1].append((y, t, code))
     for i, bucket in enumerate(cuts, start=1):
+        if not bucket:
+            continue
         keys = _height_keys([y for y, _, _ in bucket])
         ranked = sorted(zip(keys, bucket), key=lambda pair: pair[0])
         if any(a[0] == b[0] for a, b in zip(ranked, ranked[1:])):
@@ -237,8 +260,7 @@ def oracle_s_refine(T: GeometricType, W) -> OracleRefinement:
         bucket[:] = [item for _, item in ranked]
 
     marks: list[list[tuple[int, int]]] = [
-        [(0, 1)] + [(y.numerator, y.denominator) for y, _, _ in bucket] + [(1, 1)]
-        for bucket in cuts
+        [(0, 1)] + [y for y, _, _ in bucket] + [(1, 1)] for bucket in cuts
     ]
     grid: list[dict[tuple[int, int], int]] = [
         {mark: pos for pos, mark in enumerate(row)} for row in marks
@@ -310,7 +332,7 @@ def model_svg(T: GeometricType, W=()) -> str:
         orbit_id = ".".join(str(sym) for sym in min_rotation(code.word))
         _, heights = _orbit_walk(model, code)
         for t, y in enumerate(heights):
-            cut_rows[code.symbol(t) - 1].append((y, f"({t},{orbit_id})"))
+            cut_rows[code.symbol(t) - 1].append((Fraction(*y), f"({t},{orbit_id})"))
     for i in range(1, T.n + 1):
         x0 = gap + (i - 1) * (side + gap)
         y0 = 30.0

@@ -228,6 +228,14 @@ def test_render_svg(capsys, e2_path, w12_path):
     assert out.startswith("<svg") and "(0,1.2)" in out
 
 
+def test_render_svg_golden(capsys, e2_path, w12_path):
+    """The SVG of E2 with the cut lines of W12, byte for byte: its red lines
+    sit at the exact cut heights 2/3 and 1/3 of the orbit walk."""
+    code, out, _ = run_cli(capsys, "render", e2_path, "--format", "svg", "--codes", w12_path)
+    assert code == 0
+    assert out == (GOLDEN / "E2_w12.svg").read_text()
+
+
 def test_render_svg_rejects_a_symbol_above_n(capsys, e2_path, tmp_path):
     codes = tmp_path / "W.codes"
     codes.write_text("CODE 3 1\n")

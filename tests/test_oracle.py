@@ -18,6 +18,8 @@ from geotype import (
     NonBinaryError,
     PeriodicCode,
     bin_refine,
+    corner_refine,
+    corner_refine_along,
     enumerate_orbits,
     incidence_matrix,
     model_svg,
@@ -26,6 +28,7 @@ from geotype import (
     periodic_point,
     realize,
     s_refine,
+    wp_refine,
 )
 import geotype.oracle
 import geotype.shift
@@ -37,6 +40,7 @@ from conftest import (
     cutting_families,
     make_e0,
     make_e1m,
+    make_e2,
     orientation_reversing_bin_types,
 )
 from reference import interval_less
@@ -118,6 +122,115 @@ def test_orbit_walk_heights_are_the_phase_fixed_points():
                 assert (x, y) == (point.x, point.y)
                 periods.add(code.period)
     assert periods == {1, 2, 3, 4, 5, 6}
+
+
+def _fraction_point(T, code, t):
+    """The phase-t periodic point of ``code`` in ``Fraction`` arithmetic, read
+    straight off T: the strip (i, j) of the step from i to k, with rho(i, j)
+    = (k, l) and sign e, acts by x -> x / v_k + (l - 1) / v_k and y -> h_i y
+    - (j - 1), or 1 minus that when e = -1.  The point is the fixed point of
+    the period's composed maps x -> Cx + D and y -> Ay + B, x = 1/2 when C = 1."""
+    C, D, A, B = Fraction(1), Fraction(0), Fraction(1), Fraction(0)
+    for m in range(t, t + code.period):
+        i, k = code.symbol(m), code.symbol(m + 1)
+        j = next(j for j in range(1, T.h[i - 1] + 1) if T.phi((i, j))[0] == k)
+        _, l, e = T.phi((i, j))
+        c, d = Fraction(1, T.v[k - 1]), Fraction(l - 1, T.v[k - 1])
+        a, b = (T.h[i - 1], 1 - j) if e == 1 else (-T.h[i - 1], j)
+        C, D, A, B = c * C, c * D + d, a * A, a * B + b
+    x = D / (1 - C) if C != 1 else Fraction(1, 2)
+    return code.symbol(t), x, B / (1 - A)
+
+
+def test_fraction_views_equal_the_fraction_formulas():
+    """The strip maps hold integers; their ``Fraction`` views c = 1/v_k and d
+    = (l - 1)/v_k, ``apply_x`` and every ``periodic_point`` equal the same
+    quantities computed in ``Fraction``s from T, along every non-boundary
+    orbit of period <= 5."""
+    types = binary_mixing_corpus(seed=73, count=5) + orientation_reversing_bin_types(79, 3)
+    points = 0
+    for T in types:
+        model = realize(T)
+        for (i, j), m in zip(T.h_labels(), model.maps):
+            k, l, _ = T.phi((i, j))
+            v_k = T.v[k - 1]
+            assert (m.c, m.d) == (Fraction(1, v_k), Fraction(l - 1, v_k))
+            assert m.apply_x(Fraction(1, 3)) == Fraction(1, 3) / v_k + Fraction(l - 1, v_k)
+        boundary = {c.orbit() for c in per_s_codes(T)}
+        for orbit in enumerate_orbits(incidence_matrix(T), 5):
+            if orbit in boundary:
+                continue
+            code = orbit.canonical
+            for t in range(code.period):
+                point = periodic_point(model, code, t)
+                assert (point.square, point.x, point.y) == _fraction_point(T, code, t)
+                assert type(point.x) is type(point.y) is Fraction
+                points += 1
+    assert points >= 200
+
+
+def test_oracle_makes_no_fraction_until_cut_heights_are_read(monkeypatch):
+    """``realize`` and ``oracle_s_refine`` run on integers: on both stable
+    stages' inputs of ``wp_refine(E2, 6)`` they construct no ``Fraction``.
+    Reading ``cut_heights`` then makes exactly one per cut line."""
+    result = wp_refine(make_e2(), 6)
+    made: list[tuple] = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args):
+            made.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(geotype.oracle, "Fraction", CountingFraction)
+    counts = []
+    for stage in result.stages[:2]:
+        made.clear()
+        realize(stage.source)
+        oracle = oracle_s_refine(stage.source, stage.order.family)
+        assert made == []
+        heights = [y for row in oracle.cut_heights for y, _, _ in row]
+        assert all(type(y) is CountingFraction for y in heights)
+        counts.append((len(made), len(heights)))
+    lines = sum(code.period for code in result.stages[0].order.family)
+    assert lines > 0 and counts == [(lines, lines), (0, 0)]
+
+
+def _check_stable_stages(result) -> tuple[int, int]:
+    """Every stage of kind 's' equals ``oracle_s_refine`` on the stage's
+    source and checked family, in refined type and label map.  Returns the
+    number of stages checked and how many of them cut something."""
+    checked = cutting = 0
+    for stage in result.stages:
+        if stage.kind != "s":
+            continue
+        oracle = oracle_s_refine(stage.source, stage.order.family)
+        assert oracle.refined == stage.refined
+        assert oracle.label_map == stage.label_map
+        checked += 1
+        cutting += bool(stage.order.family)
+    return checked, cutting
+
+
+def test_pipeline_stable_stages_equal_the_oracle():
+    """The oracle checks the pipelines' stable stages: every s-stage of
+    ``wp_refine(E2, P)`` for P = 2..8 (up to n = 1412), and of
+    ``corner_refine`` and ``corner_refine_along`` on a seeded corpus.  The
+    u-stages are not checked here: that needs an unstable-side oracle
+    (``oracle_u_refine``), which the library does not have yet."""
+    E2 = make_e2()
+    for P in range(2, 9):
+        assert _check_stable_stages(wp_refine(E2, P)) == (2, 1), P
+    checked = cutting = 0
+    types = binary_mixing_corpus(seed=59, count=6) + orientation_reversing_bin_types(61, 3)
+    for T in types:
+        corner = corner_refine(T)
+        for run in [corner] + [
+            corner_refine_along(corner.refined, family)
+            for family in cutting_families(corner.refined)[:4]
+        ]:
+            done, cut = _check_stable_stages(run)
+            checked, cutting = checked + done, cutting + cut
+    assert checked >= 80 and cutting >= 35
 
 
 def _reference_pieces(model, marks, i, lo, hi):
@@ -345,7 +458,7 @@ def test_height_keys_order_exactly_as_fractions(heights):
     for y in heights:
         n = _farey_neighbour(y)
         assert 0 <= n <= 1 and abs(n - y) == Fraction(1, y.denominator * n.denominator)
-    keys = _height_keys(heights)
+    keys = _height_keys([(y.numerator, y.denominator) for y in heights])
     for (y, key_y), (z, key_z) in product(zip(heights, keys), repeat=2):
         assert (key_y < key_z) == (y < z)
         assert (key_y == key_z) == (y == z)
@@ -357,7 +470,7 @@ def test_equal_heights_in_one_square_raise_tie_error(e2, monkeypatch):
 
     def flattened(model, code):
         steps, heights = walk(model, code)
-        return steps, tuple(Fraction(1, 2) for _ in heights)
+        return steps, tuple((1, 2) for _ in heights)
 
     monkeypatch.setattr(geotype.oracle, "_orbit_walk", flattened)
     with pytest.raises(TieError, match="exact tie between distinct cut lines in square 1"):

@@ -3,8 +3,9 @@
 Seeded mixing binary refinements with up to 8 rectangles, refined along
 every non-boundary orbit of period <= P for P = 1..8, and along a random
 subfamily at random phases in random order; and bin(E1m) along every
-non-boundary orbit of period <= 12 (746 orbits, refined n = 8033).  The
-suite is marked ``slow`` and deselected by default; run it with
+non-boundary orbit of period <= 12 (746 orbits, refined n = 8033); and the
+two stable stages of ``wp_refine(E2, 12)``.  The suite is marked ``slow``
+and deselected by default; run it with
 ``PYTHONPATH=src python -m pytest -q -m slow``.
 """
 
@@ -23,9 +24,10 @@ from geotype import (
     oracle_s_refine,
     per_s_codes,
     s_refine,
+    wp_refine,
 )
 
-from conftest import make_e1m, random_valid_type
+from conftest import make_e1m, make_e2, random_valid_type
 
 pytestmark = pytest.mark.slow
 
@@ -84,3 +86,17 @@ def test_s_refine_equals_oracle_on_long_periods():
     assert (len(family), engine.refined.n) == (746, 8033)
     assert engine.refined == oracle.refined
     assert engine.label_map == oracle.label_map
+
+
+def test_wp_refine_stable_stages_equal_oracle():
+    """Both s-stages of ``wp_refine(E2, 12)``: stage 1 cuts E2 along 8030
+    lines, and the corner s-pass runs on the n = 8032 result with an empty
+    family.  The u-stage needs an unstable-side oracle (``oracle_u_refine``),
+    which the library does not have yet."""
+    result = wp_refine(make_e2(), 12)
+    stages = [stage for stage in result.stages if stage.kind == "s"]
+    assert [stage.source.n for stage in stages] == [2, 8032]
+    for stage in stages:
+        oracle = oracle_s_refine(stage.source, stage.order.family)
+        assert oracle.refined == stage.refined
+        assert oracle.label_map == stage.label_map
