@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import GeoTypeError, GeometricType, HLabel, invert, require_valid
+from .core import GeoTypeError, GeometricType, HLabel, _branch_keys, invert, require_valid
 from .shift import (
     AdmissibilityError,
     CodeOrbit,
@@ -189,9 +189,11 @@ def cutting_family(
 ) -> tuple[PeriodicCode, ...]:
     """The codes of W checked as a stable (or unstable) cutting family of T.
 
-    Code by code, in order: every symbol lies in 1..n, every step
-    (w_t, w_{t+1}), wrap included, is a key of :func:`shift.binary_branches`,
-    no earlier code shares its orbit, and it is not an s-boundary (u-boundary
+    Code by code, in order: every symbol lies in 1..n, the key of every
+    step (w_t, w_{t+1}), wrap included, is in the branch table of
+    :func:`shift.binary_branches` (looked up only once the symbols are in
+    range, since an out-of-range symbol can alias a valid key), no earlier
+    code shares its orbit, and it is not an s-boundary (u-boundary
     when ``unstable``) code.  A boundary code is skipped when
     ``drop_boundary`` is set and raises ``BoundaryCodeError`` otherwise.
     Costs O(alpha + sum of periods).
@@ -205,7 +207,7 @@ def cutting_family(
             code = PeriodicCode(tuple(code))
         word = code.word
         require_symbols(T.n, word)
-        if any(step not in branches for step in zip(word, word[1:] + word[:1])):
+        if not all(map(branches.__contains__, _branch_keys(T.n, word, word[1:] + word[:1]))):
             raise AdmissibilityError(f"code {code} is not admissible for this type")
         orbit = code.orbit()
         if orbit in seen:
@@ -233,13 +235,15 @@ def classify_code(T: GeometricType, code: EventuallyPeriodicCode) -> str:
     :func:`boundary_orbits`.  A tail of the code is therefore a boundary
     code exactly when its periodic end R^inf is one: the code is an S-leaf
     iff the orbit of R lies in ``boundary_orbits(T)``, and a U-leaf iff
-    the orbit of L lies in ``boundary_orbits(T, unstable=True)``.
+    the orbit of L lies in ``boundary_orbits(T, unstable=True)``.  Each
+    transition pair is range-checked before its branch-table lookup.
     """
     branches = binary_branches(T)
-    for a, b in code.transition_pairs():
+    rows, targets = zip(*code.transition_pairs())
+    for a, b, key in zip(rows, targets, _branch_keys(T.n, rows, targets)):
         if not (1 <= a <= T.n and 1 <= b <= T.n):
             raise AdmissibilityError(f"symbol out of range 1..{T.n}")
-        if (a, b) not in branches:
+        if key not in branches:
             raise AdmissibilityError("code uses transitions forbidden by the incidence matrix")
     is_s = CodeOrbit.from_word(primitive_root(code.right_cycle)) in boundary_orbits(T)
     is_u = CodeOrbit.from_word(primitive_root(code.left_cycle)) in boundary_orbits(T, unstable=True)

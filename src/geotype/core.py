@@ -12,10 +12,12 @@ strip and l = 1 the leftmost strip.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from itertools import accumulate, chain, cycle, islice, repeat
+from operator import add, mul, sub
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class GeoTypeError(Exception):
@@ -40,21 +42,71 @@ class VLabel(NamedTuple):
     l: int
 
 
-def _lex_pairs(counts: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """The pairs (i, j), j = 1..counts[i - 1], in lexicographic order: the one
-    walk of a label sequence, such as T's horizontal labels for ``T.h``.  Two
-    ``chain``s of ``repeat``s and ``range``s zipped in C, no frame per strip."""
+def _lex_columns(counts: Sequence[int]) -> tuple[Iterator[int], Iterator[int]]:
+    """The i and the j column of the pairs (i, j), j = 1..counts[i - 1], in
+    lexicographic order: the one walk of a label sequence, such as T's
+    horizontal labels for ``T.h``.  Each is a ``chain`` of ``repeat``s or
+    ``range``s, run in C with no frame per strip."""
     rows = chain.from_iterable(map(repeat, range(1, len(counts) + 1), counts))
     strips = chain.from_iterable(map(range, repeat(1), [c + 1 for c in counts]))
-    return zip(rows, strips)
+    return rows, strips
 
 
-@dataclass(frozen=True)
+def _lex_pairs(counts: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The pairs of :func:`_lex_columns`."""
+    return zip(*_lex_columns(counts))
+
+
+def _slot_bases(v: Sequence[int]) -> tuple[int, ...]:
+    """``bases[k]`` = v_1 + ... + v_{k-1} - 1, so (k, l) has the 0-based
+    vertical slot bases[k] + l (``bases[0]`` is unused)."""
+    return (0, *accumulate(v, initial=-1))
+
+
+def _rect_column(v: Sequence[int], slots: Sequence[int]) -> list[int]:
+    """The rectangle k of each vertical slot.
+
+    When there are as many slots as vertical labels, as for the strips of a
+    valid type (Σv = alpha), k is read off a table of the Σv slots'
+    rectangles.  Otherwise each slot is bisected into the offsets
+    v_1 + ... + v_{k-1}, so that no table is sized by a Σv past alpha.
+    """
+    if sum(v) == len(slots):
+        table = tuple(chain.from_iterable(map(repeat, range(1, len(v) + 1), v)))
+        return list(map(table.__getitem__, slots))
+    return list(map(bisect_right, repeat(tuple(accumulate(v, initial=0))), slots))
+
+
+def _targets(v: Sequence[int], slots: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The vertical label (k, l) of each slot, in slot-column order."""
+    ks = _rect_column(v, slots)
+    return zip(ks, map(sub, slots, map(_slot_bases(v).__getitem__, ks)))
+
+
+def _branch_keys(n: int, rows: Iterable[int], targets: Iterable[int]) -> Iterator[int]:
+    """The branch-table key i * (n + 1) + k of each step (i, k) of
+    ``zip(rows, targets)``: the one layout of :attr:`GeometricType._branches`.
+
+    Keys are distinct only for 1 <= k <= n: (1, n + 2) has the key of
+    (2, 1), so every reader range-checks a word's symbols before a lookup.
+    """
+    return map(add, map(mul, rows, repeat(n + 1)), targets)
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class GeometricType:
     """Immutable geometric type.
 
-    ``rho`` and ``eps`` are stored aligned with the lexicographic order of the
-    horizontal labels, so two structurally equal types compare equal.
+    ``GeometricType(h, v, rho, eps)`` takes rho as (k, l) pairs, lists or
+    ``VLabel``s and eps as signs, aligned with the lexicographic order of
+    the horizontal labels.  It stores each strip's target as one integer
+    next to its sign: the target's 0-based vertical slot, v_1 + ... +
+    v_{k-1} + l - 1, so that rho is a permutation of the alpha slots of a
+    valid type.  ``rho`` is a view, the tuple of ``VLabel``s built from the
+    slots on first read, or the tuple given to the constructor when it
+    holds ``VLabel``s.  ``==`` and ``hash`` read h, v, the slots and eps,
+    so two structurally equal types compare equal however they were built,
+    and ``repr`` shows rho as ``VLabel``s.
 
     Facts derived from the fields (validation report, lexicographic offsets,
     inverse type, branch table, gamma table over the 2n boundary slots, each
@@ -64,29 +116,59 @@ class GeometricType:
 
     h: tuple[int, ...]
     v: tuple[int, ...]
-    rho: tuple[VLabel, ...]
+    _slots: tuple[int, ...]
     eps: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        for name in ("h", "v", "eps"):
-            if type(getattr(self, name)) is not tuple:
-                object.__setattr__(self, name, tuple(getattr(self, name)))
-        n = len(self.h)
-        if n == 0 or len(self.v) != n:
+    def __init__(
+        self,
+        h: Sequence[int],
+        v: Sequence[int],
+        rho: Sequence[Sequence[int]],
+        eps: Sequence[int],
+    ) -> None:
+        h, v, eps = (x if type(x) is tuple else tuple(x) for x in (h, v, eps))
+        n = len(h)
+        if n == 0 or len(v) != n:
             raise ValueError("h and v must be nonempty lists of equal length")
-        if any(x < 0 for x in self.h) or any(x < 0 for x in self.v):
+        if any(x < 0 for x in h) or any(x < 0 for x in v):
             raise ValueError("sub-rectangle counts must be nonnegative")
-        alpha = sum(self.h)
-        if len(self.rho) != alpha or len(self.eps) != alpha:
+        alpha = sum(h)
+        if len(rho) != alpha or len(eps) != alpha:
             raise ValueError("rho and eps must have one entry per horizontal label")
-        for k, l in self.rho:
-            if not (1 <= k <= n and 1 <= l <= self.v[k - 1]):
-                part = "vertical position" if 1 <= k <= n else "rectangle index"
-                raise ValueError(f"rho target {VLabel(k, l)}: {part} out of range")
-        if not set(self.eps) <= {1, -1}:
+        counts, bases = (0, *v), _slot_bases(v)
+        slots = tuple([bases[k] + l if 0 < k <= n and 0 < l <= counts[k] else -1 for k, l in rho])
+        if -1 in slots:  # the first target out of range
+            k, l = rho[slots.index(-1)]
+            part = "vertical position" if 1 <= k <= n else "rectangle index"
+            raise ValueError(f"rho target {VLabel(k, l)}: {part} out of range")
+        if not set(eps) <= {1, -1}:
             raise ValueError("eps entries must be +1 or -1")
-        if type(self.rho) is not tuple or set(map(type, self.rho)) - {VLabel}:
-            object.__setattr__(self, "rho", tuple(VLabel(*t) for t in self.rho))
+        self._store(h, v, slots, eps)
+        if type(rho) is tuple and not set(map(type, rho)) - {VLabel}:
+            self.__dict__["rho"] = rho
+
+    @classmethod
+    def _from_slots(
+        cls, h: tuple[int, ...], v: tuple[int, ...], slots: tuple[int, ...], eps: tuple[int, ...]
+    ) -> "GeometricType":
+        """The constructor of the library's refinements, inverse and parser:
+        tuples of counts, slots and signs as stored, already in range;
+        validity is left to :func:`validate`."""
+        T = object.__new__(cls)
+        T._store(h, v, slots, eps)
+        return T
+
+    def _store(self, h: tuple, v: tuple, slots: tuple, eps: tuple) -> None:
+        """Set the four fields: the last step of every construction."""
+        self.__dict__.update(h=h, v=v, _slots=slots, eps=eps)
+
+    def __repr__(self) -> str:
+        return f"GeometricType(h={self.h!r}, v={self.v!r}, rho={self.rho!r}, eps={self.eps!r})"
+
+    @cached_property
+    def rho(self) -> tuple[VLabel, ...]:
+        """rho(i, j) for each horizontal label in lexicographic order, as ``VLabel``s."""
+        return tuple(map(tuple.__new__, repeat(VLabel), _targets(self.v, self._slots)))
 
     # -- construction helpers -------------------------------------------------
 
@@ -128,35 +210,42 @@ class GeometricType:
     def _inverse(self) -> "GeometricType":
         """Needs a valid type; :func:`invert` checks that first.
 
-        The ``VLabel``s are built in C, by ``tuple.__new__``, not one call
-        each.  The inverse keeps no reference back to this type, so the two
-        form no reference cycle.  A refinement along a family that cuts
-        nothing returns its source object, so its inverse, once built, is
-        kept for the next stage as well.
+        The slots of a valid type are a permutation of 0..alpha-1, and the
+        inverse's slot column is the inverse permutation: its strip s, T's
+        vertical label of slot s, maps to T's strip x with slot s, which is
+        the inverse's vertical slot x.  One pass writes it, and each eps
+        value is permuted along.  The inverse keeps no reference back to
+        this type, so the two form no reference cycle.  A refinement along a
+        family that cuts nothing returns its source object, so its inverse,
+        once built, is kept for the next stage as well.
         """
-        offsets = tuple(accumulate(self.v, initial=-1))
-        rho, eps = [(0, 0)] * len(self.rho), [0] * len(self.eps)
-        labels = map(tuple.__new__, repeat(VLabel), _lex_pairs(self.h))
-        for label, (k, l), e in zip(labels, self.rho, self.eps):
-            slot = offsets[k - 1] + l  # (k, l)'s lexicographic slot, 0-based
-            rho[slot], eps[slot] = label, e
-        return GeometricType(self.v, self.h, tuple(rho), tuple(eps))
+        inverse = [0] * len(self._slots)
+        for x, slot in enumerate(self._slots):
+            inverse[slot] = x
+        return GeometricType._from_slots(
+            self.v, self.h, tuple(inverse), tuple(map(self.eps.__getitem__, inverse))
+        )
 
     @cached_property
-    def _branches(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """``{(i, xi(i, j)): (j, eps(i, j))}``; :func:`shift.binary_branches` checks it."""
-        return {(i, k): (j, e) for (i, j), (k, _), e in zip(_lex_pairs(self.h), self.rho, self.eps)}
+    def _branches(self) -> dict[int, int]:
+        """The branch table ``{i * (n + 1) + k: eps(i, j) * j}`` with k the
+        rectangle of rho(i, j), keyed by :func:`_branch_keys` and built in C
+        with no tuple per strip; :func:`shift.binary_branches` checks it."""
+        rows, strips = _lex_columns(self.h)
+        keys = _branch_keys(self.n, rows, _rect_column(self.v, self._slots))
+        return dict(zip(keys, map(mul, self.eps, strips)))
 
     @cached_property
     def _gamma(self) -> list[int]:
         """gamma on the 2n boundary slots, 2(i-1) for (i, -1) and 2i-1 for (i, +1),
         read off strips (i, 1) and (i, h_i); needs a valid type, as ``_inverse`` does."""
-        table: list[int] = []
-        for first, end in zip(self._offsets, self._offsets[1:]):
-            for strip, sign in ((first, -1), (end - 1, 1)):
-                k = self.rho[strip][0]
-                table.append(2 * k - 1 if sign * self.eps[strip] == 1 else 2 * k - 2)
-        return table
+        offsets = self._offsets
+        strips = list(chain.from_iterable(zip(offsets, map(sub, offsets[1:], repeat(1)))))
+        ks = _rect_column(self.v, list(map(self._slots.__getitem__, strips)))
+        return [
+            2 * k - 1 if sign * self.eps[x] == 1 else 2 * k - 2
+            for k, x, sign in zip(ks, strips, cycle((-1, 1)))
+        ]
 
     @cached_property
     def _boundary_orbits(self) -> dict[bool, frozenset]:
@@ -193,18 +282,22 @@ class ValidationReport:
 
 
 def _check_invariants(T: GeometricType) -> ValidationReport:
-    """The validation report; a valid type costs one pass and builds no labels.
+    """The validation report; a valid type costs a permutation check on its
+    slots and builds no labels.
 
-    ``GeometricType`` has range-checked rho, and len(rho) = Σh, so when
-    Σh = Σv an injective rho is also surjective.  Only an invalid type gets
-    the label-by-label scan that names every violation, but only the first
-    ten unreached labels, with a count of the rest.
+    There are Σh slots, so when Σh = Σv they are a permutation of the Σv
+    vertical slots exactly when they are distinct and lie in 0..Σv-1.  Only
+    an invalid type gets the label-by-label scan that names every violation,
+    but only the first ten unreached labels, with a count of the rest.
     """
+    slots = T._slots
     if (
         min(T.h) >= 1
         and min(T.v) >= 1
         and sum(T.h) == sum(T.v)
-        and len(set(T.rho)) == len(T.rho)
+        and min(slots) >= 0
+        and max(slots) < len(slots)
+        and len(set(slots)) == len(slots)
     ):
         return ValidationReport(True, ())
     violations: list[str] = []
@@ -281,7 +374,7 @@ def serialize(T: GeometricType) -> str:
     lines = ["GEOTYPE 1", f"n={T.n}"]
     lines.append("h=" + ",".join(str(x) for x in T.h))
     lines.append("v=" + ",".join(str(x) for x in T.v))
-    for (i, j), (k, l), e in zip(_lex_pairs(T.h), T.rho, T.eps):
+    for (i, j), (k, l), e in zip(_lex_pairs(T.h), _targets(T.v, T._slots), T.eps):
         sign = "+" if e == 1 else "-"
         lines.append(f"map ({i},{j})->({k},{l}) {sign}")
     return "\n".join(lines) + "\n"
@@ -317,8 +410,9 @@ def parse(text: str) -> GeometricType:
     Syntax, index ranges, the map-line count and duplicate labels are parse
     errors; the counting and bijection invariants are left to :func:`validate`
     so that well-formed but invalid types can be reported on.  Each of the
-    Σh map lines fills its label's lexicographic slot; distinct, in-range
-    labels fill them all, so no label can be missing.
+    Σh map lines writes its target's vertical slot at its label's
+    lexicographic position; distinct, in-range labels fill them all, so no
+    label can be missing.
     """
     lines = text.splitlines()
     if len(lines) < 4:
@@ -339,7 +433,8 @@ def parse(text: str) -> GeometricType:
         raise ParseError(f"line {len(lines)}: expected {alpha_h} map lines, got {len(body)}")
 
     offsets = tuple(accumulate(h, initial=0))
-    rho: list[VLabel | None] = [None] * alpha_h
+    bases = _slot_bases(v)
+    slots = [-1] * alpha_h
     eps = [0] * alpha_h
     for offset, line in enumerate(body):
         lineno = 5 + offset
@@ -351,8 +446,8 @@ def parse(text: str) -> GeometricType:
             raise ParseError(f"line {lineno}: horizontal label ({i},{j}) out of range")
         if not (1 <= k <= n and 1 <= l <= v[k - 1]):
             raise ParseError(f"line {lineno}: vertical label ({k},{l}) out of range")
-        slot = offsets[i - 1] + j - 1
-        if rho[slot] is not None:
+        x = offsets[i - 1] + j - 1
+        if slots[x] >= 0:
             raise ParseError(f"line {lineno}: duplicate horizontal label ({i},{j})")
-        rho[slot], eps[slot] = VLabel(k, l), 1 if m.group(5) == "+" else -1
-    return GeometricType(h, v, tuple(rho), tuple(eps))
+        slots[x], eps[x] = bases[k] + l, 1 if m.group(5) == "+" else -1
+    return GeometricType._from_slots(h, v, tuple(slots), tuple(eps))

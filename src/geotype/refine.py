@@ -14,19 +14,20 @@ type, and the corner / bounded-period refinements are pipelines of the two.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, repeat
-from operator import sub
+from itertools import accumulate, chain, islice, repeat
+from operator import mul, neg, sub
 from typing import Sequence
 
 from .core import (
     GeoTypeError,
     GeometricType,
     HLabel,
-    VLabel,
+    _branch_keys,
     _lex_pairs,
+    _rect_column,
     invert,
     require_valid,
     serialize,
@@ -73,30 +74,36 @@ def bin_refine(T: GeometricType) -> BinRefinement:
     strip edge: every strip is a band, and the block sizes are the refined h.
     """
     require_valid(T)
-    refined = GeometricType(*_blocks(T, T.h))
+    refined = GeometricType._from_slots(*_blocks(T, T.h))
     require_valid(refined)
     return BinRefinement(refined, tuple(T.h_labels()))
 
 
-def _blocks(T: GeometricType, tops: Sequence[int]) -> tuple[list[int], tuple, tuple, tuple]:
-    """Block sizes and refined v, rho and eps when rectangle i of T is cut into
-    ``tops[i - 1]`` bands (i, 1), ... bottom-up, numbered lexicographically.
+def _blocks(T: GeometricType, tops: Sequence[int]) -> tuple[tuple[int, ...], tuple, tuple, tuple]:
+    """Block sizes and refined v, slots and eps when rectangle i of T is cut
+    into ``tops[i - 1]`` bands (i, 1), ... bottom-up, numbered lexicographically.
 
     A band of i keeps v_i.  Strip x maps onto the full height of its target
     k at position l, so its block of ``sizes[x]`` refined strips is every
-    band of k at l, reversed when e = -1; the blocks run in strip order,
-    their ``VLabel``s built in C by ``tuple.__new__``.
+    band of k at l, reversed when e = -1.  Band m of k (m = 0, 1, ...) has
+    its vertical strip l at refined slot ``shifts[k] + m * v_k`` past the
+    slot of (k, l) in T, where ``shifts[k]`` moves k's first vertical slot
+    in T to its first band's; so the block is a ``range`` over slots with
+    step v_k, reversed when e = -1.  The blocks run in strip order.
     """
-    starts = tuple(accumulate(tops, initial=0))  # bands before rectangle k
-    sizes = [tops[k - 1] for k, _ in T.rho]
-    rho: list[VLabel] = []
-    for (k, l), e in zip(T.rho, T.eps):
-        base = starts[k - 1]
-        bands = range(base + 1, starts[k] + 1) if e == 1 else range(starts[k], base, -1)
-        rho.extend(map(tuple.__new__, repeat(VLabel), zip(bands, repeat(l))))
-    eps = tuple(chain.from_iterable(map(repeat, T.eps, sizes)))
+    ks = _rect_column(T.v, T._slots)
+    counts, bands = (0, *T.v), (0, *tops)
+    widths = (0, *map(mul, tops, T.v))  # refined vertical slots of k's bands
+    shifts = (0, *map(sub, accumulate(widths[1:], initial=0), accumulate(T.v, initial=0)))
+    slots: list[int] = []
+    for slot, k, e in zip(T._slots, ks, T.eps):
+        low = slot + shifts[k]
+        block = range(low, low + widths[k], counts[k])
+        slots.extend(block if e == 1 else reversed(block))
+    block_sizes = tuple(map(bands.__getitem__, ks))
+    eps = tuple(chain.from_iterable(map(repeat, T.eps, block_sizes)))
     v = tuple(chain.from_iterable(map(repeat, T.v, tops)))
-    return sizes, v, tuple(rho), eps
+    return block_sizes, v, tuple(slots), eps
 
 
 # -- the interval order engine ---------------------------------------------------
@@ -118,37 +125,37 @@ class IntervalRef:
         return self.code.symbol(self.t)
 
 
-def _orbit_keys(
-    branches: dict[tuple[int, int], tuple[int, int]], code: PeriodicCode, span: int
-) -> list[tuple[int, ...]]:
+def _orbit_keys(T: GeometricType, code: PeriodicCode, span: int) -> list[tuple[int, ...]]:
     """The kneading keys of length ``span`` of every phase of a code, by phase.
 
     The key of phase t is the signed strip sequence of its cut line: symbol
     m is delta_m * j_m, where j_m is the strip that step t + m of the code
     runs through and delta_m the orientation product of the m steps before
-    it.  One period of the sequence of phase 0 is walked once, p steps on
-    the branch table of :func:`shift.binary_branches`; the sequence has
-    period p, or 2p when the orientation product over one period is -1, so
-    repeating it gives the p + span symbols that every phase needs.  The key
-    of phase t is the slice [t, t + span), negated when the orientation
-    product delta_t of the first t steps is -1; delta_t is the sign of
-    symbol t, since every strip index j is positive.
+    it.  One period of the sequence of phase 0 is walked once, p lookups of
+    e * j in the branch table of :func:`shift.binary_branches`, so T must
+    have passed that guard and the code's symbols a range check; symbol m
+    is delta_{m+1} * e_m * j_m.  The sequence has period p, or 2p when the orientation
+    product over one period is -1, so repeating it gives the p + span
+    symbols that every phase needs.  The key of phase t is the slice
+    [t, t + span), negated when the orientation product delta_t of the
+    first t steps is -1; delta_t is the sign of symbol t, since every strip
+    index j is positive.
     """
     word = code.word
     period: list[int] = []
     delta = 1
-    for step in zip(word, word[1:] + word[:1]):
-        branch = branches.get(step)
-        if branch is None:
+    for j in map(T._branches.get, _branch_keys(T.n, word, word[1:] + word[:1])):
+        if j is None:
             raise AdmissibilityError(f"code {code} is not admissible for this type")
-        j, e = branch
+        if j < 0:
+            delta = -delta
         period.append(delta * j)
-        delta *= e
+    seq = tuple(period)
     if delta == -1:
-        period += [-x for x in period]  # the sequence has period 2p
-    seq = tuple(period) * -(-(len(word) + span) // len(period))
-    neg = tuple(-x for x in seq)
-    return [(seq if seq[t] > 0 else neg)[t : t + span] for t in range(len(word))]
+        seq += tuple(map(neg, seq))  # the sequence has period 2p
+    seq *= -(-(len(word) + span) // len(seq))
+    negated = tuple(map(neg, seq))
+    return [(seq if seq[t] > 0 else negated)[t : t + span] for t in range(len(word))]
 
 
 @dataclass(frozen=True)
@@ -212,12 +219,13 @@ def build_order(T: GeometricType, W, *, drop_boundary: bool = False) -> OrderTab
 
 
 def _sort_cuts(T: GeometricType, family: tuple[PeriodicCode, ...]) -> OrderTable:
-    """:func:`build_order` past the family check."""
-    branches = binary_branches(T)
+    """:func:`build_order` past the family check, which also shows T valid
+    and binary (for ``u_refine``, the check on the type T inverts: the
+    inverse's incidence matrix is the transpose)."""
     span = 4 * max((code.period for code in family), default=0)
     buckets: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in range(T.n)]
     for f, code in enumerate(family):
-        for t, key in enumerate(_orbit_keys(branches, code, span)):
+        for t, key in enumerate(_orbit_keys(T, code, span)):
             buckets[code.word[t] - 1].append((key, f, t))
     cuts = tuple(tuple((f, t) for _, f, t in sorted(bucket)) for bucket in buckets)
     return OrderTable(T.n, family, cuts)
@@ -287,6 +295,7 @@ class RefinementResult:
         """
         if self.kind != "s" or self.order is None:
             raise InvariantError("only stable results with an order table recode directly")
+        binary_branches(self.source)
         family, cuts = self.order.family, self.order.cuts
         P = code.period
         span = 2 * (max((w.period for w in family), default=0) + P)
@@ -296,7 +305,7 @@ class RefinementResult:
 
         f = self._family_index.get(code)
         if f is None:
-            phases = _orbit_keys(binary_branches(self.source), code, span)
+            phases = _orbit_keys(self.source, code, span)
         else:
             phases = self._family_keys(f, span)
         signs = phases[0]
@@ -328,7 +337,7 @@ class RefinementResult:
         per result, so a batch of recodes walks each (code, span) pair once."""
         kept = self._kept_keys
         if (f, span) not in kept:
-            kept[(f, span)] = _orbit_keys(binary_branches(self.source), self.order.family[f], span)
+            kept[(f, span)] = _orbit_keys(self.source, self.order.family[f], span)
         return kept[(f, span)]
 
 
@@ -349,11 +358,12 @@ def s_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementR
 def _assemble(T: GeometricType, order: OrderTable) -> RefinementResult:
     """:func:`s_refine` past the family check and the sort, in O(cuts) steps.
 
-    :func:`_blocks` lays out rho and eps, a rectangle having one band more
-    than cut lines.  A cut line of rectangle i lies in the strip j that maps
-    into its successor's rectangle k, at the successor's position p.  Its
-    offset in i's run of blocks is p past the start of j's block, or p
-    before its end when e = -1.  The offsets must strictly increase within a
+    :func:`_blocks` lays out the slots and eps, a rectangle having one band
+    more than cut lines.  A cut line of rectangle i lies in the strip j
+    that maps into its successor's rectangle k, at the successor's position
+    p; the branch table gives e * j for the step (i, k).  Its offset in i's
+    run of blocks is p past the start of j's block, or p before its end
+    when e = -1.  The offsets must strictly increase within a
     rectangle, which also leaves no band, and no piece of a strip, empty.
     An empty family cuts nothing, so the refined type is T itself, with
     every table already kept on it.
@@ -364,26 +374,29 @@ def _assemble(T: GeometricType, order: OrderTable) -> RefinementResult:
     if not order.family:
         return RefinementResult(T, T, "s", pairs, order)
     family, positions = order.family, order.positions
-    sizes, v_new, rho, eps = _blocks(T, tops)
+    sizes, v_new, slots, eps = _blocks(T, tops)
     runs = tuple(accumulate(sizes, initial=0))  # strip x's block starts at runs[x]
 
-    h_new: list[int] = []
-    for i, row in enumerate(order.cuts, start=1):
-        first = T._offsets[i - 1]  # strip (i, j) is source strip first + j - 1
-        ends: list[int] = []
-        for f, t in row:
-            word = family[f].word
-            nxt = (t + 1) % len(word)
-            j, e = branches[(i, word[nxt])]
-            p = positions[f][nxt]
-            ends.append(runs[first + j - 1] + p if e == 1 else runs[first + j] - p)
-        ends.append(runs[T._offsets[i]])
-        lengths = list(map(sub, ends, [runs[first]] + ends))
-        if min(lengths) < 1:
-            raise InvariantError(f"cut lines of rectangle {i} are out of order")
-        h_new.extend(lengths)
+    # each cut line's host i and successor phase (f, t), in table order
+    hosts = [i for i, row in enumerate(order.cuts, start=1) for _ in row]
+    nexts = [(f, (t + 1) % family[f].period) for row in order.cuts for f, t in row]
+    steps = _branch_keys(T.n, hosts, [family[f].word[t] for f, t in nexts])
+    offsets: list[int] = []  # each cut line's offset in its host's run of blocks
+    for i, (f, t), j in zip(hosts, nexts, map(branches.__getitem__, steps)):
+        x = T._offsets[i - 1] + abs(j) - 1  # strip (i, |j|) is source strip x
+        offsets.append(runs[x] + positions[f][t] if j > 0 else runs[x + 1] - positions[f][t])
+    ends = iter(offsets)
+    marks = [0]  # band edges in the run of blocks, bottom-up, rectangle by rectangle
+    for top, end in zip(tops, T._offsets[1:]):
+        marks.extend(islice(ends, top - 1))
+        marks.append(runs[end])
+    h_new = tuple(map(sub, marks[1:], marks))
+    if min(h_new) < 1:
+        band = next(b for b, length in enumerate(h_new) if length < 1)
+        i = bisect_right(tuple(accumulate(tops)), band) + 1
+        raise InvariantError(f"cut lines of rectangle {i} are out of order")
 
-    refined = GeometricType(tuple(h_new), v_new, rho, eps)
+    refined = GeometricType._from_slots(h_new, v_new, slots, eps)
     binary_branches(refined)  # postcondition: the refined type is valid and binary
     return RefinementResult(
         refined=refined,

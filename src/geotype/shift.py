@@ -15,7 +15,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-from .core import GeoTypeError, GeometricType, ParseError, _lex_pairs, require_valid
+from .core import GeoTypeError, GeometricType, ParseError, _lex_columns, _rect_column, require_valid
 
 
 class NonBinaryError(GeoTypeError):
@@ -183,7 +183,8 @@ def incidence_matrix(T: GeometricType) -> IncidenceMatrix:
     """a_ik = number of horizontal strips of rectangle i mapped into rectangle k."""
     require_valid(T)
     succ: list[dict[int, int]] = [{} for _ in range(T.n)]
-    for (i, _), (k, _) in zip(_lex_pairs(T.h), T.rho):
+    rows, _ = _lex_columns(T.h)
+    for i, k in zip(rows, _rect_column(T.v, T._slots)):
         succ[i - 1][k] = succ[i - 1].get(k, 0) + 1
     return IncidenceMatrix(tuple(succ))
 
@@ -192,17 +193,21 @@ def is_binary(A: IncidenceMatrix) -> bool:
     return all(a == 1 for row in A.succ for a in row.values())
 
 
-def binary_branches(T: GeometricType) -> dict[tuple[int, int], tuple[int, int]]:
-    """The branch table ``{(i, k): (j, eps(i, j))}`` of a valid binary type.
+def binary_branches(T: GeometricType) -> dict[int, int]:
+    """The branch table ``{i * (n + 1) + k: eps(i, j) * j}`` of a valid binary type.
 
     Strip j of rectangle i is the unique strip mapping into rectangle
-    k = xi(i, j).  The incidence matrix is binary exactly when the pairs
-    (i, xi(i, j)) are distinct, so this guard builds no matrix.  The table
-    is kept on T, built once in O(alpha), so callers must not mutate it.
-    Raises ``InvalidTypeError`` or ``NonBinaryError`` otherwise.
+    k = xi(i, j), and the table maps the key of the step (i, k),
+    ``core._branch_keys``, to j signed by the strip's orientation.  The
+    incidence matrix is binary exactly when the steps (i, xi(i, j)) are
+    distinct, so this guard builds no matrix.  A key is unique only among
+    steps with both symbols in 1..n, so a reader range-checks its symbols
+    (:func:`require_symbols`) before a lookup.  The table is kept on T,
+    built once in O(alpha), so callers must not mutate it.  Raises
+    ``InvalidTypeError`` or ``NonBinaryError`` otherwise.
     """
     require_valid(T)
-    if len(T._branches) != len(T.rho):
+    if len(T._branches) != len(T.eps):
         raise NonBinaryError("incidence matrix is not binary")
     return T._branches
 
@@ -239,7 +244,7 @@ def is_mixing(A: IncidenceMatrix) -> bool:
 
 def require_symbols(n: int, word: tuple[int, ...]) -> None:
     """Raise ``AdmissibilityError`` unless every symbol of the word lies in 1..n."""
-    if any(not 1 <= s <= n for s in word):
+    if min(word) < 1 or max(word) > n:
         raise AdmissibilityError(f"symbol out of range 1..{n} in word {word}")
 
 

@@ -18,6 +18,12 @@ The library's binary refinement is the stable refinement's block layout
 with a cut at every strip edge.  ``bin_refine_by_strips`` is the paper's
 definition it is tested against, strip by strip.
 
+The library stores each strip's target as an integer vertical slot, inverts
+a type as a permutation of those slots and keys its branch table by one
+integer per step.  ``inverse_by_labels`` and ``branches_by_labels`` are the
+label-by-label definitions they are tested against: rho reversed as a
+relation, and the table ``{(i, xi(i, j)): (j, eps(i, j))}``.
+
 The library classifies an eventually periodic code by the orbit of its
 periodic end on each side.  ``tail_scan_classify`` is the definition it is
 tested against: it compares every positive tail of the code, and of its
@@ -28,6 +34,7 @@ boundary label's summary).
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import lcm
 
 from geotype import (
@@ -73,6 +80,25 @@ def bin_refine_by_strips(T: GeometricType) -> BinRefinement:
     return BinRefinement(GeometricType(tuple(h), tuple(v), tuple(rho), tuple(eps)), tuple(labels))
 
 
+def inverse_by_labels(T: GeometricType) -> GeometricType:
+    """The inverse type, label by label: h and v swap, and rho(i, j) = (k, l)
+    with sign e becomes rho'(k, l) = (i, j) with the same sign, each written
+    at the lexicographic position of (k, l) among the vertical labels."""
+    offsets = tuple(accumulate(T.v, initial=0))
+    rho: list[VLabel | None] = [None] * len(T.rho)
+    eps = [0] * len(T.eps)
+    for label, (k, l), e in zip(T.h_labels(), T.rho, T.eps):
+        slot = offsets[k - 1] + l - 1
+        rho[slot], eps[slot] = VLabel(*label), e
+    return GeometricType(T.v, T.h, tuple(rho), tuple(eps))
+
+
+def branches_by_labels(T: GeometricType) -> dict[tuple[int, int], tuple[int, int]]:
+    """The branch table ``{(i, xi(i, j)): (j, eps(i, j))}``, label by label;
+    one entry per strip when the incidence matrix is binary."""
+    return {(i, k): (j, e) for (i, j), (k, _), e in zip(T.h_labels(), T.rho, T.eps)}
+
+
 def j_index(T: GeometricType, code: PeriodicCode, t: int) -> int:
     """The unique strip of rectangle w_t that maps into rectangle w_{t+1}."""
     require_symbols(T.n, code.word)
@@ -114,11 +140,9 @@ def interchange_delta(T: GeometricType, a: IntervalRef, b: IntervalRef) -> int:
     return delta_a
 
 
-def _kneading_key(
-    branches: dict[tuple[int, int], tuple[int, int]], ref: IntervalRef, span: int
-) -> tuple[int, ...]:
+def _kneading_key(T: GeometricType, ref: IntervalRef, span: int) -> tuple[int, ...]:
     """The key of one cut line: its phase's entry of :func:`_orbit_keys`."""
-    return _orbit_keys(branches, ref.code, span)[ref.t]
+    return _orbit_keys(T, ref.code, span)[ref.t]
 
 
 def interval_less(T: GeometricType, a: IntervalRef, b: IntervalRef) -> bool:
@@ -129,10 +153,10 @@ def interval_less(T: GeometricType, a: IntervalRef, b: IntervalRef) -> bool:
     """
     if a.host != b.host:
         raise ValueError("interval references must share a host rectangle")
-    branches = binary_branches(T)
+    binary_branches(T)
     span = 2 * (a.code.period + b.code.period)
-    key_a = _kneading_key(branches, a, span)
-    key_b = _kneading_key(branches, b, span)
+    key_a = _kneading_key(T, a, span)
+    key_b = _kneading_key(T, b, span)
     if key_a == key_b:
         raise ShiftEqualError(f"intervals ({a.t},{a.code}) and ({b.t},{b.code}) are shift-equal")
     return key_a < key_b
@@ -186,7 +210,8 @@ def tail_scan_classify(T: GeometricType, code: EventuallyPeriodicCode) -> str:
     tails are compared through their unique canonical form.  Admissibility
     is checked pair by pair, with the library's errors.
     """
-    branches = binary_branches(T)
+    binary_branches(T)
+    branches = branches_by_labels(T)
     for a, b in code.transition_pairs():
         if not (1 <= a <= T.n and 1 <= b <= T.n):
             raise AdmissibilityError(f"symbol out of range 1..{T.n}")

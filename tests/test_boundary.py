@@ -45,7 +45,7 @@ from conftest import (
     su_labels,
     valid_types,
 )
-from reference import canonical_tail, tail_scan_classify
+from reference import branches_by_labels, canonical_tail, tail_scan_classify
 
 
 def words(codes):
@@ -263,7 +263,8 @@ def _compare_with_tail_scan(types, max_cycle: int, max_middle: int) -> list:
     pairs of the admissible codes."""
     seen = []
     for T in types:
-        branches = binary_branches(T)
+        binary_branches(T)
+        branches = branches_by_labels(T)
         symbols = range(1, T.n + 1)
         cycles = [
             w

@@ -65,6 +65,14 @@ def test_alpha_and_invert(capsys, e2_path):
     assert out == (GOLDEN / "E2.gt").read_text()  # E2 is self-inverse
 
 
+def test_invert_golden(capsys):
+    """E3 is not self-inverse; inverting its inverse gives E3 back."""
+    code, out, err = run_cli(capsys, "invert", str(GOLDEN / "E3.gt"))
+    assert (code, out, err) == (0, (GOLDEN / "invert_E3.txt").read_text(), "")
+    code, out, err = run_cli(capsys, "invert", str(GOLDEN / "invert_E3.txt"))
+    assert (code, out, err) == (0, (GOLDEN / "E3.gt").read_text(), "")
+
+
 def test_incidence_and_checks(capsys, e1_path, e2_path):
     code, out, _ = run_cli(capsys, "incidence", e2_path)
     assert (code, out) == (0, "1,1\n1,1\n")
@@ -181,6 +189,18 @@ def test_srefine_drop_boundary_warns(capsys, e2_path, tmp_path):
 def test_urefine_golden(capsys, e2_path, w12_path):
     code, out, err = run_cli(capsys, "urefine", e2_path, "--codes", w12_path)
     assert (code, out, err) == (0, (GOLDEN / "urefine_E2_w12.txt").read_text(), "")
+
+
+@pytest.mark.parametrize("command", ["srefine", "urefine", "classify"])
+def test_an_aliasing_symbol_exits_1(capsys, e2_path, tmp_path, command):
+    """On E2 the step (1, 4) has the branch-table key of (2, 1); it is a
+    symbol out of range, exit code 1, not an admissible step."""
+    codes = tmp_path / "W.codes"
+    codes.write_text("CODE 1 4\n")
+    options = ["--code", "1 | | 1 4"] if command == "classify" else ["--codes", str(codes)]
+    code, out, err = run_cli(capsys, command, e2_path, *options)
+    assert (code, out) == (1, "")
+    assert err.startswith("AdmissibilityError: symbol out of range 1..2")
 
 
 def test_urefine(capsys, e2_path, tmp_path):

@@ -42,7 +42,7 @@ from geotype import (
     wp_refine,
 )
 from geotype.refine import InvariantError, OrderTable, _assemble, _orbit_keys
-from geotype.shift import AdmissibilityError, binary_branches
+from geotype.shift import AdmissibilityError
 
 from conftest import (
     binary_mixing_corpus,
@@ -238,13 +238,12 @@ def test_orbit_keys_match_per_phase_walk():
     span = 4 * 6  # build_order's key length at P = 6
     deltas: set[int] = set()
     for T in types:
-        branches = binary_branches(T)
         boundary = {c.orbit() for c in per_s_codes(T)}
         for orbit in enumerate_orbits(incidence_matrix(T), 6):
             if orbit in boundary:
                 continue
             code = orbit.canonical
-            keys = _orbit_keys(branches, code, span)
+            keys = _orbit_keys(T, code, span)
             steps: list[tuple[int, int]] = []  # (strip, orientation) of each step
             for t in range(code.period):
                 i, k = code.symbol(t), code.symbol(t + 1)
@@ -259,7 +258,7 @@ def test_orbit_keys_match_per_phase_walk():
                     walk.append(delta * j)
                     delta *= e
                 assert keys[t] == tuple(walk), (T, code, t)
-                assert _kneading_key(branches, IntervalRef(t, code), span) == keys[t]
+                assert _kneading_key(T, IntervalRef(t, code), span) == keys[t]
                 deltas.add(delta_t)
                 delta_t *= steps[t][1]
     assert deltas == {1, -1}  # both slices: the sequence and its negation
@@ -565,13 +564,13 @@ def test_wp_refine_builds_no_copy_for_its_empty_pass(monkeypatch, e2):
     s-pass that assembled a copy of its input would add two: the copy and
     the copy's inverse."""
     built: list[int] = []
-    real = GeometricType.__post_init__
+    real = GeometricType._store
 
-    def counting(self):
-        real(self)
+    def counting(self, *fields):
+        real(self, *fields)
         built.append(self.n)
 
-    monkeypatch.setattr(GeometricType, "__post_init__", counting)
+    monkeypatch.setattr(GeometricType, "_store", counting)
     result = wp_refine(e2, 6)
     assert len(built) == 5
     assert built[-1] == result.refined.n == 314
@@ -608,9 +607,9 @@ def test_recode_batch_walks_each_code_once_per_span(monkeypatch):
     expected = [replace(result).recode(code) for code in batch]
     walks: list[tuple[PeriodicCode, int]] = []
 
-    def counting(branches, code, span):
+    def counting(T, code, span):
         walks.append((code, span))
-        return _orbit_keys(branches, code, span)
+        return _orbit_keys(T, code, span)
 
     monkeypatch.setattr(geotype.refine, "_orbit_keys", counting)
     assert [result.recode(code) for code in batch] == expected
