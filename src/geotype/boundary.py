@@ -33,7 +33,6 @@ from .shift import (
     EventuallyPeriodicCode,
     PeriodicCode,
     binary_branches,
-    primitive_root,
     require_symbols,
 )
 
@@ -144,7 +143,7 @@ def _cycle_orbits(T: GeometricType, unstable: bool) -> frozenset[CodeOrbit]:
             slot = gamma[slot]
         if slot in path:  # this walk closed a cycle no earlier walk reached
             word = tuple(s // 2 + 1 for s in path[path.index(slot):])
-            orbits.add(CodeOrbit.from_word(primitive_root(word[::-1] if unstable else word)))
+            orbits.add(CodeOrbit.from_word(word[::-1] if unstable else word))
     return frozenset(orbits)
 
 
@@ -245,8 +244,8 @@ def classify_code(T: GeometricType, code: EventuallyPeriodicCode) -> str:
             raise AdmissibilityError(f"symbol out of range 1..{T.n}")
         if key not in branches:
             raise AdmissibilityError("code uses transitions forbidden by the incidence matrix")
-    is_s = CodeOrbit.from_word(primitive_root(code.right_cycle)) in boundary_orbits(T)
-    is_u = CodeOrbit.from_word(primitive_root(code.left_cycle)) in boundary_orbits(T, unstable=True)
+    is_s = CodeOrbit.from_word(code.right_cycle) in boundary_orbits(T)
+    is_u = CodeOrbit.from_word(code.left_cycle) in boundary_orbits(T, unstable=True)
     if is_s and is_u:
         return "corner-leaf"
     if is_s:

@@ -60,10 +60,8 @@ class PeriodicCode:
             raise ValueError("periodic code word must be nonempty")
         if any(s < 1 for s in word):
             raise ValueError("code symbols must be positive integers")
-        if primitive_root(word) != word:
-            raise ValueError(
-                f"word {word} is not primitive (minimal period {len(primitive_root(word))})"
-            )
+        if (root := primitive_root(word)) != word:
+            raise ValueError(f"word {word} is not primitive (minimal period {len(root)})")
         object.__setattr__(self, "word", word)
 
     @property
@@ -87,7 +85,7 @@ class PeriodicCode:
 
     @cached_property
     def _orbit(self) -> "CodeOrbit":
-        return CodeOrbit(PeriodicCode(min_rotation(self.word)))
+        return CodeOrbit(self)
 
     def __str__(self) -> str:
         return " ".join(str(s) for s in self.word)
@@ -95,17 +93,18 @@ class PeriodicCode:
 
 @dataclass(frozen=True)
 class CodeOrbit:
-    """A shift orbit of periodic codes, keyed by the minimal rotation."""
+    """A shift orbit of periodic codes, built from any phase and keyed by a new
+    code holding its minimal rotation (never the phase given: no reference cycle)."""
 
     canonical: PeriodicCode
 
     def __post_init__(self) -> None:
-        if min_rotation(self.canonical.word) != self.canonical.word:
-            raise ValueError("canonical representative must be the minimal rotation")
+        object.__setattr__(self, "canonical", PeriodicCode(min_rotation(self.canonical.word)))
 
     @classmethod
     def from_word(cls, word: Sequence[int]) -> "CodeOrbit":
-        return cls(PeriodicCode(min_rotation(word)))
+        """The orbit of the code that repeats ``word``, a phase or a power of one."""
+        return cls(PeriodicCode(primitive_root(word)))
 
     @property
     def period(self) -> int:
@@ -260,25 +259,27 @@ def is_admissible_cycle(A: IncidenceMatrix, word: Sequence[int]) -> bool:
 def enumerate_orbits(A: IncidenceMatrix, max_period: int) -> tuple[CodeOrbit, ...]:
     """All shift orbits of admissible periodic codes with minimal period <= P.
 
-    Depth-first search for Lyndon words over the transition digraph: a word is
-    kept when it is primitive, minimal among its rotations, and closes up into
-    an allowed cycle.  The search keeps an explicit stack, so its depth, P, is
-    not bounded by the interpreter's recursion limit.  Output is sorted by
-    (period, word).
+    The FKM prenecklace recursion on the transition digraph (Fredricksen,
+    Kessler and Maiorana 1978; Cattell et al., J. Algorithms 37, 2000): a
+    prefix with Lyndon period p extends by successors >= word[-p], p
+    staying on equality and becoming len + 1 on a larger symbol.  A Lyndon
+    word (len == p) whose wrap edge exists is kept: its orbit's least rotation.
+    The stack is explicit: the depth is P, and P = 1500 passes the interpreter's
+    recursion limit.  Output is sorted by (period, word).
     """
     if not is_binary(A):
         raise NonBinaryError("incidence matrix is not binary")
     if max_period < 0:
         raise ValueError("period bound must be nonnegative")
     found: list[tuple[int, ...]] = []
-    stack = [(start,) for start in range(1, A.n + 1)] if max_period >= 1 else []
+    stack = [((start,), 1) for start in range(1, A.n + 1)] if max_period >= 1 else []
     while stack:
-        word = stack.pop()
-        is_lyndon = all(word < word[k:] + word[:k] for k in range(1, len(word)))
-        if is_lyndon and word[0] in A.succ[word[-1] - 1]:
+        word, p = stack.pop()
+        n, row, low = len(word), A.succ[word[-1] - 1], word[-p]
+        if n == p and word[0] in row:
             found.append(word)
-        if len(word) < max_period:
-            stack.extend(word + (nxt,) for nxt in A.succ[word[-1] - 1] if nxt >= word[0])
+        if n < max_period:
+            stack.extend((word + (nxt,), p if nxt == low else n + 1) for nxt in row if nxt >= low)
     found.sort(key=lambda w: (len(w), w))
     return tuple(CodeOrbit(PeriodicCode(w)) for w in found)
 

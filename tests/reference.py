@@ -24,6 +24,11 @@ integer per step.  ``inverse_by_labels`` and ``branches_by_labels`` are the
 label-by-label definitions they are tested against: rho reversed as a
 relation, and the table ``{(i, xi(i, j)): (j, eps(i, j))}``.
 
+The library enumerates shift orbits by the FKM prenecklace recursion, whose
+words are canonical by construction.  ``lyndon_scan_orbits`` is the search it
+is tested against: every admissible path from its least symbol, each kept
+when it closes a cycle and is less than all of its proper rotations.
+
 The library classifies an eventually periodic code by the orbit of its
 periodic end on each side.  ``tail_scan_classify`` is the definition it is
 tested against: it compares every positive tail of the code, and of its
@@ -288,3 +293,21 @@ def wielandt_is_mixing(A: IncidenceMatrix) -> bool:
             return True
         power = [[1 if x else 0 for x in row] for row in _mat_mul(power, boolean)]
     return False
+
+
+# -- orbit enumeration -------------------------------------------------------------
+
+
+def lyndon_scan_orbits(A: IncidenceMatrix, max_period: int) -> tuple[tuple[int, ...], ...]:
+    """The admissible Lyndon words of length <= P, sorted by (length, word),
+    by a depth-first search that tests every prefix against its rotations."""
+    found: list[tuple[int, ...]] = []
+    stack = [(start,) for start in range(1, A.n + 1)] if max_period >= 1 else []
+    while stack:
+        word = stack.pop()
+        is_lyndon = all(word < word[k:] + word[:k] for k in range(1, len(word)))
+        if is_lyndon and word[0] in A.succ[word[-1] - 1]:
+            found.append(word)
+        if len(word) < max_period:
+            stack.extend(word + (nxt,) for nxt in A.succ[word[-1] - 1] if nxt >= word[0])
+    return tuple(sorted(found, key=lambda w: (len(w), w)))

@@ -95,6 +95,7 @@ def test_orbits(capsys, e2_path):
     [
         (["orbits", "E3.gt", "--max-period", "6"], "orbits_E3_6.txt"),
         (["incidence", "E3.gt"], "E3_incidence.txt"),
+        (["orbits", "E2.gt", "--max-period", "10"], "orbits_E2_10.txt"),
     ],
 )
 def test_symbolic_goldens(capsys, argv, golden):

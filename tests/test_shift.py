@@ -41,7 +41,7 @@ from conftest import (
     orientation_reversing_bin_types,
     random_corpus,
 )
-from reference import dense_rows, matrix_power, trace_power, wielandt_is_mixing
+from reference import dense_rows, lyndon_scan_orbits, matrix_power, trace_power, wielandt_is_mixing
 
 
 def matrix(rows):
@@ -213,6 +213,28 @@ def test_enumerate_orbits_words_are_canonical_and_sorted():
             assert is_admissible_cycle(A, o.canonical.word)
 
 
+def _words(orbits):
+    return tuple(o.canonical.word for o in orbits)
+
+
+def test_enumerate_orbits_matches_the_lyndon_scan():
+    """The prenecklace search finds the words of the rotation-testing scan."""
+    for seed in range(5):
+        for T in binary_mixing_corpus(seed=seed, count=10):
+            A = incidence_matrix(T)
+            for P in range(9):
+                assert _words(enumerate_orbits(A, P)) == lyndon_scan_orbits(A, P)
+    A = incidence_matrix(make_e2())
+    for P in range(15):
+        assert _words(enumerate_orbits(A, P)) == lyndon_scan_orbits(A, P)
+
+
+@pytest.mark.slow
+def test_enumerate_orbits_matches_the_lyndon_scan_on_long_periods():
+    A = incidence_matrix(make_e2())
+    assert _words(enumerate_orbits(A, 18)) == lyndon_scan_orbits(A, 18)
+
+
 def test_count_periodic_points_examples(e2):
     A = incidence_matrix(e2)
     assert count_periodic_points(A, 1) == 2
@@ -237,6 +259,15 @@ def test_periodic_code_rejects_non_primitive():
         PeriodicCode((1, 2, 1, 2))
     with pytest.raises(ValueError):
         PeriodicCode(())
+
+
+def test_code_orbit_normalizes_any_phase():
+    """An orbit is built from any phase or power of a phase, and keys on a
+    new code, so a code that keeps its orbit is not referenced by it."""
+    assert CodeOrbit(PeriodicCode((2, 1))).canonical.word == (1, 2)
+    assert CodeOrbit.from_word((1, 2, 1, 2)) == CodeOrbit.from_word((2, 1))
+    code = PeriodicCode((1, 2))
+    assert code.orbit().canonical == code and code.orbit().canonical is not code
 
 
 def test_rotation_preserves_orbit():
