@@ -29,7 +29,7 @@ from itertools import accumulate, repeat
 from math import gcd
 
 from .core import GeoTypeError, GeometricType, HLabel, VLabel, require_valid
-from .shift import AdmissibilityError, PeriodicCode, min_rotation, require_symbols
+from .shift import AdmissibilityError, PeriodicCode, require_symbols
 from .boundary import cutting_family
 
 
@@ -329,7 +329,7 @@ def model_svg(T: GeometricType, W=()) -> str:
     for code in W:
         if not isinstance(code, PeriodicCode):
             code = PeriodicCode(tuple(code))
-        orbit_id = ".".join(str(sym) for sym in min_rotation(code.word))
+        orbit_id = ".".join(str(sym) for sym in code.orbit().canonical.word)
         _, heights = _orbit_walk(model, code)
         for t, y in enumerate(heights):
             cut_rows[code.symbol(t) - 1].append((Fraction(*y), f"({t},{orbit_id})"))

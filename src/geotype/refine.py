@@ -291,7 +291,9 @@ class RefinementResult:
         being the orientation product of the first t steps, so the walk
         takes 2P steps when that product over one period is -1.  The
         family's keys are kept on the result by (family index, span), so a
-        batch of recodes walks each family code once per span.
+        batch of recodes walks each family code once per span.  The two
+        codes returned are primitive roots of refined rectangle numbers, so
+        they are built with no check.
         """
         if self.kind != "s" or self.order is None:
             raise InvariantError("only stable results with an order table recode directly")
@@ -321,7 +323,7 @@ class RefinementResult:
                 low, high = high, low
             below.append(low)
             above.append(high)
-        return frozenset({PeriodicCode(primitive_root(below)), PeriodicCode(primitive_root(above))})
+        return frozenset(PeriodicCode._of(primitive_root(w)) for w in (below, above))
 
     @cached_property
     def _family_index(self) -> dict[PeriodicCode, int]:

@@ -44,25 +44,48 @@ def min_rotation(word: Sequence[int]) -> tuple[int, ...]:
     return min(word[k:] + word[:k] for k in range(len(word)))
 
 
+def _require_int_symbols(word: tuple[object, ...]) -> None:
+    """Raise ``ValueError`` unless every symbol is an ``int`` >= 1; a ``bool``
+    or a ``float`` is not one, so no later list index meets it."""
+    if not all(type(s) is int and s >= 1 for s in word):
+        raise ValueError("code symbols must be positive integers")
+
+
 @dataclass(frozen=True)
 class PeriodicCode:
     """One minimal period of a pointed periodic code; index 0 is the phase.
 
-    Its orbit is built on the first :meth:`orbit` call and kept on the
-    object, out of ``==``, ``hash`` and ``repr``.
+    ``PeriodicCode(word)`` checks its word: nonempty, every symbol an ``int``
+    >= 1, primitive.  The codes the library derives are primitive by
+    construction and skip that check through the private :meth:`_of`: a
+    rotation or time reversal of a primitive word is primitive, and so is a
+    primitive root or a Lyndon word of :func:`enumerate_orbits`.  An orbit's
+    key code is flagged as its own least rotation, so its :meth:`orbit`
+    computes no rotation.  The orbit is built on the first :meth:`orbit`
+    call and kept on the object, out of ``==``, ``hash`` and ``repr``.
     """
 
     word: tuple[int, ...]
+    _least = False  # not a field: set on codes known to be their least rotation
 
     def __post_init__(self) -> None:
         word = tuple(self.word)
         if not word:
             raise ValueError("periodic code word must be nonempty")
-        if any(s < 1 for s in word):
-            raise ValueError("code symbols must be positive integers")
+        _require_int_symbols(word)
         if (root := primitive_root(word)) != word:
             raise ValueError(f"word {word} is not primitive (minimal period {len(root)})")
         object.__setattr__(self, "word", word)
+
+    @classmethod
+    def _of(cls, word: tuple[int, ...], least: bool = False) -> "PeriodicCode":
+        """The code of ``word``, unchecked: only for a tuple of positive ints
+        that is primitive by construction (and its least rotation if ``least``)."""
+        code = object.__new__(cls)
+        code.__dict__["word"] = word
+        if least:
+            code.__dict__["_least"] = True
+        return code
 
     @property
     def period(self) -> int:
@@ -74,18 +97,23 @@ class PeriodicCode:
     def rotate(self, t: int) -> "PeriodicCode":
         """The shifted pointed code sigma^t(w)."""
         t %= len(self.word)
-        return PeriodicCode(self.word[t:] + self.word[:t])
+        return PeriodicCode._of(self.word[t:] + self.word[:t], self._least and not t)
 
     def reversed_pointed(self) -> "PeriodicCode":
         """Time reversal keeping the phase: new word t -> old word (-t)."""
-        return PeriodicCode((self.word[0],) + tuple(reversed(self.word[1:])))
+        return PeriodicCode._of(self.word[:1] + self.word[:0:-1])
 
     def orbit(self) -> "CodeOrbit":
         return self._orbit
 
     @cached_property
     def _orbit(self) -> "CodeOrbit":
-        return CodeOrbit(self)
+        return CodeOrbit._of(self._least_copy())
+
+    def _least_copy(self) -> "PeriodicCode":
+        """A new code holding this code's least rotation: never ``self``, so
+        the orbit a code keeps does not refer back to it (no reference cycle)."""
+        return PeriodicCode._of(self.word if self._least else min_rotation(self.word), True)
 
     def __str__(self) -> str:
         return " ".join(str(s) for s in self.word)
@@ -93,18 +121,35 @@ class PeriodicCode:
 
 @dataclass(frozen=True)
 class CodeOrbit:
-    """A shift orbit of periodic codes, built from any phase and keyed by a new
-    code holding its minimal rotation (never the phase given: no reference cycle)."""
+    """A shift orbit of periodic codes, keyed by a new code holding its least
+    rotation.
+
+    ``CodeOrbit(phase)`` normalizes any phase, and :meth:`from_word` checks
+    its symbols and takes the primitive root of a power of a phase.  The
+    orbits of :func:`enumerate_orbits` and :meth:`PeriodicCode.orbit` are
+    built canonical by the private :meth:`_of`, with nothing to normalize.
+    """
 
     canonical: PeriodicCode
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "canonical", PeriodicCode(min_rotation(self.canonical.word)))
+        object.__setattr__(self, "canonical", self.canonical._least_copy())
+
+    @classmethod
+    def _of(cls, canonical: PeriodicCode) -> "CodeOrbit":
+        """The orbit keyed by ``canonical``, unchecked: a code flagged least."""
+        orbit = object.__new__(cls)
+        orbit.__dict__["canonical"] = canonical
+        return orbit
 
     @classmethod
     def from_word(cls, word: Sequence[int]) -> "CodeOrbit":
         """The orbit of the code that repeats ``word``, a phase or a power of one."""
-        return cls(PeriodicCode(primitive_root(word)))
+        word = tuple(word)
+        if not word:
+            raise ValueError("periodic code word must be nonempty")
+        _require_int_symbols(word)
+        return cls._of(PeriodicCode._of(min_rotation(primitive_root(word)), True))
 
     @property
     def period(self) -> int:
@@ -119,7 +164,9 @@ class CodeOrbit:
 
 @dataclass(frozen=True)
 class EventuallyPeriodicCode:
-    """Bi-infinite code ...LLL M RRR... ; L fills z < 0, R fills z >= len(M)."""
+    """Bi-infinite code ...LLL M RRR... ; L fills z < 0, R fills z >= len(M).
+
+    Each part is kept as a tuple of ``int`` symbols >= 1, checked here."""
 
     left_cycle: tuple[int, ...]
     middle: tuple[int, ...]
@@ -128,9 +175,10 @@ class EventuallyPeriodicCode:
     def __post_init__(self) -> None:
         if not self.left_cycle or not self.right_cycle:
             raise ValueError("left and right cycles must be nonempty")
-        for word in (self.left_cycle, self.middle, self.right_cycle):
-            if any(s < 1 for s in word):
-                raise ValueError("code symbols must be positive integers")
+        for name in ("left_cycle", "middle", "right_cycle"):
+            word = tuple(getattr(self, name))
+            _require_int_symbols(word)
+            object.__setattr__(self, name, word)
 
     def transition_pairs(self) -> list[tuple[int, int]]:
         pairs = []
@@ -263,7 +311,8 @@ def enumerate_orbits(A: IncidenceMatrix, max_period: int) -> tuple[CodeOrbit, ..
     Kessler and Maiorana 1978; Cattell et al., J. Algorithms 37, 2000): a
     prefix with Lyndon period p extends by successors >= word[-p], p
     staying on equality and becoming len + 1 on a larger symbol.  A Lyndon
-    word (len == p) whose wrap edge exists is kept: its orbit's least rotation.
+    word (len == p) whose wrap edge exists is kept: it is primitive and its
+    orbit's least rotation, so it becomes that orbit's key with no check.
     The stack is explicit: the depth is P, and P = 1500 passes the interpreter's
     recursion limit.  Output is sorted by (period, word).
     """
@@ -281,7 +330,7 @@ def enumerate_orbits(A: IncidenceMatrix, max_period: int) -> tuple[CodeOrbit, ..
         if n < max_period:
             stack.extend((word + (nxt,), p if nxt == low else n + 1) for nxt in row if nxt >= low)
     found.sort(key=lambda w: (len(w), w))
-    return tuple(CodeOrbit(PeriodicCode(w)) for w in found)
+    return tuple(CodeOrbit._of(PeriodicCode._of(w, True)) for w in found)
 
 
 def count_periodic_points(A: IncidenceMatrix, P: int) -> int:

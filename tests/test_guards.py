@@ -206,6 +206,39 @@ def test_library_imports_only_what_it_uses(path):
     assert unused == [], f"{path.name} imports unused names {unused}"
 
 
+def _unchecked_constructor_sites(tree: ast.AST) -> list[tuple[str | None, int]]:
+    """(innermost enclosing function, line) of every reference to ``_of``,
+    as an attribute or as a string for ``getattr``."""
+    sites: list[tuple[str | None, int]] = []
+
+    def visit(node: ast.AST, func: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "_of") or (
+            isinstance(node, ast.Constant) and node.value == "_of"
+        ):
+            sites.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return sites
+
+
+@pytest.mark.parametrize("path", sorted(SOURCES.glob("*.py")), ids=lambda p: p.name)
+def test_unchecked_code_constructors_stay_in_shift(path):
+    """``PeriodicCode._of`` and ``CodeOrbit._of`` check nothing, so they are
+    referenced only in ``shift``, on words primitive by construction, and in
+    ``RefinementResult._recode_s``, on primitive roots: no parse path or
+    user-facing entry point reaches them."""
+    if path.name == "shift.py":
+        return
+    allowed = {"_recode_s"} if path.name == "refine.py" else set()
+    sites = _unchecked_constructor_sites(ast.parse(path.read_text(encoding="utf-8")))
+    stray = [line for func, line in sites if func not in allowed]
+    assert stray == [], f"{path.name} references an unchecked constructor at lines {stray}"
+
+
 def test_pairwise_reference_order_is_not_exported():
     """The paper's pairwise formulas live in the tests' reference module."""
     moved = {"ShiftEqualError", "interchange_delta", "interval_less", "j_index", "mismatch_M"}

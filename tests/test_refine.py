@@ -15,6 +15,7 @@ import geotype
 from geotype import (
     BoundaryCodeError,
     DuplicateOrbitError,
+    EventuallyPeriodicCode,
     GeoTypeError,
     GeometricType,
     HLabel,
@@ -24,8 +25,10 @@ from geotype import (
     PeriodicCode,
     alpha,
     bin_refine,
+    boundary_orbits,
     boundary_sets,
     build_order,
+    classify_code,
     corner_refine,
     corner_refine_along,
     enumerate_orbits,
@@ -579,7 +582,10 @@ def test_wp_refine_builds_no_copy_for_its_empty_pass(monkeypatch, e2):
 def test_wp_pipeline_leaves_no_reference_cycles(e2):
     """A type, its inverse and the results that chain them free by reference
     counting alone: a back-reference or a closure cycle left for the cyclic
-    collector would show here before it shows as a latency spike."""
+    collector would show here before it shows as a latency spike.  So do
+    enumerated orbits, the orbits their codes keep (a key code's orbit is
+    keyed by a new code, not by the key), both sides' boundary orbits and
+    the classification of a code."""
     from geotype.oracle import oracle_s_refine
 
     gc.collect()
@@ -590,6 +596,18 @@ def test_wp_pipeline_leaves_no_reference_cycles(e2):
             oracle_s_refine(stage.source, stage.order.family)
         result.recode(W12)
         del result, stage
+        assert gc.collect() == 0
+        T = bin_refine(make_e1m()).refined
+        orbits = enumerate_orbits(incidence_matrix(T), 8)
+        kept = [code.orbit() for o in orbits for code in (o.canonical, *o.phases())]
+        sides = [
+            c.orbit() for unstable in (False, True)
+            for o in boundary_orbits(T, unstable=unstable) for c in o.phases()
+        ]
+        words = [o.canonical.word for o in orbits if o.period <= 4]
+        verdicts = {classify_code(T, EventuallyPeriodicCode(w, (), w)) for w in words}
+        assert verdicts == {"interior", "corner-leaf"} and kept and sides
+        del T, orbits, kept, sides
         assert gc.collect() == 0
     finally:
         gc.enable()

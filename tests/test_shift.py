@@ -20,8 +20,11 @@ from geotype import (
     is_admissible_cycle,
     is_binary,
     is_mixing,
+    per_s_codes,
+    s_refine,
     wp_refine,
 )
+import geotype.shift
 from geotype.shift import (
     AdmissibilityError,
     min_rotation,
@@ -268,6 +271,116 @@ def test_code_orbit_normalizes_any_phase():
     assert CodeOrbit.from_word((1, 2, 1, 2)) == CodeOrbit.from_word((2, 1))
     code = PeriodicCode((1, 2))
     assert code.orbit().canonical == code and code.orbit().canonical is not code
+
+
+@pytest.mark.parametrize("word", [(1.0, 2.0), (1, 2.0), (True,), (1, False), ("1",), (1, None)])
+def test_code_constructors_accept_only_int_symbols(word, e2):
+    """A float, bool, string or None symbol is refused by both public
+    constructors and by ``CodeOrbit.from_word`` with a ValueError, so
+    s_refine and classify_code never meet one as a list index and never end
+    in a bare TypeError."""
+    with pytest.raises(ValueError, match="positive integers"):
+        PeriodicCode(word)
+    with pytest.raises(ValueError, match="positive integers"):
+        CodeOrbit.from_word(word)
+    for left, middle, right in ((word, (), (1,)), ((1,), word, (1,)), ((1,), (), word)):
+        with pytest.raises(ValueError, match="positive integers"):
+            EventuallyPeriodicCode(left, middle, right)
+    for call in (
+        lambda: s_refine(e2, [word]),
+        lambda: classify_code(e2, EventuallyPeriodicCode((1,), word, (2,))),
+    ):
+        with pytest.raises(ValueError, match="positive integers"):
+            call()
+
+
+def test_eventually_periodic_code_keeps_tuples(e2):
+    code, twin = EventuallyPeriodicCode([1], [2], [2]), EventuallyPeriodicCode((1,), (2,), (2,))
+    assert code == twin and hash(code) == hash(twin)
+    assert classify_code(e2, code) == "corner-leaf"
+
+
+def _require_checked_twin(code):
+    """``code`` equals the checked ``PeriodicCode`` of its word, with the same
+    hash and repr."""
+    twin = PeriodicCode(code.word)
+    assert type(code.word) is tuple and all(type(s) is int for s in code.word)
+    assert code == twin and hash(code) == hash(twin) and repr(code) == repr(twin)
+
+
+def _require_orbit_key(orbit):
+    """An orbit's key is a checked code's twin and its own least rotation, and
+    the key's orbit, built with no rotation, is the orbit itself."""
+    key = orbit.canonical
+    _require_checked_twin(key)
+    assert key.word == min_rotation(key.word) and key.orbit() == orbit
+
+
+def _require_unchecked_paths_match(orbits):
+    """Enumerated orbits, every phase (a rotation of the key) and its time
+    reversal, and the orbits of a phase and of a power of one."""
+    for orbit in orbits:
+        _require_orbit_key(orbit)
+        for phase in orbit.phases():
+            _require_checked_twin(phase)
+            _require_checked_twin(phase.reversed_pointed())
+            assert phase.orbit() == orbit
+        assert CodeOrbit(PeriodicCode(phase.word)) == orbit
+        for built in (CodeOrbit(phase), CodeOrbit.from_word(phase.word * 2)):
+            _require_orbit_key(built)
+            assert built == orbit
+
+
+def test_unchecked_codes_equal_their_checked_twins():
+    """Every code the library builds without a check (rotations, reversals,
+    orbit keys of any phase or power, enumerated orbits, recoded codes)
+    equals ``PeriodicCode`` of its word, with the same hash and repr: on a
+    binary corpus for P <= 8 and on E2 for P <= 12, P = 13, 14 being slow."""
+    corpus = dict.fromkeys(T for seed in range(5) for T in binary_mixing_corpus(seed, count=10))
+    for T in corpus:
+        A = incidence_matrix(T)
+        orbits = enumerate_orbits(A, 8)
+        _require_unchecked_paths_match(orbits)
+        boundary = {c.orbit() for c in per_s_codes(T)}
+        result = s_refine(T, [o.canonical for o in orbits if o.period <= 4 and o not in boundary])
+        for o in orbits[:40]:
+            for phase in o.phases():
+                for code in result.recode(phase):
+                    _require_checked_twin(code)
+    E2 = make_e2()
+    A = incidence_matrix(E2)
+    _require_unchecked_paths_match(enumerate_orbits(A, 12))
+    result = wp_refine(E2, 6)
+    for o in enumerate_orbits(A, 8):
+        for phase in o.phases():
+            for code in result.recode(phase):
+                _require_checked_twin(code)
+
+
+@pytest.mark.slow
+def test_unchecked_codes_equal_their_checked_twins_on_long_periods():
+    orbits = enumerate_orbits(incidence_matrix(make_e2()), 14)
+    _require_unchecked_paths_match([o for o in orbits if o.period > 12])
+
+
+def test_enumerate_orbits_builds_canonical_orbits_unchecked(monkeypatch):
+    """A Lyndon word is primitive and its own least rotation, so the search
+    neither takes a root nor rotates, and the orbit of an enumerated key
+    code rotates nothing either."""
+    calls: list[str] = []
+    for name in ("primitive_root", "min_rotation"):
+        real = getattr(geotype.shift, name)
+        monkeypatch.setattr(
+            geotype.shift, name, lambda word, name=name, real=real: calls.append(name) or real(word)
+        )
+    orbits = enumerate_orbits(incidence_matrix(make_e2()), 10)
+    assert len(orbits) == 226
+    for o in orbits:
+        assert o.canonical.orbit() == o
+        assert o.phases()[0].orbit() == o
+    assert calls == []
+    orbits[-1].canonical.rotate(1).orbit()
+    assert calls == ["min_rotation"]
 
 
 def test_rotation_preserves_orbit():
