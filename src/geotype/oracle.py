@@ -5,31 +5,35 @@ Every rectangle becomes the unit square; horizontal strip j of square i is
 [0,1] x [(j-1)/h_i, j/h_i] and is sent onto vertical strip l of square k by
 an affine map that contracts horizontally by 1/v_k, expands vertically by
 h_i, and flips vertically exactly when eps = -1.  All arithmetic is exact
-and on integers: a strip map is held as integers, and cut heights and band
-edges are reduced integer pairs (num, den).  ``fractions.Fraction`` values
-are made only where a caller reads them: the point of
-:func:`periodic_point`, ``OracleRefinement.cut_heights``, the views
-``StripMap.c``, ``d`` and ``apply_x``, and the SVG's cut lines.
+and on integers: the model holds its strip maps as flat integer columns
+(a, b, k, l), one entry per strip, and cut heights and band edges are
+reduced integer pairs (num, den).  ``fractions.Fraction`` values are made
+only where a caller reads them: the point of :func:`periodic_point`,
+``OracleRefinement.cut_heights``, the ``StripMap`` views' ``c``, ``d`` and
+``apply_x``, and the SVG's cut lines.
 
 The module recomputes stable-boundary refinements geometrically (cut heights
 as fixed points, sorted by an exact integer key; each strip's edges and cut
 heights pushed once through its monotone strip map onto the integer cut
-grids) and is kept free of the formula engine in ``refine`` so the two can
-check each other.
+grids) and writes the refined type's vertical slots from its own band
+numbering.  It is kept free of the formula engine in ``refine`` so the two
+can check each other.
 The two share only their input checks: the type's in ``core`` and ``shift``,
 and the cutting family's in :func:`boundary.cutting_family`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from math import gcd
+from operator import mul
 
-from .core import GeoTypeError, GeometricType, HLabel, VLabel, require_valid
-from .shift import AdmissibilityError, PeriodicCode, require_symbols
+from .core import GeoTypeError, GeometricType, HLabel, VLabel, _lex_columns, _targets, require_valid
+from .shift import AdmissibilityError, NonBinaryError, PeriodicCode, require_symbols
 from .boundary import cutting_family
 
 
@@ -46,7 +50,8 @@ class RationalPoint:
 
 @dataclass(frozen=True)
 class StripMap:
-    """Affine map of one horizontal strip onto one vertical strip.
+    """Affine map of one horizontal strip onto one vertical strip: a view of
+    one strip of an :class:`AffineModel`'s columns.
 
     Vertical part y' = ay + b with integers a = eps * h_i and b = -(j - 1)
     (eps = +1) or j (eps = -1); horizontal part x' = (x + l - 1) / v with
@@ -78,32 +83,53 @@ class StripMap:
 
 @dataclass(frozen=True)
 class AffineModel:
+    """The strip maps of ``source`` as integer columns in the lexicographic
+    order of its strips: strip x, the x-th label (i, j) counted from 0, maps
+    by y -> a[x] y + b[x] and x -> (x + l[x] - 1) / v_k onto the vertical
+    strip (k[x], l[x]).  ``maps`` shows them as ``StripMap``s, built on
+    first read; the oracle itself reads only the columns."""
+
     source: GeometricType
-    maps: tuple[StripMap, ...]  # aligned with the lexicographic label order
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+    k: tuple[int, ...]
+    l: tuple[int, ...]
 
     @cached_property
-    def _branches(self) -> dict[tuple[int, int], list[StripMap]]:
-        """``{(i, k): [map, ...]}``: the maps of the strips of square i into square k."""
-        table: dict[tuple[int, int], list[StripMap]] = {}
-        for m in self.maps:
-            table.setdefault((m.source.i, m.target.k), []).append(m)
+    def maps(self) -> tuple[StripMap, ...]:
+        v = self.source.v
+        return tuple(
+            StripMap(label, VLabel(k, l), a, b, v[k - 1])
+            for label, a, b, k, l in zip(self.source.h_labels(), self.a, self.b, self.k, self.l)
+        )
+
+    @cached_property
+    def _branches(self) -> dict[tuple[int, int], int]:
+        """``{(i, k): x}``: the strip x of square i into square k, or minus
+        the number of such strips when there are more than one."""
+        steps = list(zip(_lex_columns(self.source.h)[0], self.k))
+        table = dict(zip(steps, range(len(steps))))
+        if len(table) < len(steps):
+            for step, count in Counter(steps).items():
+                if count > 1:
+                    table[step] = -count
         return table
+
+    def _branch_index(self, i: int, target_square: int) -> int:
+        """The strip index of the unique strip of square i into the target square."""
+        x = self._branches.get((i, target_square))
+        if x is None:
+            raise AdmissibilityError(f"square {i} has 0 strips into square {target_square}")
+        if x < 0:
+            raise NonBinaryError(f"square {i} has {-x} strips into square {target_square}")
+        return x
 
     def strip_map(self, label: tuple[int, int]) -> StripMap:
         return self.maps[self.source.lex_index(label) - 1]
 
-    def _branch_map(self, i: int, target_square: int) -> StripMap:
-        """The map of the unique strip of square i into the target square."""
-        hits = self._branches.get((i, target_square), [])
-        if len(hits) != 1:
-            raise AdmissibilityError(
-                f"square {i} has {len(hits)} strips into square {target_square}"
-            )
-        return hits[0]
-
     def branch(self, i: int, target_square: int) -> int:
         """The unique strip of square i mapped into the target square."""
-        return self._branch_map(i, target_square).source.j
+        return self._branch_index(i, target_square) - self.source._offsets[i - 1] + 1
 
     def extract_type(self) -> GeometricType:
         """Read (rho, eps) back off the affine data, not off the source type."""
@@ -121,19 +147,20 @@ class AffineModel:
 
 
 def realize(T: GeometricType) -> AffineModel:
+    """The affine model of a valid type: a = eps * h_i, and b = 1 - j for
+    eps = +1 or j for eps = -1, so that y -> ay + b sends strip (i, j) onto
+    [0, 1]; k and l are read off T's slots."""
     require_valid(T)
-    maps: list[StripMap] = []
-    for label, target, e in zip(T.h_labels(), T.rho, T.eps):
-        h_i = T.h[label.i - 1]
-        a, b = (h_i, 1 - label.j) if e == 1 else (-h_i, label.j)
-        maps.append(StripMap(label, target, a, b, T.v[target.k - 1]))
-    return AffineModel(T, tuple(maps))
+    a = tuple(map(mul, T.eps, chain.from_iterable(map(repeat, T.h, T.h))))
+    b = tuple([1 - j if e == 1 else j for j, e in zip(_lex_columns(T.h)[1], T.eps)])
+    k, l = zip(*_targets(T.v, T._slots))
+    return AffineModel(T, a, b, k, l)
 
 
 def _orbit_walk(
     model: AffineModel, code: PeriodicCode
-) -> tuple[tuple[StripMap, ...], tuple[tuple[int, int], ...]]:
-    """The strip maps and cut heights of ``code``'s orbit, phase by phase.
+) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The strip indices and cut heights of ``code``'s orbit, phase by phase.
 
     Every phase's height comes from one fixed point: y_0 = B / (1 - A) of
     the period's composed vertical map y -> Ay + B, pushed once around the
@@ -145,11 +172,14 @@ def _orbit_walk(
     height is returned as a reduced pair (num, den).
     """
     word = code.word
-    require_symbols(model.source.n, word)
-    steps = tuple(model._branch_map(i, k) for i, k in zip(word, word[1:] + word[:1]))
+    T = model.source
+    require_symbols(T.n, word)
+    steps = tuple(map(model._branch_index, word, word[1:] + word[:1]))
+    a_col, b_col = model.a, model.b
     A, B = 1, 0
-    for m in steps:
-        A, B = m.a * A, m.a * B + m.b
+    for x in steps:
+        a = a_col[x]
+        A, B = a * A, a * B + b_col[x]
     if A == 1:
         if B == 0:
             raise GeoTypeError("vertical cut height undetermined: no expansion along cycle")
@@ -157,15 +187,15 @@ def _orbit_walk(
     den, num = (1 - A, B) if A < 1 else (A - 1, -B)
     start = num
     heights: list[tuple[int, int]] = []
-    for m in steps:
-        i, j = m.source.i, m.source.j
+    for i, x in zip(word, steps):
+        j = x - T._offsets[i - 1] + 1
         # (j - 1) / h_i <= num / den <= j / h_i, with den > 0
-        h_i = model.source.h[i - 1]
+        h_i = T.h[i - 1]
         if not (j - 1) * den <= num * h_i <= j * den:
             raise GeoTypeError(f"cut height {Fraction(num, den)} escapes strip ({i},{j})")
         g = gcd(num, den)
         heights.append((num // g, den // g))
-        num = m.a * num + m.b * den
+        num = a_col[x] * num + b_col[x] * den
     if num != start:
         raise GeoTypeError("cut height is not periodic under the strip maps")
     return steps, tuple(heights)
@@ -185,9 +215,10 @@ def periodic_point(model: AffineModel, code: PeriodicCode, phase: int = 0) -> Ra
     """
     steps, heights = _orbit_walk(model, code)
     t = phase % code.period
+    v = model.source.v
     N, M = 0, 1
-    for m in steps[t:] + steps[:t]:
-        N, M = N + (m.target.l - 1) * M, m.v * M
+    for x in steps[t:] + steps[:t]:
+        N, M = N + (model.l[x] - 1) * M, v[model.k[x] - 1] * M
     x = Fraction(N, M - 1) if M != 1 else Fraction(1, 2)
     return RationalPoint(code.symbol(t), x, Fraction(*heights[t]))
 
@@ -219,13 +250,6 @@ def _height_keys(heights: list[tuple[int, int]]) -> list[int]:
     return [(num << K) // den for num, den in heights]
 
 
-def _grid_point(m: StripMap, num: int, den: int) -> tuple[int, int]:
-    """The reduced pair of a * y + b for y = num / den, den > 0."""
-    num = m.a * num + m.b * den
-    g = gcd(num, den)
-    return num // g, den // g
-
-
 def oracle_s_refine(T: GeometricType, W) -> OracleRefinement:
     """Recompute the stable-boundary refinement from the affine geometry.
 
@@ -241,6 +265,13 @@ def oracle_s_refine(T: GeometricType, W) -> OracleRefinement:
     refined strips are the sweep between the images of its edges, in
     preimage order, and a band's length sums the steps between images until
     the next cut closes it.
+
+    The refined rectangles are the bands, numbered square by square from the
+    bottom up, and band r of square k gets v_k vertical strips.  A refined
+    strip onto position l of band r is written as its vertical slot, (the
+    refined v before band r) + l - 1, and the refined type is checked by
+    :func:`require_valid`, whose permutation check on the slots also
+    covers their range.
     """
     family = cutting_family(T, W)
     model = realize(T)
@@ -267,28 +298,36 @@ def oracle_s_refine(T: GeometricType, W) -> OracleRefinement:
     ]
 
     pairs = [(i, s) for i, bucket in enumerate(cuts, start=1) for s in range(1, len(bucket) + 2)]
-    starts = tuple(accumulate((len(bucket) + 1 for bucket in cuts), initial=0))
+    # the refined v before the first band of each square
+    v_before = tuple(accumulate((v_k * (len(bucket) + 1) for v_k, bucket in zip(T.v, cuts)), initial=0))
 
     h_new: list[int] = []
-    rho: list[VLabel] = []
+    slots: list[int] = []
     eps: list[int] = []
+    # zip draws from ``range`` first and stops there, so each square takes
+    # exactly its h_i strips off this one iterator over the columns
+    strips = zip(model.a, model.b, model.k, model.l)
     for i, row in enumerate(marks, start=1):
         h_i = T.h[i - 1]
-        first = T._offsets[i - 1]  # strip (i, j) maps by model.maps[first + j - 1]
         c, J_bar = 1, 0  # row[c] is the lowest mark above the strips walked so far
-        for j in range(1, h_i + 1):
-            m = model.maps[first + j - 1]
-            k, l = m.target
+        for j, (a, b, k, l) in zip(range(1, h_i + 1), strips):
             cells = grid[k - 1]
-            prev = lo = cells.get(_grid_point(m, j - 1, h_i))
+            # grid points are the reduced pairs of a * y + b for y = num / den
+            num = a * (j - 1) + b * h_i
+            g = gcd(num, h_i)
+            prev = lo = cells.get((num // g, h_i // g))
             while True:
                 # the next mark inside strip j, else the strip's top edge
                 p, q = row[c]
                 inside = p * h_i < j * q
-                pos = cells.get(_grid_point(m, p, q) if inside else _grid_point(m, j, h_i))
+                if not inside:
+                    p, q = j, h_i
+                num = a * p + b * q
+                g = gcd(num, q)
+                pos = cells.get((num // g, q // g))
                 if pos is None or prev is None:
                     raise GeoTypeError("image of a band edge missed the cut grid")
-                step = pos - prev if m.a > 0 else prev - pos
+                step = pos - prev if a > 0 else prev - pos
                 if step < 1:
                     raise GeoTypeError(f"strip ({i},{j}) does not map its marks monotonically")
                 J_bar += step
@@ -296,14 +335,21 @@ def oracle_s_refine(T: GeometricType, W) -> OracleRefinement:
                     break
                 h_new.append(J_bar)
                 c, J_bar, prev = c + 1, 0, pos
-            base = starts[k - 1]
-            bands = range(base + lo + 1, base + pos + 1) if m.a > 0 else range(base + lo, base + pos, -1)
-            rho.extend(map(tuple.__new__, repeat(VLabel), zip(bands, repeat(l))))
-            eps.extend([m.eps] * len(bands))
+            # band p of square k, between marks p - 1 and p, has the refined
+            # v_before[k - 1] + (p - 1) v_k before it; the strip sweeps bands
+            # lo + 1..pos upward, or lo..pos + 1 downward
+            v_k = T.v[k - 1]
+            base = v_before[k - 1] + l - 1
+            if a > 0:
+                band_slots = range(base + lo * v_k, base + pos * v_k, v_k)
+            else:
+                band_slots = range(base + (lo - 1) * v_k, base + (pos - 1) * v_k, -v_k)
+            slots.extend(band_slots)
+            eps.extend(repeat(1 if a > 0 else -1, len(band_slots)))
         h_new.append(J_bar)
 
     v_new = tuple(T.v[i - 1] for i, _ in pairs)
-    refined = GeometricType(tuple(h_new), v_new, tuple(rho), tuple(eps))
+    refined = GeometricType._from_slots(tuple(h_new), v_new, tuple(slots), tuple(eps))
     require_valid(refined)
     return OracleRefinement(
         refined,

@@ -24,6 +24,11 @@ integer per step.  ``inverse_by_labels`` and ``branches_by_labels`` are the
 label-by-label definitions they are tested against: rho reversed as a
 relation, and the table ``{(i, xi(i, j)): (j, eps(i, j))}``.
 
+The affine oracle holds its strip maps as integer columns (a, b, k, l) read
+off T's slots.  ``strip_maps_by_labels`` is the per-strip definition they
+are tested against: one ``StripMap`` per horizontal label, read off
+``T.rho``.
+
 The library enumerates shift orbits by the FKM prenecklace recursion, whose
 words are canonical by construction.  ``lyndon_scan_orbits`` is the search it
 is tested against: every admissible path from its least symbol, each kept
@@ -58,6 +63,7 @@ from geotype import (
     u_boundary_negative_code,
 )
 from geotype.boundary import BoundaryOrbitSummary
+from geotype.oracle import StripMap
 from geotype.refine import InvariantError, _orbit_keys
 from geotype.shift import AdmissibilityError, binary_branches, primitive_root, require_symbols
 
@@ -102,6 +108,18 @@ def branches_by_labels(T: GeometricType) -> dict[tuple[int, int], tuple[int, int
     """The branch table ``{(i, xi(i, j)): (j, eps(i, j))}``, label by label;
     one entry per strip when the incidence matrix is binary."""
     return {(i, k): (j, e) for (i, j), (k, _), e in zip(T.h_labels(), T.rho, T.eps)}
+
+
+def strip_maps_by_labels(T: GeometricType) -> tuple[StripMap, ...]:
+    """The strip maps of the affine model, label by label: strip (i, j) with
+    rho(i, j) = (k, l) and sign e maps by y -> h_i y - (j - 1) when e = +1,
+    or y -> j - h_i y when e = -1, onto vertical strip l of square k."""
+    maps = []
+    for label, target, e in zip(T.h_labels(), T.rho, T.eps):
+        h_i = T.h[label.i - 1]
+        a, b = (h_i, 1 - label.j) if e == 1 else (-h_i, label.j)
+        maps.append(StripMap(label, target, a, b, T.v[target.k - 1]))
+    return tuple(maps)
 
 
 def j_index(T: GeometricType, code: PeriodicCode, t: int) -> int:

@@ -237,6 +237,18 @@ def test_oracle_check(capsys, e2_path, w12_path):
     assert err == ""
 
 
+def test_oracle_check_golden_with_orientation_reversal(capsys, tmp_path):
+    """bin(E1m), whose strips (2,1) and (2,2) reverse orientation, along
+    every non-s-boundary orbit of period <= 4: the oracle's e = -1 bands."""
+    code, out, err = run_cli(capsys, "bin", str(GOLDEN / "E1m.gt"))
+    assert (code, err) == (0, "")
+    bin_path = tmp_path / "bin_E1m.gt"
+    bin_path.write_text(out)
+    codes = str(GOLDEN / "E1m_bin_4.codes")
+    code, out, err = run_cli(capsys, "oracle-check", str(bin_path), "--codes", codes)
+    assert (code, out, err) == (0, (GOLDEN / "oracle_E1m_bin_4.txt").read_text(), "")
+
+
 def test_render_dot_golden(capsys, e2_path):
     code, out, _ = run_cli(capsys, "render", e2_path, "--format", "dot")
     assert code == 0
@@ -263,6 +275,15 @@ def test_render_svg_rejects_a_symbol_above_n(capsys, e2_path, tmp_path):
     code, out, err = run_cli(capsys, "render", e2_path, "--format", "svg", "--codes", str(codes))
     assert (code, out) == (1, "")
     assert err == "AdmissibilityError: symbol out of range 1..2 in word (3, 1)\n"
+
+
+def test_render_svg_rejects_a_step_with_two_strips(capsys, e1_path, tmp_path):
+    """E1 is not binary: the code 1 is admissible, but its one step has two strips."""
+    codes = tmp_path / "W.codes"
+    codes.write_text("CODE 1\n")
+    code, out, err = run_cli(capsys, "render", e1_path, "--format", "svg", "--codes", str(codes))
+    assert (code, out) == (1, "")
+    assert err == "NonBinaryError: square 1 has 2 strips into square 1\n"
 
 
 def test_render_accepts_result_files(capsys, e2_path, w12_path, tmp_path):

@@ -14,9 +14,11 @@ from geotype import (
     BoundaryCodeError,
     DuplicateOrbitError,
     GeoTypeError,
+    GeometricType,
     IntervalRef,
     NonBinaryError,
     PeriodicCode,
+    VLabel,
     bin_refine,
     corner_refine,
     corner_refine_along,
@@ -24,10 +26,12 @@ from geotype import (
     incidence_matrix,
     model_svg,
     oracle_s_refine,
+    parse,
     per_s_codes,
     periodic_point,
     realize,
     s_refine,
+    serialize,
     wp_refine,
 )
 import geotype.oracle
@@ -42,8 +46,10 @@ from conftest import (
     make_e1m,
     make_e2,
     orientation_reversing_bin_types,
+    random_corpus,
+    record_builds,
 )
-from reference import interval_less
+from reference import interval_less, strip_maps_by_labels
 
 W12 = PeriodicCode((1, 2))
 
@@ -58,6 +64,21 @@ def test_realize_shapes(e0, e1, e1m):
             m = model.strip_map((i, j))
             ends = tuple(m.a * y + m.b for y in (Fraction(j - 1, h_i), Fraction(j, h_i)))
             assert ends == ((0, 1) if T.phi((i, j))[2] == 1 else (1, 0))
+
+
+def test_model_columns_equal_the_strip_maps_by_labels():
+    """The model's integer columns, shown as ``StripMap``s, equal the maps
+    built label by label off ``T.rho``, on the seeded corpora and on every
+    stage source of ``wp_refine(E2, P)``, P = 2..8."""
+    types = random_corpus(seed=29, count=40) + random_corpus(seed=31, count=10, max_n=8, max_hv=6)
+    types += binary_mixing_corpus(seed=37, count=8) + orientation_reversing_bin_types(41, 6)
+    for P in range(2, 9):
+        types += [stage.source for stage in wp_refine(make_e2(), P).stages]
+    assert any(-1 in T.eps for T in types)
+    for T in types:
+        model = realize(T)
+        assert model.maps == strip_maps_by_labels(T)
+        assert model.maps is model.maps
 
 
 def test_reextraction_roundtrip(e0, e1, e2, e1m):
@@ -170,24 +191,48 @@ def test_fraction_views_equal_the_fraction_formulas():
 
 
 def test_oracle_makes_no_fraction_until_cut_heights_are_read(monkeypatch):
-    """``realize`` and ``oracle_s_refine`` run on integers: on both stable
-    stages' inputs of ``wp_refine(E2, 6)`` they construct no ``Fraction``.
-    Reading ``cut_heights`` then makes exactly one per cut line."""
+    """``realize`` and ``oracle_s_refine`` run on integer columns: on both
+    stable stages' inputs of ``wp_refine(E2, 6)``, as fresh type objects,
+    they construct no ``Fraction``, no ``StripMap`` and no ``VLabel``, build
+    no ``rho`` view and call no public ``GeometricType`` constructor.
+    Reading ``cut_heights`` then makes exactly one ``Fraction`` per cut line."""
     result = wp_refine(make_e2(), 6)
+    sources = [parse(serialize(stage.source)) for stage in result.stages[:2]]
     made: list[tuple] = []
+    objects: list[object] = []
 
     class CountingFraction(Fraction):
         def __new__(cls, *args):
             made.append(args)
             return super().__new__(cls, *args)
 
+    class CountingVLabel(VLabel):
+        def __new__(cls, *args):
+            objects.append(args)
+            return super().__new__(cls, *args)
+
+    class CountingStripMap(geotype.oracle.StripMap):
+        def __post_init__(self):
+            objects.append(self)
+
+    public = GeometricType.__init__
+
+    def counting_init(self, *args):
+        objects.append(args)
+        public(self, *args)
+
     monkeypatch.setattr(geotype.oracle, "Fraction", CountingFraction)
+    monkeypatch.setattr(geotype.oracle, "VLabel", CountingVLabel)
+    monkeypatch.setattr(geotype.oracle, "StripMap", CountingStripMap)
+    monkeypatch.setattr(GeometricType, "__init__", counting_init)
+    rho_builds = record_builds(monkeypatch, "rho")
     counts = []
-    for stage in result.stages[:2]:
+    for source, stage in zip(sources, result.stages):
         made.clear()
-        realize(stage.source)
-        oracle = oracle_s_refine(stage.source, stage.order.family)
-        assert made == []
+        realize(source)
+        oracle = oracle_s_refine(source, stage.order.family)
+        assert made == [] and objects == [] and rho_builds == []
+        assert oracle.refined == stage.refined
         heights = [y for row in oracle.cut_heights for y, _, _ in row]
         assert all(type(y) is CountingFraction for y in heights)
         counts.append((len(made), len(heights)))
@@ -429,6 +474,28 @@ def test_oracle_validation_mirrors_engine(e1, e2, e3):
     assert TieError.__mro__[1] is GeoTypeError
 
 
+def test_a_step_with_two_strips_is_non_binary(e1, e3):
+    """E1's code 1 is admissible, since a_11 = 2, but its one step has two
+    strips: a ``NonBinaryError``.  A step with no strip stays an
+    ``AdmissibilityError``."""
+    model = realize(e1)
+    code = PeriodicCode((1,))
+    for run in (
+        lambda: model.branch(1, 1),
+        lambda: periodic_point(model, code),
+        lambda: model_svg(e1, [code]),
+    ):
+        with pytest.raises(NonBinaryError, match=r"^square 1 has 2 strips into square 1$"):
+            run()
+    model = realize(e3)
+    for run in (
+        lambda: model.branch(1, 4),
+        lambda: periodic_point(model, PeriodicCode((1, 4))),
+    ):
+        with pytest.raises(AdmissibilityError, match=r"^square 1 has 0 strips into square 4$"):
+            run()
+
+
 def _farey_neighbour(y: Fraction) -> Fraction:
     """The fraction b/q_2 above y = a/q (or below, for y = 1) with
     |b q - a q_2| = 1, so the two differ by exactly 1/(q q_2)."""
@@ -469,8 +536,9 @@ def test_equal_heights_in_one_square_raise_tie_error(e2, monkeypatch):
     walk = geotype.oracle._orbit_walk
 
     def flattened(model, code):
-        steps, heights = walk(model, code)
-        return steps, tuple((1, 2) for _ in heights)
+        strips, heights = walk(model, code)
+        assert [model.k[x] for x in strips] == list(code.word[1:] + code.word[:1])
+        return strips, tuple((1, 2) for _ in heights)
 
     monkeypatch.setattr(geotype.oracle, "_orbit_walk", flattened)
     with pytest.raises(TieError, match="exact tie between distinct cut lines in square 1"):
@@ -478,15 +546,13 @@ def test_equal_heights_in_one_square_raise_tie_error(e2, monkeypatch):
 
 
 def test_perturbed_strip_map_misses_the_cut_grid(e2, monkeypatch):
-    """Strip (1,1), which no cut line's orbit runs through, shifted up by one:
-    the image of its top edge misses square 1's grid."""
+    """Strip (1,1), which no cut line's orbit runs through, shifted up by one
+    in the model's b column: the image of its top edge misses square 1's grid."""
     real = geotype.oracle.realize
 
     def perturbed(T):
         model = real(T)
-        m = model.maps[0]
-        maps = (dataclasses.replace(m, b=m.b + 1),) + model.maps[1:]
-        return dataclasses.replace(model, maps=maps)
+        return dataclasses.replace(model, b=(model.b[0] + 1,) + model.b[1:])
 
     monkeypatch.setattr(geotype.oracle, "realize", perturbed)
     with pytest.raises(GeoTypeError, match="image of a band edge missed the cut grid"):

@@ -116,8 +116,8 @@ def test_every_pipeline_stage_matches_the_references():
 
 def test_every_construction_gives_a_vlabel_view_and_an_equal_twin():
     """parse, build, bin_refine, s_refine, u_refine, invert, the pipeline
-    stages and the oracle's refined type, which goes through the public
-    constructor and equals the engine's."""
+    stages and the oracle's refined type, which is built from the oracle's
+    own slots and equals the engine's."""
     e2, e3 = make_e2(), make_e3()
     T = bin_refine(make_e1m()).refined
     family = _non_boundary(T, 6)
