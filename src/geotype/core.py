@@ -109,8 +109,8 @@ class GeometricType:
     and ``repr`` shows rho as ``VLabel``s.
 
     Facts derived from the fields (validation report, lexicographic offsets,
-    inverse type, branch table, gamma table over the 2n boundary slots, each
-    side's boundary orbits) are computed at most once per object and kept in
+    inverse type, branch table, largest h, gamma table over the 2n boundary
+    slots, each side's boundary orbits) are computed at most once per object and kept in
     private cached members, which ``==``, ``hash`` and ``repr`` ignore.
     """
 
@@ -234,6 +234,11 @@ class GeometricType:
         rows, strips = _lex_columns(self.h)
         keys = _branch_keys(self.n, rows, _rect_column(self.v, self._slots))
         return dict(zip(keys, map(mul, self.eps, strips)))
+
+    @cached_property
+    def _max_h(self) -> int:
+        """The largest h_i, which fixes the digit width of ``refine._orbit_keys``."""
+        return max(self.h)
 
     @cached_property
     def _gamma(self) -> list[int]:

@@ -5,7 +5,8 @@ Three constructions live here.  The binary refinement promotes every
 horizontal strip to a rectangle of its own, which forces a 0/1 incidence
 matrix.  The stable-boundary refinement cuts rectangles along the horizontal
 lines carried by a family of periodic codes; its engine sorts the cut lines
-of each rectangle by a kneading key (a finite signed strip sequence), then
+of each rectangle by a kneading key (a finite signed strip sequence, held as
+a byte string whose bytewise order is the kneading order), then
 lays each strip's whole target block of bands end to end and splits every
 rectangle's run of blocks at its cut lines.
 The unstable-boundary refinement is the same construction run on the inverse
@@ -18,8 +19,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
-from operator import mul, neg, sub
-from typing import Sequence
+from operator import add, mul, sub
+from typing import Iterable, Sequence
 
 from .core import (
     GeoTypeError,
@@ -125,37 +126,60 @@ class IntervalRef:
         return self.code.symbol(self.t)
 
 
-def _orbit_keys(T: GeometricType, code: PeriodicCode, span: int) -> list[tuple[int, ...]]:
-    """The kneading keys of length ``span`` of every phase of a code, by phase.
+def _digit_width(T: GeometricType) -> tuple[int, int]:
+    """(H, w) for the kneading keys of T: H is the largest h_i, and a digit
+    H + s of a signed strip s in -H..H takes w bytes, big-endian."""
+    H = T._max_h
+    return H, (2 * H).bit_length() + 7 >> 3
+
+
+def _pack(digits: Iterable[int], width: int) -> bytes:
+    """Digits as ``width``-byte big-endian unsigned integers, end to end."""
+    if width == 1:
+        return bytes(digits)
+    return b"".join(map(int.to_bytes, digits, repeat(width), repeat("big")))
+
+
+def _orbit_keys(T: GeometricType, code: PeriodicCode, span: int) -> list[bytes]:
+    """The kneading keys of ``span`` digits of every phase of a code, by phase.
 
     The key of phase t is the signed strip sequence of its cut line: symbol
     m is delta_m * j_m, where j_m is the strip that step t + m of the code
     runs through and delta_m the orientation product of the m steps before
-    it.  One period of the sequence of phase 0 is walked once, p lookups of
+    it.  Each symbol s is stored as the digit H + s, with H the largest h_i
+    of T (:func:`_digit_width`), in a fixed number of big-endian bytes: one
+    while 2H < 256.  Every digit lies in 0..2H, so the bytewise (memcmp)
+    order of two keys of T is the lexicographic order of their symbols.
+    One period of the sequence of phase 0 is walked once, p lookups of
     e * j in the branch table of :func:`shift.binary_branches`, so T must
     have passed that guard and the code's symbols a range check; symbol m
-    is delta_{m+1} * e_m * j_m.  The sequence has period p, or 2p when the orientation
-    product over one period is -1, so repeating it gives the p + span
-    symbols that every phase needs.  The key of phase t is the slice
-    [t, t + span), negated when the orientation product delta_t of the
-    first t steps is -1; delta_t is the sign of symbol t, since every strip
-    index j is positive.
+    is delta_{m+1} * e_m * j_m.  That period is packed once, and once
+    negated (digit 2H - d); the sequence has period p, or 2p (the period,
+    then its negation) when the orientation product over one period is -1.
+    Each is repeated to the p + span digits that every phase needs.  The
+    key of phase t is the slice of digits [t, t + span), of the negated
+    sequence when the orientation product delta_t of the first t steps is
+    -1; delta_t is the sign of symbol t, since every strip index j is
+    positive.
     """
+    H, width = _digit_width(T)
     word = code.word
-    period: list[int] = []
+    digits: list[int] = []
     delta = 1
     for j in map(T._branches.get, _branch_keys(T.n, word, word[1:] + word[:1])):
         if j is None:
             raise AdmissibilityError(f"code {code} is not admissible for this type")
         if j < 0:
             delta = -delta
-        period.append(delta * j)
-    seq = tuple(period)
+        digits.append(H + delta * j)
+    up = _pack(digits, width)
+    down = _pack(map(sub, repeat(2 * H), digits), width)
     if delta == -1:
-        seq += tuple(map(neg, seq))  # the sequence has period 2p
-    seq *= -(-(len(word) + span) // len(seq))
-    negated = tuple(map(neg, seq))
-    return [(seq if seq[t] > 0 else negated)[t : t + span] for t in range(len(word))]
+        up, down = up + down, down + up  # the sequence has period 2p
+    copies = -(-(len(word) + span) * width // len(up))
+    up, down = up * copies, down * copies
+    starts, size = range(0, len(word) * width, width), span * width
+    return [(up if d > H else down)[a : a + size] for a, d in zip(starts, digits)]
 
 
 @dataclass(frozen=True)
@@ -210,10 +234,12 @@ def build_order(T: GeometricType, W, *, drop_boundary: bool = False) -> OrderTab
     gcd(2p_a, 2p_b) symbols, and keys of length 2(p_a + p_b) decide the
     order exactly.  Every cut is sorted by its key of length 4P, where P is
     the longest period in the family, which is that length for every pair.
-    The keys of all phases of a code come from one walk of its orbit.  The
-    family check costs O(sum of periods) past T's branch and gamma tables
-    (O(alpha), once per type object), the keys O(cuts * P) and the sort
-    O(cuts * log cuts) comparisons.
+    The keys are byte strings whose bytewise order is the kneading order,
+    with a digit width fixed by T's largest h, so each rectangle's cuts are
+    sorted by ``bytes`` comparison.  The keys of all phases of a code come
+    from one walk of its orbit.  The family check costs O(sum of periods)
+    past T's branch and gamma tables (O(alpha), once per type object), the
+    keys O(cuts * P) and the sort O(cuts * log cuts) comparisons.
     """
     return _sort_cuts(T, cutting_family(T, W, drop_boundary=drop_boundary))
 
@@ -221,13 +247,18 @@ def build_order(T: GeometricType, W, *, drop_boundary: bool = False) -> OrderTab
 def _sort_cuts(T: GeometricType, family: tuple[PeriodicCode, ...]) -> OrderTable:
     """:func:`build_order` past the family check, which also shows T valid
     and binary (for ``u_refine``, the check on the type T inverts: the
-    inverse's incidence matrix is the transpose)."""
+    inverse's incidence matrix is the transpose).  Each rectangle maps the
+    keys of its cuts to their pairs (f, t); two equal keys would be one line
+    cut twice, which a checked family never has."""
     span = 4 * max((code.period for code in family), default=0)
-    buckets: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in range(T.n)]
+    buckets: list[dict[bytes, tuple[int, int]]] = [{} for _ in range(T.n)]
     for f, code in enumerate(family):
-        for t, key in enumerate(_orbit_keys(T, code, span)):
-            buckets[code.word[t] - 1].append((key, f, t))
-    cuts = tuple(tuple((f, t) for _, f, t in sorted(bucket)) for bucket in buckets)
+        pairs = zip(repeat(f), range(code.period))
+        for i, key, pair in zip(code.word, _orbit_keys(T, code, span), pairs):
+            buckets[i - 1][key] = pair
+    if sum(map(len, buckets)) != sum(code.period for code in family):
+        raise InvariantError("two cut lines of the family have equal kneading keys")
+    cuts = tuple(tuple(map(bucket.__getitem__, sorted(bucket))) for bucket in buckets)
     return OrderTable(T.n, family, cuts)
 
 
@@ -283,13 +314,16 @@ class RefinementResult:
     def _recode_s(self, code: PeriodicCode) -> frozenset[PeriodicCode]:
         """Bisect each phase's kneading key into its host's sorted cuts.
 
-        A phase with s - 1 cuts below it lies in band s, or on the cut
-        between bands s and s + 1 when that cut's key is its own; keys of
-        length 2(P + the family's longest period) decide both exactly (see
+        The keys are the byte strings of :func:`_orbit_keys`, so the bisection
+        compares bytes, as the sort of :func:`build_order` does.  A phase
+        with s - 1 cuts below it lies in band s, or on the cut between bands
+        s and s + 1 when that cut's key is its own; keys of length 2(P + the
+        family's longest period) decide both exactly (see
         :func:`build_order`).  The two sides of a cut swap at every
-        orientation-reversing step, the sign of symbol t of the phase-0 key
-        being the orientation product of the first t steps, so the walk
-        takes 2P steps when that product over one period is -1.  The
+        orientation-reversing step.  Digit t of the phase-0 key is H plus
+        a symbol whose sign is the orientation product of the first t steps,
+        so it is read as positive when its bytes exceed those of H; the
+        walk takes 2P steps when that product over one period is -1.  The
         family's keys are kept on the result by (family index, span), so a
         batch of recodes walks each family code once per span.  The two
         codes returned are primitive roots of refined rectangle numbers, so
@@ -301,8 +335,10 @@ class RefinementResult:
         family, cuts = self.order.family, self.order.cuts
         P = code.period
         span = 2 * (max((w.period for w in family), default=0) + P)
+        H, width = _digit_width(self.source)
+        zero = H.to_bytes(width, "big")
 
-        def cut_key(cut: tuple[int, int]) -> tuple[int, ...]:
+        def cut_key(cut: tuple[int, int]) -> bytes:
             return self._family_keys(cut[0], span)[cut[1]]
 
         f = self._family_index.get(code)
@@ -311,15 +347,19 @@ class RefinementResult:
         else:
             phases = self._family_keys(f, span)
         signs = phases[0]
+
+        def positive(t: int) -> bool:  # the sign of symbol t of the phase-0 key
+            return signs[t * width : (t + 1) * width] > zero
+
         below: list[int] = []
         above: list[int] = []
-        for t in range(P if signs[P] > 0 else 2 * P):
+        for t in range(P if positive(P) else 2 * P):
             i, key = code.word[t % P], phases[t % P]
             row = cuts[i - 1]
             s = 1 + bisect_left(row, key, key=cut_key)
             low = self.r_of(i, s)
             high = self.r_of(i, s + 1) if s <= len(row) and cut_key(row[s - 1]) == key else low
-            if signs[t] < 0:
+            if not positive(t):
                 low, high = high, low
             below.append(low)
             above.append(high)
@@ -330,11 +370,11 @@ class RefinementResult:
         return {code: f for f, code in enumerate(self.order.family)}
 
     @cached_property
-    def _kept_keys(self) -> dict[tuple[int, int], list[tuple[int, ...]]]:
+    def _kept_keys(self) -> dict[tuple[int, int], list[bytes]]:
         """``{(f, span): keys}``, filled in by :meth:`_family_keys`."""
         return {}
 
-    def _family_keys(self, f: int, span: int) -> list[tuple[int, ...]]:
+    def _family_keys(self, f: int, span: int) -> list[bytes]:
         """The kneading keys of length ``span`` of ``family[f]``, walked once
         per result, so a batch of recodes walks each (code, span) pair once."""
         kept = self._kept_keys
@@ -361,33 +401,20 @@ def _assemble(T: GeometricType, order: OrderTable) -> RefinementResult:
     """:func:`s_refine` past the family check and the sort, in O(cuts) steps.
 
     :func:`_blocks` lays out the slots and eps, a rectangle having one band
-    more than cut lines.  A cut line of rectangle i lies in the strip j
-    that maps into its successor's rectangle k, at the successor's position
-    p; the branch table gives e * j for the step (i, k).  Its offset in i's
-    run of blocks is p past the start of j's block, or p before its end
-    when e = -1.  The offsets must strictly increase within a
-    rectangle, which also leaves no band, and no piece of a strip, empty.
-    An empty family cuts nothing, so the refined type is T itself, with
-    every table already kept on it.
+    more than cut lines, and :func:`_cut_offsets` places the cut lines in
+    each rectangle's run of blocks.  The offsets must strictly increase
+    within a rectangle, which also leaves no band, and no piece of a strip,
+    empty.  An empty family cuts nothing, so the refined type is T itself,
+    with every table already kept on it.
     """
-    branches = binary_branches(T)
+    binary_branches(T)
     tops = [len(row) + 1 for row in order.cuts]
     pairs = tuple(_lex_pairs(tops))
     if not order.family:
         return RefinementResult(T, T, "s", pairs, order)
-    family, positions = order.family, order.positions
     sizes, v_new, slots, eps = _blocks(T, tops)
     runs = tuple(accumulate(sizes, initial=0))  # strip x's block starts at runs[x]
-
-    # each cut line's host i and successor phase (f, t), in table order
-    hosts = [i for i, row in enumerate(order.cuts, start=1) for _ in row]
-    nexts = [(f, (t + 1) % family[f].period) for row in order.cuts for f, t in row]
-    steps = _branch_keys(T.n, hosts, [family[f].word[t] for f, t in nexts])
-    offsets: list[int] = []  # each cut line's offset in its host's run of blocks
-    for i, (f, t), j in zip(hosts, nexts, map(branches.__getitem__, steps)):
-        x = T._offsets[i - 1] + abs(j) - 1  # strip (i, |j|) is source strip x
-        offsets.append(runs[x] + positions[f][t] if j > 0 else runs[x + 1] - positions[f][t])
-    ends = iter(offsets)
+    ends = iter(_cut_offsets(T, order, runs))
     marks = [0]  # band edges in the run of blocks, bottom-up, rectangle by rectangle
     for top, end in zip(tops, T._offsets[1:]):
         marks.extend(islice(ends, top - 1))
@@ -407,6 +434,39 @@ def _assemble(T: GeometricType, order: OrderTable) -> RefinementResult:
         label_map=pairs,
         order=order,
     )
+
+
+def _cut_offsets(T: GeometricType, order: OrderTable, runs: tuple[int, ...]) -> list[int]:
+    """Each cut line's offset in its host's run of blocks, in table order.
+
+    A cut line of rectangle i lies in the strip j that maps into its
+    successor's rectangle k, at the successor's table position p; the
+    branch table gives e * j for the step (i, k).  Its offset is p past
+    the start of j's block (``runs[x]`` for source strip x), or p before
+    its end when e = -1.  Cuts are numbered family code by family code,
+    phase by phase, so each cut's successor, symbol and table position are
+    read off flat integer lists, with no lookup in the family per cut.
+    """
+    words = [code.word for code in order.family]
+    starts = list(accumulate(map(len, words), initial=0))
+    symbols = list(chain.from_iterable(words))
+    succ = list(range(1, len(symbols) + 1))  # cut c's successor phase is cut succ[c]
+    for start, end in zip(starts, starts[1:]):
+        succ[end - 1] = start
+    ids = [starts[f] + t for f, t in chain.from_iterable(order.cuts)]
+    ranks = [0] * len(symbols)  # each cut's table position
+    for c, p in zip(ids, chain.from_iterable(map(range, map(len, order.cuts)))):
+        ranks[c] = p + 1
+    nexts = list(map(succ.__getitem__, ids))
+    hosts = list(chain.from_iterable(map(repeat, range(1, T.n + 1), map(len, order.cuts))))
+    steps = _branch_keys(T.n, hosts, map(symbols.__getitem__, nexts))
+    js = list(map(T._branches.__getitem__, steps))
+    firsts = (0, *accumulate(T.h, initial=-1))  # strip (i, j) is source strip firsts[i] + j
+    xs = map(add, map(firsts.__getitem__, hosts), map(abs, js))
+    return [
+        runs[x] + p if j > 0 else runs[x + 1] - p
+        for x, p, j in zip(xs, map(ranks.__getitem__, nexts), js)
+    ]
 
 
 def u_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementResult:

@@ -2,11 +2,18 @@
 ``src/geotype`` imports this module.
 
 The library sorts and recodes cut lines by one kneading key per phase
-(``geotype.refine._orbit_keys``).  The formulas here are the paper's
-pairwise definitions of that order: the strip index ``j_index``, the
-mismatch time ``mismatch_M`` of two shifted codes, the orientation product
-``interchange_delta`` before it, and the comparison ``interval_less`` built
-on single keys.  Tests check the key sort against them.
+(``geotype.refine._orbit_keys``), a byte string compared bytewise.  The
+formulas here are the paper's pairwise definitions of that order: the strip
+index ``j_index``, the mismatch time ``mismatch_M`` of two shifted codes,
+the orientation product ``interchange_delta`` before it, and the comparison
+``interval_less`` built on single keys decoded (``decode_key``) into signed
+strip sequences and compared as integer tuples.  Tests check the key sort
+against them.
+
+A refinement's rectangle map pi (refined r to the source rectangle of
+``label_map[r - 1]``) intertwines the transition matrices of source and
+refined type.  ``intertwines`` checks that identity sparsely, from the
+public fields of both types, with no oracle and no engine internals.
 
 The library's symbolic side reads a sparse transition graph.  The dense
 matrix arithmetic here is its reference: the dense view ``dense_rows``,
@@ -163,16 +170,31 @@ def interchange_delta(T: GeometricType, a: IntervalRef, b: IntervalRef) -> int:
     return delta_a
 
 
+def decode_key(T: GeometricType, key: bytes) -> tuple[int, ...]:
+    """The signed strip sequence of a kneading key of T: each digit is a
+    fixed-width big-endian integer d, wide enough for 0..2H with H the
+    largest h_i, and stands for the symbol d - H."""
+    H = max(T.h)
+    width = 1
+    while 2 * H >= 256**width:
+        width += 1
+    if len(key) % width:
+        raise ValueError(f"key of {len(key)} bytes is not a whole number of {width}-byte digits")
+    return tuple(int.from_bytes(key[m : m + width], "big") - H for m in range(0, len(key), width))
+
+
 def _kneading_key(T: GeometricType, ref: IntervalRef, span: int) -> tuple[int, ...]:
-    """The key of one cut line: its phase's entry of :func:`_orbit_keys`."""
-    return _orbit_keys(T, ref.code, span)[ref.t]
+    """The signed strip sequence of one cut line: its phase's entry of
+    :func:`_orbit_keys`, decoded."""
+    return decode_key(T, _orbit_keys(T, ref.code, span)[ref.t])
 
 
 def interval_less(T: GeometricType, a: IntervalRef, b: IntervalRef) -> bool:
     """Strict vertical order of two cut lines with a common host rectangle.
 
     ``a`` lies below ``b`` exactly when its :func:`_kneading_key` of the
-    Fine-Wilf length 2(p_a + p_b) is smaller (see ``build_order``).
+    Fine-Wilf length 2(p_a + p_b) is lexicographically smaller as a tuple of
+    signed integers (see ``build_order``).
     """
     if a.host != b.host:
         raise ValueError("interval references must share a host rectangle")
@@ -188,6 +210,54 @@ def interval_less(T: GeometricType, a: IntervalRef, b: IntervalRef) -> bool:
 def position(table: OrderTable, ref: IntervalRef) -> int:
     """The table position of a cut line: its rank from the bottom, 1-based."""
     return table.positions[table.family.index(ref.code)][ref.t]
+
+
+# -- refinements as factor maps ----------------------------------------------------
+
+
+def edge_weights(T: GeometricType, signed: bool = False) -> dict[tuple[int, int], int]:
+    """The nonzero entries ``{(i, k): a_ik}`` of the transition matrix: the
+    number of strips of rectangle i that map into rectangle k, or, when
+    ``signed``, the sum of their orientation signs."""
+    weights: dict[tuple[int, int], int] = {}
+    for (i, _), (k, _), e in zip(T.h_labels(), T.rho, T.eps):
+        weights[(i, k)] = weights.get((i, k), 0) + (e if signed else 1)
+    return {step: a for step, a in weights.items() if a}
+
+
+def intertwines(result, signed: bool = False) -> bool:
+    """Whether the rectangle map of a single-stage refinement intertwines
+    the transition matrices A of its source and A' of its refined type.
+
+    Let pi send refined rectangle r to the source rectangle i of
+    ``label_map[r - 1] = (i, s)``, and let Pi be its 0/1 matrix.  A stable
+    refinement cuts each rectangle into horizontal bands, so every refined
+    r' has, over each source rectangle i, as many predecessors as A has
+    steps from i into pi(r'): Pi^T A' = A Pi^T.  An unstable refinement
+    cuts vertical bands, so every r has, over each source k, as many
+    successors as A has steps from pi(r) into k: A' Pi = Pi A, which is
+    the stable identity for the transposed matrices.  With ``signed`` the
+    matrices sum the orientation signs of the strips.  Both sides are
+    built sparsely, from the public fields of both types.
+    """
+    if result.kind not in ("s", "u"):
+        raise ValueError("only single-stage results have one rectangle map")
+    pi = [i for i, _ in result.label_map]
+    if len(pi) != result.refined.n:
+        return False
+
+    def matrix(T: GeometricType) -> dict[tuple[int, int], int]:
+        weights = edge_weights(T, signed)
+        return weights if result.kind == "s" else {(k, i): a for (i, k), a in weights.items()}
+
+    into: dict[int, list[tuple[int, int]]] = {}  # k -> [(i, a_ik)] of the source
+    for (i, k), a in matrix(result.source).items():
+        into.setdefault(k, []).append((i, a))
+    lhs: dict[tuple[int, int], int] = {}  # (Pi^T A')[i][r']
+    for (r, r2), a in matrix(result.refined).items():
+        lhs[(pi[r - 1], r2)] = lhs.get((pi[r - 1], r2), 0) + a
+    rhs = {(i, r2): a for r2, k in enumerate(pi, start=1) for i, a in into.get(k, ())}
+    return {step: a for step, a in lhs.items() if a} == rhs
 
 
 # -- classification by tail scan -------------------------------------------------

@@ -249,6 +249,20 @@ def test_oracle_check_golden_with_orientation_reversal(capsys, tmp_path):
     assert (code, out, err) == (0, (GOLDEN / "oracle_E1m_bin_4.txt").read_text(), "")
 
 
+@pytest.mark.parametrize("command", ["srefine", "urefine"])
+def test_refine_golden_with_orientation_reversal(capsys, tmp_path, command):
+    """The ORDER and CUT lines of bin(E1m) along every non-s-boundary orbit
+    of period <= 4, where cut lines behind a reversing strip sort by negated
+    kneading keys; E2 along W12 (every eps = +1) never takes that path."""
+    code, out, err = run_cli(capsys, "bin", str(GOLDEN / "E1m.gt"))
+    assert (code, err) == (0, "")
+    bin_path = tmp_path / "bin_E1m.gt"
+    bin_path.write_text(out)
+    codes = str(GOLDEN / "E1m_bin_4.codes")
+    code, out, err = run_cli(capsys, command, str(bin_path), "--codes", codes)
+    assert (code, out, err) == (0, (GOLDEN / f"{command}_E1m_bin_4.txt").read_text(), "")
+
+
 def test_render_dot_golden(capsys, e2_path):
     code, out, _ = run_cli(capsys, "render", e2_path, "--format", "dot")
     assert code == 0

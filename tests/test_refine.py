@@ -44,8 +44,9 @@ from geotype import (
     validate,
     wp_refine,
 )
-from geotype.refine import InvariantError, OrderTable, _assemble, _orbit_keys
-from geotype.shift import AdmissibilityError
+from geotype.refine import InvariantError, OrderTable, _assemble, _orbit_keys, _sort_cuts
+from geotype.oracle import oracle_s_refine, periodic_point, realize
+from geotype.shift import AdmissibilityError, primitive_root
 
 from conftest import (
     binary_mixing_corpus,
@@ -63,9 +64,11 @@ from reference import (
     ShiftEqualError,
     _kneading_key,
     bin_refine_by_strips,
+    decode_key,
     dense_rows,
     interchange_delta,
     interval_less,
+    intertwines,
     j_index,
     mismatch_M,
     position,
@@ -232,10 +235,50 @@ def test_key_order_matches_pairwise_reference():
     assert deltas == {1, -1}  # both orientations before the mismatch
 
 
+def _signed_walks(T, code, span) -> list[tuple[int, ...]]:
+    """Every phase's signed strip sequence of length ``span``, walked step
+    by step from that phase on the type's own strip maps."""
+    steps: list[tuple[int, int]] = []  # (strip, orientation) of each step
+    for t in range(code.period):
+        i, k = code.symbol(t), code.symbol(t + 1)
+        (j,) = [j for j in range(1, T.h[i - 1] + 1) if T.phi((i, j))[0] == k]
+        steps.append((j, T.phi((i, j))[2]))
+    walks = []
+    for t in range(code.period):
+        walk: list[int] = []
+        delta = 1  # orientation product of the steps so far
+        for m in range(span):
+            j, e = steps[(t + m) % code.period]
+            walk.append(delta * j)
+            delta *= e
+        walks.append(tuple(walk))
+    return walks
+
+
+def _check_keys_against_walks(T, code, span) -> set[int]:
+    """Each phase's byte key, digit by digit, against its walked signed
+    sequence: symbol s is the digit max h + s, in as many big-endian bytes
+    as 2 max h needs.  Returns the orientation products delta_t of the
+    first t steps over the phases t; phase t's key is the negated slice of
+    the sequence when delta_t = -1."""
+    H = max(T.h)
+    width = 1 if 2 * H < 256 else 2
+    keys = _orbit_keys(T, code, span)
+    assert len(keys) == code.period
+    walks = _signed_walks(T, code, span)
+    for t, (key, walk) in enumerate(zip(keys, walks)):
+        assert type(key) is bytes and len(key) == span * width, (T, code, t)
+        for m, symbol in enumerate(walk):
+            assert key[m * width : (m + 1) * width] == (H + symbol).to_bytes(width, "big")
+        assert decode_key(T, key) == walk, (T, code, t)
+        assert _kneading_key(T, IntervalRef(t, code), span) == walk
+    return {1 if s > 0 else -1 for s in walks[0][: code.period]}
+
+
 def test_orbit_keys_match_per_phase_walk():
-    """Every phase's sliced key against its signed strip sequence, walked
-    step by step from that phase on the type's own strip maps, along all
-    non-boundary orbits of period <= 6."""
+    """Every phase's byte key, decoded digit by digit, against its signed
+    strip sequence, walked step by step from that phase on the type's own
+    strip maps, along all non-boundary orbits of period <= 6."""
     types = binary_mixing_corpus(seed=73, count=4) + orientation_reversing_bin_types(79, 3)
     types.append(bin_refine(make_e1m()).refined)
     span = 4 * 6  # build_order's key length at P = 6
@@ -245,26 +288,79 @@ def test_orbit_keys_match_per_phase_walk():
         for orbit in enumerate_orbits(incidence_matrix(T), 6):
             if orbit in boundary:
                 continue
-            code = orbit.canonical
-            keys = _orbit_keys(T, code, span)
-            steps: list[tuple[int, int]] = []  # (strip, orientation) of each step
-            for t in range(code.period):
-                i, k = code.symbol(t), code.symbol(t + 1)
-                (j,) = [j for j in range(1, T.h[i - 1] + 1) if T.phi((i, j))[0] == k]
-                steps.append((j, T.phi((i, j))[2]))
-            delta_t = 1  # orientation product of the steps before phase t
-            for t in range(code.period):
-                walk: list[int] = []
-                delta = 1
-                for m in range(span):
-                    j, e = steps[(t + m) % code.period]
-                    walk.append(delta * j)
-                    delta *= e
-                assert keys[t] == tuple(walk), (T, code, t)
-                assert _kneading_key(T, IntervalRef(t, code), span) == keys[t]
-                deltas.add(delta_t)
-                delta_t *= steps[t][1]
+            deltas |= _check_keys_against_walks(T, orbit.canonical, span)
     assert deltas == {1, -1}  # both slices: the sequence and its negation
+
+
+def _full_shift(N: int) -> GeometricType:
+    """The full shift on N symbols: strip j of rectangle i maps to (j, i),
+    orientation-reversing when i + 2j is a multiple of 3."""
+    labels = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
+    return GeometricType(
+        (N,) * N,
+        (N,) * N,
+        tuple((j, i) for i, j in labels),
+        tuple(-1 if (i + 2 * j) % 3 == 0 else 1 for i, j in labels),
+    )
+
+
+def test_wide_digit_keys_on_the_full_shift_on_130_symbols():
+    """max h = 130, so a digit takes two bytes: the only keys of more than
+    one byte per symbol.  The key sort against the pairwise mismatch order,
+    s_refine against the oracle, and recode of a cut code and a non-cut code
+    against the bands read off the exact cut heights."""
+    T = _full_shift(130)
+    boundary = {c.orbit() for c in per_s_codes(T)}
+    words = [(2,), (129, 3), (7, 128), (64, 65, 2), (128, 127, 130), (7, 5, 100), (130, 1, 1)]
+    family = [PeriodicCode(w) for w in words]
+    assert not {w.orbit() for w in family} & boundary
+    span = 4 * 3
+    deltas: set[int] = set()
+    for code in family:
+        deltas |= _check_keys_against_walks(T, code, span)
+        assert len(_orbit_keys(T, code, span)[0]) == 2 * span
+    assert deltas == {1, -1}
+
+    table = build_order(T, family)
+    hosts = [i for i in range(1, T.n + 1) if table.count(i) >= 2]
+    assert hosts
+    for i in hosts:
+        for a, b in combinations(table.refs(i), 2):
+            assert interval_less(T, a, b) and not interval_less(T, b, a)
+            assert _pairwise_less(T, a, b)[0], (a, b)
+
+    result = s_refine(T, family)
+    geometric = oracle_s_refine(T, family)
+    assert (result.refined, result.label_map) == (geometric.refined, geometric.label_map)
+
+    model = realize(T)
+    heights = [sorted(y for y, _, _ in bucket) for bucket in geometric.cut_heights]
+    band = {label: r for r, label in enumerate(geometric.label_map, start=1)}
+    other = PeriodicCode((5, 9))
+    assert other.orbit() not in boundary | {w.orbit() for w in family}
+    expected = []
+    for t in range(other.period):
+        y = periodic_point(model, other, t).y
+        i = other.symbol(t)
+        expected.append(band[(i, 1 + sum(1 for h in heights[i - 1] if h < y))])
+    assert result.recode(other) == {PeriodicCode(primitive_root(tuple(expected)))}
+    for code in family:
+        sides = []  # (band below, band above, orientation of the step) at each phase
+        for t in range(code.period):
+            i, k = code.symbol(t), code.symbol(t + 1)
+            p = 1 + heights[i - 1].index(periodic_point(model, code, t).y)
+            a = model.strip_map((i, model.branch(i, k))).a
+            sides.append((band[(i, p)], band[(i, p + 1)], 1 if a > 0 else -1))
+        below: list[int] = []
+        above: list[int] = []
+        delta = 1
+        for t in range(2 * code.period):
+            low, high, sign = sides[t % code.period]
+            below.append(low if delta == 1 else high)
+            above.append(high if delta == 1 else low)
+            delta *= sign
+        flanks = {PeriodicCode(primitive_root(tuple(x))) for x in (below, above)}
+        assert result.recode(code) == flanks, code
 
 
 def test_build_order_examples(e2):
@@ -392,6 +488,14 @@ def test_assemble_rejects_a_corrupted_order_table(e2, corrupt):
     corrupted = OrderTable(order.n, order.family, (bad,) + order.cuts[1:])
     with pytest.raises(InvariantError, match=r"cut lines of rectangle 1 are out of order"):
         _assemble(e2, corrupted)
+
+
+def test_sort_rejects_a_line_cut_twice(e2):
+    """Two phases of one orbit passed past the family check carry the same
+    cut lines, so their kneading keys are equal: the sort raises rather
+    than keep one of each pair."""
+    with pytest.raises(InvariantError, match="equal kneading keys"):
+        _sort_cuts(e2, (W12, W12.rotate(1)))
 
 
 def test_s_refine_recoding_property():
@@ -632,6 +736,35 @@ def test_recode_batch_walks_each_code_once_per_span(monkeypatch):
     monkeypatch.setattr(geotype.refine, "_orbit_keys", counting)
     assert [result.recode(code) for code in batch] == expected
     assert len(walks) == len(set(walks))
+
+
+def test_every_stage_intertwines_the_transition_matrices(e2):
+    """The oracle-free factor-map identity, unsigned and signed, on every
+    s_refine and u_refine of the seeded corpora along all their cutting
+    families, on every stage of corner_refine, and on every stage of
+    wp_refine(E2, P) for P = 2..8.  A result whose label map sends two
+    refined rectangles to the wrong sources fails it."""
+    corpus = binary_mixing_corpus(seed=47, count=5) + orientation_reversing_bin_types(3, 4)
+    results = []
+    for T in corpus:
+        u_boundary = {c.orbit() for c in per_u_codes(T)}
+        for family in cutting_families(T):
+            results.append(s_refine(T, family))
+            u_family = [w for w in family if w.orbit() not in u_boundary]
+            results.append(u_refine(T, u_family))
+    for T in corpus + binary_mixing_corpus(seed=61, count=6):
+        results.extend(corner_refine(T).stages)
+    for P in range(2, 9):
+        results.extend(wp_refine(e2, P).stages)
+    assert len(results) > 400 and {r.kind for r in results} == {"s", "u"}
+    for result in results:
+        assert intertwines(result) and intertwines(result, signed=True), result.source
+
+    for result in (s_refine(e2, [W12]), u_refine(e2, [W12])):
+        (i, s), *middle, (k, t) = result.label_map
+        assert i != k
+        swapped = ((k, s), *middle, (i, t))
+        assert not intertwines(replace(result, label_map=swapped))
 
 
 def test_wp_refine_recodings_are_boundary(e2):
