@@ -24,6 +24,8 @@ periodic end on that side is a boundary orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
+from operator import add, attrgetter, itemgetter, not_
 from typing import NamedTuple
 
 from .core import GeoTypeError, GeometricType, HLabel, _branch_keys, invert, require_valid
@@ -33,6 +35,7 @@ from .shift import (
     EventuallyPeriodicCode,
     PeriodicCode,
     binary_branches,
+    require_binary,
     require_symbols,
 )
 
@@ -48,6 +51,13 @@ class BoundaryCodeError(GeoTypeError):
 
 class DuplicateOrbitError(GeoTypeError):
     """A cutting family lists the same shift orbit twice."""
+
+
+# C-level getters: a code's word, an orbit's key word, a word's first symbol and the rest
+_word = attrgetter("word")
+_key_word = attrgetter("canonical.word")
+_head = itemgetter(slice(None, 1))
+_tail = itemgetter(slice(1, None))
 
 
 def _slot(T: GeometricType, label: SULabel) -> int:
@@ -121,12 +131,20 @@ def boundary_orbits(T: GeometricType, *, unstable: bool = False) -> frozenset[Co
     They are the cycles of the gamma table, walked once per side and type
     object and kept on it.  The u-side cycles are those of the inverse type
     read backward, since forward time for the inverse is backward time for
-    T.  Raises unless T is valid and binary.
+    T.  Raises unless T is valid and binary (:func:`shift.require_binary`,
+    which builds no branch table).
     """
-    binary_branches(T)
+    return _kept_side(T, unstable)[0]
+
+
+def _kept_side(T: GeometricType, unstable: bool) -> tuple[frozenset[CodeOrbit], frozenset[tuple[int, ...]]]:
+    """One side's boundary orbits and the set of their key words, kept on T;
+    :func:`cutting_family` compares a family's orbits with the words."""
+    require_binary(T)
     kept = T._boundary_orbits
     if unstable not in kept:
-        kept[unstable] = _cycle_orbits(T, unstable)
+        orbits = _cycle_orbits(T, unstable)
+        kept[unstable] = orbits, frozenset(map(_key_word, orbits))
     return kept[unstable]
 
 
@@ -188,25 +206,83 @@ def cutting_family(
 ) -> tuple[PeriodicCode, ...]:
     """The codes of W checked as a stable (or unstable) cutting family of T.
 
-    Code by code, in order: every symbol lies in 1..n, the key of every
-    step (w_t, w_{t+1}), wrap included, is in the branch table of
-    :func:`shift.binary_branches` (looked up only once the symbols are in
-    range, since an out-of-range symbol can alias a valid key), no earlier
-    code shares its orbit, and it is not an s-boundary (u-boundary
-    when ``unstable``) code.  A boundary code is skipped when
-    ``drop_boundary`` is set and raises ``BoundaryCodeError`` otherwise.
-    Costs O(alpha + sum of periods).
+    Every symbol lies in 1..n, the key of every step (w_t, w_{t+1}), wrap
+    included, is in the branch table of :func:`shift.binary_branches`
+    (looked up only once the symbols are in range, since an out-of-range
+    symbol can alias a valid key), no two kept codes share an orbit, and no
+    code is an s-boundary (u-boundary when ``unstable``) code.  A boundary code
+    is skipped when ``drop_boundary`` is set and raises
+    ``BoundaryCodeError`` otherwise.  The whole family is checked at once,
+    each check one C-level pass over all codes (:func:`_check_at_once`);
+    only when a check fails is W walked code by code, in order
+    (:func:`_check_by_code`), which raises the error of its first faulty
+    code: a raw word that is no ``PeriodicCode``, a symbol out of range, a
+    forbidden step, an orbit listed before, or a boundary orbit.  Costs
+    O(alpha + sum of periods).
     """
     branches = binary_branches(T)
-    boundary = boundary_orbits(T, unstable=unstable)
+    boundary, boundary_words = _kept_side(T, unstable)
+    items = list(W)
+    family = _check_at_once(T.n, branches, boundary_words, items, drop_boundary)
+    if family is None:
+        family = _check_by_code(T.n, branches, boundary, items, unstable, drop_boundary)
+    return family
+
+
+def _check_at_once(
+    n: int,
+    branches: dict[int, int],
+    boundary_words: frozenset[tuple[int, ...]],
+    items: list,
+    drop_boundary: bool,
+) -> tuple[PeriodicCode, ...] | None:
+    """:func:`cutting_family` on the whole family, or ``None`` when some code
+    fails a check.  The symbols of all words form one column, checked
+    through the set of symbols that occur; the successor of each symbol,
+    wrap included, is the column of the words rotated by one; and each
+    orbit is compared by its key word, a tuple, so the set of those words
+    shows a repeated orbit and meets the boundary orbits' key words with no
+    Python-level hash."""
+    try:
+        codes = [c if isinstance(c, PeriodicCode) else PeriodicCode(tuple(c)) for c in items]
+    except (TypeError, ValueError):
+        return None
+    words = list(map(_word, codes))
+    symbols = list(chain.from_iterable(words))
+    present = set(symbols)
+    if present and (min(present) < 1 or max(present) > n):
+        return None
+    successors = chain.from_iterable(map(add, map(_tail, words), map(_head, words)))
+    if not all(map(branches.__contains__, _branch_keys(n, symbols, successors))):
+        return None
+    orbits = list(map(_key_word, map(PeriodicCode.orbit, codes)))
+    distinct = set(orbits)
+    if distinct.isdisjoint(boundary_words):
+        return tuple(codes) if len(distinct) == len(codes) else None
+    if not drop_boundary:
+        return None
+    kept = tuple(compress(codes, map(not_, map(boundary_words.__contains__, orbits))))
+    return kept if len(distinct - boundary_words) == len(kept) else None
+
+
+def _check_by_code(
+    n: int,
+    branches: dict[int, int],
+    boundary: frozenset[CodeOrbit],
+    items: list,
+    unstable: bool,
+    drop_boundary: bool,
+) -> tuple[PeriodicCode, ...]:
+    """:func:`cutting_family` code by code, in order, raising at the first
+    faulty code."""
     family: list[PeriodicCode] = []
     seen: set[CodeOrbit] = set()
-    for code in W:
+    for code in items:
         if not isinstance(code, PeriodicCode):
             code = PeriodicCode(tuple(code))
         word = code.word
-        require_symbols(T.n, word)
-        if not all(map(branches.__contains__, _branch_keys(T.n, word, word[1:] + word[:1]))):
+        require_symbols(n, word)
+        if not all(map(branches.__contains__, _branch_keys(n, word, word[1:] + word[:1]))):
             raise AdmissibilityError(f"code {code} is not admissible for this type")
         orbit = code.orbit()
         if orbit in seen:

@@ -68,13 +68,21 @@ def _rect_column(v: Sequence[int], slots: Sequence[int]) -> list[int]:
 
     When there are as many slots as vertical labels, as for the strips of a
     valid type (Σv = alpha), k is read off a table of the Σv slots'
-    rectangles.  Otherwise each slot is bisected into the offsets
-    v_1 + ... + v_{k-1}, so that no table is sized by a Σv past alpha.
+    rectangles, expanded by ``accumulate`` from the count of rectangles
+    that start at each slot (more than one past an empty rectangle), with
+    no ``repeat`` per rectangle.  Otherwise each slot is bisected into the
+    offsets v_1 + ... + v_{k-1}, so that no table is sized by a Σv past
+    alpha.
     """
-    if sum(v) == len(slots):
-        table = tuple(chain.from_iterable(map(repeat, range(1, len(v) + 1), v)))
-        return list(map(table.__getitem__, slots))
-    return list(map(bisect_right, repeat(tuple(accumulate(v, initial=0))), slots))
+    offsets = tuple(accumulate(v, initial=0))
+    if offsets[-1] != len(slots):
+        return list(map(bisect_right, repeat(offsets), slots))
+    starts = [0] * (len(slots) + 1)
+    for offset in offsets[:-1]:
+        starts[offset] += 1
+    ks = list(range(len(v) + 1))  # the table shares these n ints, not one int per slot
+    table = list(map(ks.__getitem__, accumulate(starts)))
+    return list(map(table.__getitem__, slots))
 
 
 def _targets(v: Sequence[int], slots: Sequence[int]) -> Iterator[tuple[int, int]]:
@@ -85,12 +93,28 @@ def _targets(v: Sequence[int], slots: Sequence[int]) -> Iterator[tuple[int, int]
 
 def _branch_keys(n: int, rows: Iterable[int], targets: Iterable[int]) -> Iterator[int]:
     """The branch-table key i * (n + 1) + k of each step (i, k) of
-    ``zip(rows, targets)``: the one layout of :attr:`GeometricType._branches`.
+    ``zip(rows, targets)``: the one layout of :attr:`GeometricType._branches`,
+    which :func:`_step_keys` writes from a type's columns.
 
     Keys are distinct only for 1 <= k <= n: (1, n + 2) has the key of
     (2, 1), so every reader range-checks a word's symbols before a lookup.
     """
     return map(add, map(mul, rows, repeat(n + 1)), targets)
+
+
+def _step_keys(T: "GeometricType") -> Iterator[int]:
+    """The :func:`_branch_keys` key i * (n + 1) + k of every strip's step
+    (i, k), k the rectangle of rho(i, j) (:func:`_rect_column`), in
+    lexicographic strip order; T must be valid.
+
+    A list holding n + 1 at the first strip of every row sums, by
+    ``accumulate``, to i * (n + 1) at each strip of row i: a valid type
+    has no empty row, so no ``repeat`` or ``range`` object is made per row.
+    """
+    rows, step = [0] * len(T._slots), T.n + 1
+    for start in T._offsets[:-1]:
+        rows[start] = step
+    return map(add, accumulate(rows), _rect_column(T.v, T._slots))
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -109,9 +133,10 @@ class GeometricType:
     and ``repr`` shows rho as ``VLabel``s.
 
     Facts derived from the fields (validation report, lexicographic offsets,
-    inverse type, branch table, largest h, gamma table over the 2n boundary
-    slots, each side's boundary orbits) are computed at most once per object and kept in
-    private cached members, which ``==``, ``hash`` and ``repr`` ignore.
+    inverse type, whether it is binary, branch table, largest h, gamma table
+    over the 2n boundary slots, each side's boundary orbits) are computed at
+    most once per object and kept in private cached members, which ``==``,
+    ``hash`` and ``repr`` ignore.
     """
 
     h: tuple[int, ...]
@@ -229,11 +254,23 @@ class GeometricType:
     @cached_property
     def _branches(self) -> dict[int, int]:
         """The branch table ``{i * (n + 1) + k: eps(i, j) * j}`` with k the
-        rectangle of rho(i, j), keyed by :func:`_branch_keys` and built in C
-        with no tuple per strip; :func:`shift.binary_branches` checks it."""
-        rows, strips = _lex_columns(self.h)
-        keys = _branch_keys(self.n, rows, _rect_column(self.v, self._slots))
-        return dict(zip(keys, map(mul, self.eps, strips)))
+        rectangle of rho(i, j), keyed by :func:`_step_keys` and built in C
+        with no tuple per strip; needs a valid type, and
+        :func:`shift.binary_branches` checks it."""
+        _, strips = _lex_columns(self.h)
+        return dict(zip(_step_keys(self), map(mul, self.eps, strips)))
+
+    @cached_property
+    def _binary(self) -> bool:
+        """Whether the steps (i, xi(i, j)) of the strips are distinct, that
+        is, whether the incidence matrix is binary; needs a valid type.  The
+        kept branch table answers when it exists, and otherwise the set of
+        the :func:`_step_keys`, which is not kept: only a type that some
+        code walk reads keeps a table.  :func:`shift.require_binary` reads it."""
+        steps = self.__dict__.get("_branches")
+        if steps is None:
+            steps = set(_step_keys(self))
+        return len(steps) == len(self._slots)
 
     @cached_property
     def _max_h(self) -> int:
@@ -254,7 +291,8 @@ class GeometricType:
 
     @cached_property
     def _boundary_orbits(self) -> dict[bool, frozenset]:
-        """``{unstable: orbits}``, filled in side by side by :func:`boundary.boundary_orbits`."""
+        """``{unstable: (orbits, their key words)}``, filled in side by side
+        by :func:`boundary.boundary_orbits`."""
         return {}
 
     # -- basic accessors ------------------------------------------------------

@@ -46,6 +46,7 @@ from .shift import (
     enumerate_orbits,
     incidence_matrix,
     primitive_root,
+    require_binary,
     require_symbols,
 )
 
@@ -209,15 +210,6 @@ class OrderTable:
     def entries(self) -> tuple[tuple[IntervalRef, ...], ...]:
         """The cut lines of every rectangle as interval references."""
         return tuple(tuple(IntervalRef(t, self.family[f]) for f, t in row) for row in self.cuts)
-
-    @cached_property
-    def positions(self) -> tuple[tuple[int, ...], ...]:
-        """``positions[f][t]`` is the table position of phase t of ``family[f]``."""
-        table = [[0] * code.period for code in self.family]
-        for row in self.cuts:
-            for p, (f, t) in enumerate(row, start=1):
-                table[f][t] = p
-        return tuple(tuple(row) for row in table)
 
 
 def build_order(T: GeometricType, W, *, drop_boundary: bool = False) -> OrderTable:
@@ -426,7 +418,7 @@ def _assemble(T: GeometricType, order: OrderTable) -> RefinementResult:
         raise InvariantError(f"cut lines of rectangle {i} are out of order")
 
     refined = GeometricType._from_slots(h_new, v_new, slots, eps)
-    binary_branches(refined)  # postcondition: the refined type is valid and binary
+    require_binary(refined)  # postcondition: the refined type is valid and binary
     return RefinementResult(
         refined=refined,
         source=T,

@@ -240,23 +240,42 @@ def is_binary(A: IncidenceMatrix) -> bool:
     return all(a == 1 for row in A.succ for a in row.values())
 
 
+def require_binary(T: GeometricType) -> None:
+    """Raise ``InvalidTypeError`` unless T is valid, and ``NonBinaryError``
+    unless its incidence matrix is binary.
+
+    The matrix is binary exactly when the steps (i, xi(i, j)) of the strips
+    are distinct, so this guard builds no matrix and no branch table: the
+    type's kept fact reads the step keys of ``core._step_keys`` into a set,
+    once per type object, or the size of the branch table when T already
+    keeps one.  Guards whose callers read no branch, such as the
+    postcondition of a refinement, use this one.
+    """
+    require_valid(T)
+    if not T._binary:
+        raise NonBinaryError("incidence matrix is not binary")
+
+
 def binary_branches(T: GeometricType) -> dict[int, int]:
     """The branch table ``{i * (n + 1) + k: eps(i, j) * j}`` of a valid binary type.
 
     Strip j of rectangle i is the unique strip mapping into rectangle
     k = xi(i, j), and the table maps the key of the step (i, k),
-    ``core._branch_keys``, to j signed by the strip's orientation.  The
-    incidence matrix is binary exactly when the steps (i, xi(i, j)) are
-    distinct, so this guard builds no matrix.  A key is unique only among
-    steps with both symbols in 1..n, so a reader range-checks its symbols
+    ``core._branch_keys``, to j signed by the strip's orientation.  It is
+    the accessor of the walks that look steps up (kneading keys, cut
+    offsets, cutting-family and code checks); a guard that only needs T
+    binary calls :func:`require_binary`, so a type keeps a table only when
+    some walk reads it.  A key is unique only among steps with both
+    symbols in 1..n, so a reader range-checks its symbols
     (:func:`require_symbols`) before a lookup.  The table is kept on T,
-    built once in O(alpha), so callers must not mutate it.  Raises
-    ``InvalidTypeError`` or ``NonBinaryError`` otherwise.
+    built once in O(alpha), so callers must not mutate it, and T's binary
+    fact is read off its size.  Raises ``InvalidTypeError`` or
+    ``NonBinaryError`` otherwise.
     """
     require_valid(T)
-    if len(T._branches) != len(T.eps):
-        raise NonBinaryError("incidence matrix is not binary")
-    return T._branches
+    branches = T._branches
+    require_binary(T)
+    return branches
 
 
 def _bfs_levels(succ: Sequence[Iterable[int]]) -> list[int]:

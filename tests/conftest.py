@@ -181,7 +181,8 @@ def su_labels(T: GeometricType) -> tuple[SULabel, ...]:
 
 def record_builds(monkeypatch, name: str) -> list[tuple[object, int]]:
     """Record (object, size of the result) at every build of a derived fact
-    of a type, such as ``GeometricType._gamma``.
+    of a type, such as ``GeometricType._gamma``; a fact with no size, such
+    as the flag ``GeometricType._binary``, is recorded as its value.
 
     The wrapper keeps the member's descriptor kind: a cached member is built
     once per object, and one that is not cached is recorded at every access.
@@ -193,7 +194,7 @@ def record_builds(monkeypatch, name: str) -> list[tuple[object, int]]:
 
     def recording(obj):
         result = build(obj)
-        builds.append((obj, len(result)))
+        builds.append((obj, len(result) if hasattr(result, "__len__") else result))
         return result
 
     wrapper = type(member)(recording)

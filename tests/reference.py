@@ -36,6 +36,13 @@ off T's slots.  ``strip_maps_by_labels`` is the per-strip definition they
 are tested against: one ``StripMap`` per horizontal label, read off
 ``T.rho``.
 
+The library checks a cutting family in one pass over all its codes and
+walks it code by code only to name the first fault.
+``cutting_family_by_code`` is the per-code loop it is tested against: each
+code in W order is converted, range-checked, checked step by step against
+the branch table, and compared with the orbits before it and with the
+boundary orbits.
+
 The library enumerates shift orbits by the FKM prenecklace recursion, whose
 words are canonical by construction.  ``lyndon_scan_orbits`` is the search it
 is tested against: every admissible path from its least symbol, each kept
@@ -56,6 +63,9 @@ from math import lcm
 
 from geotype import (
     BinRefinement,
+    BoundaryCodeError,
+    CodeOrbit,
+    DuplicateOrbitError,
     EventuallyPeriodicCode,
     GeoTypeError,
     GeometricType,
@@ -66,10 +76,12 @@ from geotype import (
     PeriodicCode,
     SULabel,
     VLabel,
+    boundary_orbits,
     s_boundary_positive_code,
     u_boundary_negative_code,
 )
 from geotype.boundary import BoundaryOrbitSummary
+from geotype.core import _branch_keys
 from geotype.oracle import StripMap
 from geotype.refine import InvariantError, _orbit_keys
 from geotype.shift import AdmissibilityError, binary_branches, primitive_root, require_symbols
@@ -207,9 +219,50 @@ def interval_less(T: GeometricType, a: IntervalRef, b: IntervalRef) -> bool:
     return key_a < key_b
 
 
+def positions(table: OrderTable) -> tuple[tuple[int, ...], ...]:
+    """``positions(table)[f][t]`` is the table position of phase t of ``family[f]``."""
+    rows = [[0] * code.period for code in table.family]
+    for row in table.cuts:
+        for p, (f, t) in enumerate(row, start=1):
+            rows[f][t] = p
+    return tuple(tuple(row) for row in rows)
+
+
 def position(table: OrderTable, ref: IntervalRef) -> int:
     """The table position of a cut line: its rank from the bottom, 1-based."""
-    return table.positions[table.family.index(ref.code)][ref.t]
+    return positions(table)[table.family.index(ref.code)][ref.t]
+
+
+def cutting_family_by_code(
+    T: GeometricType, W, *, unstable: bool = False, drop_boundary: bool = False
+) -> tuple[PeriodicCode, ...]:
+    """The codes of W checked as a cutting family of T, code by code in W
+    order, raising at the first faulty code: a raw word that is no
+    ``PeriodicCode``, a symbol out of range, a step with no key in the
+    branch table, an orbit listed before, or a boundary orbit of the side
+    (skipped when ``drop_boundary`` is set)."""
+    branches = binary_branches(T)
+    boundary = boundary_orbits(T, unstable=unstable)
+    family: list[PeriodicCode] = []
+    seen: set[CodeOrbit] = set()
+    for code in W:
+        if not isinstance(code, PeriodicCode):
+            code = PeriodicCode(tuple(code))
+        word = code.word
+        require_symbols(T.n, word)
+        if not all(map(branches.__contains__, _branch_keys(T.n, word, word[1:] + word[:1]))):
+            raise AdmissibilityError(f"code {code} is not admissible for this type")
+        orbit = code.orbit()
+        if orbit in seen:
+            raise DuplicateOrbitError(f"duplicate orbit {orbit.canonical} in cutting family")
+        if orbit in boundary:
+            if drop_boundary:
+                continue
+            kind = "u-boundary" if unstable else "s-boundary"
+            raise BoundaryCodeError(f"{kind} code {code} in cutting family cuts nothing")
+        seen.add(orbit)
+        family.append(code)
+    return tuple(family)
 
 
 # -- refinements as factor maps ----------------------------------------------------

@@ -141,10 +141,12 @@ def test_criterion_6_corner_postcondition(mixing_types):
 
 
 def test_criterion_7_wp_semantics():
+    """Every orbit of period <= P recodes to codes that are both s- and
+    u-boundary after ``wp_refine(E2, P)``, for P = 1..10."""
     with criterion(7, "bounded-period refinement semantics"):
         E2 = make_e2()
         A = incidence_matrix(E2)
-        for P in (1, 2, 3):
+        for P in range(1, 11):
             result = wp_refine(E2, P)
             assert has_corner_property(result.refined)
             b_codes = boundary_sets(result.refined).b_codes

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -17,6 +19,7 @@ from geotype import (
     boundary_orbits,
     boundary_sets,
     classify_code,
+    enumerate_orbits,
     gamma_step,
     has_corner_property,
     incidence_matrix,
@@ -31,7 +34,7 @@ from geotype import (
     wp_refine,
 )
 from geotype import GeoTypeError, boundary
-from geotype.boundary import boundary_report
+from geotype.boundary import boundary_report, cutting_family
 from geotype.shift import AdmissibilityError, binary_branches, primitive_root
 
 from conftest import (
@@ -45,7 +48,7 @@ from conftest import (
     su_labels,
     valid_types,
 )
-from reference import branches_by_labels, canonical_tail, tail_scan_classify
+from reference import branches_by_labels, canonical_tail, cutting_family_by_code, tail_scan_classify
 
 
 def words(codes):
@@ -320,3 +323,78 @@ def test_corner_codes_classify_as_corner_leaves():
 def test_boundary_report_deterministic(e2):
     assert boundary_report(e2) == boundary_report(e2)
     assert boundary_report(e2).endswith("CORNER true\n")
+
+
+# -- cutting families -------------------------------------------------------------
+
+
+def _mixed_family(T: GeometricType, rng: random.Random) -> list:
+    """Up to six items: phases of orbits of period <= 4 and of boundary
+    orbits of either side, some given as raw tuples or lists (so repeats
+    list an orbit twice), and faults: a symbol past n (n + 2 aliases a valid
+    key), a forbidden step, a non-primitive or empty raw word, and a
+    non-integer symbol."""
+    orbits = list(enumerate_orbits(incidence_matrix(T), 4))
+    orbits += sorted(boundary_orbits(T) | boundary_orbits(T, unstable=True), key=CodeOrbit.sort_key)
+    branches = binary_branches(T)
+    forbidden = [
+        PeriodicCode((a, b) if a != b else (a,))
+        for a, b in product(range(1, T.n + 1), repeat=2)
+        if a * (T.n + 1) + b not in branches
+    ]
+    good = orbits[rng.randrange(len(orbits))].canonical
+    faults = [
+        PeriodicCode((1, T.n + 2)),
+        (T.n + 1,),
+        good.word * 2,
+        (),
+        (1.0,) + good.word[1:],
+    ] + forbidden
+    family: list = []
+    for _ in range(rng.randint(0, 6)):
+        if rng.random() < 0.2:
+            family.append(rng.choice(faults))
+            continue
+        orbit = orbits[rng.randrange(len(orbits))]
+        code = orbit.canonical.rotate(rng.randrange(orbit.period))
+        family.append(rng.choice([code, code, code.word, list(code.word)]))
+    return family
+
+
+def _family_outcome(check, T, W, **options) -> tuple[str, object]:
+    """("ok", the family's words), or the class name and message of the error raised."""
+    try:
+        family = check(T, W, **options)
+    except (GeoTypeError, TypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    assert all(type(code) is PeriodicCode for code in family)
+    return "ok", tuple(code.word for code in family)
+
+
+@pytest.mark.parametrize("drop_boundary", [False, True], ids=["keep", "drop"])
+@pytest.mark.parametrize("unstable", [False, True], ids=["s", "u"])
+def test_cutting_family_matches_the_per_code_check(unstable, drop_boundary):
+    """Seeded families that mix faults: the whole-family check returns the
+    per-code reference's family, or raises its first fault's class and
+    message; the one-pass check alone returns that family, or ``None``
+    exactly when the reference raises."""
+    rng = random.Random(67 + 2 * unstable + drop_boundary)
+    types = binary_mixing_corpus(seed=53, count=6) + orientation_reversing_bin_types(59, 4)
+    options = {"unstable": unstable, "drop_boundary": drop_boundary}
+    seen: Counter = Counter()
+    for T in types:
+        side = boundary._kept_side(T, unstable)[1]
+        for _ in range(40):
+            W = _mixed_family(T, rng)
+            expected = _family_outcome(cutting_family_by_code, T, W, **options)
+            assert _family_outcome(cutting_family, T, W, **options) == expected, W
+            assert _family_outcome(cutting_family, T, iter(W), **options) == expected, W
+            once = boundary._check_at_once(T.n, binary_branches(T), side, W, drop_boundary)
+            seen[expected[0]] += 1
+            if expected[0] == "ok":
+                assert tuple(code.word for code in once) == expected[1], W
+            else:
+                assert once is None, W
+    faults = {"AdmissibilityError", "DuplicateOrbitError", "ValueError"}
+    faults |= set() if drop_boundary else {"BoundaryCodeError"}
+    assert seen["ok"] >= 40 and faults <= set(seen), seen

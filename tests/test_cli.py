@@ -187,6 +187,22 @@ def test_srefine_drop_boundary_warns(capsys, e2_path, tmp_path):
     assert "dropped 1 boundary code" in err
 
 
+@pytest.mark.parametrize(
+    "type_name, codes_name, golden",
+    [
+        ("E1", "W12", "srefine_E1_w12.err"),
+        ("E2", "W12_twice", "srefine_E2_w12_twice.err"),
+    ],
+    ids=["non-binary-type", "duplicate-orbit"],
+)
+def test_srefine_error_goldens(capsys, type_name, codes_name, golden):
+    """A non-binary type and a family that lists the orbit of (1 2) twice:
+    exit code 1, no stdout, and the one stderr line of the golden."""
+    type_path, codes_path = (str(GOLDEN / name) for name in (f"{type_name}.gt", f"{codes_name}.codes"))
+    code, out, err = run_cli(capsys, "srefine", type_path, "--codes", codes_path)
+    assert (code, out, err) == (1, "", (GOLDEN / golden).read_text())
+
+
 def test_urefine_golden(capsys, e2_path, w12_path):
     code, out, err = run_cli(capsys, "urefine", e2_path, "--codes", w12_path)
     assert (code, out, err) == (0, (GOLDEN / "urefine_E2_w12.txt").read_text(), "")

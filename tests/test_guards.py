@@ -37,6 +37,7 @@ from geotype import (
     realize,
     s_boundary_positive_code,
     s_refine,
+    serialize,
     u_boundary_negative_code,
     u_refine,
     upsilon_step,
@@ -45,9 +46,19 @@ from geotype import (
 )
 from geotype.boundary import boundary_report
 from geotype.cli import main
-from geotype.shift import binary_branches
+from geotype.core import _branch_keys, _step_keys
+from geotype.shift import binary_branches, is_binary, require_binary
 
-from conftest import make_e1, make_e1m, make_e2, make_e3, record_builds
+from conftest import (
+    binary_mixing_corpus,
+    make_e1,
+    make_e1m,
+    make_e2,
+    make_e3,
+    orientation_reversing_bin_types,
+    random_corpus,
+    record_builds,
+)
 
 SOURCES = Path(geotype.__file__).parent
 
@@ -105,9 +116,10 @@ def test_cached_facts_stay_out_of_eq_hash_and_repr():
 
 
 def test_wp_refine_validates_each_type_object_at_most_once(monkeypatch):
-    """Validation, the branch table, the gamma table and the walk of each
-    side's boundary cycles are each made at most once per type object over a
-    whole pipeline and the oracle's checks of its two stable stages."""
+    """Validation, the binary fact, the branch table, the gamma table and
+    the walk of each side's boundary cycles are each made at most once per
+    type object over a whole pipeline and the oracle's checks of its two
+    stable stages."""
     checked: list[GeometricType] = []  # holding the objects keeps their ids unique
     real_check = geotype.core._check_invariants
 
@@ -125,14 +137,15 @@ def test_wp_refine_validates_each_type_object_at_most_once(monkeypatch):
     monkeypatch.setattr(geotype.core, "_check_invariants", counting_check)
     monkeypatch.setattr(geotype.boundary, "_cycle_orbits", counting_walk)
     branch_builds = record_builds(monkeypatch, "_branches")
+    binary_builds = record_builds(monkeypatch, "_binary")
     gamma_builds = record_builds(monkeypatch, "_gamma")
     result = wp_refine(make_e2(), 6)
     for stage in result.stages[:2]:
         assert stage.kind == "s"
         oracle_s_refine(stage.source, stage.order.family)
-    assert checked and branch_builds and gamma_builds and walks
+    assert checked and branch_builds and binary_builds and gamma_builds and walks
     assert len({id(T) for T in checked}) == len(checked)
-    for builds in (branch_builds, gamma_builds):
+    for builds in (branch_builds, binary_builds, gamma_builds):
         assert len({id(T) for T, _ in builds}) == len(builds)
     assert len({(id(T), unstable) for T, unstable in walks}) == len(walks)
 
@@ -245,6 +258,7 @@ def test_pairwise_reference_order_is_not_exported():
     assert moved.isdisjoint(geotype.__all__)
     assert all(not hasattr(geotype.refine, name) for name in moved | {"_kneading_key"})
     assert not hasattr(geotype.OrderTable, "position")
+    assert not hasattr(geotype.OrderTable, "positions")
 
 
 def test_trimmed_names_stay_out_of_the_library():
@@ -294,6 +308,105 @@ def test_s_refine_builds_no_matrix_larger_than_its_source(monkeypatch):
     assert sizes == []
     wp_refine(make_e2(), 6)
     assert sizes == [2]
+
+
+def test_binary_fact_matches_the_incidence_matrix():
+    """On the seeded corpora, binary and not: the step keys written from the
+    columns are those of the label walk; the binary fact read off them with
+    no table, and the one read off a kept table, both equal
+    ``is_binary(incidence_matrix(T))``; and both guards raise
+    ``NonBinaryError`` exactly when it is false."""
+    types = random_corpus(seed=29, count=40) + random_corpus(seed=31, count=10, max_n=8, max_hv=6)
+    types += binary_mixing_corpus(seed=37, count=8) + orientation_reversing_bin_types(41, 6)
+    seen = set()
+    for T in types:
+        binary = is_binary(incidence_matrix(T))
+        seen.add(binary)
+        rows, ks = [i for i, _ in T.h_labels()], [k for k, _ in T.rho]
+        assert list(_step_keys(T)) == list(_branch_keys(T.n, rows, ks))
+        assert T._binary is binary and "_branches" not in vars(T)
+        twin = parse(serialize(T))
+        if binary:
+            require_binary(T)
+            assert len(binary_branches(twin)) == sum(T.h)
+        else:
+            for guard, U in ((require_binary, T), (binary_branches, twin)):
+                with pytest.raises(NonBinaryError, match="incidence matrix is not binary"):
+                    guard(U)
+        assert "_branches" in vars(twin) and twin._binary is binary
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("guard", [require_binary, binary_branches])
+def test_binary_guards_check_validity_first(guard):
+    """``broken()`` is invalid and has two strips of rectangle 1 in
+    rectangle 1: the guard raises ``InvalidTypeError`` and derives no binary
+    fact and no table."""
+    T = broken()
+    with pytest.raises(InvalidTypeError):
+        guard(T)
+    assert "_binary" not in vars(T) and "_branches" not in vars(T)
+
+
+def test_refinements_keep_no_branch_table_on_their_output(monkeypatch):
+    """``s_refine`` builds no branch table on its result and ``u_refine``
+    none on its inner type: their postcondition reads the binary fact.  The
+    tables built are those of the source and its inverse, which the key
+    walks read."""
+    T = bin_refine(make_e1m()).refined
+    family = [o.canonical for o in enumerate_orbits(incidence_matrix(T), 6)]
+    builds = record_builds(monkeypatch, "_branches")
+    s_result = s_refine(T, family, drop_boundary=True)
+    u_result = u_refine(T, family, drop_boundary=True)
+    inner = u_result.stages[0].refined
+    assert s_result.refined.n > T.n and inner.n > T.n
+    assert sorted(map(id, (T, invert(T)))) == sorted(id(U) for U, _ in builds)
+    for U in (s_result.refined, inner):
+        assert U._binary is True and "_branches" not in vars(U)
+
+
+def _corrupt_blocks(monkeypatch, clean: GeometricType, corrupt: str) -> None:
+    """Patch ``refine._blocks`` to write one slot of the refined type wrong.
+
+    Strips 0 and 1 form the first band of ``clean``'s rectangle 1 and run
+    into different rectangles.  "merge" swaps strip 1's slot with that of a
+    later strip z into strip 0's rectangle, so both strips of the band run
+    into one rectangle: a valid type, not binary.  "repeat" gives strip 1
+    strip 0's slot: rho is not injective."""
+    ks = [k for k, _ in clean.rho]
+    assert clean.h[0] >= 2 and ks[0] != ks[1]
+    z = next(z for z in range(clean.h[0], len(ks)) if ks[z] == ks[0])
+    real = geotype.refine._blocks
+
+    def corrupted(T, tops):
+        sizes, v, slots, eps = real(T, tops)
+        slots = list(slots)
+        if corrupt == "merge":
+            slots[1], slots[z] = slots[z], slots[1]
+        else:
+            slots[1] = slots[0]
+        return sizes, v, tuple(slots), eps
+
+    monkeypatch.setattr(geotype.refine, "_blocks", corrupted)
+
+
+@pytest.mark.parametrize("side", ["s", "u"])
+@pytest.mark.parametrize(
+    "corrupt, error, message",
+    [
+        ("merge", NonBinaryError, "incidence matrix is not binary"),
+        ("repeat", InvalidTypeError, r"invalid geometric type: rho not injective: rho\(1,1\) = rho\(1,2\)"),
+    ],
+)
+def test_assemble_rejects_a_corrupted_output(monkeypatch, side, corrupt, error, message):
+    """The postcondition of ``_assemble`` on E2 cut along (1 2), stable and
+    unstable (the inner assembly on the inverse type)."""
+    W12 = [PeriodicCode((1, 2))]
+    refine = s_refine if side == "s" else u_refine
+    clean = refine(make_e2(), W12)
+    _corrupt_blocks(monkeypatch, clean.refined if side == "s" else clean.stages[0].refined, corrupt)
+    with pytest.raises(error, match=message):
+        refine(make_e2(), W12)
 
 
 def test_s_refine_rejects_a_non_binary_type():
