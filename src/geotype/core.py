@@ -97,7 +97,9 @@ def _branch_keys(n: int, rows: Iterable[int], targets: Iterable[int]) -> Iterato
     which :func:`_step_keys` writes from a type's columns.
 
     Keys are distinct only for 1 <= k <= n: (1, n + 2) has the key of
-    (2, 1), so every reader range-checks a word's symbols before a lookup.
+    (2, 1), so every reader range-checks a word's symbols before a lookup,
+    or, like the affine oracle's walk, after one misses: a symbol past n is
+    also the row of its own step, whose key lies above every key in range.
     """
     return map(add, map(mul, rows, repeat(n + 1)), targets)
 

@@ -24,6 +24,7 @@ from geotype import (
     corner_refine_along,
     enumerate_orbits,
     incidence_matrix,
+    is_mixing,
     model_svg,
     oracle_s_refine,
     parse,
@@ -525,20 +526,96 @@ def test_height_keys_order_exactly_as_fractions(heights):
     for y in heights:
         n = _farey_neighbour(y)
         assert 0 <= n <= 1 and abs(n - y) == Fraction(1, y.denominator * n.denominator)
-    keys = _height_keys([(y.numerator, y.denominator) for y in heights])
+    K = 2 * max(y.denominator.bit_length() for y in heights) + 1
+    keys = list(_height_keys([y.numerator for y in heights], [y.denominator for y in heights], K))
     for (y, key_y), (z, key_z) in product(zip(heights, keys), repeat=2):
         assert (key_y < key_z) == (y < z)
         assert (key_y == key_z) == (y == z)
 
 
+@st.composite
+def rationals_on_one_scale(draw):
+    """B, and rationals in [-H, H + 1] with denominators below 2^B: each
+    drawn rational m + r with its neighbour m + r', |r - r'| = 1/(q q_2) for
+    q_2 <= q, plus some repeats, in random order."""
+    B = draw(st.integers(1, 64))
+    H = draw(st.integers(0, 2**16))
+    ys: list[Fraction] = []
+    for _ in range(draw(st.integers(1, 4))):
+        q = draw(st.integers(1, 2**B - 1) | st.integers(2 ** (B - 1), 2**B - 1))
+        m = draw(st.integers(-H, H))
+        r = Fraction(draw(st.integers(0, q)), q)
+        ys += [m + r, m + _farey_neighbour(r)]
+    ys += draw(st.lists(st.sampled_from(ys), max_size=3))
+    return B, H, draw(st.permutations(ys))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rationals_on_one_scale())
+def test_height_keys_separate_rationals_on_one_scale(drawn):
+    """The oracle's single scale: every height it keys, image under a strip
+    map included, has a denominator below 2^B, and at K = 2B + 1 the keys of
+    such rationals are injective and keep their order, in any range."""
+    B, H, ys = drawn
+    assert all(-H <= y <= H + 1 and y.denominator < 2**B for y in ys)
+    keys = list(_height_keys([y.numerator for y in ys], [y.denominator for y in ys], 2 * B + 1))
+    for (y, key_y), (z, key_z) in product(zip(ys, keys), repeat=2):
+        assert (key_y < key_z) == (y < z)
+        assert (key_y == key_z) == (y == z)
+
+
+def _tall_square_type() -> GeometricType:
+    """A mixing binary type whose square 16 has h = 16, one strip into every
+    square, while the code 1, whose one step is the flipped strip (1,1) of
+    slope -2, cuts square 1 at 1/3: the largest h_i has 5 bits and the one
+    cut denominator, 3, has 2."""
+    h = v = (2,) + (1,) * 14 + (16,)
+    rho = {(1, 1): (1, 2, -1), (1, 2): (16, 1, 1)}
+    rho.update({(i, 1): (16, i, 1) for i in range(2, 16)})
+    rho.update({(16, j): (j, 1, 1) for j in range(1, 16)})
+    rho[(16, 16)] = (16, 16, 1)
+    return GeometricType.build(h, v, rho)
+
+
+def test_scale_counts_the_tallest_square(monkeypatch):
+    """The scale's B takes every h_i, not only the cut denominators.  On the
+    valid type the oracle equals the engine.  With strip (16,1)'s slope cut
+    from 16 to 5, its top edge 1/16 lands on 5/16, off square 1's grid {0,
+    1/3, 1}: at K = 11 the keys of 5/16 and 1/3 differ, but at the K = 5 of
+    the cut denominators alone both are 10, and the miss would go unseen."""
+    T = _tall_square_type()
+    W = [PeriodicCode((1,))]
+    model = realize(T)
+    dens = [geotype.oracle._orbit_walk(model, code)[1] for code in W]
+    assert dens == [3] and max(T.h).bit_length() > max(d.bit_length() for d in dens)
+    assert is_mixing(incidence_matrix(T))
+    engine, oracle = s_refine(T, W), oracle_s_refine(T, W)
+    assert engine.refined == oracle.refined and engine.label_map == oracle.label_map
+    assert oracle.cut_heights[0] == ((Fraction(1, 3), 0, W[0]),)
+    assert list(_height_keys([5, 1], [16, 3], 5)) == [10, 10]
+
+    real = geotype.oracle.realize
+    x = T.lex_index((16, 1)) - 1
+
+    def perturbed(U):
+        model = real(U)
+        assert model.a[x] == 16
+        return dataclasses.replace(model, a=model.a[:x] + (5,) + model.a[x + 1:])
+
+    monkeypatch.setattr(geotype.oracle, "realize", perturbed)
+    with pytest.raises(GeoTypeError, match="image of a band edge missed the cut grid"):
+        oracle_s_refine(T, W)
+
+
 def test_equal_heights_in_one_square_raise_tie_error(e2, monkeypatch):
-    """Two cut lines of square 1 put at one height: the sort reports the tie."""
+    """Two cut lines of square 1 put at one height: they share one key and
+    one cell of the cut grid, which reports the tie."""
     walk = geotype.oracle._orbit_walk
 
     def flattened(model, code):
-        strips, heights = walk(model, code)
+        strips, _, nums = walk(model, code)
         assert [model.k[x] for x in strips] == list(code.word[1:] + code.word[:1])
-        return strips, tuple((1, 2) for _ in heights)
+        return strips, 2, [1] * len(nums)
 
     monkeypatch.setattr(geotype.oracle, "_orbit_walk", flattened)
     with pytest.raises(TieError, match="exact tie between distinct cut lines in square 1"):
@@ -562,15 +639,15 @@ def test_perturbed_strip_map_misses_the_cut_grid(e2, monkeypatch):
 def test_reversed_mark_order_is_not_monotone(e2, monkeypatch):
     """Square 1's two cuts, both in strip (1,2), put top down: their images
     come out in decreasing order on square 2's grid."""
-    real = geotype.oracle._height_keys
-    calls = []
+    real = geotype.oracle._rank_cuts
 
-    def reversed_first_square(heights):
-        calls.append(heights)
-        keys = real(heights)
-        return [-key for key in keys] if len(calls) == 1 else keys
+    def reversed_first_square(hosts, keys, n):
+        rows = real(hosts, keys, n)
+        assert len(rows[0]) == 2
+        rows[0].reverse()
+        return rows
 
-    monkeypatch.setattr(geotype.oracle, "_height_keys", reversed_first_square)
+    monkeypatch.setattr(geotype.oracle, "_rank_cuts", reversed_first_square)
     with pytest.raises(GeoTypeError, match=r"strip \(1,2\) does not map its marks monotonically"):
         oracle_s_refine(e2, [W12, PeriodicCode((1, 2, 2))])
 

@@ -3,8 +3,9 @@
 Seeded mixing binary refinements with up to 8 rectangles, refined along
 every non-boundary orbit of period <= P for P = 1..8, and along a random
 subfamily at random phases in random order; and bin(E1m) along every
-non-boundary orbit of period <= 12 (746 orbits, refined n = 8033); and the
-two stable stages of ``wp_refine(E2, 12)``.  The suite is marked ``slow``
+non-boundary orbit of period <= 12 (746 orbits, refined n = 8033) and <= 13
+(1376 orbits, 16221 cuts, refined n = 16223); and the two stable stages of
+``wp_refine(E2, 12)``.  The suite is marked ``slow``
 and deselected by default; run it with
 ``PYTHONPATH=src python -m pytest -q -m slow``.
 """
@@ -75,15 +76,20 @@ def test_s_refine_equals_oracle(seed):
                 assert engine.label_map == oracle.label_map, (T, P)
 
 
-def test_s_refine_equals_oracle_on_long_periods():
-    """The benchmark's srefine-oracle family, two period steps further."""
+@pytest.mark.parametrize(
+    "period, orbits, cuts", [(12, 746, 8031), (13, 1376, 16221)], ids=["P12", "P13"]
+)
+def test_s_refine_equals_oracle_on_long_periods(period, orbits, cuts):
+    """The benchmark's srefine-oracle family, two and three period steps
+    further: every cut line is a band edge, so refined n = cuts + 2."""
     T = bin_refine(make_e1m()).refined
     boundary = {c.orbit() for c in per_s_codes(T)}
     family = [
-        o.canonical for o in enumerate_orbits(incidence_matrix(T), 12) if o not in boundary
+        o.canonical for o in enumerate_orbits(incidence_matrix(T), period) if o not in boundary
     ]
     engine, oracle = s_refine(T, family), oracle_s_refine(T, family)
-    assert (len(family), engine.refined.n) == (746, 8033)
+    assert (len(family), sum(c.period for c in family)) == (orbits, cuts)
+    assert engine.refined.n == cuts + 2
     assert engine.refined == oracle.refined
     assert engine.label_map == oracle.label_map
 
