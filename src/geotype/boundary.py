@@ -149,19 +149,25 @@ def _kept_side(T: GeometricType, unstable: bool) -> tuple[frozenset[CodeOrbit], 
 
 
 def _cycle_orbits(T: GeometricType, unstable: bool) -> frozenset[CodeOrbit]:
+    """The orbits of the gamma table's cycles, of ``invert(T)`` read backward
+    when ``unstable``.  Each walk marks the slots it reaches with its start,
+    so it has closed a cycle no earlier walk reached exactly when it meets
+    its own mark.  A cycle's rectangle word can be a proper power (two of
+    its slots on one rectangle), so it is keyed by its primitive root, with
+    no symbol check: every slot's rectangle s // 2 + 1 lies in 1..n."""
     gamma = invert(T)._gamma if unstable else T._gamma
-    walked = [False] * len(gamma)
+    walked = [-1] * len(gamma)  # the start of the walk that reached each slot
     orbits: set[CodeOrbit] = set()
     for start in range(len(gamma)):
         path: list[int] = []
         slot = start
-        while not walked[slot]:
-            walked[slot] = True
+        while walked[slot] < 0:
+            walked[slot] = start
             path.append(slot)
             slot = gamma[slot]
-        if slot in path:  # this walk closed a cycle no earlier walk reached
+        if walked[slot] == start:
             word = tuple(s // 2 + 1 for s in path[path.index(slot):])
-            orbits.add(CodeOrbit.from_word(word[::-1] if unstable else word))
+            orbits.add(CodeOrbit._of_cycle(word[::-1] if unstable else word))
     return frozenset(orbits)
 
 
@@ -242,7 +248,8 @@ def _check_at_once(
     wrap included, is the column of the words rotated by one; and each
     orbit is compared by its key word, a tuple, so the set of those words
     shows a repeated orbit and meets the boundary orbits' key words with no
-    Python-level hash."""
+    Python-level hash.  A code flagged as its own least rotation, such as an
+    orbit's key code, is its key word, so no orbit object is built for it."""
     try:
         codes = [c if isinstance(c, PeriodicCode) else PeriodicCode(tuple(c)) for c in items]
     except (TypeError, ValueError):
@@ -255,7 +262,7 @@ def _check_at_once(
     successors = chain.from_iterable(map(add, map(_tail, words), map(_head, words)))
     if not all(map(branches.__contains__, _branch_keys(n, symbols, successors))):
         return None
-    orbits = list(map(_key_word, map(PeriodicCode.orbit, codes)))
+    orbits = list(map(PeriodicCode._orbit_word, codes))
     distinct = set(orbits)
     if distinct.isdisjoint(boundary_words):
         return tuple(codes) if len(distinct) == len(codes) else None

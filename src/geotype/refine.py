@@ -18,8 +18,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat
-from operator import add, mul, sub
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, eq, mul, sub
 from typing import Iterable, Sequence
 
 from .core import (
@@ -27,6 +27,7 @@ from .core import (
     GeometricType,
     HLabel,
     _branch_keys,
+    _lex_columns,
     _lex_pairs,
     _rect_column,
     invert,
@@ -187,16 +188,19 @@ def _orbit_keys(T: GeometricType, code: PeriodicCode, span: int) -> list[bytes]:
 class OrderTable:
     """Per-rectangle vertical order of the cut lines, sentinels implicit.
 
-    ``cuts[i - 1]`` lists the cut lines of rectangle i from the bottom up,
-    each as a pair (f, t): the stable line of phase t of ``family[f]``.
-    Position 0 is the bottom edge (i, -1) and position count+1 the top edge
-    (i, +1); the cut line at table position p (1-based) sits p-th from the
-    bottom.
+    The cut lines of the family are numbered by flat cut ids: phase t of
+    ``family[f]`` is cut c = (the phases of the codes before f) + t, so the
+    successor phase of cut c is cut c + 1, except at the last phase of a
+    code.  ``cuts[i - 1]`` lists the cut ids of rectangle i from the bottom
+    up.  Position 0 is the bottom edge (i, -1) and position count+1 the top
+    edge (i, +1); the cut line at table position p (1-based) sits p-th from
+    the bottom.  The pair (f, t) of a cut (:meth:`pair`) and the interval
+    references of a row (:meth:`refs`) are views built on demand.
     """
 
     n: int
     family: tuple[PeriodicCode, ...]
-    cuts: tuple[tuple[tuple[int, int], ...], ...]
+    cuts: tuple[tuple[int, ...], ...]
 
     def count(self, i: int) -> int:
         return len(self.refs(i))
@@ -206,10 +210,22 @@ class OrderTable:
             raise ValueError(f"rectangle {i} is not a rectangle of this table (1..{self.n})")
         return self.entries[i - 1]
 
+    def pair(self, c: int) -> tuple[int, int]:
+        """The pair (f, t) of cut id c: the stable line of phase t of ``family[f]``."""
+        f = bisect_right(self._starts, c) - 1
+        return f, c - self._starts[f]
+
+    @cached_property
+    def _starts(self) -> tuple[int, ...]:
+        """``_starts[f]`` is the cut id of phase 0 of ``family[f]``; the last
+        entry is the number of cuts."""
+        return tuple(accumulate((code.period for code in self.family), initial=0))
+
     @cached_property
     def entries(self) -> tuple[tuple[IntervalRef, ...], ...]:
         """The cut lines of every rectangle as interval references."""
-        return tuple(tuple(IntervalRef(t, self.family[f]) for f, t in row) for row in self.cuts)
+        refs = [IntervalRef(t, code) for code in self.family for t in range(code.period)]
+        return tuple(tuple(map(refs.__getitem__, row)) for row in self.cuts)
 
 
 def build_order(T: GeometricType, W, *, drop_boundary: bool = False) -> OrderTable:
@@ -227,11 +243,12 @@ def build_order(T: GeometricType, W, *, drop_boundary: bool = False) -> OrderTab
     order exactly.  Every cut is sorted by its key of length 4P, where P is
     the longest period in the family, which is that length for every pair.
     The keys are byte strings whose bytewise order is the kneading order,
-    with a digit width fixed by T's largest h, so each rectangle's cuts are
-    sorted by ``bytes`` comparison.  The keys of all phases of a code come
-    from one walk of its orbit.  The family check costs O(sum of periods)
-    past T's branch and gamma tables (O(alpha), once per type object), the
-    keys O(cuts * P) and the sort O(cuts * log cuts) comparisons.
+    with a digit width fixed by T's largest h, so cuts are sorted by
+    ``bytes`` comparison, all cuts of the family in one sort
+    (:func:`_sort_cuts`).  The keys of all phases of a code come from one
+    walk of its orbit.  The family check costs O(sum of periods) past T's
+    branch and gamma tables (O(alpha), once per type object), the keys
+    O(cuts * P) and the sort O(cuts * log cuts) comparisons.
     """
     return _sort_cuts(T, cutting_family(T, W, drop_boundary=drop_boundary))
 
@@ -239,19 +256,29 @@ def build_order(T: GeometricType, W, *, drop_boundary: bool = False) -> OrderTab
 def _sort_cuts(T: GeometricType, family: tuple[PeriodicCode, ...]) -> OrderTable:
     """:func:`build_order` past the family check, which also shows T valid
     and binary (for ``u_refine``, the check on the type T inverts: the
-    inverse's incidence matrix is the transpose).  Each rectangle maps the
-    keys of its cuts to their pairs (f, t); two equal keys would be one line
-    cut twice, which a checked family never has."""
-    span = 4 * max((code.period for code in family), default=0)
-    buckets: list[dict[bytes, tuple[int, int]]] = [{} for _ in range(T.n)]
-    for f, code in enumerate(family):
-        pairs = zip(repeat(f), range(code.period))
-        for i, key, pair in zip(code.word, _orbit_keys(T, code, span), pairs):
-            buckets[i - 1][key] = pair
-    if sum(map(len, buckets)) != sum(code.period for code in family):
-        raise InvariantError("two cut lines of the family have equal kneading keys")
-    cuts = tuple(tuple(map(bucket.__getitem__, sorted(bucket))) for bucket in buckets)
-    return OrderTable(T.n, family, cuts)
+    inverse's incidence matrix is the transpose).
+
+    Every cut id of the family (:class:`OrderTable`) is sorted at once, by
+    kneading key and then, stably, by host rectangle, the cut's own symbol;
+    each rectangle's row is then one run of the sorted ids.  Two neighbours
+    in one run with equal keys would be one line cut twice, which a checked
+    family never has.  An empty family returns before any key or row work.
+    """
+    if not family:
+        return OrderTable(T.n, family, ((),) * T.n)
+    span = 4 * max(code.period for code in family)
+    keys = list(chain.from_iterable(_orbit_keys(T, code, span) for code in family))
+    hosts = list(chain.from_iterable(code.word for code in family))
+    ids = sorted(range(len(keys)), key=keys.__getitem__)
+    ids.sort(key=hosts.__getitem__)
+    ranked = list(map(keys.__getitem__, ids))
+    for p in compress(count(), map(eq, ranked, islice(ranked, 1, None))):
+        if hosts[ids[p]] == hosts[ids[p + 1]]:
+            raise InvariantError("two cut lines of the family have equal kneading keys")
+    hosts.sort()  # now the host of each sorted id
+    bounds = list(map(bisect_left, repeat(hosts), range(1, T.n + 2)))
+    rows = map(tuple(ids).__getitem__, map(slice, bounds, bounds[1:]))
+    return OrderTable(T.n, family, tuple(rows))
 
 
 # -- refinement results -----------------------------------------------------------
@@ -261,27 +288,42 @@ def _sort_cuts(T: GeometricType, family: tuple[PeriodicCode, ...]) -> OrderTable
 class RefinementResult:
     """A refined type plus the bookkeeping that produced it.
 
-    Single-stage results carry the label map r <-> (i, s) and the order
-    table; pipeline results chain stages and carry only the final type.  For
-    'u' results the bookkeeping refers to the stable-side run on the inverse
-    type (rectangle labels r agree).
+    Single-stage results carry the order table, and their label map
+    r <-> (i, s) is a view of it; pipeline results chain stages and carry
+    only the final type.  For 'u' results the bookkeeping refers to the
+    stable-side run on the inverse type (rectangle labels r agree).
     """
 
     refined: GeometricType
     source: GeometricType
     kind: str  # 's' | 'u' | 'pipeline'
-    label_map: tuple[tuple[int, int], ...] | None = None
     order: OrderTable | None = None
     stages: tuple["RefinementResult", ...] = ()
 
+    @cached_property
+    def label_map(self) -> tuple[tuple[int, int], ...] | None:
+        """Position r - 1 holds (i, s) when refined rectangle r is band s of
+        source rectangle i: the bands, one more per rectangle than its cut
+        lines, numbered lexicographically.  Built on first read off the
+        order table's rows; ``None`` for pipeline results."""
+        if self.order is None:
+            return None
+        return tuple(_lex_pairs([len(row) + 1 for row in self.order.cuts]))
+
     def r_of(self, i: int, s: int) -> int:
-        if self.label_map is None:
+        """The refined rectangle of band s of source rectangle i: the bands
+        of the rectangles before i, plus s."""
+        if self.order is None:
             raise GeoTypeError("pipeline results have no single label map")
-        return self._r_index[(i, s)]
+        starts = self._band_starts
+        if not (1 <= i < len(starts) and 1 <= s <= starts[i] - starts[i - 1]):
+            raise ValueError(f"label ({i},{s}) is not a band of this result")
+        return starts[i - 1] + s
 
     @cached_property
-    def _r_index(self) -> dict[tuple[int, int], int]:
-        return {label: r for r, label in enumerate(self.label_map, start=1)}
+    def _band_starts(self) -> tuple[int, ...]:
+        """``_band_starts[i - 1]`` counts the bands of the rectangles before i."""
+        return tuple(accumulate((len(row) + 1 for row in self.order.cuts), initial=0))
 
     # -- recoding ------------------------------------------------------------
 
@@ -330,8 +372,9 @@ class RefinementResult:
         H, width = _digit_width(self.source)
         zero = H.to_bytes(width, "big")
 
-        def cut_key(cut: tuple[int, int]) -> bytes:
-            return self._family_keys(cut[0], span)[cut[1]]
+        def cut_key(c: int) -> bytes:
+            f, t = self.order.pair(c)
+            return self._family_keys(f, span)[t]
 
         f = self._family_index.get(code)
         if f is None:
@@ -399,11 +442,10 @@ def _assemble(T: GeometricType, order: OrderTable) -> RefinementResult:
     empty.  An empty family cuts nothing, so the refined type is T itself,
     with every table already kept on it.
     """
+    if not order.family:
+        return RefinementResult(T, T, "s", order)
     binary_branches(T)
     tops = [len(row) + 1 for row in order.cuts]
-    pairs = tuple(_lex_pairs(tops))
-    if not order.family:
-        return RefinementResult(T, T, "s", pairs, order)
     sizes, v_new, slots, eps = _blocks(T, tops)
     runs = tuple(accumulate(sizes, initial=0))  # strip x's block starts at runs[x]
     ends = iter(_cut_offsets(T, order, runs))
@@ -419,13 +461,7 @@ def _assemble(T: GeometricType, order: OrderTable) -> RefinementResult:
 
     refined = GeometricType._from_slots(h_new, v_new, slots, eps)
     require_binary(refined)  # postcondition: the refined type is valid and binary
-    return RefinementResult(
-        refined=refined,
-        source=T,
-        kind="s",
-        label_map=pairs,
-        order=order,
-    )
+    return RefinementResult(refined, T, "s", order)
 
 
 def _cut_offsets(T: GeometricType, order: OrderTable, runs: tuple[int, ...]) -> list[int]:
@@ -435,22 +471,24 @@ def _cut_offsets(T: GeometricType, order: OrderTable, runs: tuple[int, ...]) -> 
     successor's rectangle k, at the successor's table position p; the
     branch table gives e * j for the step (i, k).  Its offset is p past
     the start of j's block (``runs[x]`` for source strip x), or p before
-    its end when e = -1.  Cuts are numbered family code by family code,
-    phase by phase, so each cut's successor, symbol and table position are
-    read off flat integer lists, with no lookup in the family per cut.
+    its end when e = -1.  The table's rows hold flat cut ids, so each
+    cut's host and successor's rectangle are read off the family's symbols
+    by id, its successor is the next id (the code's first at its last
+    phase), and every table position is written once off the rows, with no
+    lookup in the family per cut.
     """
-    words = [code.word for code in order.family]
-    starts = list(accumulate(map(len, words), initial=0))
-    symbols = list(chain.from_iterable(words))
+    starts = order._starts
+    symbols = list(chain.from_iterable(code.word for code in order.family))
     succ = list(range(1, len(symbols) + 1))  # cut c's successor phase is cut succ[c]
     for start, end in zip(starts, starts[1:]):
         succ[end - 1] = start
-    ids = [starts[f] + t for f, t in chain.from_iterable(order.cuts)]
+    ids = list(chain.from_iterable(order.cuts))
     ranks = [0] * len(symbols)  # each cut's table position
-    for c, p in zip(ids, chain.from_iterable(map(range, map(len, order.cuts)))):
-        ranks[c] = p + 1
+    _, positions = _lex_columns(list(map(len, order.cuts)))
+    for c, p in zip(ids, positions):
+        ranks[c] = p
     nexts = list(map(succ.__getitem__, ids))
-    hosts = list(chain.from_iterable(map(repeat, range(1, T.n + 1), map(len, order.cuts))))
+    hosts = list(map(symbols.__getitem__, ids))
     steps = _branch_keys(T.n, hosts, map(symbols.__getitem__, nexts))
     js = list(map(T._branches.__getitem__, steps))
     firsts = (0, *accumulate(T.h, initial=-1))  # strip (i, j) is source strip firsts[i] + j
@@ -477,7 +515,6 @@ def u_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementR
         refined=invert(inner.refined) if family else T,
         source=T,
         kind="u",
-        label_map=inner.label_map,
         order=inner.order,
         stages=(inner,),
     )

@@ -110,6 +110,11 @@ class PeriodicCode:
     def _orbit(self) -> "CodeOrbit":
         return CodeOrbit._of(self._least_copy())
 
+    def _orbit_word(self) -> tuple[int, ...]:
+        """The word of its orbit's key code: this code's own word when it is
+        flagged least, with no orbit built; otherwise the kept orbit's."""
+        return self.word if self._least else self._orbit.canonical.word
+
     def _least_copy(self) -> "PeriodicCode":
         """A new code holding this code's least rotation: never ``self``, so
         the orbit a code keeps does not refer back to it (no reference cycle)."""
@@ -125,9 +130,11 @@ class CodeOrbit:
     rotation.
 
     ``CodeOrbit(phase)`` normalizes any phase, and :meth:`from_word` checks
-    its symbols and takes the primitive root of a power of a phase.  The
-    orbits of :func:`enumerate_orbits` and :meth:`PeriodicCode.orbit` are
-    built canonical by the private :meth:`_of`, with nothing to normalize.
+    its symbols and takes the primitive root of a power of a phase; the
+    private :meth:`_of_cycle` does the same with no symbol check, for words
+    the library builds.  The orbits of :func:`enumerate_orbits` and
+    :meth:`PeriodicCode.orbit` are built canonical by the private :meth:`_of`,
+    with nothing to normalize.
     """
 
     canonical: PeriodicCode
@@ -149,6 +156,13 @@ class CodeOrbit:
         if not word:
             raise ValueError("periodic code word must be nonempty")
         _require_int_symbols(word)
+        return cls._of_cycle(word)
+
+    @classmethod
+    def _of_cycle(cls, word: tuple[int, ...]) -> "CodeOrbit":
+        """:meth:`from_word` past its symbol check: the primitive root, then
+        its least rotation.  Only for a nonempty tuple of ints >= 1 known by
+        construction, such as a gamma cycle's rectangles."""
         return cls._of(PeriodicCode._of(min_rotation(primitive_root(word)), True))
 
     @property

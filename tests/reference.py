@@ -21,6 +21,16 @@ matrix arithmetic here is its reference: the dense view ``dense_rows``,
 ``count_periodic_points``, and the Wielandt scan ``wielandt_is_mixing``
 behind ``is_mixing``.
 
+Two cutting passes compose: refining along W1 and then along the recodes
+of W2 gives, once its rectangles are renumbered by the two label maps
+(``renumber``), the one-pass refinement along W1 + W2.  ``composes`` checks
+that identity, which sees the order of strips inside each target block.
+
+The library keys each cycle of a gamma table with no symbol check.
+``boundary_orbits_by_from_word`` is the reference it is tested against:
+every boundary label's cycle, as its summary writes it, keyed through the
+public ``CodeOrbit.from_word``.
+
 The library's binary refinement is the stable refinement's block layout
 with a cut at every strip edge.  ``bin_refine_by_strips`` is the paper's
 definition it is tested against, strip by strip.
@@ -78,7 +88,9 @@ from geotype import (
     VLabel,
     boundary_orbits,
     s_boundary_positive_code,
+    s_refine,
     u_boundary_negative_code,
+    u_refine,
 )
 from geotype.boundary import BoundaryOrbitSummary
 from geotype.core import _branch_keys
@@ -223,7 +235,8 @@ def positions(table: OrderTable) -> tuple[tuple[int, ...], ...]:
     """``positions(table)[f][t]`` is the table position of phase t of ``family[f]``."""
     rows = [[0] * code.period for code in table.family]
     for row in table.cuts:
-        for p, (f, t) in enumerate(row, start=1):
+        for p, c in enumerate(row, start=1):
+            f, t = table.pair(c)
             rows[f][t] = p
     return tuple(tuple(row) for row in rows)
 
@@ -311,6 +324,58 @@ def intertwines(result, signed: bool = False) -> bool:
         lhs[(pi[r - 1], r2)] = lhs.get((pi[r - 1], r2), 0) + a
     rhs = {(i, r2): a for r2, k in enumerate(pi, start=1) for i, a in into.get(k, ())}
     return {step: a for step, a in lhs.items() if a} == rhs
+
+
+def renumber(T: GeometricType, order: list[int]) -> GeometricType:
+    """T with its rectangle ``order[r - 1]`` renamed r, built through the
+    public constructor: strips keep their numbers within a rectangle."""
+    new = {old: r for r, old in enumerate(order, start=1)}
+    mapping = {
+        (new[i], j): (new[k], l, e) for (i, j), (k, l), e in zip(T.h_labels(), T.rho, T.eps)
+    }
+    return GeometricType.build(
+        [T.h[old - 1] for old in order], [T.v[old - 1] for old in order], mapping
+    )
+
+
+def composes(T: GeometricType, W1, W2, unstable: bool = False) -> bool:
+    """Whether two cutting passes compose into one.
+
+    Refine T along W1, then refine that result along the recodes of W2
+    (each code of W2 lies on no cut line of W1, so it recodes to one code).
+    Every rectangle of the second result is band s2 of band s1 of a source
+    rectangle i, read off the two label maps.  Renumbered in lexicographic
+    order of (i, s1, s2), the second result must be the one-pass refinement
+    along W1 + W2, with the same source rectangle in each place.  This sees
+    the order of the strips within every block, which the intertwining
+    identities do not.  Both passes are ``u_refine`` when ``unstable``.
+    """
+    refine = u_refine if unstable else s_refine
+    whole = refine(T, [*W1, *W2])
+    first = refine(T, W1)
+    recoded = []
+    for code in W2:
+        (shadow,) = first.recode(code)
+        recoded.append(shadow)
+    second = refine(first.refined, recoded)
+    labels = {r: first.label_map[r1 - 1] + (s2,) for r, (r1, s2) in enumerate(second.label_map, 1)}
+    order = sorted(labels, key=labels.__getitem__)
+    sources = [labels[r][0] for r in order]
+    return renumber(second.refined, order) == whole.refined and sources == [
+        i for i, _ in whole.label_map
+    ]
+
+
+def boundary_orbits_by_from_word(T: GeometricType, unstable: bool = False) -> frozenset[CodeOrbit]:
+    """One side's boundary orbits, each keyed through the public
+    ``CodeOrbit.from_word``: the cycle of every boundary label's code
+    (:func:`s_boundary_positive_code`, or :func:`u_boundary_negative_code`
+    read backward) as that label's walk writes it down, a power of its
+    orbit's phase when the cycle passes both edges of a rectangle."""
+    summary = u_boundary_negative_code if unstable else s_boundary_positive_code
+    labels = [SULabel(i, e) for i in range(1, T.n + 1) for e in (-1, 1)]
+    cycles = [summary(T, label).cycle for label in labels]
+    return frozenset(CodeOrbit.from_word(c[::-1] if unstable else c) for c in cycles)
 
 
 # -- classification by tail scan -------------------------------------------------

@@ -48,7 +48,13 @@ from conftest import (
     su_labels,
     valid_types,
 )
-from reference import branches_by_labels, canonical_tail, cutting_family_by_code, tail_scan_classify
+from reference import (
+    boundary_orbits_by_from_word,
+    branches_by_labels,
+    canonical_tail,
+    cutting_family_by_code,
+    tail_scan_classify,
+)
 
 
 def words(codes):
@@ -182,6 +188,30 @@ def test_per_u_agrees_with_inverse_route():
         assert per_u_codes(T) == via_inverse
         reversed_orbits = {CodeOrbit.from_word(o.canonical.word[::-1]) for o in boundary_orbits(invert(T))}
         assert boundary_orbits(T, unstable=True) == reversed_orbits
+
+
+def test_cycle_orbits_match_the_from_word_reference():
+    """Each gamma cycle is keyed with no symbol check; on both sides the
+    orbits equal those of every label's cycle keyed through
+    ``CodeOrbit.from_word``, on the seeded corpora and on every stage of
+    wp_refine(E2, P) for P = 2..8.  A rectangle of one strip that a flip
+    maps into itself or a partner sends each edge to the other, so its
+    gamma cycle passes both edges and its rectangle word is a proper power,
+    (1, 1) or (1, 2, 1, 2): without the primitive root its orbit would be
+    keyed by that power."""
+    flip = GeometricType.build((1,), (1,), {(1, 1): (1, 1, -1)})
+    swap = GeometricType.build((1, 1), (1, 1), {(1, 1): (2, 1, 1), (2, 1): (1, 1, -1)})
+    types = [flip, swap] + binary_mixing_corpus(seed=29, count=8)
+    types += orientation_reversing_bin_types(79, 6)
+    for P in range(2, 9):
+        types += [stage.refined for stage in wp_refine(make_e2(), P).stages]
+    for T in types:
+        for unstable in (False, True):
+            assert boundary_orbits(T, unstable=unstable) == boundary_orbits_by_from_word(T, unstable)
+    for T, word in ((flip, (1,)), (swap, (1, 2))):
+        assert s_boundary_positive_code(T, SULabel(1, -1)).cycle == word * 2
+        for unstable in (False, True):
+            assert [o.canonical.word for o in boundary_orbits(T, unstable=unstable)] == [word]
 
 
 def test_boundary_codes_take_linear_gamma_steps(monkeypatch):

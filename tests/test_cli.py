@@ -109,12 +109,13 @@ def test_symbolic_goldens(capsys, argv, golden):
         (["corner", "E3.gt"], "corner_E3.txt"),
         (["corner", "E2.gt"], "E2.gt"),
         (["wp", "E2.gt", "--max-period", "4"], "wp_E2_4.txt"),
+        (["wp", "E2.gt", "--max-period", "6"], "wp_E2_6.txt"),
     ],
 )
 def test_pipeline_goldens(capsys, argv, golden):
     """On E3 the corner s-pass cuts nothing and the u-pass takes n from 4
     to 8; E2 has the corner property, so both passes cut nothing; the wp
-    output has n = 62."""
+    outputs have n = 62 and, at period bound 6, n = 314."""
     code, out, err = run_cli(capsys, argv[0], str(GOLDEN / argv[1]), *argv[2:])
     assert (code, out, err) == (0, (GOLDEN / golden).read_text(), "")
 

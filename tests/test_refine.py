@@ -7,6 +7,7 @@ import re
 from dataclasses import replace
 from itertools import combinations, permutations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,7 @@ from reference import (
     ShiftEqualError,
     _kneading_key,
     bin_refine_by_strips,
+    composes,
     decode_key,
     dense_rows,
     interchange_delta,
@@ -490,12 +492,63 @@ def test_assemble_rejects_a_corrupted_order_table(e2, corrupt):
         _assemble(e2, corrupted)
 
 
-def test_sort_rejects_a_line_cut_twice(e2):
+def test_sort_rejects_a_line_cut_twice(e2, e3):
     """Two phases of one orbit passed past the family check carry the same
     cut lines, so their kneading keys are equal: the sort raises rather
-    than keep one of each pair."""
+    than keep one of each pair.  Equal keys in two hosts are two lines: on
+    E3, phase 0 of (1 1 3) in rectangle 1 and phase 0 of (2 4 4) in
+    rectangle 2 have one key, and each keeps its own row."""
     with pytest.raises(InvariantError, match="equal kneading keys"):
         _sort_cuts(e2, (W12, W12.rotate(1)))
+    family = (PeriodicCode((1, 1, 3)), PeriodicCode((2, 4, 4)))
+    assert _orbit_keys(e3, family[0], 12)[0] == _orbit_keys(e3, family[1], 12)[0]
+    order = _sort_cuts(e3, family)
+    assert [[order.pair(c) for c in row] for row in order.cuts] == [
+        [(0, 0), (0, 1)], [(1, 0)], [(0, 2)], [(1, 2), (1, 1)]
+    ]
+
+
+def test_r_of_counts_bands_and_rejects_a_label_outside(e2):
+    """r is the number of bands of the rectangles before i, plus s, on both
+    sides; a label outside the result raises ``ValueError`` naming it, as
+    ``OrderTable.refs`` does for a rectangle."""
+    results = (s_refine(e2, [W12]), u_refine(e2, [W12]), s_refine(e2, [W12, PeriodicCode((1, 2, 2))]))
+    for result in results:
+        n = result.refined.n
+        assert [result.r_of(i, s) for i, s in result.label_map] == list(range(1, n + 1))
+        outside = [(i, result.order.count(i) + 2) for i in (1, 2)] + [(0, 1), (3, 1), (1, 0), (2, 9)]
+        for i, s in outside:
+            with pytest.raises(ValueError, match=rf"^label \({i},{s}\) is not a band of this result$"):
+                result.r_of(i, s)
+    with pytest.raises(GeoTypeError, match="pipeline results have no single label map"):
+        corner_refine(e2).r_of(1, 1)
+
+
+def _split_family(T: GeometricType, P: int, unstable: bool) -> tuple[list, list]:
+    """One side's non-boundary orbits of period <= P, split into halves."""
+    boundary = boundary_orbits(T, unstable=unstable)
+    family = [o.canonical for o in enumerate_orbits(incidence_matrix(T), P) if o not in boundary]
+    return family[: len(family) // 2], family[len(family) // 2 :]
+
+
+@pytest.mark.parametrize("unstable", [False, True], ids=["s", "u"])
+def test_cutting_passes_compose(e2, unstable):
+    """Refining along one half of a family and then along the recodes of
+    the other gives, renumbered by (i, s1, s2), the refinement along the
+    whole family: on the seeded corpora at P = 2, 3, 4 and on E2 at P = 10.
+    It sees the strip order inside every target block, which the ranks of
+    the cut offsets feed."""
+    checked = 0
+    for T in binary_mixing_corpus(11, 8) + orientation_reversing_bin_types(12, 6):
+        for P in (2, 3, 4):
+            W1, W2 = _split_family(T, P, unstable)
+            if W1:
+                assert composes(T, W1, W2, unstable), (T, P)
+                checked += 1
+    assert checked == (36 if unstable else 34)
+    W1, W2 = _split_family(e2, 10, unstable)
+    assert len(W1) + len(W2) == 224
+    assert composes(e2, W1, W2, unstable)
 
 
 def test_s_refine_recoding_property():
@@ -764,7 +817,10 @@ def test_every_stage_intertwines_the_transition_matrices(e2):
         (i, s), *middle, (k, t) = result.label_map
         assert i != k
         swapped = ((k, s), *middle, (i, t))
-        assert not intertwines(replace(result, label_map=swapped))
+        swapped_result = SimpleNamespace(
+            kind=result.kind, source=result.source, refined=result.refined, label_map=swapped
+        )
+        assert not intertwines(swapped_result)
 
 
 def test_wp_refine_recodings_are_boundary(e2):
