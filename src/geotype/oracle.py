@@ -8,9 +8,10 @@ h_i, and flips vertically exactly when eps = -1.  All arithmetic is exact
 and on integers: the model holds its strip maps as flat integer columns
 (a, b, k, l), one entry per strip, and an orbit's cut heights are integer
 numerators over the orbit's one denominator |1 - A|, never reduced.
+The columns are the whole model: nothing re-presents them per strip.
 ``fractions.Fraction`` values are made only where a caller reads them: the
-point of :func:`periodic_point`, ``OracleRefinement.cut_heights``, the
-``StripMap`` views' ``c``, ``d`` and ``apply_x``, and the SVG's cut lines.
+point of :func:`periodic_point`, ``OracleRefinement.cut_heights`` and the
+SVG's cut lines.
 
 The module recomputes stable-boundary refinements geometrically (cut heights
 as fixed points; each strip's edges and cut heights pushed once through its
@@ -37,8 +38,6 @@ from typing import Iterable, Iterator
 from .core import (
     GeoTypeError,
     GeometricType,
-    HLabel,
-    VLabel,
     _branch_keys,
     _lex_columns,
     _targets,
@@ -60,45 +59,11 @@ class RationalPoint:
 
 
 @dataclass(frozen=True)
-class StripMap:
-    """Affine map of one horizontal strip onto one vertical strip: a view of
-    one strip of an :class:`AffineModel`'s columns.
-
-    Vertical part y' = ay + b with integers a = eps * h_i and b = -(j - 1)
-    (eps = +1) or j (eps = -1); horizontal part x' = (x + l - 1) / v with
-    the integer v = v_k and l = ``target.l``.  ``c`` = 1/v and ``d`` =
-    (l - 1)/v are its coefficients as ``Fraction``s.
-    """
-
-    source: HLabel
-    target: VLabel
-    a: int
-    b: int
-    v: int
-
-    @property
-    def eps(self) -> int:
-        return 1 if self.a > 0 else -1
-
-    @property
-    def c(self) -> Fraction:
-        return Fraction(1, self.v)
-
-    @property
-    def d(self) -> Fraction:
-        return Fraction(self.target.l - 1, self.v)
-
-    def apply_x(self, x: Fraction) -> Fraction:
-        return (x + self.target.l - 1) / self.v
-
-
-@dataclass(frozen=True)
 class AffineModel:
     """The strip maps of ``source`` as integer columns in the lexicographic
     order of its strips: strip x, the x-th label (i, j) counted from 0, maps
     by y -> a[x] y + b[x] and x -> (x + l[x] - 1) / v_k onto the vertical
-    strip (k[x], l[x]).  ``maps`` shows them as ``StripMap``s, built on
-    first read; the oracle itself reads only the columns."""
+    strip (k[x], l[x])."""
 
     source: GeometricType
     a: tuple[int, ...]
@@ -107,21 +72,12 @@ class AffineModel:
     l: tuple[int, ...]
 
     @cached_property
-    def maps(self) -> tuple[StripMap, ...]:
-        v = self.source.v
-        return tuple(
-            StripMap(label, VLabel(k, l), a, b, v[k - 1])
-            for label, a, b, k, l in zip(self.source.h_labels(), self.a, self.b, self.k, self.l)
-        )
-
-    @cached_property
     def _branches(self) -> dict[int, int]:
         """The step table ``{i * (n + 1) + k: x}``, keyed like
         ``core._branch_keys``: the strip x of square i into square k, or
         minus the number of such strips when there are more than one.  A key
-        names its step only for 1 <= i, k <= n: :meth:`_branch_index` checks
-        the range, and :func:`_orbit_walk` checks a word's symbols when one of
-        its steps misses."""
+        names its step only for 1 <= i, k <= n: :func:`_orbit_walk` checks a
+        word's symbols when one of its steps misses."""
         n = self.source.n
         keys = list(_branch_keys(n, _lex_columns(self.source.h)[0], self.k))
         table = dict(zip(keys, range(len(keys))))
@@ -131,39 +87,6 @@ class AffineModel:
                 counts[key] += 1
             table.update((key, -c) for key, c in counts.items() if c > 1)
         return table
-
-    def _branch_index(self, i: int, target_square: int) -> int:
-        """The strip index of the unique strip of square i into the target square."""
-        n = self.source.n
-        x = None
-        if 1 <= i <= n and 1 <= target_square <= n:
-            x = self._branches.get(i * (n + 1) + target_square)
-        if x is None:
-            raise AdmissibilityError(f"square {i} has 0 strips into square {target_square}")
-        if x < 0:
-            raise NonBinaryError(f"square {i} has {-x} strips into square {target_square}")
-        return x
-
-    def strip_map(self, label: tuple[int, int]) -> StripMap:
-        return self.maps[self.source.lex_index(label) - 1]
-
-    def branch(self, i: int, target_square: int) -> int:
-        """The unique strip of square i mapped into the target square."""
-        return self._branch_index(i, target_square) - self.source._offsets[i - 1] + 1
-
-    def extract_type(self) -> GeometricType:
-        """Read (rho, eps) back off the affine data, not off the source type."""
-        rho: list[tuple[int, int]] = []
-        for m in self.maps:
-            k = m.target.k
-            # left endpoint of the x-image of [0,1] identifies the vertical slot
-            left = m.apply_x(Fraction(0))
-            l = left * self.source.v[k - 1] + 1
-            if l.denominator != 1:
-                raise GeoTypeError("image is not aligned with a vertical strip")
-            rho.append((k, int(l)))
-        eps = tuple(m.eps for m in self.maps)
-        return GeometricType(self.source.h, self.source.v, tuple(rho), eps)
 
 
 def realize(T: GeometricType) -> AffineModel:
@@ -191,11 +114,11 @@ def _orbit_walk(model: AffineModel, code: PeriodicCode) -> tuple[list[int], int,
     and leaves them unreduced: no gcd is taken.
 
     The steps are read in C, by one ``map`` over the model's step table.
-    Only a code with a step that misses the table or has several strips is
-    checked further, in Python: its symbols for the range 1..n, then its
-    steps in order, to raise the first fault's error.  A symbol past n
-    needs no check up front, since it is the row of its own step, whose key
-    lies above every key of the table.
+    Only a code with a step that misses the table (-1) or has c >= 2 strips
+    (-c) is checked further, in Python: its symbols for the range 1..n,
+    then the first such step in word order names the error.  A symbol past
+    n needs no check up front, since it is the row of its own step, whose
+    key lies above every key of the table.
     """
     word = code.word
     T = model.source
@@ -205,7 +128,10 @@ def _orbit_walk(model: AffineModel, code: PeriodicCode) -> tuple[list[int], int,
     if min(steps) < 0:
         # a symbol past n misses the table as the row of its own step
         require_symbols(n, word)
-        steps = list(map(model._branch_index, word, succ))
+        i, k, x = next(step for step in zip(word, succ, steps) if step[2] < 0)
+        if x == -1:
+            raise AdmissibilityError(f"square {i} has 0 strips into square {k}")
+        raise NonBinaryError(f"square {i} has {-x} strips into square {k}")
     a_col, b_col = model.a, model.b
     A, B = 1, 0
     for x in steps:

@@ -203,11 +203,12 @@ class OrderTable:
     cuts: tuple[tuple[int, ...], ...]
 
     def count(self, i: int) -> int:
-        return len(self.refs(i))
-
-    def refs(self, i: int) -> tuple[IntervalRef, ...]:
         if not 1 <= i <= self.n:
             raise ValueError(f"rectangle {i} is not a rectangle of this table (1..{self.n})")
+        return len(self.cuts[i - 1])
+
+    def refs(self, i: int) -> tuple[IntervalRef, ...]:
+        self.count(i)  # the range check
         return self.entries[i - 1]
 
     def pair(self, c: int) -> tuple[int, int]:
@@ -539,6 +540,13 @@ def corner_refine(T: GeometricType) -> RefinementResult:
     boundary (they are the unstable-only ones), then cut the intermediate
     type along its own stable boundary codes that are not yet unstable
     boundary.
+
+    The order of the passes matters: an s-pass then a u-pass differs from
+    the u-pass then the s-pass.  A u-cut of rectangle i crosses every s-band
+    of i, but after the s-pass the recoded u-orbit cuts only the bands that
+    hold its points.  On E2, s along (1 2) then u along the recode of
+    (1 2 2), and the other order, both give n = 7 and alpha = 15, with
+    different h multisets.
     """
     stage1 = s_refine(T, _orbit_reps(boundary_orbits(T, unstable=True) - boundary_orbits(T)))
     T1 = stage1.refined
@@ -556,7 +564,14 @@ def corner_refine_along(T: GeometricType, W) -> RefinementResult:
 
 
 def wp_refine(T: GeometricType, P: int) -> RefinementResult:
-    """Put every periodic orbit of period <= P on refined rectangle corners."""
+    """Put every periodic orbit of period <= P on refined rectangle corners.
+
+    This is not incremental in P: ``corner_refine_along`` on the result for
+    P, along the recodes of the new period-(P + 1) orbits, gives the same n
+    and boundary-orbit periods as the result for P + 1, but a different
+    type.  On E2 at P = 3 -> 4 both have n = 62, but alpha is 130 against
+    126 for ``wp_refine(E2, 4)``, and the h multisets differ.
+    """
     if not has_corner_property(T):
         raise GeoTypeError("bounded-period refinement needs the corner property")
     p_bound = max(orbit.period for orbit in boundary_orbits(T))

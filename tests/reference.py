@@ -41,10 +41,11 @@ integer per step.  ``inverse_by_labels`` and ``branches_by_labels`` are the
 label-by-label definitions they are tested against: rho reversed as a
 relation, and the table ``{(i, xi(i, j)): (j, eps(i, j))}``.
 
-The affine oracle holds its strip maps as integer columns (a, b, k, l) read
-off T's slots.  ``strip_maps_by_labels`` is the per-strip definition they
-are tested against: one ``StripMap`` per horizontal label, read off
-``T.rho``.
+The affine model is nothing but its integer columns (a, b, k, l), read off
+T's slots.  ``strip_columns_by_labels`` is the per-strip definition they
+are tested against: one (a, b, k, l) per horizontal label, read off
+``T.rho``.  Tests that follow a step of an orbit find its strip through
+``branches_by_labels`` and ``T.lex_index``.
 
 The library checks a cutting family in one pass over all its codes and
 walks it code by code only to name the first fault.
@@ -94,7 +95,6 @@ from geotype import (
 )
 from geotype.boundary import BoundaryOrbitSummary
 from geotype.core import _branch_keys
-from geotype.oracle import StripMap
 from geotype.refine import InvariantError, _orbit_keys
 from geotype.shift import AdmissibilityError, binary_branches, primitive_root, require_symbols
 
@@ -141,16 +141,16 @@ def branches_by_labels(T: GeometricType) -> dict[tuple[int, int], tuple[int, int
     return {(i, k): (j, e) for (i, j), (k, _), e in zip(T.h_labels(), T.rho, T.eps)}
 
 
-def strip_maps_by_labels(T: GeometricType) -> tuple[StripMap, ...]:
-    """The strip maps of the affine model, label by label: strip (i, j) with
-    rho(i, j) = (k, l) and sign e maps by y -> h_i y - (j - 1) when e = +1,
-    or y -> j - h_i y when e = -1, onto vertical strip l of square k."""
-    maps = []
-    for label, target, e in zip(T.h_labels(), T.rho, T.eps):
-        h_i = T.h[label.i - 1]
-        a, b = (h_i, 1 - label.j) if e == 1 else (-h_i, label.j)
-        maps.append(StripMap(label, target, a, b, T.v[target.k - 1]))
-    return tuple(maps)
+def strip_columns_by_labels(T: GeometricType) -> tuple[tuple[int, int, int, int], ...]:
+    """The strip maps of the affine model, label by label, as (a, b, k, l):
+    strip (i, j) with rho(i, j) = (k, l) and sign e maps by y -> ay + b,
+    y -> h_i y - (j - 1) when e = +1 or y -> j - h_i y when e = -1, onto
+    vertical strip l of square k."""
+    columns = []
+    for (i, j), (k, l), e in zip(T.h_labels(), T.rho, T.eps):
+        a, b = (T.h[i - 1], 1 - j) if e == 1 else (-T.h[i - 1], j)
+        columns.append((a, b, k, l))
+    return tuple(columns)
 
 
 def j_index(T: GeometricType, code: PeriodicCode, t: int) -> int:

@@ -300,6 +300,19 @@ def test_render_svg_golden(capsys, e2_path, w12_path):
     assert out == (GOLDEN / "E2_w12.svg").read_text()
 
 
+def test_render_svg_golden_with_orientation_reversal(capsys, tmp_path):
+    """The SVG of bin(E1m) along every non-s-boundary orbit of period <= 4,
+    byte for byte: the orbit walk runs through the strips (2,1) and (2,2),
+    whose maps reverse orientation (eps = -1)."""
+    code, out, err = run_cli(capsys, "bin", str(GOLDEN / "E1m.gt"))
+    assert (code, err) == (0, "")
+    bin_path = tmp_path / "bin_E1m.gt"
+    bin_path.write_text(out)
+    codes = str(GOLDEN / "E1m_bin_4.codes")
+    code, out, err = run_cli(capsys, "render", str(bin_path), "--format", "svg", "--codes", codes)
+    assert (code, out, err) == (0, (GOLDEN / "E1m_bin_4.svg").read_text(), "")
+
+
 def test_render_svg_rejects_a_symbol_above_n(capsys, e2_path, tmp_path):
     codes = tmp_path / "W.codes"
     codes.write_text("CODE 3 1\n")

@@ -263,13 +263,16 @@ def test_pairwise_reference_order_is_not_exported():
 
 def test_trimmed_names_stay_out_of_the_library():
     """``classify_code`` is the one admissibility check of an eventually
-    periodic code, the boundary labels live in ``boundary``, and the canonical
-    tail form lives in the tests' reference module."""
+    periodic code, the boundary labels live in ``boundary``, the canonical
+    tail form lives in the tests' reference module, and the affine model is
+    its integer columns, with no per-strip view."""
     gone = {
         geotype.shift: {"is_admissible_eventually_periodic"},
         geotype.boundary: {"canonical_eventually_periodic"},
         geotype.refine: {"BoundaryCodeError", "DuplicateOrbitError"},
         geotype.core: {"SULabel", "theta"},
+        geotype.oracle: {"StripMap", "HLabel", "VLabel"},
+        geotype.AffineModel: {"maps", "strip_map", "branch", "extract_type", "_branch_index"},
     }
     for module, names in gone.items():
         assert [name for name in names if hasattr(module, name)] == [], module.__name__
@@ -415,24 +418,31 @@ def test_s_refine_rejects_a_non_binary_type():
 
 
 def test_library_builds_no_type_from_a_label_map(monkeypatch, capsys):
-    """Every library builder writes rho and eps in lexicographic order and
+    """Every library builder writes slots and eps in lexicographic order and
     constructs the type from those sequences; ``GeometricType.build`` is the
-    convenience for callers holding a label-keyed map."""
+    convenience for callers holding a label-keyed map, and the public
+    constructor the one for callers holding rho.  The library calls neither."""
     e1m = make_e1m()  # built through build() before the count starts
     calls: list[tuple] = []
     build = GeometricType.build.__func__
+    public = GeometricType.__init__
 
     def counting_build(cls, *args, **kwargs):
         calls.append(args)
         return build(cls, *args, **kwargs)
 
+    def counting_init(self, *args):
+        calls.append(args)
+        public(self, *args)
+
     monkeypatch.setattr(GeometricType, "build", classmethod(counting_build))
+    monkeypatch.setattr(GeometricType, "__init__", counting_init)
     golden = Path(__file__).parent / "golden"
     e1, e2, e3 = (parse((golden / f"{name}.gt").read_text()) for name in ("E1", "E2", "E3"))
     for T in (e1, e2, e3, e1m):
         invert(T)
         bin_refine(T)
-        realize(T).extract_type()
+        realize(T)
     T = bin_refine(e1m).refined
     boundary = {c.orbit() for c in per_s_codes(T)}
     family = [o.canonical for o in enumerate_orbits(incidence_matrix(T), 4) if o not in boundary]

@@ -35,6 +35,7 @@ from geotype import (
     serialize,
     wp_refine,
 )
+import geotype.core
 import geotype.oracle
 import geotype.shift
 from geotype.oracle import TieError, _height_keys
@@ -50,7 +51,7 @@ from conftest import (
     random_corpus,
     record_builds,
 )
-from reference import interval_less, strip_maps_by_labels
+from reference import branches_by_labels, interval_less, strip_columns_by_labels
 
 W12 = PeriodicCode((1, 2))
 
@@ -60,17 +61,17 @@ def test_realize_shapes(e0, e1, e1m):
     it onto [0, 1], upward exactly when eps = +1."""
     for T in (e0, e1, e1m, bin_refine(e1m).refined):
         model = realize(T)
-        for i, j in T.h_labels():
+        for x, (i, j) in enumerate(T.h_labels()):
             h_i = T.h[i - 1]
-            m = model.strip_map((i, j))
-            ends = tuple(m.a * y + m.b for y in (Fraction(j - 1, h_i), Fraction(j, h_i)))
+            a, b = model.a[x], model.b[x]
+            ends = tuple(a * y + b for y in (Fraction(j - 1, h_i), Fraction(j, h_i)))
             assert ends == ((0, 1) if T.phi((i, j))[2] == 1 else (1, 0))
 
 
 def test_model_columns_equal_the_strip_maps_by_labels():
-    """The model's integer columns, shown as ``StripMap``s, equal the maps
-    built label by label off ``T.rho``, on the seeded corpora and on every
-    stage source of ``wp_refine(E2, P)``, P = 2..8."""
+    """The model's integer columns (a, b, k, l) equal the strip maps built
+    label by label off ``T.rho``, on the seeded corpora and on every stage
+    source of ``wp_refine(E2, P)``, P = 2..8."""
     types = random_corpus(seed=29, count=40) + random_corpus(seed=31, count=10, max_n=8, max_hv=6)
     types += binary_mixing_corpus(seed=37, count=8) + orientation_reversing_bin_types(41, 6)
     for P in range(2, 9):
@@ -78,15 +79,17 @@ def test_model_columns_equal_the_strip_maps_by_labels():
     assert any(-1 in T.eps for T in types)
     for T in types:
         model = realize(T)
-        assert model.maps == strip_maps_by_labels(T)
-        assert model.maps is model.maps
+        columns = strip_columns_by_labels(T)
+        assert (model.a, model.b, model.k, model.l) == tuple(zip(*columns))
 
 
 def test_reextraction_roundtrip(e0, e1, e2, e1m):
-    for T in (e0, e1, e2, bin_refine(e1m).refined):
-        assert realize(T).extract_type() == T
-    for T in binary_mixing_corpus(seed=71, count=6):
-        assert realize(T).extract_type() == T
+    """The columns k, l and the signs of a give T back through the public
+    constructor."""
+    for T in (e0, e1, e2, bin_refine(e1m).refined, *binary_mixing_corpus(seed=71, count=6)):
+        model = realize(T)
+        eps = tuple(1 if a > 0 else -1 for a in model.a)
+        assert GeometricType(T.h, T.v, tuple(zip(model.k, model.l)), eps) == T
 
 
 def test_periodic_point_examples(e2):
@@ -128,6 +131,7 @@ def test_orbit_walk_heights_are_the_phase_fixed_points():
     periods: set[int] = set()
     for T in types:
         model = realize(T)
+        branches = branches_by_labels(T)
         boundary = {c.orbit() for c in per_s_codes(T)}
         orbits = enumerate_orbits(incidence_matrix(T), 6)
         family = [o.canonical for o in orbits if o not in boundary]
@@ -139,8 +143,9 @@ def test_orbit_walk_heights_are_the_phase_fixed_points():
                 x = point.x
                 for m in range(t, t + code.period):
                     i = code.symbol(m)
-                    step = model.strip_map((i, model.branch(i, code.symbol(m + 1))))
-                    x, y = step.apply_x(x), step.a * y + step.b
+                    s = T.lex_index((i, branches[(i, code.symbol(m + 1))][0])) - 1
+                    k, l = model.k[s], model.l[s]
+                    x, y = (x + l - 1) / T.v[k - 1], model.a[s] * y + model.b[s]
                 assert (x, y) == (point.x, point.y)
                 periods.add(code.period)
     assert periods == {1, 2, 3, 4, 5, 6}
@@ -165,19 +170,13 @@ def _fraction_point(T, code, t):
 
 
 def test_fraction_views_equal_the_fraction_formulas():
-    """The strip maps hold integers; their ``Fraction`` views c = 1/v_k and d
-    = (l - 1)/v_k, ``apply_x`` and every ``periodic_point`` equal the same
-    quantities computed in ``Fraction``s from T, along every non-boundary
+    """The strip maps hold integers; every ``periodic_point`` equals the
+    same point computed in ``Fraction``s from T, along every non-boundary
     orbit of period <= 5."""
     types = binary_mixing_corpus(seed=73, count=5) + orientation_reversing_bin_types(79, 3)
     points = 0
     for T in types:
         model = realize(T)
-        for (i, j), m in zip(T.h_labels(), model.maps):
-            k, l, _ = T.phi((i, j))
-            v_k = T.v[k - 1]
-            assert (m.c, m.d) == (Fraction(1, v_k), Fraction(l - 1, v_k))
-            assert m.apply_x(Fraction(1, 3)) == Fraction(1, 3) / v_k + Fraction(l - 1, v_k)
         boundary = {c.orbit() for c in per_s_codes(T)}
         for orbit in enumerate_orbits(incidence_matrix(T), 5):
             if orbit in boundary:
@@ -194,7 +193,7 @@ def test_fraction_views_equal_the_fraction_formulas():
 def test_oracle_makes_no_fraction_until_cut_heights_are_read(monkeypatch):
     """``realize`` and ``oracle_s_refine`` run on integer columns: on both
     stable stages' inputs of ``wp_refine(E2, 6)``, as fresh type objects,
-    they construct no ``Fraction``, no ``StripMap`` and no ``VLabel``, build
+    they construct no ``Fraction`` and no ``VLabel``, build
     no ``rho`` view and call no public ``GeometricType`` constructor.
     Reading ``cut_heights`` then makes exactly one ``Fraction`` per cut line."""
     result = wp_refine(make_e2(), 6)
@@ -212,10 +211,6 @@ def test_oracle_makes_no_fraction_until_cut_heights_are_read(monkeypatch):
             objects.append(args)
             return super().__new__(cls, *args)
 
-    class CountingStripMap(geotype.oracle.StripMap):
-        def __post_init__(self):
-            objects.append(self)
-
     public = GeometricType.__init__
 
     def counting_init(self, *args):
@@ -223,8 +218,7 @@ def test_oracle_makes_no_fraction_until_cut_heights_are_read(monkeypatch):
         public(self, *args)
 
     monkeypatch.setattr(geotype.oracle, "Fraction", CountingFraction)
-    monkeypatch.setattr(geotype.oracle, "VLabel", CountingVLabel)
-    monkeypatch.setattr(geotype.oracle, "StripMap", CountingStripMap)
+    monkeypatch.setattr(geotype.core, "VLabel", CountingVLabel)
     monkeypatch.setattr(GeometricType, "__init__", counting_init)
     rho_builds = record_builds(monkeypatch, "rho")
     counts = []
@@ -290,12 +284,13 @@ def _reference_pieces(model, marks, i, lo, hi):
         piece_lo, piece_hi = max(lo, Fraction(j - 1, h_i)), min(hi, Fraction(j, h_i))
         if piece_lo >= piece_hi:
             continue
-        m = model.strip_map((i, j))
-        row = marks[m.target.k - 1]
-        img_lo, img_hi = sorted(m.a * y + m.b for y in (piece_lo, piece_hi))
+        x = model.source.lex_index((i, j)) - 1
+        a, b, k, l = model.a[x], model.b[x], model.k[x], model.l[x]
+        row = marks[k - 1]
+        img_lo, img_hi = sorted(a * y + b for y in (piece_lo, piece_hi))
         for band in range(row.index(img_lo) + 1, row.index(img_hi) + 1):
-            pre = min((row[band - 1] - m.b) / m.a, (row[band] - m.b) / m.a)
-            pieces[(m.target.k, band, m.target.l)] = (pre, j, m.a)
+            pre = min((row[band - 1] - b) / a, (row[band] - b) / a)
+            pieces[(k, band, l)] = (pre, j, a)
     return pieces
 
 
@@ -421,6 +416,7 @@ def test_recoded_cut_codes_match_oracle_flanks():
     checked = swapped = 0
     for T in corpus:
         model = realize(T)
+        branches = branches_by_labels(T)
         for family in cutting_families(T)[:3]:
             result = s_refine(T, family)
             geometric = oracle_s_refine(T, family)
@@ -433,7 +429,7 @@ def test_recoded_cut_codes_match_oracle_flanks():
                     for t in range(code.period):
                         i, k = code.symbol(t), code.symbol(t + 1)
                         p = 1 + heights[i - 1].index(periodic_point(model, code, t).y)
-                        a = model.strip_map((i, model.branch(i, k))).a
+                        a = model.a[T.lex_index((i, branches[(i, k)][0])) - 1]
                         sides.append((band[(i, p)], band[(i, p + 1)], 1 if a > 0 else -1))
                     below: list[int] = []
                     above: list[int] = []
@@ -478,23 +474,28 @@ def test_oracle_validation_mirrors_engine(e1, e2, e3):
 def test_a_step_with_two_strips_is_non_binary(e1, e3):
     """E1's code 1 is admissible, since a_11 = 2, but its one step has two
     strips: a ``NonBinaryError``.  A step with no strip stays an
-    ``AdmissibilityError``."""
-    model = realize(e1)
-    code = PeriodicCode((1,))
-    for run in (
-        lambda: model.branch(1, 1),
-        lambda: periodic_point(model, code),
-        lambda: model_svg(e1, [code]),
+    ``AdmissibilityError``.  Of two faulty steps, the first in word order
+    names the error."""
+    two = r"^square 1 has 2 strips into square 1$"
+    for T, code, error, message in (
+        (e1, PeriodicCode((1,)), NonBinaryError, two),
+        (e3, PeriodicCode((1, 4)), AdmissibilityError, r"^square 1 has 0 strips into square 4$"),
     ):
-        with pytest.raises(NonBinaryError, match=r"^square 1 has 2 strips into square 1$"):
-            run()
-    model = realize(e3)
-    for run in (
-        lambda: model.branch(1, 4),
-        lambda: periodic_point(model, PeriodicCode((1, 4))),
+        model = realize(T)
+        for run in (lambda: periodic_point(model, code), lambda: model_svg(T, [code])):
+            with pytest.raises(error, match=message):
+                run()
+    # a_11 = 2 and a_22 = 0: the steps 1 -> 1 and 2 -> 2 are both faulty
+    T = GeometricType((3, 1), (3, 1), ((1, 1), (1, 2), (2, 1), (1, 3)), (1, 1, 1, 1))
+    model = realize(T)
+    for word, error, message in (
+        ((1, 1, 2, 2), NonBinaryError, two),
+        ((2, 2, 1, 1), AdmissibilityError, r"^square 2 has 0 strips into square 2$"),
     ):
-        with pytest.raises(AdmissibilityError, match=r"^square 1 has 0 strips into square 4$"):
-            run()
+        code = PeriodicCode(word)
+        for run in (lambda: periodic_point(model, code), lambda: model_svg(T, [code])):
+            with pytest.raises(error, match=message):
+                run()
 
 
 def _farey_neighbour(y: Fraction) -> Fraction:

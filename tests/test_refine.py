@@ -65,6 +65,7 @@ from reference import (
     ShiftEqualError,
     _kneading_key,
     bin_refine_by_strips,
+    branches_by_labels,
     composes,
     decode_key,
     dense_rows,
@@ -336,6 +337,7 @@ def test_wide_digit_keys_on_the_full_shift_on_130_symbols():
     assert (result.refined, result.label_map) == (geometric.refined, geometric.label_map)
 
     model = realize(T)
+    branches = branches_by_labels(T)
     heights = [sorted(y for y, _, _ in bucket) for bucket in geometric.cut_heights]
     band = {label: r for r, label in enumerate(geometric.label_map, start=1)}
     other = PeriodicCode((5, 9))
@@ -351,7 +353,7 @@ def test_wide_digit_keys_on_the_full_shift_on_130_symbols():
         for t in range(code.period):
             i, k = code.symbol(t), code.symbol(t + 1)
             p = 1 + heights[i - 1].index(periodic_point(model, code, t).y)
-            a = model.strip_map((i, model.branch(i, k))).a
+            a = model.a[T.lex_index((i, branches[(i, k)][0])) - 1]
             sides.append((band[(i, p)], band[(i, p + 1)], 1 if a > 0 else -1))
         below: list[int] = []
         above: list[int] = []
@@ -368,6 +370,7 @@ def test_wide_digit_keys_on_the_full_shift_on_130_symbols():
 def test_build_order_examples(e2):
     table = build_order(e2, [W12])
     assert table.count(1) == 1 and table.count(2) == 1
+    assert "entries" not in table.__dict__  # counting a row builds no IntervalRef
     assert position(table, IntervalRef(0, W12)) == 1
     assert position(table, IntervalRef(1, W12)) == 1
     empty = build_order(e2, [])
@@ -551,6 +554,17 @@ def test_cutting_passes_compose(e2, unstable):
     assert composes(e2, W1, W2, unstable)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("unstable", [False, True], ids=["s", "u"])
+@pytest.mark.parametrize("P, orbits", [(12, 745), (14, 2536)], ids=["P12", "P14"])
+def test_cutting_passes_compose_at_scale(e2, P, orbits, unstable):
+    """Two cutting passes compose on E2 along its non-boundary orbits of
+    period <= 12 and <= 14, split into halves."""
+    W1, W2 = _split_family(e2, P, unstable)
+    assert len(W1) + len(W2) == orbits
+    assert composes(e2, W1, W2, unstable)
+
+
 def test_s_refine_recoding_property():
     for T in binary_mixing_corpus(seed=47, count=5):
         for family in cutting_families(T)[:3]:
@@ -704,6 +718,33 @@ def test_wp_refine_examples(e2):
     assert has_corner_property(result.refined)
     with pytest.raises(PeriodBoundError, match="P below"):
         wp_refine(e2, 0)
+
+
+def test_pass_order_and_period_steps_are_not_identities(e2):
+    """The two non-identities in the docstrings of ``corner_refine`` and
+    ``wp_refine``: on E2, an s-pass then a u-pass is not the u-pass then the
+    s-pass, and ``wp_refine(E2, 4)`` is not ``wp_refine(E2, 3)`` cut along
+    the recodes of the period-4 orbits."""
+
+    def recoded(result, code):
+        (shadow,) = result.recode(code)
+        return shadow
+
+    A, B = W12, PeriodicCode((1, 2, 2))
+    s_first = s_refine(e2, [A])
+    u_first = u_refine(e2, [B])
+    su = u_refine(s_first.refined, [recoded(s_first, B)]).refined
+    us = s_refine(u_first.refined, [recoded(u_first, A)]).refined
+    assert (su.n, sum(su.h)) == (us.n, sum(us.h)) == (7, 15)
+    assert sorted(su.h) != sorted(us.h)
+
+    three, four = wp_refine(e2, 3), wp_refine(e2, 4)
+    codes = [o.canonical for o in enumerate_orbits(incidence_matrix(e2), 4) if o.period == 4]
+    for stage in three.stages:
+        codes = [recoded(stage, code) for code in codes]
+    stepped = corner_refine_along(three.refined, codes).refined
+    assert (stepped.n, sum(stepped.h)) == (four.refined.n, 130) and sum(four.refined.h) == 126
+    assert sorted(stepped.h) != sorted(four.refined.h)
 
 
 def test_wp_refine_corner_s_pass_returns_its_source(e2):
