@@ -15,16 +15,18 @@ once per side and type object.  :func:`per_s_codes`, :func:`per_u_codes`
 and :func:`boundary_sets` are their all-phase views.  A cutting family must
 avoid these codes, so its check, :func:`cutting_family`, lives here too: it
 reads the kept orbits, and each refinement, ``u_refine`` included, runs it
-once per call.  :func:`classify_code`, the library's one admissibility check
-of an eventually periodic code, reads them as well: the boundary codes are
-closed under the shift, so a code is an S- or U-leaf exactly when its
-periodic end on that side is a boundary orbit.
+once per call.  The check keeps the value of its one lookup per step as
+the family's step column, which the stable refinement reads for its
+kneading keys and cut offsets.  :func:`classify_code`, the library's one
+admissibility check of an eventually periodic code, reads the orbits as
+well: the boundary codes are closed under the shift, so a code is an S- or
+U-leaf exactly when its periodic end on that side is a boundary orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from operator import add, attrgetter, itemgetter, not_
 from typing import NamedTuple
 
@@ -224,15 +226,50 @@ def cutting_family(
     (:func:`_check_by_code`), which raises the error of its first faulty
     code: a raw word that is no ``PeriodicCode``, a symbol out of range, a
     forbidden step, an orbit listed before, or a boundary orbit.  Costs
-    O(alpha + sum of periods).
+    O(alpha + sum of periods).  The stable refinement reads the same check
+    through :func:`_checked_family`, which also hands on the values of the
+    check's one lookup per step.
     """
+    return _checked_family(T, W, unstable=unstable, drop_boundary=drop_boundary)[0]
+
+
+def _checked_family(
+    T: GeometricType, W, *, unstable: bool = False, drop_boundary: bool = False
+) -> tuple[tuple[PeriodicCode, ...], list[int]]:
+    """:func:`cutting_family` and the family's step column: the signed
+    strip e * j that each step (w_t, w_{t+1}) of each kept code runs
+    through, code after code, phase by phase, which is the order of the
+    flat cut ids of ``refine.OrderTable``.  The column holds the values of
+    the at-once check's lookups, so each step is looked up once."""
     branches = binary_branches(T)
     boundary, boundary_words = _kept_side(T, unstable)
     items = list(W)
-    family = _check_at_once(T.n, branches, boundary_words, items, drop_boundary)
+    steps: list[int] = []
+    family = _check_at_once(T.n, branches, boundary_words, items, drop_boundary, steps)
     if family is None:
         family = _check_by_code(T.n, branches, boundary, items, unstable, drop_boundary)
-    return family
+        steps = _step_column(T, family)
+    return family, steps
+
+
+def _step_column(T: GeometricType, family: tuple[PeriodicCode, ...]) -> list[int]:
+    """The step column of a family already checked as a cutting family of
+    T, in one pass over T's branch table; ``u_refine`` reads the reversed
+    family's column off the inverse type this way.  An empty family, which
+    cuts nothing, builds no table."""
+    if not family:
+        return []
+    words = list(map(_word, family))
+    return _lookups(T.n, binary_branches(T), words, chain.from_iterable(words))
+
+
+def _lookups(n: int, branches: dict[int, int], words: list, symbols) -> list[int | None]:
+    """The branch-table value of every step (w_t, w_{t+1}) of the words,
+    wrap included, word after word, ``None`` where a step misses; the
+    successor column is the words rotated by one.  ``symbols`` is the
+    words' symbols end to end, which must lie in 1..n."""
+    successors = chain.from_iterable(map(add, map(_tail, words), map(_head, words)))
+    return list(map(branches.get, _branch_keys(n, symbols, successors)))
 
 
 def _check_at_once(
@@ -241,15 +278,20 @@ def _check_at_once(
     boundary_words: frozenset[tuple[int, ...]],
     items: list,
     drop_boundary: bool,
+    steps: list[int] | None = None,
 ) -> tuple[PeriodicCode, ...] | None:
     """:func:`cutting_family` on the whole family, or ``None`` when some code
     fails a check.  The symbols of all words form one column, checked
     through the set of symbols that occur; the successor of each symbol,
-    wrap included, is the column of the words rotated by one; and each
-    orbit is compared by its key word, a tuple, so the set of those words
-    shows a repeated orbit and meets the boundary orbits' key words with no
-    Python-level hash.  A code flagged as its own least rotation, such as an
-    orbit's key code, is its key word, so no orbit object is built for it."""
+    wrap included, is the column of the words rotated by one, and one
+    lookup per step gives the step column (:func:`_checked_family`),
+    ``None`` at a miss; and each orbit is compared by its key word, a
+    tuple, so the set of those words shows a repeated orbit and meets the
+    boundary orbits' key words with no Python-level hash.  On success the
+    column is written into ``steps`` when given, less the phases of
+    dropped boundary codes.  A code flagged as its own least rotation,
+    such as an orbit's key code, is its key word, so no orbit object is
+    built for it."""
     try:
         codes = [c if isinstance(c, PeriodicCode) else PeriodicCode(tuple(c)) for c in items]
     except (TypeError, ValueError):
@@ -259,17 +301,26 @@ def _check_at_once(
     present = set(symbols)
     if present and (min(present) < 1 or max(present) > n):
         return None
-    successors = chain.from_iterable(map(add, map(_tail, words), map(_head, words)))
-    if not all(map(branches.__contains__, _branch_keys(n, symbols, successors))):
+    column = _lookups(n, branches, words, symbols)
+    if not all(column):  # a miss is None, and every e * j is nonzero
         return None
     orbits = list(map(PeriodicCode._orbit_word, codes))
     distinct = set(orbits)
     if distinct.isdisjoint(boundary_words):
-        return tuple(codes) if len(distinct) == len(codes) else None
-    if not drop_boundary:
+        if len(distinct) != len(codes):
+            return None
+        kept = tuple(codes)
+    elif not drop_boundary:
         return None
-    kept = tuple(compress(codes, map(not_, map(boundary_words.__contains__, orbits))))
-    return kept if len(distinct - boundary_words) == len(kept) else None
+    else:
+        keep = list(map(not_, map(boundary_words.__contains__, orbits)))
+        kept = tuple(compress(codes, keep))
+        if len(distinct - boundary_words) != len(kept):
+            return None
+        column = compress(column, chain.from_iterable(map(repeat, keep, map(len, words))))
+    if steps is not None:
+        steps[:] = column
+    return kept
 
 
 def _check_by_code(

@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, eq, mul, sub
+from operator import attrgetter, eq, mul, sub
 from typing import Iterable, Sequence
 
 from .core import (
@@ -35,6 +35,8 @@ from .core import (
     serialize,
 )
 from .boundary import (
+    _checked_family,
+    _step_column,
     boundary_orbits,
     cutting_family,
     has_corner_property,
@@ -145,6 +147,28 @@ def _pack(digits: Iterable[int], width: int) -> bytes:
 def _orbit_keys(T: GeometricType, code: PeriodicCode, span: int) -> list[bytes]:
     """The kneading keys of ``span`` digits of every phase of a code, by phase.
 
+    One period of the code's steps is looked up in one pass, p lookups of
+    e * j in the branch table of :func:`shift.binary_branches`, so T must
+    have passed that guard and the code's symbols a range check; a step
+    that misses raises ``AdmissibilityError``.  :func:`_pack_keys` packs
+    the values.  The sort of a checked family packs the keys of all its
+    codes off the family's step column instead, with no lookup.
+    """
+    word = code.word
+    steps = list(map(T._branches.get, _branch_keys(T.n, word, word[1:] + word[:1])))
+    if not all(steps):
+        raise AdmissibilityError(f"code {code} is not admissible for this type")
+    return _pack_keys(T, steps, (0, len(steps)), span)
+
+
+def _pack_keys(
+    T: GeometricType, steps: Sequence[int], bounds: Sequence[int], span: int
+) -> list[bytes]:
+    """The kneading keys of ``span`` digits of every phase of codes of T,
+    code after code and phase by phase, from their steps' signed strips:
+    ``steps[bounds[f]:bounds[f + 1]]`` holds e_m * j_m for the p steps of
+    code f in order.
+
     The key of phase t is the signed strip sequence of its cut line: symbol
     m is delta_m * j_m, where j_m is the strip that step t + m of the code
     runs through and delta_m the orientation product of the m steps before
@@ -152,10 +176,8 @@ def _orbit_keys(T: GeometricType, code: PeriodicCode, span: int) -> list[bytes]:
     of T (:func:`_digit_width`), in a fixed number of big-endian bytes: one
     while 2H < 256.  Every digit lies in 0..2H, so the bytewise (memcmp)
     order of two keys of T is the lexicographic order of their symbols.
-    One period of the sequence of phase 0 is walked once, p lookups of
-    e * j in the branch table of :func:`shift.binary_branches`, so T must
-    have passed that guard and the code's symbols a range check; symbol m
-    is delta_{m+1} * e_m * j_m.  That period is packed once, and once
+    One period of the sequence of phase 0 is walked once; symbol m is
+    delta_{m+1} * e_m * j_m.  That period is packed once, and once
     negated (digit 2H - d); the sequence has period p, or 2p (the period,
     then its negation) when the orientation product over one period is -1.
     Each is repeated to the p + span digits that every phase needs.  The
@@ -165,23 +187,24 @@ def _orbit_keys(T: GeometricType, code: PeriodicCode, span: int) -> list[bytes]:
     positive.
     """
     H, width = _digit_width(T)
-    word = code.word
-    digits: list[int] = []
-    delta = 1
-    for j in map(T._branches.get, _branch_keys(T.n, word, word[1:] + word[:1])):
-        if j is None:
-            raise AdmissibilityError(f"code {code} is not admissible for this type")
-        if j < 0:
-            delta = -delta
-        digits.append(H + delta * j)
-    up = _pack(digits, width)
-    down = _pack(map(sub, repeat(2 * H), digits), width)
-    if delta == -1:
-        up, down = up + down, down + up  # the sequence has period 2p
-    copies = -(-(len(word) + span) * width // len(up))
-    up, down = up * copies, down * copies
-    starts, size = range(0, len(word) * width, width), span * width
-    return [(up if d > H else down)[a : a + size] for a, d in zip(starts, digits)]
+    size = span * width
+    keys: list[bytes] = []
+    for a, b in zip(bounds, bounds[1:]):
+        digits: list[int] = []
+        delta = 1
+        for j in steps[a:b]:
+            if j < 0:
+                delta = -delta
+            digits.append(H + delta * j)
+        up = _pack(digits, width)
+        down = _pack(map(sub, repeat(2 * H), digits), width)
+        if delta == -1:
+            up, down = up + down, down + up  # the sequence has period 2p
+        copies = -(-(b - a + span) * width // len(up))
+        up, down = up * copies, down * copies
+        starts = range(0, (b - a) * width, width)
+        keys += [(up if d > H else down)[o : o + size] for o, d in zip(starts, digits)]
+    return keys
 
 
 @dataclass(frozen=True)
@@ -213,8 +236,11 @@ class OrderTable:
 
     def pair(self, c: int) -> tuple[int, int]:
         """The pair (f, t) of cut id c: the stable line of phase t of ``family[f]``."""
-        f = bisect_right(self._starts, c) - 1
-        return f, c - self._starts[f]
+        starts = self._starts
+        if not 0 <= c < starts[-1]:
+            raise ValueError(f"cut {c} is not a cut of this table (0..{starts[-1] - 1})")
+        f = bisect_right(starts, c) - 1
+        return f, c - starts[f]
 
     @cached_property
     def _starts(self) -> tuple[int, ...]:
@@ -247,18 +273,24 @@ def build_order(T: GeometricType, W, *, drop_boundary: bool = False) -> OrderTab
     with a digit width fixed by T's largest h, so cuts are sorted by
     ``bytes`` comparison, all cuts of the family in one sort
     (:func:`_sort_cuts`).  The keys of all phases of a code come from one
-    walk of its orbit.  The family check costs O(sum of periods) past T's
-    branch and gamma tables (O(alpha), once per type object), the keys
-    O(cuts * P) and the sort O(cuts * log cuts) comparisons.
+    walk of its orbit, which reads the strips of its steps off the family's
+    step column: the family check looks each step up in T's branch table
+    once and keeps the values (``boundary._checked_family``), which the
+    keys and, in ``s_refine``, the cut offsets read.  The family
+    check costs O(sum of periods) past T's branch and gamma tables
+    (O(alpha), once per type object), the keys O(cuts * P) and the sort
+    O(cuts * log cuts) comparisons.
     """
-    return _sort_cuts(T, cutting_family(T, W, drop_boundary=drop_boundary))
+    return _sort_cuts(T, *_checked_family(T, W, drop_boundary=drop_boundary))
 
 
-def _sort_cuts(T: GeometricType, family: tuple[PeriodicCode, ...]) -> OrderTable:
+def _sort_cuts(T: GeometricType, family: tuple[PeriodicCode, ...], steps: list[int]) -> OrderTable:
     """:func:`build_order` past the family check, which also shows T valid
-    and binary (for ``u_refine``, the check on the type T inverts: the
-    inverse's incidence matrix is the transpose).
+    and binary, given the family's step column (for ``u_refine``, the
+    check on the type T inverts: the inverse's incidence matrix is the
+    transpose, and the column is looked up on the inverse in one pass).
 
+    The keys of all codes are packed off the column (:func:`_pack_keys`).
     Every cut id of the family (:class:`OrderTable`) is sorted at once, by
     kneading key and then, stably, by host rectangle, the cut's own symbol;
     each rectangle's row is then one run of the sorted ids.  Two neighbours
@@ -267,9 +299,10 @@ def _sort_cuts(T: GeometricType, family: tuple[PeriodicCode, ...]) -> OrderTable
     """
     if not family:
         return OrderTable(T.n, family, ((),) * T.n)
-    span = 4 * max(code.period for code in family)
-    keys = list(chain.from_iterable(_orbit_keys(T, code, span) for code in family))
-    hosts = list(chain.from_iterable(code.word for code in family))
+    words = list(map(attrgetter("word"), family))
+    span = 4 * max(map(len, words))
+    keys = _pack_keys(T, steps, list(accumulate(map(len, words), initial=0)), span)
+    hosts = list(chain.from_iterable(words))
     ids = sorted(range(len(keys)), key=keys.__getitem__)
     ids.sort(key=hosts.__getitem__)
     ranked = list(map(keys.__getitem__, ids))
@@ -428,28 +461,29 @@ def s_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementR
     target blocks laid end to end in lexicographic order, and the cut lines
     of rectangle i only split its run of blocks into bands (:func:`_assemble`).
     A family that cuts nothing (empty once boundary codes are dropped)
-    returns T itself as ``refined``, not an equal copy.
+    returns T itself as ``refined``, not an equal copy.  The family's step
+    column, from its check, feeds both the sort and the cut offsets.
     """
-    return _assemble(T, build_order(T, W, drop_boundary=drop_boundary))
+    family, steps = _checked_family(T, W, drop_boundary=drop_boundary)
+    return _assemble(T, _sort_cuts(T, family, steps), steps)
 
 
-def _assemble(T: GeometricType, order: OrderTable) -> RefinementResult:
+def _assemble(T: GeometricType, order: OrderTable, steps: list[int]) -> RefinementResult:
     """:func:`s_refine` past the family check and the sort, in O(cuts) steps.
 
     :func:`_blocks` lays out the slots and eps, a rectangle having one band
     more than cut lines, and :func:`_cut_offsets` places the cut lines in
-    each rectangle's run of blocks.  The offsets must strictly increase
-    within a rectangle, which also leaves no band, and no piece of a strip,
-    empty.  An empty family cuts nothing, so the refined type is T itself,
-    with every table already kept on it.
+    each rectangle's run of blocks, reading the family's step column.  The
+    offsets must strictly increase within a rectangle, which also leaves no
+    band, and no piece of a strip, empty.  An empty family cuts nothing, so
+    the refined type is T itself, with every table already kept on it.
     """
     if not order.family:
         return RefinementResult(T, T, "s", order)
-    binary_branches(T)
     tops = [len(row) + 1 for row in order.cuts]
     sizes, v_new, slots, eps = _blocks(T, tops)
     runs = tuple(accumulate(sizes, initial=0))  # strip x's block starts at runs[x]
-    ends = iter(_cut_offsets(T, order, runs))
+    ends = iter(_cut_offsets(T, order, steps, runs))
     marks = [0]  # band edges in the run of blocks, bottom-up, rectangle by rectangle
     for top, end in zip(tops, T._offsets[1:]):
         marks.extend(islice(ends, top - 1))
@@ -465,39 +499,38 @@ def _assemble(T: GeometricType, order: OrderTable) -> RefinementResult:
     return RefinementResult(refined, T, "s", order)
 
 
-def _cut_offsets(T: GeometricType, order: OrderTable, runs: tuple[int, ...]) -> list[int]:
+def _cut_offsets(
+    T: GeometricType, order: OrderTable, steps: list[int], runs: tuple[int, ...]
+) -> list[int]:
     """Each cut line's offset in its host's run of blocks, in table order.
 
     A cut line of rectangle i lies in the strip j that maps into its
-    successor's rectangle k, at the successor's table position p; the
-    branch table gives e * j for the step (i, k).  Its offset is p past
-    the start of j's block (``runs[x]`` for source strip x), or p before
-    its end when e = -1.  The table's rows hold flat cut ids, so each
-    cut's host and successor's rectangle are read off the family's symbols
-    by id, its successor is the next id (the code's first at its last
-    phase), and every table position is written once off the rows, with no
-    lookup in the family per cut.
+    successor's rectangle, at the successor's table position p; the step
+    column holds e * j for cut c at ``steps[c]``, looked up when the family
+    was checked.  Its offset is p past the start of j's block
+    (``runs[x]`` for source strip x), or p before its end when e = -1.
+    The table's rows hold flat cut ids, so the host of each cut is its
+    row's rectangle, its successor is the next id (the code's first at its
+    last phase), and every table position is written once off the rows,
+    with no lookup in the family or the branch table per cut.
     """
-    starts = order._starts
-    symbols = list(chain.from_iterable(code.word for code in order.family))
-    succ = list(range(1, len(symbols) + 1))  # cut c's successor phase is cut succ[c]
-    for start, end in zip(starts, starts[1:]):
-        succ[end - 1] = start
-    ids = list(chain.from_iterable(order.cuts))
-    ranks = [0] * len(symbols)  # each cut's table position
+    ranks = [0] * len(steps)  # each cut's table position
     _, positions = _lex_columns(list(map(len, order.cuts)))
-    for c, p in zip(ids, positions):
+    for c, p in zip(chain.from_iterable(order.cuts), positions):
         ranks[c] = p
-    nexts = list(map(succ.__getitem__, ids))
-    hosts = list(map(symbols.__getitem__, ids))
-    steps = _branch_keys(T.n, hosts, map(symbols.__getitem__, nexts))
-    js = list(map(T._branches.__getitem__, steps))
-    firsts = (0, *accumulate(T.h, initial=-1))  # strip (i, j) is source strip firsts[i] + j
-    xs = map(add, map(firsts.__getitem__, hosts), map(abs, js))
-    return [
-        runs[x] + p if j > 0 else runs[x + 1] - p
-        for x, p, j in zip(xs, map(ranks.__getitem__, nexts), js)
-    ]
+    after = ranks[1:]  # the table position of each cut's successor phase
+    after.append(0)
+    starts = order._starts
+    for start, end in zip(starts, starts[1:]):
+        after[end - 1] = ranks[start]
+    firsts = accumulate(T.h, initial=0)  # strip (i, j) is source strip firsts[i - 1] + j - 1
+    offsets: list[int] = []
+    for first, row in zip(firsts, order.cuts):
+        offsets += [
+            runs[first + j - 1] + p if j > 0 else runs[first - j] - p
+            for j, p in zip(map(steps.__getitem__, row), map(after.__getitem__, row))
+        ]
+    return offsets
 
 
 def u_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementResult:
@@ -505,13 +538,17 @@ def u_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementR
 
     Code words are reversed before feeding the inverse side, since forward
     time for the inverse is backward time for the original.  The family is
-    checked once, on T: reversal keeps it a cutting family of the inverse.
+    checked once, on T: reversal keeps it a cutting family of the inverse,
+    whose step column is looked up on the inverse's branch table in one
+    pass (``boundary._step_column``) and feeds the sort and the offsets.
     A family that cuts nothing returns T itself as ``refined``, not
     ``invert(invert(T))``, which would be a fresh equal copy.
     """
     family = cutting_family(T, W, unstable=True, drop_boundary=drop_boundary)
     reversed_family = tuple(w.reversed_pointed() for w in family)
-    inner = _assemble(invert(T), _sort_cuts(invert(T), reversed_family))
+    inverse = invert(T)
+    steps = _step_column(inverse, reversed_family)
+    inner = _assemble(inverse, _sort_cuts(inverse, reversed_family, steps), steps)
     return RefinementResult(
         refined=invert(inner.refined) if family else T,
         source=T,

@@ -280,6 +280,22 @@ def test_refine_golden_with_orientation_reversal(capsys, tmp_path, command):
     assert (code, out, err) == (0, (GOLDEN / f"{command}_E1m_bin_4.txt").read_text(), "")
 
 
+
+@pytest.mark.parametrize("command", ["srefine", "urefine"])
+def test_refine_drop_boundary_golden(capsys, tmp_path, command):
+    """bin(E1m) along a family that lists its boundary orbit (1) twice,
+    between codes whose steps run through the reversing strips (2,1) and
+    (2,2): ``--drop-boundary`` drops both, warns once, and prints the
+    refinement along the kept codes, byte for byte."""
+    code, out, err = run_cli(capsys, "bin", str(GOLDEN / "E1m.gt"))
+    assert (code, err) == (0, "")
+    bin_path = tmp_path / "bin_E1m.gt"
+    bin_path.write_text(out)
+    codes = str(GOLDEN / "E1m_bin_drop.codes")
+    code, out, err = run_cli(capsys, command, str(bin_path), "--codes", codes, "--drop-boundary")
+    expected = (GOLDEN / f"{command}_E1m_bin_drop.txt").read_text()
+    assert (code, out, err) == (0, expected, (GOLDEN / f"{command}_E1m_bin_drop.err").read_text())
+
 def test_render_dot_golden(capsys, e2_path):
     code, out, _ = run_cli(capsys, "render", e2_path, "--format", "dot")
     assert code == 0

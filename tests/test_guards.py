@@ -5,6 +5,7 @@ states its invariants as checks that ``python -O`` keeps."""
 from __future__ import annotations
 
 import ast
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,52 @@ def test_each_recode_walks_few_family_orbits(monkeypatch):
         assert result.recode(code)
         worst = max(worst, len(walks))
     assert 1 < worst < len(family) / 4
+
+
+def test_each_stable_walk_looks_each_step_up_once(monkeypatch):
+    """The family check looks every step of the family up in the branch
+    table once, and the kneading keys and the cut offsets read the values
+    it kept.  On bin(E1m) cut along every non-boundary orbit of period
+    <= 10 of a side, ``s_refine`` makes one pass of branch-table keys over
+    the family's steps, and ``u_refine`` two: the check on T and the walk
+    of the reversed family on the inverse.  A recode of a code that is no
+    family code looks its own steps up in one pass; the family codes that
+    its bisection reads are walked once each, and no pass covers the
+    family."""
+    T = bin_refine(make_e1m()).refined
+    orbits = enumerate_orbits(incidence_matrix(T), 10)
+    passes: list[tuple[int, ...]] = []
+    real = geotype.core._branch_keys
+
+    def counting(n, rows, targets):
+        rows = tuple(rows)
+        passes.append(rows)
+        return real(n, rows, targets)
+
+    monkeypatch.setattr(geotype.boundary, "_branch_keys", counting)
+    monkeypatch.setattr(geotype.refine, "_branch_keys", counting)
+    for unstable in (False, True):
+        boundary = boundary_orbits(T, unstable=unstable)
+        family = [o.canonical for o in orbits if o not in boundary]
+        words = tuple(chain.from_iterable(code.word for code in family))
+        passes.clear()
+        (u_refine if unstable else s_refine)(T, family)
+        if unstable:
+            reversed_words = chain.from_iterable(code.reversed_pointed().word for code in family)
+            assert passes == [words, tuple(reversed_words)]
+        else:
+            assert len(family) == 225 and passes == [words]
+    family = [o.canonical for o in orbits if o not in boundary_orbits(T)]
+    result = s_refine(T, family)
+    outside = [code for o in orbits if o.period <= 6 for code in o.phases() if code not in family]
+    read = 0
+    for code in outside:
+        passes.clear()
+        assert result.recode(code)
+        assert passes[0] == code.word and len(set(passes)) == len(passes)
+        assert set(passes[1:]) <= {w.word for w in family}
+        read += len(passes) - 1
+    assert len(outside) >= 4 and read > 0
 
 
 @pytest.mark.parametrize("path", sorted(SOURCES.glob("*.py")), ids=lambda p: p.name)

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import gc
+import random
 import re
 from dataclasses import replace
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 import geotype
 from geotype import (
     BoundaryCodeError,
+    CodeOrbit,
     DuplicateOrbitError,
     EventuallyPeriodicCode,
     GeoTypeError,
@@ -45,7 +47,17 @@ from geotype import (
     validate,
     wp_refine,
 )
-from geotype.refine import InvariantError, OrderTable, _assemble, _orbit_keys, _sort_cuts
+from geotype import boundary
+from geotype.boundary import _step_column
+from geotype.refine import (
+    InvariantError,
+    OrderTable,
+    _assemble,
+    _blocks,
+    _cut_offsets,
+    _orbit_keys,
+    _sort_cuts,
+)
 from geotype.oracle import oracle_s_refine, periodic_point, realize
 from geotype.shift import AdmissibilityError, primitive_root
 
@@ -487,12 +499,13 @@ def test_assemble_rejects_a_corrupted_order_table(e2, corrupt):
     """Two cuts of rectangle 1 swapped, or one of them repeated, put the cut
     offsets of rectangle 1 out of order."""
     order = build_order(e2, [W12, PeriodicCode((1, 2, 2))])
+    steps = _step_column(e2, order.family)
     row = order.cuts[0]
     assert len(row) == 2
     bad = (row[1], row[0]) if corrupt == "swap" else (row[0],) + row
     corrupted = OrderTable(order.n, order.family, (bad,) + order.cuts[1:])
     with pytest.raises(InvariantError, match=r"cut lines of rectangle 1 are out of order"):
-        _assemble(e2, corrupted)
+        _assemble(e2, corrupted, steps)
 
 
 def test_sort_rejects_a_line_cut_twice(e2, e3):
@@ -502,10 +515,11 @@ def test_sort_rejects_a_line_cut_twice(e2, e3):
     E3, phase 0 of (1 1 3) in rectangle 1 and phase 0 of (2 4 4) in
     rectangle 2 have one key, and each keeps its own row."""
     with pytest.raises(InvariantError, match="equal kneading keys"):
-        _sort_cuts(e2, (W12, W12.rotate(1)))
+        twice = (W12, W12.rotate(1))
+        _sort_cuts(e2, twice, _step_column(e2, twice))
     family = (PeriodicCode((1, 1, 3)), PeriodicCode((2, 4, 4)))
     assert _orbit_keys(e3, family[0], 12)[0] == _orbit_keys(e3, family[1], 12)[0]
-    order = _sort_cuts(e3, family)
+    order = _sort_cuts(e3, family, _step_column(e3, family))
     assert [[order.pair(c) for c in row] for row in order.cuts] == [
         [(0, 0), (0, 1)], [(1, 0)], [(0, 2)], [(1, 2), (1, 1)]
     ]
@@ -525,6 +539,111 @@ def test_r_of_counts_bands_and_rejects_a_label_outside(e2):
                 result.r_of(i, s)
     with pytest.raises(GeoTypeError, match="pipeline results have no single label map"):
         corner_refine(e2).r_of(1, 1)
+
+
+
+def test_pair_rejects_a_cut_id_outside(e2):
+    """``pair`` maps every cut id 0..cuts-1 to its (f, t); an id outside
+    raises ``ValueError`` naming it and the range, as ``count`` does for a
+    rectangle, on both sides and on a table with no cuts."""
+    for result in (s_refine(e2, [W12]), u_refine(e2, [W12])):
+        order = result.order
+        assert [order.pair(c) for c in range(2)] == [(0, 0), (0, 1)]
+        for c in (2, -1, 5):
+            with pytest.raises(ValueError, match=rf"^cut {c} is not a cut of this table \(0..1\)$"):
+                order.pair(c)
+    empty = build_order(e2, [])
+    with pytest.raises(ValueError, match=r"^cut 0 is not a cut of this table \(0\.\.-1\)$"):
+        empty.pair(0)
+
+
+def _interleaved_family(T: GeometricType, unstable: bool, rng: random.Random) -> tuple[list, list]:
+    """(W, kept): up to six non-boundary orbits of period <= 5 of one side,
+    each at a random phase, with that side's boundary codes at random
+    phases put before, between and after them, at least one between two
+    kept codes when there are two."""
+    boundary = boundary_orbits(T, unstable=unstable)
+    orbits = [o for o in enumerate_orbits(incidence_matrix(T), 5) if o not in boundary]
+
+    def phase(orbit: CodeOrbit) -> PeriodicCode:
+        return orbit.canonical.rotate(rng.randrange(orbit.period))
+
+    kept = [phase(o) for o in rng.sample(orbits, min(6, len(orbits)))]
+    dropped = [phase(o) for o in sorted(boundary, key=CodeOrbit.sort_key)]
+    W = [rng.choice(dropped)]
+    for f, code in enumerate(kept):
+        W.append(code)
+        if f + 1 < len(kept) and (f == 0 or rng.random() < 0.5):
+            W.append(rng.choice(dropped))
+    W.append(rng.choice(dropped))
+    return W, kept
+
+
+def _reference_offsets(T: GeometricType, family) -> list[int]:
+    """Each cut line's offset in its host's run of blocks, rectangle by
+    rectangle, bottom-up, placed from the pairwise order ``interval_less``:
+    a cut of rectangle i lies in the strip (i, j) that maps into its
+    successor's rectangle (``j_index``), p past the start of that strip's
+    block, or p before its end when the strip reverses orientation, where
+    p is the successor's position among its rectangle's cut lines.  A
+    strip's block has one band more than its target rectangle has cuts."""
+    refs = [IntervalRef(t, code) for code in family for t in range(code.period)]
+    hosted = [[ref for ref in refs if ref.host == i] for i in range(1, T.n + 1)]
+    rows = [
+        sorted(row, key=lambda a: sum(interval_less(T, b, a) for b in row if b is not a))
+        for row in hosted
+    ]
+    place = {(ref.t, ref.code): p for row in rows for p, ref in enumerate(row, start=1)}
+    starts = {}
+    run = 0
+    for i, j in T.h_labels():
+        starts[(i, j)] = run
+        run += len(rows[T.phi((i, j))[0] - 1]) + 1
+    offsets = []
+    for row in rows:
+        for ref in row:
+            i, j = ref.host, j_index(T, ref.code, ref.t)
+            p = place[((ref.t + 1) % ref.code.period, ref.code)]
+            if T.phi((i, j))[2] == 1:
+                offsets.append(starts[(i, j)] + p)
+            else:
+                offsets.append(starts[(i, j)] + len(rows[T.phi((i, j))[0] - 1]) + 1 - p)
+    return offsets
+
+
+@pytest.mark.parametrize("unstable", [False, True], ids=["s", "u"])
+def test_dropped_boundary_codes_leave_the_step_column(unstable):
+    """Seeded families whose boundary codes sit before, between and after
+    the kept codes, on binary mixing types and on types with
+    orientation-reversing strips: the checked family's step column is the
+    one looked up for the kept codes alone, dropping the boundary codes
+    refines as the kept codes alone do, and the engine's cut offsets, read
+    off the column, are those placed from the pairwise reference order, on
+    T for the stable side and on the inverse for the unstable side."""
+    rng = random.Random(71 + unstable)
+    types = binary_mixing_corpus(seed=73, count=5) + orientation_reversing_bin_types(79, 4)
+    refine = u_refine if unstable else s_refine
+    checked = reversing = 0
+    for T in types:
+        for _ in range(3):
+            W, kept = _interleaved_family(T, unstable, rng)
+            family, steps = boundary._checked_family(T, W, unstable=unstable, drop_boundary=True)
+            assert family == tuple(kept) and steps == _step_column(T, family), W
+            dropped, alone = refine(T, W, drop_boundary=True), refine(T, kept)
+            assert dropped.refined == alone.refined, W
+            assert serialize_result(dropped) == serialize_result(alone), W
+            side, codes = (T, kept)
+            if unstable:
+                side, codes = invert(T), [w.reversed_pointed() for w in kept]
+            inner = dropped.stages[0] if unstable else dropped
+            column = _step_column(side, inner.order.family)
+            sizes = _blocks(side, [len(row) + 1 for row in inner.order.cuts])[0]
+            runs = tuple(accumulate(sizes, initial=0))
+            offsets = _cut_offsets(side, inner.order, column, runs)
+            assert offsets == _reference_offsets(side, codes), W
+            checked += len(W) > len(kept) + 1 and len(kept) > 1
+            reversing += min(steps) < 0
+    assert checked == 27 and reversing >= 12, (checked, reversing)
 
 
 def _split_family(T: GeometricType, P: int, unstable: bool) -> tuple[list, list]:
