@@ -5,6 +5,7 @@ from .core import (
     GeometricType,
     HLabel,
     InvalidTypeError,
+    InvariantError,
     ParseError,
     VLabel,
     ValidationReport,
@@ -49,7 +50,6 @@ from .boundary import (
 from .refine import (
     BinRefinement,
     IntervalRef,
-    InvariantError,
     OrderTable,
     PeriodBoundError,
     RefinementResult,

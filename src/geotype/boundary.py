@@ -15,9 +15,9 @@ once per side and type object.  :func:`per_s_codes`, :func:`per_u_codes`
 and :func:`boundary_sets` are their all-phase views.  A cutting family must
 avoid these codes, so its check, :func:`cutting_family`, lives here too: it
 reads the kept orbits, and each refinement, ``u_refine`` included, runs it
-once per call.  The check keeps the value of its one lookup per step as
-the family's step column, which the stable refinement reads for its
-kneading keys and cut offsets.  :func:`classify_code`, the library's one
+once per call.  It returns the value of its one lookup per step as the
+family's step column, which ``refine.build_order`` keeps on its order
+table.  :func:`classify_code`, the library's one
 admissibility check of an eventually periodic code, reads the orbits as
 well: the boundary codes are closed under the shift, so a code is an S- or
 U-leaf exactly when its periodic end on that side is a boundary orbit.
@@ -30,7 +30,15 @@ from itertools import chain, compress, repeat
 from operator import add, attrgetter, itemgetter, not_
 from typing import NamedTuple
 
-from .core import GeoTypeError, GeometricType, HLabel, _branch_keys, invert, require_valid
+from .core import (
+    GeoTypeError,
+    GeometricType,
+    HLabel,
+    InvariantError,
+    _branch_keys,
+    invert,
+    require_valid,
+)
 from .shift import (
     AdmissibilityError,
     CodeOrbit,
@@ -225,10 +233,10 @@ def cutting_family(
     only when a check fails is W walked code by code, in order
     (:func:`_check_by_code`), which raises the error of its first faulty
     code: a raw word that is no ``PeriodicCode``, a symbol out of range, a
-    forbidden step, an orbit listed before, or a boundary orbit.  Costs
-    O(alpha + sum of periods).  The stable refinement reads the same check
-    through :func:`_checked_family`, which also hands on the values of the
-    check's one lookup per step.
+    forbidden step, an orbit listed before, or a boundary orbit; should it
+    find none, ``InvariantError``.  Costs O(alpha + sum of periods).  The
+    stable refinement reads the same check through :func:`_checked_family`,
+    which also hands on the values of the check's one lookup per step.
     """
     return _checked_family(T, W, unstable=unstable, drop_boundary=drop_boundary)[0]
 
@@ -244,12 +252,11 @@ def _checked_family(
     branches = binary_branches(T)
     boundary, boundary_words = _kept_side(T, unstable)
     items = list(W)
-    steps: list[int] = []
-    family = _check_at_once(T.n, branches, boundary_words, items, drop_boundary, steps)
-    if family is None:
-        family = _check_by_code(T.n, branches, boundary, items, unstable, drop_boundary)
-        steps = _step_column(T, family)
-    return family, steps
+    checked = _check_at_once(T.n, branches, boundary_words, items, drop_boundary)
+    if checked is None:
+        _check_by_code(T.n, branches, boundary, items, unstable, drop_boundary)
+        raise InvariantError("the cutting-family check failed, but no code has a fault")
+    return checked
 
 
 def _step_column(T: GeometricType, family: tuple[PeriodicCode, ...]) -> list[int]:
@@ -278,18 +285,17 @@ def _check_at_once(
     boundary_words: frozenset[tuple[int, ...]],
     items: list,
     drop_boundary: bool,
-    steps: list[int] | None = None,
-) -> tuple[PeriodicCode, ...] | None:
-    """:func:`cutting_family` on the whole family, or ``None`` when some code
-    fails a check.  The symbols of all words form one column, checked
-    through the set of symbols that occur; the successor of each symbol,
-    wrap included, is the column of the words rotated by one, and one
-    lookup per step gives the step column (:func:`_checked_family`),
-    ``None`` at a miss; and each orbit is compared by its key word, a
-    tuple, so the set of those words shows a repeated orbit and meets the
-    boundary orbits' key words with no Python-level hash.  On success the
-    column is written into ``steps`` when given, less the phases of
-    dropped boundary codes.  A code flagged as its own least rotation,
+) -> tuple[tuple[PeriodicCode, ...], list[int]] | None:
+    """:func:`cutting_family` on the whole family and its step column
+    (:func:`_checked_family`), or ``None`` when some code fails a check.
+    The symbols of all words form one column, checked through the set of
+    symbols that occur; the successor of each symbol, wrap included, is
+    the column of the words rotated by one, and one lookup per step gives
+    the step column, ``None`` at a miss; and each orbit is compared by its
+    key word, a tuple, so the set of those words shows a repeated orbit and
+    meets the boundary orbits' key words with no Python-level hash.  The
+    phases of dropped boundary codes leave the column by the same mask as
+    the codes.  A code flagged as its own least rotation,
     such as an orbit's key code, is its key word, so no orbit object is
     built for it."""
     try:
@@ -317,10 +323,8 @@ def _check_at_once(
         kept = tuple(compress(codes, keep))
         if len(distinct - boundary_words) != len(kept):
             return None
-        column = compress(column, chain.from_iterable(map(repeat, keep, map(len, words))))
-    if steps is not None:
-        steps[:] = column
-    return kept
+        column = list(compress(column, chain.from_iterable(map(repeat, keep, map(len, words)))))
+    return kept, column
 
 
 def _check_by_code(
@@ -330,10 +334,9 @@ def _check_by_code(
     items: list,
     unstable: bool,
     drop_boundary: bool,
-) -> tuple[PeriodicCode, ...]:
-    """:func:`cutting_family` code by code, in order, raising at the first
-    faulty code."""
-    family: list[PeriodicCode] = []
+) -> None:
+    """Walk W code by code, in order, and raise the error of the first
+    faulty code; the walk keeps no family."""
     seen: set[CodeOrbit] = set()
     for code in items:
         if not isinstance(code, PeriodicCode):
@@ -351,8 +354,6 @@ def _check_by_code(
             kind = "u-boundary" if unstable else "s-boundary"
             raise BoundaryCodeError(f"{kind} code {code} in cutting family cuts nothing")
         seen.add(orbit)
-        family.append(code)
-    return tuple(family)
 
 
 # -- classification of eventually periodic codes -------------------------------

@@ -32,6 +32,10 @@ class InvalidTypeError(GeoTypeError):
     """An operation received a geometric type that fails validation."""
 
 
+class InvariantError(GeoTypeError):
+    """A construction broke an invariant it guarantees for valid binary input."""
+
+
 class HLabel(NamedTuple):
     i: int
     j: int

@@ -16,7 +16,7 @@ type, and the corner / bounded-period refinements are pipelines of the two.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import attrgetter, eq, mul, sub
@@ -26,6 +26,7 @@ from .core import (
     GeoTypeError,
     GeometricType,
     HLabel,
+    InvariantError,
     _branch_keys,
     _lex_columns,
     _lex_pairs,
@@ -56,10 +57,6 @@ from .shift import (
 
 class PeriodBoundError(GeoTypeError):
     """The requested period bound is below the boundary-code maximum."""
-
-
-class InvariantError(GeoTypeError):
-    """A construction broke an invariant it guarantees for valid binary input."""
 
 
 # -- binary refinement ----------------------------------------------------------
@@ -151,8 +148,8 @@ def _orbit_keys(T: GeometricType, code: PeriodicCode, span: int) -> list[bytes]:
     e * j in the branch table of :func:`shift.binary_branches`, so T must
     have passed that guard and the code's symbols a range check; a step
     that misses raises ``AdmissibilityError``.  :func:`_pack_keys` packs
-    the values.  The sort of a checked family packs the keys of all its
-    codes off the family's step column instead, with no lookup.
+    the values.  Family codes are packed off the order table's step
+    column instead, with no lookup.
     """
     word = code.word
     steps = list(map(T._branches.get, _branch_keys(T.n, word, word[1:] + word[:1])))
@@ -217,13 +214,17 @@ class OrderTable:
     code.  ``cuts[i - 1]`` lists the cut ids of rectangle i from the bottom
     up.  Position 0 is the bottom edge (i, -1) and position count+1 the top
     edge (i, +1); the cut line at table position p (1-based) sits p-th from
-    the bottom.  The pair (f, t) of a cut (:meth:`pair`) and the interval
+    the bottom.  ``steps[c]`` is the signed strip e * j that the step of
+    cut c runs through, from the family check; a function of the type and
+    the family, it is out of ``==``, ``hash`` and ``repr``.  The pair
+    (f, t) of a cut (:meth:`pair`) and the interval
     references of a row (:meth:`refs`) are views built on demand.
     """
 
     n: int
     family: tuple[PeriodicCode, ...]
     cuts: tuple[tuple[int, ...], ...]
+    steps: list[int] = field(compare=False, repr=False)
 
     def count(self, i: int) -> int:
         if not 1 <= i <= self.n:
@@ -275,8 +276,8 @@ def build_order(T: GeometricType, W, *, drop_boundary: bool = False) -> OrderTab
     (:func:`_sort_cuts`).  The keys of all phases of a code come from one
     walk of its orbit, which reads the strips of its steps off the family's
     step column: the family check looks each step up in T's branch table
-    once and keeps the values (``boundary._checked_family``), which the
-    keys and, in ``s_refine``, the cut offsets read.  The family
+    once (``boundary._checked_family``), and the table keeps the values as
+    ``steps`` for the keys, the cut offsets and recodes.  The family
     check costs O(sum of periods) past T's branch and gamma tables
     (O(alpha), once per type object), the keys O(cuts * P) and the sort
     O(cuts * log cuts) comparisons.
@@ -290,7 +291,7 @@ def _sort_cuts(T: GeometricType, family: tuple[PeriodicCode, ...], steps: list[i
     check on the type T inverts: the inverse's incidence matrix is the
     transpose, and the column is looked up on the inverse in one pass).
 
-    The keys of all codes are packed off the column (:func:`_pack_keys`).
+    The table keeps the column, and the keys of all codes are packed off it.
     Every cut id of the family (:class:`OrderTable`) is sorted at once, by
     kneading key and then, stably, by host rectangle, the cut's own symbol;
     each rectangle's row is then one run of the sorted ids.  Two neighbours
@@ -298,7 +299,7 @@ def _sort_cuts(T: GeometricType, family: tuple[PeriodicCode, ...], steps: list[i
     family never has.  An empty family returns before any key or row work.
     """
     if not family:
-        return OrderTable(T.n, family, ((),) * T.n)
+        return OrderTable(T.n, family, ((),) * T.n, steps)
     words = list(map(attrgetter("word"), family))
     span = 4 * max(map(len, words))
     keys = _pack_keys(T, steps, list(accumulate(map(len, words), initial=0)), span)
@@ -312,7 +313,7 @@ def _sort_cuts(T: GeometricType, family: tuple[PeriodicCode, ...], steps: list[i
     hosts.sort()  # now the host of each sorted id
     bounds = list(map(bisect_left, repeat(hosts), range(1, T.n + 2)))
     rows = map(tuple(ids).__getitem__, map(slice, bounds, bounds[1:]))
-    return OrderTable(T.n, family, tuple(rows))
+    return OrderTable(T.n, family, tuple(rows), steps)
 
 
 # -- refinement results -----------------------------------------------------------
@@ -391,15 +392,15 @@ class RefinementResult:
         orientation-reversing step.  Digit t of the phase-0 key is H plus
         a symbol whose sign is the orientation product of the first t steps,
         so it is read as positive when its bytes exceed those of H; the
-        walk takes 2P steps when that product over one period is -1.  The
-        family's keys are kept on the result by (family index, span), so a
-        batch of recodes walks each family code once per span.  The two
-        codes returned are primitive roots of refined rectangle numbers, so
-        they are built with no check.
+        walk takes 2P steps when that product over one period is -1.  Only
+        a code outside the family is looked up in the branch table; family
+        keys are packed off the step column and kept by (family index,
+        span), so a batch of recodes packs each family code once per span.
+        The two codes returned are primitive roots of refined rectangle
+        numbers, so they are built with no check.
         """
         if self.kind != "s" or self.order is None:
             raise InvariantError("only stable results with an order table recode directly")
-        binary_branches(self.source)
         family, cuts = self.order.family, self.order.cuts
         P = code.period
         span = 2 * (max((w.period for w in family), default=0) + P)
@@ -412,6 +413,7 @@ class RefinementResult:
 
         f = self._family_index.get(code)
         if f is None:
+            binary_branches(self.source)
             phases = _orbit_keys(self.source, code, span)
         else:
             phases = self._family_keys(f, span)
@@ -444,11 +446,12 @@ class RefinementResult:
         return {}
 
     def _family_keys(self, f: int, span: int) -> list[bytes]:
-        """The kneading keys of length ``span`` of ``family[f]``, walked once
-        per result, so a batch of recodes walks each (code, span) pair once."""
+        """The kneading keys of length ``span`` of ``family[f]``, packed off
+        its slice of the step column once per result and span."""
         kept = self._kept_keys
         if (f, span) not in kept:
-            kept[(f, span)] = _orbit_keys(self.source, self.order.family[f], span)
+            bounds = self.order._starts[f : f + 2]
+            kept[(f, span)] = _pack_keys(self.source, self.order.steps, bounds, span)
         return kept[(f, span)]
 
 
@@ -459,21 +462,20 @@ def s_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementR
     its refined strips, read bottom-up, are every band of k, in reverse when
     e = -1, whatever the cuts are.  The refined rho and eps are these whole
     target blocks laid end to end in lexicographic order, and the cut lines
-    of rectangle i only split its run of blocks into bands (:func:`_assemble`).
-    A family that cuts nothing (empty once boundary codes are dropped)
-    returns T itself as ``refined``, not an equal copy.  The family's step
-    column, from its check, feeds both the sort and the cut offsets.
+    of rectangle i only split its run of blocks into bands.  So the
+    refinement is :func:`build_order`, then band assembly on its table
+    (:func:`_assemble`).  A family that cuts nothing (empty once boundary
+    codes are dropped) returns T itself as ``refined``, not an equal copy.
     """
-    family, steps = _checked_family(T, W, drop_boundary=drop_boundary)
-    return _assemble(T, _sort_cuts(T, family, steps), steps)
+    return _assemble(T, build_order(T, W, drop_boundary=drop_boundary))
 
 
-def _assemble(T: GeometricType, order: OrderTable, steps: list[int]) -> RefinementResult:
-    """:func:`s_refine` past the family check and the sort, in O(cuts) steps.
+def _assemble(T: GeometricType, order: OrderTable) -> RefinementResult:
+    """:func:`s_refine` past :func:`build_order`, in O(cuts) steps.
 
     :func:`_blocks` lays out the slots and eps, a rectangle having one band
     more than cut lines, and :func:`_cut_offsets` places the cut lines in
-    each rectangle's run of blocks, reading the family's step column.  The
+    each rectangle's run of blocks, reading the table's step column.  The
     offsets must strictly increase within a rectangle, which also leaves no
     band, and no piece of a strip, empty.  An empty family cuts nothing, so
     the refined type is T itself, with every table already kept on it.
@@ -483,7 +485,7 @@ def _assemble(T: GeometricType, order: OrderTable, steps: list[int]) -> Refineme
     tops = [len(row) + 1 for row in order.cuts]
     sizes, v_new, slots, eps = _blocks(T, tops)
     runs = tuple(accumulate(sizes, initial=0))  # strip x's block starts at runs[x]
-    ends = iter(_cut_offsets(T, order, steps, runs))
+    ends = iter(_cut_offsets(T, order, runs))
     marks = [0]  # band edges in the run of blocks, bottom-up, rectangle by rectangle
     for top, end in zip(tops, T._offsets[1:]):
         marks.extend(islice(ends, top - 1))
@@ -499,22 +501,20 @@ def _assemble(T: GeometricType, order: OrderTable, steps: list[int]) -> Refineme
     return RefinementResult(refined, T, "s", order)
 
 
-def _cut_offsets(
-    T: GeometricType, order: OrderTable, steps: list[int], runs: tuple[int, ...]
-) -> list[int]:
+def _cut_offsets(T: GeometricType, order: OrderTable, runs: tuple[int, ...]) -> list[int]:
     """Each cut line's offset in its host's run of blocks, in table order.
 
     A cut line of rectangle i lies in the strip j that maps into its
-    successor's rectangle, at the successor's table position p; the step
-    column holds e * j for cut c at ``steps[c]``, looked up when the family
-    was checked.  Its offset is p past the start of j's block
-    (``runs[x]`` for source strip x), or p before its end when e = -1.
+    successor's rectangle, at the successor's table position p, and
+    ``order.steps[c]`` holds e * j for cut c.  Its offset is p past the
+    start of j's block (``runs[x]`` for source strip x), or p before its
+    end when e = -1.
     The table's rows hold flat cut ids, so the host of each cut is its
     row's rectangle, its successor is the next id (the code's first at its
     last phase), and every table position is written once off the rows,
     with no lookup in the family or the branch table per cut.
     """
-    ranks = [0] * len(steps)  # each cut's table position
+    ranks = [0] * len(order.steps)  # each cut's table position
     _, positions = _lex_columns(list(map(len, order.cuts)))
     for c, p in zip(chain.from_iterable(order.cuts), positions):
         ranks[c] = p
@@ -528,7 +528,7 @@ def _cut_offsets(
     for first, row in zip(firsts, order.cuts):
         offsets += [
             runs[first + j - 1] + p if j > 0 else runs[first - j] - p
-            for j, p in zip(map(steps.__getitem__, row), map(after.__getitem__, row))
+            for j, p in zip(map(order.steps.__getitem__, row), map(after.__getitem__, row))
         ]
     return offsets
 
@@ -540,7 +540,7 @@ def u_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementR
     time for the inverse is backward time for the original.  The family is
     checked once, on T: reversal keeps it a cutting family of the inverse,
     whose step column is looked up on the inverse's branch table in one
-    pass (``boundary._step_column``) and feeds the sort and the offsets.
+    pass (``boundary._step_column``) and kept on the inner order table.
     A family that cuts nothing returns T itself as ``refined``, not
     ``invert(invert(T))``, which would be a fresh equal copy.
     """
@@ -548,7 +548,7 @@ def u_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementR
     reversed_family = tuple(w.reversed_pointed() for w in family)
     inverse = invert(T)
     steps = _step_column(inverse, reversed_family)
-    inner = _assemble(inverse, _sort_cuts(inverse, reversed_family, steps), steps)
+    inner = _assemble(inverse, _sort_cuts(inverse, reversed_family, steps))
     return RefinementResult(
         refined=invert(inner.refined) if family else T,
         source=T,
@@ -621,32 +621,25 @@ def wp_refine(T: GeometricType, P: int) -> RefinementResult:
 # -- serialization ------------------------------------------------------------------
 
 
-def _orbit_id(code: PeriodicCode) -> str:
-    return ".".join(str(s) for s in code.orbit().canonical.word)
-
-
-def _entry_text(ref: IntervalRef) -> str:
-    return f"({ref.t},{_orbit_id(ref.code)})"
-
-
 def serialize_result(result: RefinementResult) -> str:
     """Canonical text block: refined type, then LABEL / ORDER / CUT lines.
 
     Pipelines serialize the refined type only; the per-stage tables are stage
-    objects, not attributes of the composite.
+    objects, not attributes of the composite.  Each cut id's text is built
+    once, with one orbit id per family code.
     """
     out = serialize(result.refined)
     if result.kind == "pipeline" or result.order is None:
         return out
-    lines: list[str] = []
-    for r, (i, s) in enumerate(result.label_map, start=1):
-        lines.append(f"LABEL {r}=({i},{s})")
-    for i in range(1, result.order.n + 1):
-        entries = " ".join(
-            [f"({i},-)"] + [_entry_text(ref) for ref in result.order.refs(i)] + [f"({i},+)"]
-        )
-        lines.append(f"ORDER {i} : {entries}")
-    for i in range(1, result.order.n + 1):
-        for pos, ref in enumerate(result.order.refs(i), start=1):
-            lines.append(f"CUT {_entry_text(ref)} host={i} pos={pos}")
+    order = result.order
+    texts: list[str] = []  # the text "(t,<orbit id>)" of each cut id
+    for code in order.family:
+        orbit = ".".join(map(str, code.orbit().canonical.word))
+        texts += [f"({t},{orbit})" for t in range(code.period)]
+    rows = [list(map(texts.__getitem__, row)) for row in order.cuts]
+    lines = [f"LABEL {r}=({i},{s})" for r, (i, s) in enumerate(result.label_map, start=1)]
+    for i, row in enumerate(rows, start=1):
+        lines.append(" ".join([f"ORDER {i} : ({i},-)", *row, f"({i},+)"]))
+    for i, row in enumerate(rows, start=1):
+        lines += [f"CUT {text} host={i} pos={pos}" for pos, text in enumerate(row, start=1)]
     return out + "\n".join(lines) + ("\n" if lines else "")

@@ -277,11 +277,11 @@ def binary_branches(T: GeometricType) -> dict[int, int]:
     k = xi(i, j), and the table maps the key of the step (i, k),
     ``core._branch_keys``, to j signed by the strip's orientation.  It is
     the accessor of the walks that look steps up (the cutting-family and
-    code checks, whose values the stable refinement keeps as the step
-    column of its keys and cut offsets, and a recoded code's keys); a
-    guard that only needs T binary calls :func:`require_binary`, so a type
-    keeps a table only when some walk reads it.  A key is unique only among steps with both
-    symbols in 1..n, so a reader range-checks its symbols
+    code checks, whose values ``refine.build_order`` keeps on its order
+    table as the step column, and the keys of a recoded code outside the
+    family); a guard that only needs T binary calls :func:`require_binary`,
+    so a type keeps a table only when some walk reads it.  A key is unique
+    only among steps with both symbols in 1..n, so a reader range-checks its symbols
     (:func:`require_symbols`) before a lookup.  The table is kept on T,
     built once in O(alpha), so callers must not mutate it, and T's binary
     fact is read off its size.  Raises ``InvalidTypeError`` or

@@ -33,7 +33,7 @@ from geotype import (
     upsilon_step,
     wp_refine,
 )
-from geotype import GeoTypeError, boundary
+from geotype import GeoTypeError, InvariantError, boundary, s_refine, u_refine
 from geotype.boundary import boundary_report, cutting_family
 from geotype.shift import AdmissibilityError, binary_branches, primitive_root
 
@@ -422,9 +422,36 @@ def test_cutting_family_matches_the_per_code_check(unstable, drop_boundary):
             once = boundary._check_at_once(T.n, binary_branches(T), side, W, drop_boundary)
             seen[expected[0]] += 1
             if expected[0] == "ok":
-                assert tuple(code.word for code in once) == expected[1], W
+                kept, column = once
+                assert tuple(code.word for code in kept) == expected[1], W
+                assert column == boundary._step_column(T, kept), W
             else:
                 assert once is None, W
     faults = {"AdmissibilityError", "DuplicateOrbitError", "ValueError"}
     faults |= set() if drop_boundary else {"BoundaryCodeError"}
     assert seen["ok"] >= 40 and faults <= set(seen), seen
+
+
+def test_a_failed_family_check_never_returns_a_walked_family(monkeypatch):
+    """The code-by-code walk only names the fault that made the whole-family
+    check fail.  Should it find none, the check raises ``InvariantError``
+    instead of returning a family of its own, on both sides, from
+    ``cutting_family`` and from both refinements."""
+    T = make_e2()
+    W12 = PeriodicCode((1, 2))
+    monkeypatch.setattr(boundary, "_check_by_code", lambda *args: None)
+    faulty = ([W12, W12.rotate(1)], [(1, 3)], [(1.0, 2)], [PeriodicCode((1,))])
+    checks = (
+        cutting_family,
+        lambda T, W: cutting_family(T, W, unstable=True),
+        lambda T, W: cutting_family(T, W, drop_boundary=True),
+        s_refine,
+        u_refine,
+    )
+    for W in faulty:
+        for check in checks:
+            if W == faulty[-1] and check is checks[2]:
+                continue  # a dropped boundary code is no fault
+            with pytest.raises(InvariantError, match="no code has a fault"):
+                check(T, W)
+    assert cutting_family(T, [PeriodicCode((1,)), W12], drop_boundary=True) == (W12,)

@@ -244,7 +244,7 @@ def test_corner_and_wp(capsys, e2_path):
 def test_corner_along(capsys, e2_path, w12_path):
     code, out, _ = run_cli(capsys, "corner", e2_path, "--along", w12_path)
     assert code == 0
-    assert out.startswith("GEOTYPE 1\n")
+    assert out == (GOLDEN / "corner_E2_along_w12.txt").read_text()
 
 
 def test_oracle_check(capsys, e2_path, w12_path):

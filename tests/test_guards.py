@@ -153,10 +153,11 @@ def test_wp_refine_validates_each_type_object_at_most_once(monkeypatch):
 
 def test_each_recode_walks_few_family_orbits(monkeypatch):
     """A recode bisects each phase's kneading key into its host's sorted
-    cuts, so it walks the code itself and the family codes that bisection
-    reads, each once, and never builds keys or a map over the whole family.
-    bin(E1m) cut along every non-boundary orbit of period <= 10; every
-    pointed code of period <= 6 and every phase of 40 family codes."""
+    cuts, so it packs the keys of the family codes that bisection reads,
+    each once, off the order table's step column, and never packs keys or
+    builds a map over the whole family.  bin(E1m) cut along every
+    non-boundary orbit of period <= 10; every pointed code of period <= 6
+    and every phase of 40 family codes."""
     T = bin_refine(make_e1m()).refined
     boundary = {c.orbit() for c in per_s_codes(T)}
     orbits = enumerate_orbits(incidence_matrix(T), 10)
@@ -165,32 +166,34 @@ def test_each_recode_walks_few_family_orbits(monkeypatch):
     assert len(family) == 225 and sum(map(len, result.order.cuts)) == 1965
     codes = [code for o in orbits if o.period <= 6 for code in o.phases()]
     codes += [w.rotate(t) for w in family[:40] for t in range(w.period)]
-    walks: list[PeriodicCode] = []
-    real = geotype.refine._orbit_keys
+    packed: list[tuple[int, ...]] = []  # the bounds of each pack off the step column
+    real = geotype.refine._pack_keys
 
-    def counting(branches, code, span):
-        walks.append(code)
-        return real(branches, code, span)
+    def counting(T, steps, bounds, span):
+        if steps is result.order.steps:
+            packed.append(tuple(bounds))
+        return real(T, steps, bounds, span)
 
-    monkeypatch.setattr(geotype.refine, "_orbit_keys", counting)
+    monkeypatch.setattr(geotype.refine, "_pack_keys", counting)
     worst = 0
     for code in codes:
-        walks.clear()
+        packed.clear()
         assert result.recode(code)
-        worst = max(worst, len(walks))
+        assert all(len(bounds) == 2 for bounds in packed) and len(set(packed)) == len(packed)
+        worst = max(worst, len(packed))
     assert 1 < worst < len(family) / 4
 
 
 def test_each_stable_walk_looks_each_step_up_once(monkeypatch):
     """The family check looks every step of the family up in the branch
-    table once, and the kneading keys and the cut offsets read the values
-    it kept.  On bin(E1m) cut along every non-boundary orbit of period
-    <= 10 of a side, ``s_refine`` makes one pass of branch-table keys over
-    the family's steps, and ``u_refine`` two: the check on T and the walk
-    of the reversed family on the inverse.  A recode of a code that is no
-    family code looks its own steps up in one pass; the family codes that
-    its bisection reads are walked once each, and no pass covers the
-    family."""
+    table once, and the order table keeps the values it found as its step
+    column, which the kneading keys, the cut offsets and every recode
+    read.  On bin(E1m) cut along every non-boundary orbit of period <= 10
+    of a side, ``s_refine`` makes one pass of branch-table keys over the
+    family's steps, and ``u_refine`` two: the check on T and the walk of
+    the reversed family on the inverse.  A recode of a code that is no
+    family code makes one pass, over its own steps; a recode of a family
+    code makes none."""
     T = bin_refine(make_e1m()).refined
     orbits = enumerate_orbits(incidence_matrix(T), 10)
     passes: list[tuple[int, ...]] = []
@@ -217,14 +220,15 @@ def test_each_stable_walk_looks_each_step_up_once(monkeypatch):
     family = [o.canonical for o in orbits if o not in boundary_orbits(T)]
     result = s_refine(T, family)
     outside = [code for o in orbits if o.period <= 6 for code in o.phases() if code not in family]
-    read = 0
     for code in outside:
         passes.clear()
         assert result.recode(code)
-        assert passes[0] == code.word and len(set(passes)) == len(passes)
-        assert set(passes[1:]) <= {w.word for w in family}
-        read += len(passes) - 1
-    assert len(outside) >= 4 and read > 0
+        assert passes == [code.word], code
+    for code in family:
+        passes.clear()
+        assert result.recode(code)
+        assert passes == [], code
+    assert len(outside) >= 4
 
 
 @pytest.mark.parametrize("path", sorted(SOURCES.glob("*.py")), ids=lambda p: p.name)

@@ -51,7 +51,6 @@ from geotype import boundary
 from geotype.boundary import _step_column
 from geotype.refine import (
     InvariantError,
-    OrderTable,
     _assemble,
     _blocks,
     _cut_offsets,
@@ -240,6 +239,8 @@ def test_key_order_matches_pairwise_reference():
         orbits = enumerate_orbits(incidence_matrix(T), 6)
         family = [o.canonical for o in orbits if o not in boundary]
         table = build_order(T, family)
+        order = s_refine(T, family).order
+        assert table == order and hash(table) == hash(order) and table.steps == order.steps
         for i in range(1, T.n + 1):
             for a, b in combinations(table.refs(i), 2):
                 less, delta = _pairwise_less(T, a, b)
@@ -383,6 +384,7 @@ def test_build_order_examples(e2):
     table = build_order(e2, [W12])
     assert table.count(1) == 1 and table.count(2) == 1
     assert "entries" not in table.__dict__  # counting a row builds no IntervalRef
+    assert table.steps == [2, 1] and "steps" not in repr(table)
     assert position(table, IntervalRef(0, W12)) == 1
     assert position(table, IntervalRef(1, W12)) == 1
     empty = build_order(e2, [])
@@ -499,13 +501,13 @@ def test_assemble_rejects_a_corrupted_order_table(e2, corrupt):
     """Two cuts of rectangle 1 swapped, or one of them repeated, put the cut
     offsets of rectangle 1 out of order."""
     order = build_order(e2, [W12, PeriodicCode((1, 2, 2))])
-    steps = _step_column(e2, order.family)
     row = order.cuts[0]
     assert len(row) == 2
     bad = (row[1], row[0]) if corrupt == "swap" else (row[0],) + row
-    corrupted = OrderTable(order.n, order.family, (bad,) + order.cuts[1:])
+    corrupted = replace(order, cuts=(bad,) + order.cuts[1:])
+    assert corrupted.steps is order.steps
     with pytest.raises(InvariantError, match=r"cut lines of rectangle 1 are out of order"):
-        _assemble(e2, corrupted, steps)
+        _assemble(e2, corrupted)
 
 
 def test_sort_rejects_a_line_cut_twice(e2, e3):
@@ -636,10 +638,11 @@ def test_dropped_boundary_codes_leave_the_step_column(unstable):
             if unstable:
                 side, codes = invert(T), [w.reversed_pointed() for w in kept]
             inner = dropped.stages[0] if unstable else dropped
-            column = _step_column(side, inner.order.family)
+            assert inner.order.steps == _step_column(side, inner.order.family), W
+            assert unstable or inner.order.steps == steps, W
             sizes = _blocks(side, [len(row) + 1 for row in inner.order.cuts])[0]
             runs = tuple(accumulate(sizes, initial=0))
-            offsets = _cut_offsets(side, inner.order, column, runs)
+            offsets = _cut_offsets(side, inner.order, runs)
             assert offsets == _reference_offsets(side, codes), W
             checked += len(W) > len(kept) + 1 and len(kept) > 1
             reversing += min(steps) < 0
@@ -932,8 +935,9 @@ def test_wp_pipeline_leaves_no_reference_cycles(e2):
 
 def test_recode_batch_walks_each_code_once_per_span(monkeypatch):
     """Recoding a batch through one result walks each (code, span) pair
-    once, family codes and recoded codes alike, and gives what a fresh
-    result gives for every code."""
+    once: a code outside the family through its branch-table lookups, a
+    family code by packing its slice of the step column.  Every code gives
+    what a fresh result gives."""
     T = bin_refine(make_e1m()).refined
     orbits = enumerate_orbits(incidence_matrix(T), 6)
     s_orbits = {c.orbit() for c in per_s_codes(T)}
@@ -941,14 +945,22 @@ def test_recode_batch_walks_each_code_once_per_span(monkeypatch):
     batch = [code for o in orbits for code in sorted(o.phases(), key=lambda c: c.word)]
     expected = [replace(result).recode(code) for code in batch]
     walks: list[tuple[PeriodicCode, int]] = []
+    packs: list[tuple[tuple[int, ...], int]] = []  # family codes' (bounds, span)
+    pack_keys = geotype.refine._pack_keys
 
     def counting(T, code, span):
         walks.append((code, span))
         return _orbit_keys(T, code, span)
 
+    def counting_packs(T, steps, bounds, span):
+        if steps is result.order.steps:
+            packs.append((tuple(bounds), span))
+        return pack_keys(T, steps, bounds, span)
+
     monkeypatch.setattr(geotype.refine, "_orbit_keys", counting)
+    monkeypatch.setattr(geotype.refine, "_pack_keys", counting_packs)
     assert [result.recode(code) for code in batch] == expected
-    assert len(walks) == len(set(walks))
+    assert len(walks) == len(set(walks)) and len(packs) == len(set(packs)) > 0
 
 
 def test_every_stage_intertwines_the_transition_matrices(e2):
