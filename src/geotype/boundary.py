@@ -17,7 +17,9 @@ avoid these codes, so its check, :func:`cutting_family`, lives here too: it
 reads the kept orbits, and each refinement, ``u_refine`` included, runs it
 once per call.  It returns the value of its one lookup per step as the
 family's step column, which ``refine.build_order`` keeps on its order
-table.  :func:`classify_code`, the library's one
+table; on the unstable side the lookups are those of the time-reversed
+codes on the inverse type, so the column is that of ``u_refine``'s inner
+stable pass.  :func:`classify_code`, the library's one
 admissibility check of an eventually periodic code, reads the orbits as
 well: the boundary codes are closed under the shift, so a code is an S- or
 U-leaf exactly when its periodic end on that side is a boundary orbit.
@@ -234,9 +236,9 @@ def cutting_family(
     (:func:`_check_by_code`), which raises the error of its first faulty
     code: a raw word that is no ``PeriodicCode``, a symbol out of range, a
     forbidden step, an orbit listed before, or a boundary orbit; should it
-    find none, ``InvariantError``.  Costs O(alpha + sum of periods).  The
-    stable refinement reads the same check through :func:`_checked_family`,
-    which also hands on the values of the check's one lookup per step.
+    find none, ``InvariantError``.  Costs O(alpha + sum of periods).  Both
+    refinements read the same check through :func:`_checked_family`, which
+    also hands on the values of the check's one lookup per step.
     """
     return _checked_family(T, W, unstable=unstable, drop_boundary=drop_boundary)[0]
 
@@ -248,35 +250,22 @@ def _checked_family(
     strip e * j that each step (w_t, w_{t+1}) of each kept code runs
     through, code after code, phase by phase, which is the order of the
     flat cut ids of ``refine.OrderTable``.  The column holds the values of
-    the at-once check's lookups, so each step is looked up once."""
-    branches = binary_branches(T)
+    the at-once check's lookups, so each step is looked up once.  When
+    ``unstable``, those lookups are the steps of the time-reversed codes
+    (``reversed_pointed``) in ``invert(T)``'s branch table: the inverse's
+    incidence matrix is the transpose, so a step of T is admissible
+    exactly when its reversal is one of the inverse.  The column is then
+    that of the stable pass of ``u_refine`` on the inverse, and T builds
+    no branch table.  Only the code-by-code walk of a failed check reads
+    T's own table, so every error names its code in forward time."""
+    branches = binary_branches(invert(T) if unstable else T)
     boundary, boundary_words = _kept_side(T, unstable)
     items = list(W)
-    checked = _check_at_once(T.n, branches, boundary_words, items, drop_boundary)
+    checked = _check_at_once(T.n, branches, boundary_words, items, unstable, drop_boundary)
     if checked is None:
-        _check_by_code(T.n, branches, boundary, items, unstable, drop_boundary)
+        _check_by_code(T.n, binary_branches(T), boundary, items, unstable, drop_boundary)
         raise InvariantError("the cutting-family check failed, but no code has a fault")
     return checked
-
-
-def _step_column(T: GeometricType, family: tuple[PeriodicCode, ...]) -> list[int]:
-    """The step column of a family already checked as a cutting family of
-    T, in one pass over T's branch table; ``u_refine`` reads the reversed
-    family's column off the inverse type this way.  An empty family, which
-    cuts nothing, builds no table."""
-    if not family:
-        return []
-    words = list(map(_word, family))
-    return _lookups(T.n, binary_branches(T), words, chain.from_iterable(words))
-
-
-def _lookups(n: int, branches: dict[int, int], words: list, symbols) -> list[int | None]:
-    """The branch-table value of every step (w_t, w_{t+1}) of the words,
-    wrap included, word after word, ``None`` where a step misses; the
-    successor column is the words rotated by one.  ``symbols`` is the
-    words' symbols end to end, which must lie in 1..n."""
-    successors = chain.from_iterable(map(add, map(_tail, words), map(_head, words)))
-    return list(map(branches.get, _branch_keys(n, symbols, successors)))
 
 
 def _check_at_once(
@@ -284,18 +273,21 @@ def _check_at_once(
     branches: dict[int, int],
     boundary_words: frozenset[tuple[int, ...]],
     items: list,
+    unstable: bool,
     drop_boundary: bool,
 ) -> tuple[tuple[PeriodicCode, ...], list[int]] | None:
     """:func:`cutting_family` on the whole family and its step column
     (:func:`_checked_family`), or ``None`` when some code fails a check.
     The symbols of all words form one column, checked through the set of
-    symbols that occur; the successor of each symbol, wrap included, is
-    the column of the words rotated by one, and one lookup per step gives
-    the step column, ``None`` at a miss; and each orbit is compared by its
-    key word, a tuple, so the set of those words shows a repeated orbit and
-    meets the boundary orbits' key words with no Python-level hash.  The
-    phases of dropped boundary codes leave the column by the same mask as
-    the codes.  A code flagged as its own least rotation,
+    symbols that occur.  Each step (w_t, w_{t+1}), wrap included, is
+    looked up once in ``branches``, the successor column being the words
+    rotated by one, which gives the step column, ``None`` at a miss; when
+    ``unstable``, the words walked are those of the time-reversed codes
+    and ``branches`` is the inverse's table.  Each orbit is compared by
+    its key word, a tuple, so the set of those words shows a repeated
+    orbit and meets the boundary orbits' key words with no Python-level
+    hash.  The phases of dropped boundary codes leave the column by the
+    same mask as the codes.  A code flagged as its own least rotation,
     such as an orbit's key code, is its key word, so no orbit object is
     built for it."""
     try:
@@ -303,11 +295,12 @@ def _check_at_once(
     except (TypeError, ValueError):
         return None
     words = list(map(_word, codes))
-    symbols = list(chain.from_iterable(words))
-    present = set(symbols)
+    present = set(chain.from_iterable(words))
     if present and (min(present) < 1 or max(present) > n):
         return None
-    column = _lookups(n, branches, words, symbols)
+    walked = [code.reversed_pointed().word for code in codes] if unstable else words
+    successors = chain.from_iterable(map(add, map(_tail, walked), map(_head, walked)))
+    column = list(map(branches.get, _branch_keys(n, chain.from_iterable(walked), successors)))
     if not all(column):  # a miss is None, and every e * j is nonzero
         return None
     orbits = list(map(PeriodicCode._orbit_word, codes))

@@ -74,9 +74,10 @@ def _rect_column(v: Sequence[int], slots: Sequence[int]) -> list[int]:
     valid type (Σv = alpha), k is read off a table of the Σv slots'
     rectangles, expanded by ``accumulate`` from the count of rectangles
     that start at each slot (more than one past an empty rectangle), with
-    no ``repeat`` per rectangle.  Otherwise each slot is bisected into the
-    offsets v_1 + ... + v_{k-1}, so that no table is sized by a Σv past
-    alpha.
+    no ``repeat`` per rectangle.  Otherwise, which only an invalid type's
+    strips reach, each slot is bisected into the offsets v_1 + ... +
+    v_{k-1}, so that no table is sized by a Σv past alpha: the CI
+    ``huge_v`` step, a type file with a v far past alpha, relies on it.
     """
     offsets = tuple(accumulate(v, initial=0))
     if offsets[-1] != len(slots):
@@ -286,10 +287,11 @@ class GeometricType:
     @cached_property
     def _gamma(self) -> list[int]:
         """gamma on the 2n boundary slots, 2(i-1) for (i, -1) and 2i-1 for (i, +1),
-        read off strips (i, 1) and (i, h_i); needs a valid type, as ``_inverse`` does."""
+        read off strips (i, 1) and (i, h_i) in the table of every slot's
+        rectangle; needs a valid type, as ``_inverse`` does."""
         offsets = self._offsets
         strips = list(chain.from_iterable(zip(offsets, map(sub, offsets[1:], repeat(1)))))
-        ks = _rect_column(self.v, list(map(self._slots.__getitem__, strips)))
+        ks = list(map(_rect_column(self.v, self._slots).__getitem__, strips))
         return [
             2 * k - 1 if sign * self.eps[x] == 1 else 2 * k - 2
             for k, x, sign in zip(ks, strips, cycle((-1, 1)))

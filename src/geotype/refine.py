@@ -35,13 +35,7 @@ from .core import (
     require_valid,
     serialize,
 )
-from .boundary import (
-    _checked_family,
-    _step_column,
-    boundary_orbits,
-    cutting_family,
-    has_corner_property,
-)
+from .boundary import _checked_family, boundary_orbits, has_corner_property
 from .shift import (
     AdmissibilityError,
     CodeOrbit,
@@ -127,13 +121,6 @@ class IntervalRef:
         return self.code.symbol(self.t)
 
 
-def _digit_width(T: GeometricType) -> tuple[int, int]:
-    """(H, w) for the kneading keys of T: H is the largest h_i, and a digit
-    H + s of a signed strip s in -H..H takes w bytes, big-endian."""
-    H = T._max_h
-    return H, (2 * H).bit_length() + 7 >> 3
-
-
 def _pack(digits: Iterable[int], width: int) -> bytes:
     """Digits as ``width``-byte big-endian unsigned integers, end to end."""
     if width == 1:
@@ -170,9 +157,9 @@ def _pack_keys(
     m is delta_m * j_m, where j_m is the strip that step t + m of the code
     runs through and delta_m the orientation product of the m steps before
     it.  Each symbol s is stored as the digit H + s, with H the largest h_i
-    of T (:func:`_digit_width`), in a fixed number of big-endian bytes: one
-    while 2H < 256.  Every digit lies in 0..2H, so the bytewise (memcmp)
-    order of two keys of T is the lexicographic order of their symbols.
+    of T, in a fixed number of big-endian bytes: one while 2H < 256.  Every
+    digit lies in 0..2H, so the bytewise (memcmp) order of two keys of T is
+    the lexicographic order of their symbols.
     One period of the sequence of phase 0 is walked once; symbol m is
     delta_{m+1} * e_m * j_m.  That period is packed once, and once
     negated (digit 2H - d); the sequence has period p, or 2p (the period,
@@ -183,7 +170,8 @@ def _pack_keys(
     -1; delta_t is the sign of symbol t, since every strip index j is
     positive.
     """
-    H, width = _digit_width(T)
+    H = T._max_h
+    width = (2 * H).bit_length() + 7 >> 3
     size = span * width
     keys: list[bytes] = []
     for a, b in zip(bounds, bounds[1:]):
@@ -288,8 +276,9 @@ def build_order(T: GeometricType, W, *, drop_boundary: bool = False) -> OrderTab
 def _sort_cuts(T: GeometricType, family: tuple[PeriodicCode, ...], steps: list[int]) -> OrderTable:
     """:func:`build_order` past the family check, which also shows T valid
     and binary, given the family's step column (for ``u_refine``, the
-    check on the type T inverts: the inverse's incidence matrix is the
-    transpose, and the column is looked up on the inverse in one pass).
+    unstable check on the type T inverts, whose lookups walk the reversed
+    codes on T's branch table: the inverse's incidence matrix is the
+    transpose).
 
     The table keeps the column, and the keys of all codes are packed off it.
     Every cut id of the family (:class:`OrderTable`) is sorted at once, by
@@ -381,64 +370,71 @@ class RefinementResult:
         return self._recode_s(code)
 
     def _recode_s(self, code: PeriodicCode) -> frozenset[PeriodicCode]:
-        """Bisect each phase's kneading key into its host's sorted cuts.
+        """Place each phase of the code among its host's cut lines.
 
-        The keys are the byte strings of :func:`_orbit_keys`, so the bisection
-        compares bytes, as the sort of :func:`build_order` does.  A phase
-        with s - 1 cuts below it lies in band s, or on the cut between bands
-        s and s + 1 when that cut's key is its own; keys of length 2(P + the
-        family's longest period) decide both exactly (see
-        :func:`build_order`).  The two sides of a cut swap at every
-        orientation-reversing step.  Digit t of the phase-0 key is H plus
-        a symbol whose sign is the orientation product of the first t steps,
-        so it is read as positive when its bytes exceed those of H; the
-        walk takes 2P steps when that product over one period is -1.  Only
-        a code outside the family is looked up in the branch table; family
-        keys are packed off the step column and kept by (family index,
-        span), so a batch of recodes packs each family code once per span.
-        The two codes returned are primitive roots of refined rectangle
-        numbers, so they are built with no check.
+        A code of a family orbit, a rotation of a family code included, is
+        found by its word in the phase index (:attr:`_phase_cuts`), and each
+        of its phases lies on a cut line.  The cut at table position p of
+        its host (:func:`_ranks`) lies between bands p and p + 1, so the
+        code yields the two codes just below and just above its lines; the
+        two sides swap after every step whose step-column entry is
+        negative, an orientation-reversing strip.  The walk takes two
+        periods, which closes both words whatever the orientation product
+        over one period is.  Any other code lies on no cut line: two
+        distinct orbits differ within 2(P + the family's longest period)
+        symbols (see :func:`build_order`), so each phase's kneading key of
+        that span (:func:`_orbit_keys`) bisects into its host's row with no
+        tie, and the code yields one code.  Its steps are looked up in one
+        pass; the family keys that the bisection reads are packed off the
+        step column and kept by (family index, span), so a batch of recodes
+        packs each family code once per span.  The codes returned are
+        primitive roots of refined rectangle numbers, so they are built
+        with no check.
         """
         if self.kind != "s" or self.order is None:
             raise InvariantError("only stable results with an order table recode directly")
-        family, cuts = self.order.family, self.order.cuts
-        P = code.period
-        span = 2 * (max((w.period for w in family), default=0) + P)
-        H, width = _digit_width(self.source)
-        zero = H.to_bytes(width, "big")
+        order, starts, P = self.order, self._band_starts, code.period
+        c = self._phase_cuts.get(code.word)
+        if c is None:
+            span = 2 * (max((w.period for w in order.family), default=0) + P)
 
-        def cut_key(c: int) -> bytes:
-            f, t = self.order.pair(c)
-            return self._family_keys(f, span)[t]
+            def cut_key(cut: int) -> bytes:
+                f, t = order.pair(cut)
+                return self._family_keys(f, span)[t]
 
-        f = self._family_index.get(code)
-        if f is None:
             binary_branches(self.source)
-            phases = _orbit_keys(self.source, code, span)
+            keys = _orbit_keys(self.source, code, span)
+            below = above = [
+                starts[i - 1] + 1 + bisect_left(order.cuts[i - 1], key, key=cut_key)
+                for i, key in zip(code.word, keys)
+            ]
         else:
-            phases = self._family_keys(f, span)
-        signs = phases[0]
-
-        def positive(t: int) -> bool:  # the sign of symbol t of the phase-0 key
-            return signs[t * width : (t + 1) * width] > zero
-
-        below: list[int] = []
-        above: list[int] = []
-        for t in range(P if positive(P) else 2 * P):
-            i, key = code.word[t % P], phases[t % P]
-            row = cuts[i - 1]
-            s = 1 + bisect_left(row, key, key=cut_key)
-            low = self.r_of(i, s)
-            high = self.r_of(i, s + 1) if s <= len(row) and cut_key(row[s - 1]) == key else low
-            if not positive(t):
-                low, high = high, low
-            below.append(low)
-            above.append(high)
+            first = c - order.pair(c)[1]  # the cut of phase 0 of the family code
+            cuts = [*range(c, first + P), *range(first, c)]
+            ranks, steps = self._cut_ranks, order.steps
+            below, above = [], []
+            flipped = False
+            for i, cut in zip(code.word * 2, cuts * 2):
+                band = starts[i - 1] + ranks[cut]  # r_of(i, p): the band just below the cut
+                below.append(band + flipped)
+                above.append(band + 1 - flipped)
+                flipped ^= steps[cut] < 0  # the sides swap after an e = -1 step
         return frozenset(PeriodicCode._of(primitive_root(w)) for w in (below, above))
 
     @cached_property
-    def _family_index(self) -> dict[PeriodicCode, int]:
-        return {code: f for f, code in enumerate(self.order.family)}
+    def _phase_cuts(self) -> dict[tuple[int, ...], int]:
+        """The phase index: the cut id of phase 0 of every rotation of every
+        family code, by its word."""
+        index: dict[tuple[int, ...], int] = {}
+        for code, first in zip(self.order.family, self.order._starts):
+            w = code.word
+            index.update((w[t:] + w[:t], first + t) for t in range(len(w)))
+        return index
+
+    @cached_property
+    def _cut_ranks(self) -> list[int]:
+        """Each cut's table position, by cut id (:func:`_ranks`)."""
+        return _ranks(self.order)
 
     @cached_property
     def _kept_keys(self) -> dict[tuple[int, int], list[bytes]]:
@@ -511,13 +507,10 @@ def _cut_offsets(T: GeometricType, order: OrderTable, runs: tuple[int, ...]) -> 
     end when e = -1.
     The table's rows hold flat cut ids, so the host of each cut is its
     row's rectangle, its successor is the next id (the code's first at its
-    last phase), and every table position is written once off the rows,
+    last phase), and every table position is read off :func:`_ranks`,
     with no lookup in the family or the branch table per cut.
     """
-    ranks = [0] * len(order.steps)  # each cut's table position
-    _, positions = _lex_columns(list(map(len, order.cuts)))
-    for c, p in zip(chain.from_iterable(order.cuts), positions):
-        ranks[c] = p
+    ranks = _ranks(order)
     after = ranks[1:]  # the table position of each cut's successor phase
     after.append(0)
     starts = order._starts
@@ -533,21 +526,32 @@ def _cut_offsets(T: GeometricType, order: OrderTable, runs: tuple[int, ...]) -> 
     return offsets
 
 
+def _ranks(order: OrderTable) -> list[int]:
+    """Each cut's table position, by cut id, written once off the rows: the
+    p-th cut of a row from the bottom has position p."""
+    ranks = [0] * len(order.steps)
+    _, positions = _lex_columns(list(map(len, order.cuts)))
+    for c, p in zip(chain.from_iterable(order.cuts), positions):
+        ranks[c] = p
+    return ranks
+
+
 def u_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementResult:
     """Cut along unstable lines: the stable refinement of the inverse type.
 
     Code words are reversed before feeding the inverse side, since forward
     time for the inverse is backward time for the original.  The family is
-    checked once, on T: reversal keeps it a cutting family of the inverse,
-    whose step column is looked up on the inverse's branch table in one
-    pass (``boundary._step_column``) and kept on the inner order table.
-    A family that cuts nothing returns T itself as ``refined``, not
-    ``invert(invert(T))``, which would be a fresh equal copy.
+    checked once, as an unstable family of T (``boundary._checked_family``),
+    whose one lookup pass walks the reversed codes on the inverse's branch
+    table: reversal keeps the family a cutting family of the inverse, and
+    the column that pass returns is the inner order table's.  T's own
+    branch table is built only to name a faulty code.  A family that cuts
+    nothing returns T itself as ``refined``, not ``invert(invert(T))``,
+    which would be a fresh equal copy.
     """
-    family = cutting_family(T, W, unstable=True, drop_boundary=drop_boundary)
+    family, steps = _checked_family(T, W, unstable=True, drop_boundary=drop_boundary)
     reversed_family = tuple(w.reversed_pointed() for w in family)
     inverse = invert(T)
-    steps = _step_column(inverse, reversed_family)
     inner = _assemble(inverse, _sort_cuts(inverse, reversed_family, steps))
     return RefinementResult(
         refined=invert(inner.refined) if family else T,

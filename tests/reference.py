@@ -14,6 +14,11 @@ A refinement's rectangle map pi (refined r to the source rectangle of
 ``label_map[r - 1]``) intertwines the transition matrices of source and
 refined type.  ``intertwines`` checks that identity sparsely, from the
 public fields of both types, with no oracle and no engine internals.
+A refinement also transports the boundary exactly: each side's boundary
+orbits of the refined type are the recodes of the source's boundary on
+that side, plus those of the cutting family on the cut side, and nothing
+else.  ``transported_boundary`` checks that identity through the public
+``recode``.
 
 The library's symbolic side reads a sparse transition graph.  The dense
 matrix arithmetic here is its reference: the dense view ``dense_rows``,
@@ -39,7 +44,9 @@ The library stores each strip's target as an integer vertical slot, inverts
 a type as a permutation of those slots and keys its branch table by one
 integer per step.  ``inverse_by_labels`` and ``branches_by_labels`` are the
 label-by-label definitions they are tested against: rho reversed as a
-relation, and the table ``{(i, xi(i, j)): (j, eps(i, j))}``.
+relation, and the table ``{(i, xi(i, j)): (j, eps(i, j))}``.  The step
+column that a family check hands to the order table is tested against
+``step_column_by_labels``, read off that table step by step.
 
 The affine model is nothing but its integer columns (a, b, k, l), read off
 T's slots.  ``strip_columns_by_labels`` is the per-strip definition they
@@ -139,6 +146,19 @@ def branches_by_labels(T: GeometricType) -> dict[tuple[int, int], tuple[int, int
     """The branch table ``{(i, xi(i, j)): (j, eps(i, j))}``, label by label;
     one entry per strip when the incidence matrix is binary."""
     return {(i, k): (j, e) for (i, j), (k, _), e in zip(T.h_labels(), T.rho, T.eps)}
+
+
+def step_column_by_labels(T: GeometricType, family) -> list[int]:
+    """The step column of a cutting family of T, label by label: for every
+    phase t of every code in order, the strip j of rectangle w_t that maps
+    into w_{t+1}, signed by its orientation e, as e * j."""
+    branches = branches_by_labels(T)
+    column = []
+    for code in family:
+        for t in range(code.period):
+            j, e = branches[(code.symbol(t), code.symbol(t + 1))]
+            column.append(e * j)
+    return column
 
 
 def strip_columns_by_labels(T: GeometricType) -> tuple[tuple[int, int, int, int], ...]:
@@ -324,6 +344,24 @@ def intertwines(result, signed: bool = False) -> bool:
         lhs[(pi[r - 1], r2)] = lhs.get((pi[r - 1], r2), 0) + a
     rhs = {(i, r2): a for r2, k in enumerate(pi, start=1) for i, a in into.get(k, ())}
     return {step: a for step, a in lhs.items() if a} == rhs
+
+
+def transported_boundary(result, codes, unstable: bool) -> bool:
+    """Whether a refinement transports one side's boundary exactly: the
+    boundary orbits of ``result.refined`` on that side (unstable when
+    ``unstable``) are the orbits of the recodes of the source's boundary
+    orbits on that side and of ``codes``, and no others.  For a single pass
+    along W, ``codes`` is W on the cut side and empty on the other side;
+    boundary members of W, which ``drop_boundary`` drops, change nothing.
+    A pipeline transports both sides alike, with ``codes`` the families it
+    cut along."""
+    source = boundary_orbits(result.source, unstable=unstable)
+    images = {
+        shadow.orbit()
+        for code in [*(orbit.canonical for orbit in source), *codes]
+        for shadow in result.recode(code)
+    }
+    return boundary_orbits(result.refined, unstable=unstable) == images
 
 
 def renumber(T: GeometricType, order: list[int]) -> GeometricType:

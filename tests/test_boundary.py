@@ -53,6 +53,7 @@ from reference import (
     branches_by_labels,
     canonical_tail,
     cutting_family_by_code,
+    step_column_by_labels,
     tail_scan_classify,
 )
 
@@ -407,24 +408,29 @@ def test_cutting_family_matches_the_per_code_check(unstable, drop_boundary):
     """Seeded families that mix faults: the whole-family check returns the
     per-code reference's family, or raises its first fault's class and
     message; the one-pass check alone returns that family, or ``None``
-    exactly when the reference raises."""
+    exactly when the reference raises.  Its step column is that of the
+    family on T, or of the time-reversed family on the inverse for the
+    unstable side."""
     rng = random.Random(67 + 2 * unstable + drop_boundary)
     types = binary_mixing_corpus(seed=53, count=6) + orientation_reversing_bin_types(59, 4)
     options = {"unstable": unstable, "drop_boundary": drop_boundary}
     seen: Counter = Counter()
     for T in types:
         side = boundary._kept_side(T, unstable)[1]
+        host = invert(T) if unstable else T
         for _ in range(40):
             W = _mixed_family(T, rng)
             expected = _family_outcome(cutting_family_by_code, T, W, **options)
             assert _family_outcome(cutting_family, T, W, **options) == expected, W
             assert _family_outcome(cutting_family, T, iter(W), **options) == expected, W
-            once = boundary._check_at_once(T.n, binary_branches(T), side, W, drop_boundary)
+            branches = binary_branches(host)
+            once = boundary._check_at_once(T.n, branches, side, W, unstable, drop_boundary)
             seen[expected[0]] += 1
             if expected[0] == "ok":
                 kept, column = once
                 assert tuple(code.word for code in kept) == expected[1], W
-                assert column == boundary._step_column(T, kept), W
+                walked = [w.reversed_pointed() for w in kept] if unstable else kept
+                assert column == step_column_by_labels(host, walked), W
             else:
                 assert once is None, W
     faults = {"AdmissibilityError", "DuplicateOrbitError", "ValueError"}

@@ -204,6 +204,15 @@ def test_srefine_error_goldens(capsys, type_name, codes_name, golden):
     assert (code, out, err) == (1, "", (GOLDEN / golden).read_text())
 
 
+def test_urefine_error_names_the_code_in_forward_time(capsys):
+    """A chiral orbit listed twice on the unstable side: the at-once check
+    walks the reversed codes, but the error names the orbit in forward
+    time, ``1 1 2 1 2 2``; the reversed orbit's key would be ``1 1 2 2 1 2``."""
+    type_path, codes_path = str(GOLDEN / "E2.gt"), str(GOLDEN / "chiral_twice.codes")
+    code, out, err = run_cli(capsys, "urefine", type_path, "--codes", codes_path)
+    assert (code, out, err) == (1, "", (GOLDEN / "urefine_E2_chiral_twice.err").read_text())
+
+
 def test_urefine_golden(capsys, e2_path, w12_path):
     code, out, err = run_cli(capsys, "urefine", e2_path, "--codes", w12_path)
     assert (code, out, err) == (0, (GOLDEN / "urefine_E2_w12.txt").read_text(), "")

@@ -152,12 +152,13 @@ def test_wp_refine_validates_each_type_object_at_most_once(monkeypatch):
 
 
 def test_each_recode_walks_few_family_orbits(monkeypatch):
-    """A recode bisects each phase's kneading key into its host's sorted
-    cuts, so it packs the keys of the family codes that bisection reads,
-    each once, off the order table's step column, and never packs keys or
-    builds a map over the whole family.  bin(E1m) cut along every
-    non-boundary orbit of period <= 10; every pointed code of period <= 6
-    and every phase of 40 family codes."""
+    """A recode of a code off the family orbits bisects each phase's
+    kneading key into its host's sorted cuts, so it packs the keys of the
+    family codes that bisection reads, each once, off the order table's
+    step column, and never packs keys over the whole family; a recode of
+    any phase of a family code reads its cuts' table positions and packs
+    no key.  bin(E1m) cut along every non-boundary orbit of period <= 10;
+    every pointed code of period <= 6 and every phase of 40 family codes."""
     T = bin_refine(make_e1m()).refined
     boundary = {c.orbit() for c in per_s_codes(T)}
     orbits = enumerate_orbits(incidence_matrix(T), 10)
@@ -180,6 +181,7 @@ def test_each_recode_walks_few_family_orbits(monkeypatch):
         packed.clear()
         assert result.recode(code)
         assert all(len(bounds) == 2 for bounds in packed) and len(set(packed)) == len(packed)
+        assert code.orbit() in boundary or packed == [], code
         worst = max(worst, len(packed))
     assert 1 < worst < len(family) / 4
 
@@ -190,10 +192,9 @@ def test_each_stable_walk_looks_each_step_up_once(monkeypatch):
     column, which the kneading keys, the cut offsets and every recode
     read.  On bin(E1m) cut along every non-boundary orbit of period <= 10
     of a side, ``s_refine`` makes one pass of branch-table keys over the
-    family's steps, and ``u_refine`` two: the check on T and the walk of
-    the reversed family on the inverse.  A recode of a code that is no
-    family code makes one pass, over its own steps; a recode of a family
-    code makes none."""
+    family's steps, and ``u_refine`` one over the reversed family's, on
+    the inverse.  A recode of a code off the family orbits makes one pass,
+    over its own steps; a recode of any phase of a family code makes none."""
     T = bin_refine(make_e1m()).refined
     orbits = enumerate_orbits(incidence_matrix(T), 10)
     passes: list[tuple[int, ...]] = []
@@ -214,21 +215,23 @@ def test_each_stable_walk_looks_each_step_up_once(monkeypatch):
         (u_refine if unstable else s_refine)(T, family)
         if unstable:
             reversed_words = chain.from_iterable(code.reversed_pointed().word for code in family)
-            assert passes == [words, tuple(reversed_words)]
+            assert passes == [tuple(reversed_words)]
         else:
             assert len(family) == 225 and passes == [words]
-    family = [o.canonical for o in orbits if o not in boundary_orbits(T)]
+    boundary = boundary_orbits(T)
+    family = [o.canonical for o in orbits if o not in boundary]
     result = s_refine(T, family)
-    outside = [code for o in orbits if o.period <= 6 for code in o.phases() if code not in family]
+    longer = [o for o in enumerate_orbits(incidence_matrix(T), 12) if o.period > 10]
+    outside = [code for o in [*boundary, *longer[::40]] for code in o.phases()]
     for code in outside:
         passes.clear()
-        assert result.recode(code)
+        assert len(result.recode(code)) == 1
         assert passes == [code.word], code
-    for code in family:
+    for code in (w.rotate(t) for w in family for t in range(w.period)):
         passes.clear()
-        assert result.recode(code)
+        assert len(result.recode(code)) == 2
         assert passes == [], code
-    assert len(outside) >= 4
+    assert len(outside) >= 100
 
 
 @pytest.mark.parametrize("path", sorted(SOURCES.glob("*.py")), ids=lambda p: p.name)

@@ -48,7 +48,6 @@ from geotype import (
     wp_refine,
 )
 from geotype import boundary
-from geotype.boundary import _step_column
 from geotype.refine import (
     InvariantError,
     _assemble,
@@ -86,6 +85,8 @@ from reference import (
     j_index,
     mismatch_M,
     position,
+    step_column_by_labels,
+    transported_boundary,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -518,10 +519,10 @@ def test_sort_rejects_a_line_cut_twice(e2, e3):
     rectangle 2 have one key, and each keeps its own row."""
     with pytest.raises(InvariantError, match="equal kneading keys"):
         twice = (W12, W12.rotate(1))
-        _sort_cuts(e2, twice, _step_column(e2, twice))
+        _sort_cuts(e2, twice, step_column_by_labels(e2, twice))
     family = (PeriodicCode((1, 1, 3)), PeriodicCode((2, 4, 4)))
     assert _orbit_keys(e3, family[0], 12)[0] == _orbit_keys(e3, family[1], 12)[0]
-    order = _sort_cuts(e3, family, _step_column(e3, family))
+    order = _sort_cuts(e3, family, step_column_by_labels(e3, family))
     assert [[order.pair(c) for c in row] for row in order.cuts] == [
         [(0, 0), (0, 1)], [(1, 0)], [(0, 2)], [(1, 2), (1, 1)]
     ]
@@ -621,7 +622,9 @@ def test_dropped_boundary_codes_leave_the_step_column(unstable):
     one looked up for the kept codes alone, dropping the boundary codes
     refines as the kept codes alone do, and the engine's cut offsets, read
     off the column, are those placed from the pairwise reference order, on
-    T for the stable side and on the inverse for the unstable side."""
+    T for the stable side and on the inverse for the unstable side.  The
+    checked column is the inner order table's on both sides: the unstable
+    check looks the reversed codes up on the inverse."""
     rng = random.Random(71 + unstable)
     types = binary_mixing_corpus(seed=73, count=5) + orientation_reversing_bin_types(79, 4)
     refine = u_refine if unstable else s_refine
@@ -629,17 +632,16 @@ def test_dropped_boundary_codes_leave_the_step_column(unstable):
     for T in types:
         for _ in range(3):
             W, kept = _interleaved_family(T, unstable, rng)
-            family, steps = boundary._checked_family(T, W, unstable=unstable, drop_boundary=True)
-            assert family == tuple(kept) and steps == _step_column(T, family), W
-            dropped, alone = refine(T, W, drop_boundary=True), refine(T, kept)
-            assert dropped.refined == alone.refined, W
-            assert serialize_result(dropped) == serialize_result(alone), W
             side, codes = (T, kept)
             if unstable:
                 side, codes = invert(T), [w.reversed_pointed() for w in kept]
+            family, steps = boundary._checked_family(T, W, unstable=unstable, drop_boundary=True)
+            assert family == tuple(kept) and steps == step_column_by_labels(side, codes), W
+            dropped, alone = refine(T, W, drop_boundary=True), refine(T, kept)
+            assert dropped.refined == alone.refined, W
+            assert serialize_result(dropped) == serialize_result(alone), W
             inner = dropped.stages[0] if unstable else dropped
-            assert inner.order.steps == _step_column(side, inner.order.family), W
-            assert unstable or inner.order.steps == steps, W
+            assert inner.order.family == tuple(codes) and inner.order.steps == steps, W
             sizes = _blocks(side, [len(row) + 1 for row in inner.order.cuts])[0]
             runs = tuple(accumulate(sizes, initial=0))
             offsets = _cut_offsets(side, inner.order, runs)
@@ -761,17 +763,21 @@ def test_u_refine_boundary_code_errors(e2):
 
 def test_u_refine_checks_its_family_once(monkeypatch, e2):
     """The family is checked once, as an unstable family of T; the stable
-    refinement of the inverse type then runs past that check."""
-    calls: list[dict] = []
-    real = geotype.refine.cutting_family
+    refinement of the inverse type then runs past that check, on the step
+    column it returned."""
+    calls: list[tuple] = []
+    real = geotype.refine._checked_family
 
     def counting(T, W, **kwargs):
-        calls.append(kwargs)
-        return real(T, W, **kwargs)
+        checked = real(T, W, **kwargs)
+        calls.append((T, kwargs, checked))
+        return checked
 
-    monkeypatch.setattr(geotype.refine, "cutting_family", counting)
-    u_refine(e2, [W12])
-    assert calls == [{"unstable": True, "drop_boundary": False}]
+    monkeypatch.setattr(geotype.refine, "_checked_family", counting)
+    result = u_refine(e2, [W12])
+    ((T, kwargs, (family, steps)),) = calls
+    assert T is e2 and kwargs == {"unstable": True, "drop_boundary": False}
+    assert family == (W12,) and result.stages[0].order.steps is steps
 
 
 @pytest.mark.parametrize(
@@ -935,9 +941,9 @@ def test_wp_pipeline_leaves_no_reference_cycles(e2):
 
 def test_recode_batch_walks_each_code_once_per_span(monkeypatch):
     """Recoding a batch through one result walks each (code, span) pair
-    once: a code outside the family through its branch-table lookups, a
-    family code by packing its slice of the step column.  Every code gives
-    what a fresh result gives."""
+    once: a code off the family orbits through its branch-table lookups,
+    and each family code whose cuts those bisections read by packing its
+    slice of the step column.  Every code gives what a fresh result gives."""
     T = bin_refine(make_e1m()).refined
     orbits = enumerate_orbits(incidence_matrix(T), 6)
     s_orbits = {c.orbit() for c in per_s_codes(T)}
@@ -1004,6 +1010,69 @@ def test_wp_refine_recodings_are_boundary(e2):
             recoded = result.recode(orbit.canonical)
             assert recoded
             assert recoded <= b_codes
+
+
+TRANSPORT_CORPUS = [
+    *binary_mixing_corpus(seed=11, count=8),
+    *orientation_reversing_bin_types(12, 6),
+    bin_refine(make_e1m()).refined,
+]
+
+
+@pytest.mark.parametrize("drop_boundary", [False, True], ids=["keep", "drop"])
+@pytest.mark.parametrize("unstable", [False, True], ids=["s", "u"])
+def test_single_passes_transport_boundary_orbits_exactly(unstable, drop_boundary):
+    """A pass along every orbit of period <= P, P = 2..4, of each seeded
+    type, those on the cut side's boundary left out or dropped: the refined
+    boundary orbits of the cut side are the recodes of the source's
+    boundary there and of the family, those of the other side the recodes
+    of its boundary alone, with no orbit more or less."""
+    refine = u_refine if unstable else s_refine
+    reversing = 0
+    for T in TRANSPORT_CORPUS:
+        boundary = boundary_orbits(T, unstable=unstable)
+        orbits = enumerate_orbits(incidence_matrix(T), 4)
+        for P in (2, 3, 4):
+            W = [o.canonical for o in orbits if o.period <= P and (drop_boundary or o not in boundary)]
+            result = refine(T, W, drop_boundary=drop_boundary)
+            assert transported_boundary(result, W, unstable), (T, P)
+            assert transported_boundary(result, [], not unstable), (T, P)
+            reversing += -1 in T.eps and result.refined is not T
+    assert reversing >= 12
+
+
+def test_corner_refine_transports_boundary_orbits_exactly(e3):
+    """Each side of ``corner_refine(T)`` is the recodes of T's s- and
+    u-boundary orbits, on the seeded types, with and without the corner
+    property, and on E3."""
+    lacking = 0
+    for T in [*TRANSPORT_CORPUS, *binary_mixing_corpus(seed=61, count=6), e3]:
+        result = corner_refine(T)
+        s_side, u_side = boundary_orbits(T), boundary_orbits(T, unstable=True)
+        for unstable, other in ((False, u_side), (True, s_side)):
+            assert transported_boundary(result, [o.canonical for o in other], unstable), T
+        lacking += s_side != u_side
+    assert lacking >= 3
+
+
+def _assert_wp_transports(T: GeometricType, P: int) -> None:
+    result = wp_refine(T, P)
+    codes = [o.canonical for o in enumerate_orbits(incidence_matrix(T), P)]
+    for unstable in (False, True):
+        assert transported_boundary(result, codes, unstable), (P, unstable)
+
+
+def test_wp_refine_transports_boundary_orbits_exactly(e2):
+    """Each side of ``wp_refine(E2, P)``, P = 2..8, is the recodes of E2's
+    boundary on that side and of every orbit of period <= P."""
+    for P in range(2, 9):
+        _assert_wp_transports(e2, P)
+
+
+@pytest.mark.slow
+def test_wp_refine_transports_boundary_orbits_exactly_at_scale(e2):
+    """The same identity at P = 12, through 745 orbits of period <= 12."""
+    _assert_wp_transports(e2, 12)
 
 
 def test_serialize_result_golden(e2):
