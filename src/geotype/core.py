@@ -281,7 +281,7 @@ class GeometricType:
 
     @cached_property
     def _max_h(self) -> int:
-        """The largest h_i, which fixes the digit width of ``refine._orbit_keys``."""
+        """The largest h_i, which fixes the digit width of ``refine._pack_keys``."""
         return max(self.h)
 
     @cached_property

@@ -128,23 +128,6 @@ def _pack(digits: Iterable[int], width: int) -> bytes:
     return b"".join(map(int.to_bytes, digits, repeat(width), repeat("big")))
 
 
-def _orbit_keys(T: GeometricType, code: PeriodicCode, span: int) -> list[bytes]:
-    """The kneading keys of ``span`` digits of every phase of a code, by phase.
-
-    One period of the code's steps is looked up in one pass, p lookups of
-    e * j in the branch table of :func:`shift.binary_branches`, so T must
-    have passed that guard and the code's symbols a range check; a step
-    that misses raises ``AdmissibilityError``.  :func:`_pack_keys` packs
-    the values.  Family codes are packed off the order table's step
-    column instead, with no lookup.
-    """
-    word = code.word
-    steps = list(map(T._branches.get, _branch_keys(T.n, word, word[1:] + word[:1])))
-    if not all(steps):
-        raise AdmissibilityError(f"code {code} is not admissible for this type")
-    return _pack_keys(T, steps, (0, len(steps)), span)
-
-
 def _pack_keys(
     T: GeometricType, steps: Sequence[int], bounds: Sequence[int], span: int
 ) -> list[bytes]:
@@ -204,9 +187,10 @@ class OrderTable:
     edge (i, +1); the cut line at table position p (1-based) sits p-th from
     the bottom.  ``steps[c]`` is the signed strip e * j that the step of
     cut c runs through, from the family check; a function of the type and
-    the family, it is out of ``==``, ``hash`` and ``repr``.  The pair
-    (f, t) of a cut (:meth:`pair`) and the interval
-    references of a row (:meth:`refs`) are views built on demand.
+    the family, it is out of ``==``, ``hash`` and ``repr``.  The interval
+    references of the rows (:attr:`entries`) are a view built on demand.
+    The table keeps only what the sort found: the columns a recode reads
+    off its rows are kept on the result (``RefinementResult._row_columns``).
     """
 
     n: int
@@ -218,18 +202,6 @@ class OrderTable:
         if not 1 <= i <= self.n:
             raise ValueError(f"rectangle {i} is not a rectangle of this table (1..{self.n})")
         return len(self.cuts[i - 1])
-
-    def refs(self, i: int) -> tuple[IntervalRef, ...]:
-        self.count(i)  # the range check
-        return self.entries[i - 1]
-
-    def pair(self, c: int) -> tuple[int, int]:
-        """The pair (f, t) of cut id c: the stable line of phase t of ``family[f]``."""
-        starts = self._starts
-        if not 0 <= c < starts[-1]:
-            raise ValueError(f"cut {c} is not a cut of this table (0..{starts[-1] - 1})")
-        f = bisect_right(starts, c) - 1
-        return f, c - starts[f]
 
     @cached_property
     def _starts(self) -> tuple[int, ...]:
@@ -250,7 +222,7 @@ def build_order(T: GeometricType, W, *, drop_boundary: bool = False) -> OrderTab
     The vertical order of two cut lines with a common host rectangle is the
     twisted lexicographic (kneading) order of Milnor and Thurston, *On
     iterated maps of the interval* (1988): a line lies below another exactly
-    when its kneading key (:func:`_orbit_keys`) is smaller.  Up to the first
+    when its kneading key (:func:`_pack_keys`) is smaller.  Up to the first
     time at which the two codes disagree they run through the same strips,
     so their keys first differ where the strips differ, signed by the common
     orientation product of the steps before.  The keys have periods 2p_a and
@@ -265,10 +237,12 @@ def build_order(T: GeometricType, W, *, drop_boundary: bool = False) -> OrderTab
     walk of its orbit, which reads the strips of its steps off the family's
     step column: the family check looks each step up in T's branch table
     once (``boundary._checked_family``), and the table keeps the values as
-    ``steps`` for the keys, the cut offsets and recodes.  The family
-    check costs O(sum of periods) past T's branch and gamma tables
-    (O(alpha), once per type object), the keys O(cuts * P) and the sort
-    O(cuts * log cuts) comparisons.
+    ``steps`` for the keys, the cut offsets and the row columns of a
+    recode (``RefinementResult._row_columns``).  The sort is the only
+    reader of kneading keys: a recode places a code by its steps alone.
+    The family check costs O(sum of periods) past T's branch and gamma
+    tables (O(alpha), once per type object), the keys O(cuts * P) and the
+    sort O(cuts * log cuts) comparisons.
     """
     return _sort_cuts(T, *_checked_family(T, W, drop_boundary=drop_boundary))
 
@@ -370,85 +344,85 @@ class RefinementResult:
         return self._recode_s(code)
 
     def _recode_s(self, code: PeriodicCode) -> frozenset[PeriodicCode]:
-        """Place each phase of the code among its host's cut lines.
+        """Lift the code through the order table, one rule for every code.
 
-        A code of a family orbit, a rotation of a family code included, is
-        found by its word in the phase index (:attr:`_phase_cuts`), and each
-        of its phases lies on a cut line.  The cut at table position p of
-        its host (:func:`_ranks`) lies between bands p and p + 1, so the
-        code yields the two codes just below and just above its lines; the
-        two sides swap after every step whose step-column entry is
-        negative, an orientation-reversing strip.  The walk takes two
-        periods, which closes both words whatever the orientation product
-        over one period is.  Any other code lies on no cut line: two
-        distinct orbits differ within 2(P + the family's longest period)
-        symbols (see :func:`build_order`), so each phase's kneading key of
-        that span (:func:`_orbit_keys`) bisects into its host's row with no
-        tie, and the code yields one code.  Its steps are looked up in one
-        pass; the family keys that the bisection reads are packed off the
-        step column and kept by (family index, span), so a batch of recodes
-        packs each family code once per span.  The codes returned are
-        primitive roots of refined rectangle numbers, so they are built
-        with no check.
+        Its steps are looked up in the source's branch table in one pass,
+        which also checks it admissible; an empty family cuts nothing, so
+        the code is its own recode.  Otherwise every cut line steps onto a
+        cut line, so the cut lines in strip j of host i are the preimages of
+        those of the successor rectangle k that they step to, in k's order,
+        reversed when e = -1.  A point of that strip whose image lies in
+        band s of k lies in band 1 + (the cuts of i in strips below j) +
+        (the cuts in strip j whose successor's table position is < s, or
+        >= s when e = -1): one bisection into the strip's run of
+        :attr:`_row_columns`.  Walked backward over one period of the code,
+        or two when the orientation product over a period is -1, the rule
+        maps the bands of the first host monotonically into themselves.
+        Iterated from the bottom band and from the top band, it reaches its
+        least and greatest fixed points (Tarski, 1955): the two flanks of a
+        cut line, or the one band of any other code.  Each start must move
+        one way only, up from the bottom and down from the top, so the
+        iteration ends; a start that turns back raises ``InvariantError``.
+        The bands of each final walk spell a refined word; its primitive
+        root, a word of refined rectangle numbers, is a code built with no
+        check.
         """
         if self.kind != "s" or self.order is None:
             raise InvariantError("only stable results with an order table recode directly")
-        order, starts, P = self.order, self._band_starts, code.period
-        c = self._phase_cuts.get(code.word)
-        if c is None:
-            span = 2 * (max((w.period for w in order.family), default=0) + P)
-
-            def cut_key(cut: int) -> bytes:
-                f, t = order.pair(cut)
-                return self._family_keys(f, span)[t]
-
-            binary_branches(self.source)
-            keys = _orbit_keys(self.source, code, span)
-            below = above = [
-                starts[i - 1] + 1 + bisect_left(order.cuts[i - 1], key, key=cut_key)
-                for i, key in zip(code.word, keys)
-            ]
-        else:
-            first = c - order.pair(c)[1]  # the cut of phase 0 of the family code
-            cuts = [*range(c, first + P), *range(first, c)]
-            ranks, steps = self._cut_ranks, order.steps
-            below, above = [], []
-            flipped = False
-            for i, cut in zip(code.word * 2, cuts * 2):
-                band = starts[i - 1] + ranks[cut]  # r_of(i, p): the band just below the cut
-                below.append(band + flipped)
-                above.append(band + 1 - flipped)
-                flipped ^= steps[cut] < 0  # the sides swap after an e = -1 step
-        return frozenset(PeriodicCode._of(primitive_root(w)) for w in (below, above))
-
-    @cached_property
-    def _phase_cuts(self) -> dict[tuple[int, ...], int]:
-        """The phase index: the cut id of phase 0 of every rotation of every
-        family code, by its word."""
-        index: dict[tuple[int, ...], int] = {}
-        for code, first in zip(self.order.family, self.order._starts):
-            w = code.word
-            index.update((w[t:] + w[:t], first + t) for t in range(len(w)))
-        return index
+        T, word = self.source, code.word
+        steps = list(map(binary_branches(T).get, _branch_keys(T.n, word, word[1:] + word[:1])))
+        if not all(steps):
+            raise AdmissibilityError(f"code {code} is not admissible for this type")
+        if not self.order.family:
+            return frozenset({code})
+        column, runs = self._row_columns
+        starts, offsets = self._band_starts, T._offsets
+        walk = []  # (strip's run, e, host, bands before the host) per step, last first
+        for i, step in zip(reversed(word), reversed(steps)):
+            x = offsets[i - 1] + abs(step) - 1
+            walk.append((runs[x], runs[x + 1], 1 if step > 0 else -1, i, starts[i - 1]))
+        if sum(step < 0 for step in steps) % 2:
+            walk *= 2
+        words = set()
+        first = word[0]
+        for s, up in ((1, True), (starts[first] - starts[first - 1], False)):
+            while True:
+                bands, t = [], s  # t is a band of the current host, numbered within it
+                for lo, hi, e, i, before in walk:
+                    r = bisect_left(column, e * t, lo, hi) + i  # the refined rectangle
+                    bands.append(r)
+                    t = r - before
+                if t == s:
+                    break
+                if (t > s) != up:
+                    raise InvariantError(f"the walk of code {code} is not monotone")
+                s = t
+            words.add(primitive_root(bands[::-1]))
+        return frozenset(map(PeriodicCode._of, words))
 
     @cached_property
-    def _cut_ranks(self) -> list[int]:
-        """Each cut's table position, by cut id (:func:`_ranks`)."""
-        return _ranks(self.order)
+    def _row_columns(self) -> tuple[list[int], list[int]]:
+        """The order table as the lift reads it, built on the first recode
+        and kept on the result, never on the table or a type.
 
-    @cached_property
-    def _kept_keys(self) -> dict[tuple[int, int], list[bytes]]:
-        """``{(f, span): keys}``, filled in by :meth:`_family_keys`."""
-        return {}
-
-    def _family_keys(self, f: int, span: int) -> list[bytes]:
-        """The kneading keys of length ``span`` of ``family[f]``, packed off
-        its slice of the step column once per result and span."""
-        kept = self._kept_keys
-        if (f, span) not in kept:
-            bounds = self.order._starts[f : f + 2]
-            kept[(f, span)] = _pack_keys(self.source, self.order.steps, bounds, span)
-        return kept[(f, span)]
+        ``column`` holds, cut by cut in table order (the rows end to end),
+        the table position p of the cut's successor (:func:`_successor_ranks`),
+        stored as ~p = -p - 1 behind an e = -1 strip.  The cut lines of a
+        rectangle run through its strips bottom-up, so each strip's run of
+        ``column`` increases, and bisecting e * s into it counts the cuts
+        whose successors lie below band s, or, when e = -1, at or above
+        it.  ``runs[x]`` is where the run of source strip x starts, and
+        ``runs[alpha]`` is the number of cuts.  A bisection that returns
+        index q in a run of rectangle i counts q cuts below the point, those
+        of the rectangles before i included; each of those rectangles has
+        one band more than cuts, so the point lies in refined rectangle
+        q + i.
+        """
+        order, T = self.order, self.source
+        after, steps = _successor_ranks(order), order.steps
+        column = [after[c] if steps[c] > 0 else ~after[c] for c in chain.from_iterable(order.cuts)]
+        strips = [x + abs(steps[c]) - 1 for x, row in zip(T._offsets, order.cuts) for c in row]
+        return column, list(map(bisect_left, repeat(strips), range(len(T._slots) + 1)))
 
 
 def s_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementResult:
@@ -506,16 +480,12 @@ def _cut_offsets(T: GeometricType, order: OrderTable, runs: tuple[int, ...]) -> 
     start of j's block (``runs[x]`` for source strip x), or p before its
     end when e = -1.
     The table's rows hold flat cut ids, so the host of each cut is its
-    row's rectangle, its successor is the next id (the code's first at its
-    last phase), and every table position is read off :func:`_ranks`,
-    with no lookup in the family or the branch table per cut.
+    row's rectangle, and every successor's table position is read off
+    :func:`_successor_ranks`, with no lookup in the family or the branch
+    table per cut.  A recode reads the same positions
+    (``RefinementResult._row_columns``).
     """
-    ranks = _ranks(order)
-    after = ranks[1:]  # the table position of each cut's successor phase
-    after.append(0)
-    starts = order._starts
-    for start, end in zip(starts, starts[1:]):
-        after[end - 1] = ranks[start]
+    after = _successor_ranks(order)
     firsts = accumulate(T.h, initial=0)  # strip (i, j) is source strip firsts[i - 1] + j - 1
     offsets: list[int] = []
     for first, row in zip(firsts, order.cuts):
@@ -526,14 +496,23 @@ def _cut_offsets(T: GeometricType, order: OrderTable, runs: tuple[int, ...]) -> 
     return offsets
 
 
-def _ranks(order: OrderTable) -> list[int]:
-    """Each cut's table position, by cut id, written once off the rows: the
-    p-th cut of a row from the bottom has position p."""
+def _successor_ranks(order: OrderTable) -> list[int]:
+    """The table position of each cut's successor phase, by cut id.
+
+    The p-th cut of a row from the bottom has position p, written once off
+    the rows; the successor of cut c is cut c + 1, or the code's first cut
+    at its last phase.
+    """
     ranks = [0] * len(order.steps)
     _, positions = _lex_columns(list(map(len, order.cuts)))
     for c, p in zip(chain.from_iterable(order.cuts), positions):
         ranks[c] = p
-    return ranks
+    after = ranks[1:]
+    after.append(0)
+    starts = order._starts
+    for start, end in zip(starts, starts[1:]):
+        after[end - 1] = ranks[start]
+    return after
 
 
 def u_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementResult:

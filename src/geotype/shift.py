@@ -278,8 +278,8 @@ def binary_branches(T: GeometricType) -> dict[int, int]:
     ``core._branch_keys``, to j signed by the strip's orientation.  It is
     the accessor of the walks that look steps up (the cutting-family and
     code checks, whose values ``refine.build_order`` keeps on its order
-    table as the step column, and the keys of a recoded code outside the
-    family); a guard that only needs T binary calls :func:`require_binary`,
+    table as the step column, and the steps of every recoded code); a
+    guard that only needs T binary calls :func:`require_binary`,
     so a type keeps a table only when some walk reads it.  A key is unique
     only among steps with both symbols in 1..n, so a reader range-checks its symbols
     (:func:`require_symbols`) before a lookup.  The table is kept on T,

@@ -1,14 +1,15 @@
 """Textbook definitions kept as test references; nothing under
 ``src/geotype`` imports this module.
 
-The library sorts and recodes cut lines by one kneading key per phase
-(``geotype.refine._orbit_keys``), a byte string compared bytewise.  The
+The library sorts cut lines by one kneading key per phase
+(``geotype.refine._pack_keys``), a byte string compared bytewise.  The
 formulas here are the paper's pairwise definitions of that order: the strip
 index ``j_index``, the mismatch time ``mismatch_M`` of two shifted codes,
 the orientation product ``interchange_delta`` before it, and the comparison
 ``interval_less`` built on single keys decoded (``decode_key``) into signed
 strip sequences and compared as integer tuples.  Tests check the key sort
-against them.
+against them.  The order table's views by cut id and by row, ``pair`` and
+``refs``, serve these tests; the library reads neither.
 
 A refinement's rectangle map pi (refined r to the source rectangle of
 ``label_map[r - 1]``) intertwines the transition matrices of source and
@@ -18,7 +19,9 @@ A refinement also transports the boundary exactly: each side's boundary
 orbits of the refined type are the recodes of the source's boundary on
 that side, plus those of the cutting family on the cut side, and nothing
 else.  ``transported_boundary`` checks that identity through the public
-``recode``.
+``recode``.  ``recode_by_cycles`` is the definition a recode is tested
+against: every refined periodic code over the code, found by walking the
+refined type's transitions through the rectangles over its word.
 
 The library's symbolic side reads a sparse transition graph.  The dense
 matrix arithmetic here is its reference: the dense view ``dense_rows``,
@@ -76,6 +79,7 @@ boundary label's summary).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import accumulate
 from math import lcm
 
@@ -95,6 +99,7 @@ from geotype import (
     SULabel,
     VLabel,
     boundary_orbits,
+    incidence_matrix,
     s_boundary_positive_code,
     s_refine,
     u_boundary_negative_code,
@@ -102,7 +107,7 @@ from geotype import (
 )
 from geotype.boundary import BoundaryOrbitSummary
 from geotype.core import _branch_keys
-from geotype.refine import InvariantError, _orbit_keys
+from geotype.refine import InvariantError, _pack_keys
 from geotype.shift import AdmissibilityError, binary_branches, primitive_root, require_symbols
 
 
@@ -229,8 +234,9 @@ def decode_key(T: GeometricType, key: bytes) -> tuple[int, ...]:
 
 def _kneading_key(T: GeometricType, ref: IntervalRef, span: int) -> tuple[int, ...]:
     """The signed strip sequence of one cut line: its phase's entry of
-    :func:`_orbit_keys`, decoded."""
-    return decode_key(T, _orbit_keys(T, ref.code, span)[ref.t])
+    :func:`_pack_keys` over the code's :func:`step_column_by_labels`, decoded."""
+    steps = step_column_by_labels(T, [ref.code])
+    return decode_key(T, _pack_keys(T, steps, (0, len(steps)), span)[ref.t])
 
 
 def interval_less(T: GeometricType, a: IntervalRef, b: IntervalRef) -> bool:
@@ -251,12 +257,27 @@ def interval_less(T: GeometricType, a: IntervalRef, b: IntervalRef) -> bool:
     return key_a < key_b
 
 
+def pair(table: OrderTable, c: int) -> tuple[int, int]:
+    """The pair (f, t) of cut id c: the stable line of phase t of ``family[f]``."""
+    starts = table._starts
+    if not 0 <= c < starts[-1]:
+        raise ValueError(f"cut {c} is not a cut of this table (0..{starts[-1] - 1})")
+    f = bisect_right(starts, c) - 1
+    return f, c - starts[f]
+
+
+def refs(table: OrderTable, i: int) -> tuple[IntervalRef, ...]:
+    """The cut lines of rectangle i as interval references, bottom-up."""
+    table.count(i)  # the range check
+    return table.entries[i - 1]
+
+
 def positions(table: OrderTable) -> tuple[tuple[int, ...], ...]:
     """``positions(table)[f][t]`` is the table position of phase t of ``family[f]``."""
     rows = [[0] * code.period for code in table.family]
     for row in table.cuts:
         for p, c in enumerate(row, start=1):
-            f, t = table.pair(c)
+            f, t = pair(table, c)
             rows[f][t] = p
     return tuple(tuple(row) for row in rows)
 
@@ -362,6 +383,25 @@ def transported_boundary(result, codes, unstable: bool) -> bool:
         for shadow in result.recode(code)
     }
     return boundary_orbits(result.refined, unstable=unstable) == images
+
+
+def recode_by_cycles(result, code: PeriodicCode) -> frozenset[PeriodicCode]:
+    """The refined codes over a periodic code of a single-stage result, by
+    brute force: every cycle of 2p refined rectangles, p the code's period,
+    whose rectangles, mapped to their source rectangles through
+    ``label_map``, spell the code's word twice, with each step a transition
+    of the refined type, kept as the primitive root of its word.  Two
+    periods cover a cut line behind an odd number of orientation-reversing
+    strips, whose two flanks swap after one period."""
+    word = code.word * 2
+    over = [i for i, _ in result.label_map]
+    succ = incidence_matrix(result.refined).succ
+    paths = [[r] for r, i in enumerate(over, start=1) if i == word[0]]
+    for symbol in word[1:]:
+        paths = [path + [r] for path in paths for r in succ[path[-1] - 1] if over[r - 1] == symbol]
+    return frozenset(
+        PeriodicCode(primitive_root(path)) for path in paths if path[0] in succ[path[-1] - 1]
+    )
 
 
 def renumber(T: GeometricType, order: list[int]) -> GeometricType:

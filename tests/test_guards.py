@@ -151,14 +151,13 @@ def test_wp_refine_validates_each_type_object_at_most_once(monkeypatch):
     assert len({(id(T), unstable) for T, unstable in walks}) == len(walks)
 
 
-def test_each_recode_walks_few_family_orbits(monkeypatch):
-    """A recode of a code off the family orbits bisects each phase's
-    kneading key into its host's sorted cuts, so it packs the keys of the
-    family codes that bisection reads, each once, off the order table's
-    step column, and never packs keys over the whole family; a recode of
-    any phase of a family code reads its cuts' table positions and packs
-    no key.  bin(E1m) cut along every non-boundary orbit of period <= 10;
-    every pointed code of period <= 6 and every phase of 40 family codes."""
+def test_no_recode_packs_a_key(monkeypatch):
+    """A recode places every code by its steps alone, lifted through the
+    order table's row columns, so it packs no kneading key, neither its
+    own nor the family's: kneading keys are packed only to sort the cuts.
+    bin(E1m) cut along every non-boundary orbit of period <= 10; every
+    pointed code of period <= 6, and every phase of 40 family codes, each
+    of which yields its two flanks."""
     T = bin_refine(make_e1m()).refined
     boundary = {c.orbit() for c in per_s_codes(T)}
     orbits = enumerate_orbits(incidence_matrix(T), 10)
@@ -166,35 +165,29 @@ def test_each_recode_walks_few_family_orbits(monkeypatch):
     result = s_refine(T, family)
     assert len(family) == 225 and sum(map(len, result.order.cuts)) == 1965
     codes = [code for o in orbits if o.period <= 6 for code in o.phases()]
-    codes += [w.rotate(t) for w in family[:40] for t in range(w.period)]
-    packed: list[tuple[int, ...]] = []  # the bounds of each pack off the step column
+    phases = [w.rotate(t) for w in family[:40] for t in range(w.period)]
+    packed: list[tuple] = []
     real = geotype.refine._pack_keys
 
-    def counting(T, steps, bounds, span):
-        if steps is result.order.steps:
-            packed.append(tuple(bounds))
-        return real(T, steps, bounds, span)
+    def counting(*args):
+        packed.append(args)
+        return real(*args)
 
     monkeypatch.setattr(geotype.refine, "_pack_keys", counting)
-    worst = 0
-    for code in codes:
-        packed.clear()
-        assert result.recode(code)
-        assert all(len(bounds) == 2 for bounds in packed) and len(set(packed)) == len(packed)
-        assert code.orbit() in boundary or packed == [], code
-        worst = max(worst, len(packed))
-    assert 1 < worst < len(family) / 4
+    assert all(result.recode(code) for code in codes)
+    assert all(len(result.recode(code)) == 2 for code in phases)
+    assert packed == [] and len(phases) > 200
 
 
 def test_each_stable_walk_looks_each_step_up_once(monkeypatch):
     """The family check looks every step of the family up in the branch
     table once, and the order table keeps the values it found as its step
-    column, which the kneading keys, the cut offsets and every recode
-    read.  On bin(E1m) cut along every non-boundary orbit of period <= 10
-    of a side, ``s_refine`` makes one pass of branch-table keys over the
-    family's steps, and ``u_refine`` one over the reversed family's, on
-    the inverse.  A recode of a code off the family orbits makes one pass,
-    over its own steps; a recode of any phase of a family code makes none."""
+    column, which the kneading keys, the cut offsets and the row columns
+    of a recode read.  On bin(E1m) cut along every non-boundary orbit of
+    period <= 10 of a side, ``s_refine`` makes one pass of branch-table
+    keys over the family's steps, and ``u_refine`` one over the reversed
+    family's, on the inverse.  Every recode makes exactly one pass, over
+    its own steps, whether or not its code lies on a family orbit."""
     T = bin_refine(make_e1m()).refined
     orbits = enumerate_orbits(incidence_matrix(T), 10)
     passes: list[tuple[int, ...]] = []
@@ -230,7 +223,7 @@ def test_each_stable_walk_looks_each_step_up_once(monkeypatch):
     for code in (w.rotate(t) for w in family for t in range(w.period)):
         passes.clear()
         assert len(result.recode(code)) == 2
-        assert passes == [], code
+        assert passes == [code.word], code
     assert len(outside) >= 100
 
 
@@ -318,15 +311,20 @@ def test_pairwise_reference_order_is_not_exported():
 def test_trimmed_names_stay_out_of_the_library():
     """``classify_code`` is the one admissibility check of an eventually
     periodic code, the boundary labels live in ``boundary``, the canonical
-    tail form lives in the tests' reference module, and the affine model is
-    its integer columns, with no per-strip view."""
+    tail form lives in the tests' reference module, the affine model is
+    its integer columns, with no per-strip view, and a recode lifts every
+    code through the order table by one rule: the table's views by cut id
+    and by row live in the reference module, and no phase index, kneading
+    key of a recoded code or kept family key is left."""
     gone = {
         geotype.shift: {"is_admissible_eventually_periodic"},
         geotype.boundary: {"canonical_eventually_periodic"},
-        geotype.refine: {"BoundaryCodeError", "DuplicateOrbitError"},
+        geotype.refine: {"BoundaryCodeError", "DuplicateOrbitError", "_orbit_keys", "_ranks"},
         geotype.core: {"SULabel", "theta"},
         geotype.oracle: {"StripMap", "HLabel", "VLabel"},
         geotype.AffineModel: {"maps", "strip_map", "branch", "extract_type", "_branch_index"},
+        geotype.OrderTable: {"pair", "refs"},
+        geotype.RefinementResult: {"_phase_cuts", "_cut_ranks", "_kept_keys", "_family_keys"},
     }
     for module, names in gone.items():
         assert [name for name in names if hasattr(module, name)] == [], module.__name__

@@ -53,7 +53,7 @@ from geotype.refine import (
     _assemble,
     _blocks,
     _cut_offsets,
-    _orbit_keys,
+    _pack_keys,
     _sort_cuts,
 )
 from geotype.oracle import oracle_s_refine, periodic_point, realize
@@ -84,7 +84,10 @@ from reference import (
     intertwines,
     j_index,
     mismatch_M,
+    pair,
     position,
+    recode_by_cycles,
+    refs,
     step_column_by_labels,
     transported_boundary,
 )
@@ -210,10 +213,10 @@ def test_interval_less_is_strict_total_order():
         for family in cutting_families(T)[:4]:
             table = build_order(T, family)
             for i in range(1, T.n + 1):
-                refs = table.refs(i)
-                for a, b in permutations(refs, 2):
+                row = refs(table, i)
+                for a, b in permutations(row, 2):
                     assert interval_less(T, a, b) != interval_less(T, b, a)
-                for a, b, c in permutations(refs, 3):
+                for a, b, c in permutations(row, 3):
                     if interval_less(T, a, b) and interval_less(T, b, c):
                         assert interval_less(T, a, c)
 
@@ -243,7 +246,7 @@ def test_key_order_matches_pairwise_reference():
         order = s_refine(T, family).order
         assert table == order and hash(table) == hash(order) and table.steps == order.steps
         for i in range(1, T.n + 1):
-            for a, b in combinations(table.refs(i), 2):
+            for a, b in combinations(refs(table, i), 2):
                 less, delta = _pairwise_less(T, a, b)
                 assert less, (T, a, b)  # a precedes b in the table
                 period_pairs.add(tuple(sorted((a.code.period, b.code.period))))
@@ -272,6 +275,12 @@ def _signed_walks(T, code, span) -> list[tuple[int, ...]]:
     return walks
 
 
+def _phase_keys(T, code, span) -> list[bytes]:
+    """The kneading keys of every phase of one code, packed by the library
+    off the code's step column, looked up label by label."""
+    return _pack_keys(T, step_column_by_labels(T, [code]), (0, code.period), span)
+
+
 def _check_keys_against_walks(T, code, span) -> set[int]:
     """Each phase's byte key, digit by digit, against its walked signed
     sequence: symbol s is the digit max h + s, in as many big-endian bytes
@@ -280,7 +289,7 @@ def _check_keys_against_walks(T, code, span) -> set[int]:
     the sequence when delta_t = -1."""
     H = max(T.h)
     width = 1 if 2 * H < 256 else 2
-    keys = _orbit_keys(T, code, span)
+    keys = _phase_keys(T, code, span)
     assert len(keys) == code.period
     walks = _signed_walks(T, code, span)
     for t, (key, walk) in enumerate(zip(keys, walks)):
@@ -335,14 +344,14 @@ def test_wide_digit_keys_on_the_full_shift_on_130_symbols():
     deltas: set[int] = set()
     for code in family:
         deltas |= _check_keys_against_walks(T, code, span)
-        assert len(_orbit_keys(T, code, span)[0]) == 2 * span
+        assert len(_phase_keys(T, code, span)[0]) == 2 * span
     assert deltas == {1, -1}
 
     table = build_order(T, family)
     hosts = [i for i in range(1, T.n + 1) if table.count(i) >= 2]
     assert hosts
     for i in hosts:
-        for a, b in combinations(table.refs(i), 2):
+        for a, b in combinations(refs(table, i), 2):
             assert interval_less(T, a, b) and not interval_less(T, b, a)
             assert _pairwise_less(T, a, b)[0], (a, b)
 
@@ -391,7 +400,7 @@ def test_build_order_examples(e2):
     empty = build_order(e2, [])
     assert empty.count(1) == 0 and empty.count(2) == 0
     for i in (0, 3):  # outside 1..n: no wrap onto the last rectangle
-        for read in (table.count, table.refs):
+        for read in (table.count, lambda i: refs(table, i)):
             with pytest.raises(ValueError, match=rf"^rectangle {i} is not a rectangle of this"):
                 read(i)
 
@@ -417,11 +426,19 @@ def test_s_refine_worked_example(e2, e3):
     assert result.refined.v == (2, 2, 2, 2)
 
 
-def test_s_refine_empty_family_is_identity(e2):
+def test_s_refine_empty_family_is_identity(e2, e3):
+    """A family that cuts nothing returns T itself, and every admissible
+    code recodes to itself, with no row columns built; an inadmissible code
+    still raises."""
     result = s_refine(e2, [])
     assert result.refined is e2
     assert result.label_map == ((1, 1), (2, 1))
     assert result.order.cuts == ((), ())
+    for code in (W12, PeriodicCode((2, 1, 1)), PeriodicCode((2,))):
+        assert result.recode(code) == {code}
+    assert "_row_columns" not in result.__dict__
+    with pytest.raises(AdmissibilityError, match=r"^code 1 4 is not admissible for this type$"):
+        s_refine(e3, []).recode(PeriodicCode((1, 4)))
 
 
 def test_s_refine_boundary_code_errors(e2):
@@ -521,9 +538,9 @@ def test_sort_rejects_a_line_cut_twice(e2, e3):
         twice = (W12, W12.rotate(1))
         _sort_cuts(e2, twice, step_column_by_labels(e2, twice))
     family = (PeriodicCode((1, 1, 3)), PeriodicCode((2, 4, 4)))
-    assert _orbit_keys(e3, family[0], 12)[0] == _orbit_keys(e3, family[1], 12)[0]
+    assert _phase_keys(e3, family[0], 12)[0] == _phase_keys(e3, family[1], 12)[0]
     order = _sort_cuts(e3, family, step_column_by_labels(e3, family))
-    assert [[order.pair(c) for c in row] for row in order.cuts] == [
+    assert [[pair(order, c) for c in row] for row in order.cuts] == [
         [(0, 0), (0, 1)], [(1, 0)], [(0, 2)], [(1, 2), (1, 1)]
     ]
 
@@ -531,7 +548,7 @@ def test_sort_rejects_a_line_cut_twice(e2, e3):
 def test_r_of_counts_bands_and_rejects_a_label_outside(e2):
     """r is the number of bands of the rectangles before i, plus s, on both
     sides; a label outside the result raises ``ValueError`` naming it, as
-    ``OrderTable.refs`` does for a rectangle."""
+    ``OrderTable.count`` does for a rectangle."""
     results = (s_refine(e2, [W12]), u_refine(e2, [W12]), s_refine(e2, [W12, PeriodicCode((1, 2, 2))]))
     for result in results:
         n = result.refined.n
@@ -546,18 +563,18 @@ def test_r_of_counts_bands_and_rejects_a_label_outside(e2):
 
 
 def test_pair_rejects_a_cut_id_outside(e2):
-    """``pair`` maps every cut id 0..cuts-1 to its (f, t); an id outside
-    raises ``ValueError`` naming it and the range, as ``count`` does for a
-    rectangle, on both sides and on a table with no cuts."""
+    """The reference ``pair`` maps every cut id 0..cuts-1 to its (f, t); an
+    id outside raises ``ValueError`` naming it and the range, as ``count``
+    does for a rectangle, on both sides and on a table with no cuts."""
     for result in (s_refine(e2, [W12]), u_refine(e2, [W12])):
         order = result.order
-        assert [order.pair(c) for c in range(2)] == [(0, 0), (0, 1)]
+        assert [pair(order, c) for c in range(2)] == [(0, 0), (0, 1)]
         for c in (2, -1, 5):
             with pytest.raises(ValueError, match=rf"^cut {c} is not a cut of this table \(0..1\)$"):
-                order.pair(c)
+                pair(order, c)
     empty = build_order(e2, [])
     with pytest.raises(ValueError, match=r"^cut 0 is not a cut of this table \(0\.\.-1\)$"):
-        empty.pair(0)
+        pair(empty, 0)
 
 
 def _interleaved_family(T: GeometricType, unstable: bool, rng: random.Random) -> tuple[list, list]:
@@ -939,34 +956,30 @@ def test_wp_pipeline_leaves_no_reference_cycles(e2):
         gc.enable()
 
 
-def test_recode_batch_walks_each_code_once_per_span(monkeypatch):
-    """Recoding a batch through one result walks each (code, span) pair
-    once: a code off the family orbits through its branch-table lookups,
-    and each family code whose cuts those bisections read by packing its
-    slice of the step column.  Every code gives what a fresh result gives."""
+def test_recode_batch_builds_the_row_columns_once(monkeypatch):
+    """Recoding a batch through one result builds its row columns once, on
+    the first recode, from one ``_successor_ranks`` pass, and keeps them on
+    the result alone: the order table and the source type gain nothing.
+    Every code gives what a fresh result gives."""
     T = bin_refine(make_e1m()).refined
     orbits = enumerate_orbits(incidence_matrix(T), 6)
     s_orbits = {c.orbit() for c in per_s_codes(T)}
     result = s_refine(T, [o.canonical for o in orbits if o not in s_orbits])
     batch = [code for o in orbits for code in sorted(o.phases(), key=lambda c: c.word)]
     expected = [replace(result).recode(code) for code in batch]
-    walks: list[tuple[PeriodicCode, int]] = []
-    packs: list[tuple[tuple[int, ...], int]] = []  # family codes' (bounds, span)
-    pack_keys = geotype.refine._pack_keys
+    kept = set(vars(result.order)), set(vars(T))
+    built: list = []
+    real = geotype.refine._successor_ranks
 
-    def counting(T, code, span):
-        walks.append((code, span))
-        return _orbit_keys(T, code, span)
+    def counting(order):
+        built.append(order)
+        return real(order)
 
-    def counting_packs(T, steps, bounds, span):
-        if steps is result.order.steps:
-            packs.append((tuple(bounds), span))
-        return pack_keys(T, steps, bounds, span)
-
-    monkeypatch.setattr(geotype.refine, "_orbit_keys", counting)
-    monkeypatch.setattr(geotype.refine, "_pack_keys", counting_packs)
+    monkeypatch.setattr(geotype.refine, "_successor_ranks", counting)
+    assert "_row_columns" not in vars(result)
     assert [result.recode(code) for code in batch] == expected
-    assert len(walks) == len(set(walks)) and len(packs) == len(set(packs)) > 0
+    assert len(built) == 1 and built[0] is result.order and "_row_columns" in vars(result)
+    assert (set(vars(result.order)), set(vars(T))) == kept
 
 
 def test_every_stage_intertwines_the_transition_matrices(e2):
@@ -1017,6 +1030,40 @@ TRANSPORT_CORPUS = [
     *orientation_reversing_bin_types(12, 6),
     bin_refine(make_e1m()).refined,
 ]
+
+
+def _assert_recodes_match_cycles(count: int, P: int) -> None:
+    """Every phase of every orbit of period <= P, recoded through s- and
+    u-passes with ``drop_boundary`` along ``count`` spread families of
+    each seeded type and E3, and along all its orbits of period <= P + 1,
+    against the brute-force cycles over it."""
+    flanks = reversing = 0
+    for T in [*TRANSPORT_CORPUS, make_e3()]:
+        families = cutting_families(T)
+        orbits = enumerate_orbits(incidence_matrix(T), P + 1)
+        codes = [code for o in orbits if o.period <= P for code in o.phases()]
+        every = [o.canonical for o in orbits]
+        for W in [*families[:: max(1, len(families) // count)][:count], every]:
+            for refine in (s_refine, u_refine):
+                result = refine(T, W, drop_boundary=True)
+                for code in codes:
+                    recoded = result.recode(code)
+                    assert recoded == recode_by_cycles(result, code), (T, W, code)
+                    flanks += len(recoded) == 2
+                    reversing += len(recoded) == 2 and any(c.period > code.period for c in recoded)
+    assert flanks >= 100 and reversing >= 10, (flanks, reversing)
+
+
+def test_recode_matches_the_cycle_reference():
+    """Each recode is every refined periodic code over the code, no more
+    and no fewer: 6 families per type, codes of period <= 3."""
+    _assert_recodes_match_cycles(6, 3)
+
+
+@pytest.mark.slow
+def test_recode_matches_the_cycle_reference_at_scale():
+    """The same with 20 families per type and codes of period <= 4."""
+    _assert_recodes_match_cycles(20, 4)
 
 
 @pytest.mark.parametrize("drop_boundary", [False, True], ids=["keep", "drop"])
