@@ -280,11 +280,6 @@ class GeometricType:
         return len(steps) == len(self._slots)
 
     @cached_property
-    def _max_h(self) -> int:
-        """The largest h_i, which fixes the digit width of ``refine._pack_keys``."""
-        return max(self.h)
-
-    @cached_property
     def _gamma(self) -> list[int]:
         """gamma on the 2n boundary slots, 2(i-1) for (i, -1) and 2i-1 for (i, +1),
         read off strips (i, 1) and (i, h_i) in the table of every slot's

@@ -153,7 +153,7 @@ def _pack_keys(
     -1; delta_t is the sign of symbol t, since every strip index j is
     positive.
     """
-    H = T._max_h
+    H = max(T.h)
     width = (2 * H).bit_length() + 7 >> 3
     size = span * width
     keys: list[bytes] = []
@@ -189,19 +189,14 @@ class OrderTable:
     cut c runs through, from the family check; a function of the type and
     the family, it is out of ``==``, ``hash`` and ``repr``.  The interval
     references of the rows (:attr:`entries`) are a view built on demand.
-    The table keeps only what the sort found: the columns a recode reads
-    off its rows are kept on the result (``RefinementResult._row_columns``).
+    The table keeps only what the sort found: the cut marks that band
+    assembly cuts at and a recode bisects are kept on the result
+    (``RefinementResult._marks``).
     """
 
-    n: int
     family: tuple[PeriodicCode, ...]
     cuts: tuple[tuple[int, ...], ...]
     steps: list[int] = field(compare=False, repr=False)
-
-    def count(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"rectangle {i} is not a rectangle of this table (1..{self.n})")
-        return len(self.cuts[i - 1])
 
     @cached_property
     def _starts(self) -> tuple[int, ...]:
@@ -237,8 +232,8 @@ def build_order(T: GeometricType, W, *, drop_boundary: bool = False) -> OrderTab
     walk of its orbit, which reads the strips of its steps off the family's
     step column: the family check looks each step up in T's branch table
     once (``boundary._checked_family``), and the table keeps the values as
-    ``steps`` for the keys, the cut offsets and the row columns of a
-    recode (``RefinementResult._row_columns``).  The sort is the only
+    ``steps`` for the keys and the cut marks (:func:`_cut_marks`), which
+    band assembly cuts at and a recode bisects.  The sort is the only
     reader of kneading keys: a recode places a code by its steps alone.
     The family check costs O(sum of periods) past T's branch and gamma
     tables (O(alpha), once per type object), the keys O(cuts * P) and the
@@ -262,7 +257,7 @@ def _sort_cuts(T: GeometricType, family: tuple[PeriodicCode, ...], steps: list[i
     family never has.  An empty family returns before any key or row work.
     """
     if not family:
-        return OrderTable(T.n, family, ((),) * T.n, steps)
+        return OrderTable(family, ((),) * T.n, steps)
     words = list(map(attrgetter("word"), family))
     span = 4 * max(map(len, words))
     keys = _pack_keys(T, steps, list(accumulate(map(len, words), initial=0)), span)
@@ -276,7 +271,7 @@ def _sort_cuts(T: GeometricType, family: tuple[PeriodicCode, ...], steps: list[i
     hosts.sort()  # now the host of each sorted id
     bounds = list(map(bisect_left, repeat(hosts), range(1, T.n + 2)))
     rows = map(tuple(ids).__getitem__, map(slice, bounds, bounds[1:]))
-    return OrderTable(T.n, family, tuple(rows), steps)
+    return OrderTable(family, tuple(rows), steps)
 
 
 # -- refinement results -----------------------------------------------------------
@@ -348,21 +343,20 @@ class RefinementResult:
 
         Its steps are looked up in the source's branch table in one pass,
         which also checks it admissible; an empty family cuts nothing, so
-        the code is its own recode.  Otherwise every cut line steps onto a
-        cut line, so the cut lines in strip j of host i are the preimages of
-        those of the successor rectangle k that they step to, in k's order,
-        reversed when e = -1.  A point of that strip whose image lies in
-        band s of k lies in band 1 + (the cuts of i in strips below j) +
-        (the cuts in strip j whose successor's table position is < s, or
-        >= s when e = -1): one bisection into the strip's run of
-        :attr:`_row_columns`.  Walked backward over one period of the code,
-        or two when the orientation product over a period is -1, the rule
-        maps the bands of the first host monotonically into themselves.
-        Iterated from the bottom band and from the top band, it reaches its
-        least and greatest fixed points (Tarski, 1955): the two flanks of a
-        cut line, or the one band of any other code.  Each start must move
-        one way only, up from the bottom and down from the top, so the
-        iteration ends; a start that turns back raises ``InvariantError``.
+        the code is its own recode.  Otherwise a step of host i runs through
+        a strip x whose block in the run of blocks holds every band of the
+        successor rectangle, in reverse when e = -1, so a point whose image
+        lies in band t of the successor sits at offset ``runs[x] + t``, or
+        ``runs[x + 1] + 1 - t`` when e = -1.  The cut marks of band assembly
+        (:attr:`_marks`) below that offset are the cut lines of i below the
+        point: one bisection of i's marks.  Walked backward over one period
+        of the code, or two when the orientation product over a period is
+        -1, the rule maps the bands of the first host monotonically into
+        themselves.  Iterated from the bottom band and from the top band, it
+        reaches its least and greatest fixed points (Tarski, 1955): the two
+        flanks of a cut line, or the one band of any other code.  Each start
+        must move one way only, up from the bottom and down from the top, so
+        the iteration ends; a start that turns back raises ``InvariantError``.
         The bands of each final walk spell a refined word; its primitive
         root, a word of refined rectangle numbers, is a code built with no
         check.
@@ -375,12 +369,13 @@ class RefinementResult:
             raise AdmissibilityError(f"code {code} is not admissible for this type")
         if not self.order.family:
             return frozenset({code})
-        column, runs = self._row_columns
+        marks, runs = self._marks
         starts, offsets = self._band_starts, T._offsets
-        walk = []  # (strip's run, e, host, bands before the host) per step, last first
+        walk = []  # (offset of band 0, e, host's first mark, its end, host) per step, last first
         for i, step in zip(reversed(word), reversed(steps)):
             x = offsets[i - 1] + abs(step) - 1
-            walk.append((runs[x], runs[x + 1], 1 if step > 0 else -1, i, starts[i - 1]))
+            base, e = (runs[x], 1) if step > 0 else (runs[x + 1] + 1, -1)
+            walk.append((base, e, starts[i - 1] - i + 1, starts[i] - i, i))
         if sum(step < 0 for step in steps) % 2:
             walk *= 2
         words = set()
@@ -388,10 +383,10 @@ class RefinementResult:
         for s, up in ((1, True), (starts[first] - starts[first - 1], False)):
             while True:
                 bands, t = [], s  # t is a band of the current host, numbered within it
-                for lo, hi, e, i, before in walk:
-                    r = bisect_left(column, e * t, lo, hi) + i  # the refined rectangle
-                    bands.append(r)
-                    t = r - before
+                for base, e, lo, hi, i in walk:
+                    q = bisect_left(marks, base + e * t, lo, hi)  # the cuts below the point
+                    bands.append(q + i)  # the refined rectangle: a band more than cuts per rectangle
+                    t = q - lo + 1
                 if t == s:
                     break
                 if (t > s) != up:
@@ -401,28 +396,19 @@ class RefinementResult:
         return frozenset(map(PeriodicCode._of, words))
 
     @cached_property
-    def _row_columns(self) -> tuple[list[int], list[int]]:
-        """The order table as the lift reads it, built on the first recode
-        and kept on the result, never on the table or a type.
-
-        ``column`` holds, cut by cut in table order (the rows end to end),
-        the table position p of the cut's successor (:func:`_successor_ranks`),
-        stored as ~p = -p - 1 behind an e = -1 strip.  The cut lines of a
-        rectangle run through its strips bottom-up, so each strip's run of
-        ``column`` increases, and bisecting e * s into it counts the cuts
-        whose successors lie below band s, or, when e = -1, at or above
-        it.  ``runs[x]`` is where the run of source strip x starts, and
-        ``runs[alpha]`` is the number of cuts.  A bisection that returns
-        index q in a run of rectangle i counts q cuts below the point, those
-        of the rectangles before i included; each of those rectangles has
-        one band more than cuts, so the point lies in refined rectangle
-        q + i.
+    def _marks(self) -> tuple[list[int], list[int]]:
+        """The cut marks (:func:`_cut_marks`) and the block starts ``runs``
+        they are read against, built on the first recode and kept on the
+        result, never on the table or a type.  Strip x's block holds one
+        band per cut line of its target rectangle, plus one, and starts at
+        ``runs[x]``.  The marks increase, rectangle after rectangle, so the
+        marks of rectangle i are ``marks[lo:hi]``, with lo the cuts of the
+        rectangles before i.
         """
         order, T = self.order, self.source
-        after, steps = _successor_ranks(order), order.steps
-        column = [after[c] if steps[c] > 0 else ~after[c] for c in chain.from_iterable(order.cuts)]
-        strips = [x + abs(steps[c]) - 1 for x, row in zip(T._offsets, order.cuts) for c in row]
-        return column, list(map(bisect_left, repeat(strips), range(len(T._slots) + 1)))
+        bands = (0, *(len(row) + 1 for row in order.cuts))
+        runs = list(accumulate(map(bands.__getitem__, _rect_column(T.v, T._slots)), initial=0))
+        return _cut_marks(T, order, runs), runs
 
 
 def s_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementResult:
@@ -444,18 +430,18 @@ def _assemble(T: GeometricType, order: OrderTable) -> RefinementResult:
     """:func:`s_refine` past :func:`build_order`, in O(cuts) steps.
 
     :func:`_blocks` lays out the slots and eps, a rectangle having one band
-    more than cut lines, and :func:`_cut_offsets` places the cut lines in
-    each rectangle's run of blocks, reading the table's step column.  The
-    offsets must strictly increase within a rectangle, which also leaves no
-    band, and no piece of a strip, empty.  An empty family cuts nothing, so
-    the refined type is T itself, with every table already kept on it.
+    more than cut lines, and the cut marks (:func:`_cut_marks`) split each
+    rectangle's run of blocks into bands, reading the table's step column.
+    The marks must strictly increase within a rectangle, which also leaves
+    no band, and no piece of a strip, empty.  An empty family cuts nothing,
+    so the refined type is T itself, with every table already kept on it.
     """
     if not order.family:
         return RefinementResult(T, T, "s", order)
     tops = [len(row) + 1 for row in order.cuts]
     sizes, v_new, slots, eps = _blocks(T, tops)
     runs = tuple(accumulate(sizes, initial=0))  # strip x's block starts at runs[x]
-    ends = iter(_cut_offsets(T, order, runs))
+    ends = iter(_cut_marks(T, order, runs))
     marks = [0]  # band edges in the run of blocks, bottom-up, rectangle by rectangle
     for top, end in zip(tops, T._offsets[1:]):
         marks.extend(islice(ends, top - 1))
@@ -471,48 +457,32 @@ def _assemble(T: GeometricType, order: OrderTable) -> RefinementResult:
     return RefinementResult(refined, T, "s", order)
 
 
-def _cut_offsets(T: GeometricType, order: OrderTable, runs: tuple[int, ...]) -> list[int]:
-    """Each cut line's offset in its host's run of blocks, in table order.
+def _cut_marks(T: GeometricType, order: OrderTable, runs: Sequence[int]) -> list[int]:
+    """Each cut line's mark, its offset in the run of blocks, in table order.
 
     A cut line of rectangle i lies in the strip j that maps into its
     successor's rectangle, at the successor's table position p, and
-    ``order.steps[c]`` holds e * j for cut c.  Its offset is p past the
+    ``order.steps[c]`` holds e * j for cut c.  Its mark is p past the
     start of j's block (``runs[x]`` for source strip x), or p before its
-    end when e = -1.
-    The table's rows hold flat cut ids, so the host of each cut is its
-    row's rectangle, and every successor's table position is read off
-    :func:`_successor_ranks`, with no lookup in the family or the branch
-    table per cut.  A recode reads the same positions
-    (``RefinementResult._row_columns``).
-    """
-    after = _successor_ranks(order)
-    firsts = accumulate(T.h, initial=0)  # strip (i, j) is source strip firsts[i - 1] + j - 1
-    offsets: list[int] = []
-    for first, row in zip(firsts, order.cuts):
-        offsets += [
-            runs[first + j - 1] + p if j > 0 else runs[first - j] - p
-            for j, p in zip(map(order.steps.__getitem__, row), map(after.__getitem__, row))
-        ]
-    return offsets
-
-
-def _successor_ranks(order: OrderTable) -> list[int]:
-    """The table position of each cut's successor phase, by cut id.
-
-    The p-th cut of a row from the bottom has position p, written once off
-    the rows; the successor of cut c is cut c + 1, or the code's first cut
-    at its last phase.
+    end when e = -1.  The p-th cut of a row from the bottom has position p,
+    written once off the rows by cut id; the successor of cut c is cut
+    c + 1, or the code's first cut at its last phase.
     """
     ranks = [0] * len(order.steps)
-    _, positions = _lex_columns(list(map(len, order.cuts)))
-    for c, p in zip(chain.from_iterable(order.cuts), positions):
+    for c, p in zip(chain.from_iterable(order.cuts), _lex_columns(list(map(len, order.cuts)))[1]):
         ranks[c] = p
-    after = ranks[1:]
+    after = ranks[1:]  # the successor's position, by cut id
     after.append(0)
     starts = order._starts
     for start, end in zip(starts, starts[1:]):
         after[end - 1] = ranks[start]
-    return after
+    marks: list[int] = []
+    for first, row in zip(T._offsets, order.cuts):
+        marks += [
+            runs[first + j - 1] + p if j > 0 else runs[first - j] - p
+            for j, p in zip(map(order.steps.__getitem__, row), map(after.__getitem__, row))
+        ]
+    return marks
 
 
 def u_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementResult:

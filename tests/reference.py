@@ -8,8 +8,8 @@ index ``j_index``, the mismatch time ``mismatch_M`` of two shifted codes,
 the orientation product ``interchange_delta`` before it, and the comparison
 ``interval_less`` built on single keys decoded (``decode_key``) into signed
 strip sequences and compared as integer tuples.  Tests check the key sort
-against them.  The order table's views by cut id and by row, ``pair`` and
-``refs``, serve these tests; the library reads neither.
+against them.  The order table's views by cut id and by row, ``pair``,
+``count`` and ``refs``, serve these tests; the library reads none of them.
 
 A refinement's rectangle map pi (refined r to the source rectangle of
 ``label_map[r - 1]``) intertwines the transition matrices of source and
@@ -22,6 +22,8 @@ else.  ``transported_boundary`` checks that identity through the public
 ``recode``.  ``recode_by_cycles`` is the definition a recode is tested
 against: every refined periodic code over the code, found by walking the
 refined type's transitions through the rectangles over its word.
+``recode_chain`` writes recodes as golden text: codes fed through a chain
+of stages, one line per code per stage.
 
 The library's symbolic side reads a sparse transition graph.  The dense
 matrix arithmetic here is its reference: the dense view ``dense_rows``,
@@ -266,9 +268,17 @@ def pair(table: OrderTable, c: int) -> tuple[int, int]:
     return f, c - starts[f]
 
 
+def count(table: OrderTable, i: int) -> int:
+    """The number of cut lines of rectangle i."""
+    n = len(table.cuts)
+    if not 1 <= i <= n:
+        raise ValueError(f"rectangle {i} is not a rectangle of this table (1..{n})")
+    return len(table.cuts[i - 1])
+
+
 def refs(table: OrderTable, i: int) -> tuple[IntervalRef, ...]:
     """The cut lines of rectangle i as interval references, bottom-up."""
-    table.count(i)  # the range check
+    count(table, i)  # the range check
     return table.entries[i - 1]
 
 
@@ -402,6 +412,22 @@ def recode_by_cycles(result, code: PeriodicCode) -> frozenset[PeriodicCode]:
     return frozenset(
         PeriodicCode(primitive_root(path)) for path in paths if path[0] in succ[path[-1] - 1]
     )
+
+
+def recode_chain(name: str, stages, codes) -> list[str]:
+    """Golden lines of codes recoded through ``stages`` in turn, each stage
+    fed every code recoded out of the one before, sorted by word: one line
+    ``<name> <stage>: <code> -> <recodes>`` per code and stage, its recodes
+    sorted by word and joined by `` ; ``."""
+    lines = []
+    for number, stage in enumerate(stages, start=1):
+        out = set()
+        for code in codes:
+            recoded = sorted(stage.recode(code), key=lambda c: c.word)
+            out.update(recoded)
+            lines.append(f"{name} {number}: {code} -> {' ; '.join(map(str, recoded))}")
+        codes = sorted(out, key=lambda c: c.word)
+    return lines
 
 
 def renumber(T: GeometricType, order: list[int]) -> GeometricType:

@@ -152,8 +152,8 @@ def test_wp_refine_validates_each_type_object_at_most_once(monkeypatch):
 
 
 def test_no_recode_packs_a_key(monkeypatch):
-    """A recode places every code by its steps alone, lifted through the
-    order table's row columns, so it packs no kneading key, neither its
+    """A recode places every code by its steps alone, by bisecting the
+    cut marks of band assembly, so it packs no kneading key, neither its
     own nor the family's: kneading keys are packed only to sort the cuts.
     bin(E1m) cut along every non-boundary orbit of period <= 10; every
     pointed code of period <= 6, and every phase of 40 family codes, each
@@ -182,12 +182,12 @@ def test_no_recode_packs_a_key(monkeypatch):
 def test_each_stable_walk_looks_each_step_up_once(monkeypatch):
     """The family check looks every step of the family up in the branch
     table once, and the order table keeps the values it found as its step
-    column, which the kneading keys, the cut offsets and the row columns
-    of a recode read.  On bin(E1m) cut along every non-boundary orbit of
-    period <= 10 of a side, ``s_refine`` makes one pass of branch-table
-    keys over the family's steps, and ``u_refine`` one over the reversed
-    family's, on the inverse.  Every recode makes exactly one pass, over
-    its own steps, whether or not its code lies on a family orbit."""
+    column, which the kneading keys and the cut marks read.  On bin(E1m)
+    cut along every non-boundary orbit of period <= 10 of a side,
+    ``s_refine`` makes one pass of branch-table keys over the family's
+    steps, and ``u_refine`` one over the reversed family's, on the
+    inverse.  Every recode makes exactly one pass, over its own steps,
+    whether or not its code lies on a family orbit."""
     T = bin_refine(make_e1m()).refined
     orbits = enumerate_orbits(incidence_matrix(T), 10)
     passes: list[tuple[int, ...]] = []
@@ -314,20 +314,30 @@ def test_trimmed_names_stay_out_of_the_library():
     tail form lives in the tests' reference module, the affine model is
     its integer columns, with no per-strip view, and a recode lifts every
     code through the order table by one rule: the table's views by cut id
-    and by row live in the reference module, and no phase index, kneading
-    key of a recoded code or kept family key is left."""
+    and by row and its cut counts live in the reference module, no phase
+    index, kneading key of a recoded code or kept family key is left, and
+    the cut marks of band assembly are the one column that places a cut
+    line, for assembly and recode alike."""
     gone = {
         geotype.shift: {"is_admissible_eventually_periodic"},
         geotype.boundary: {"canonical_eventually_periodic"},
-        geotype.refine: {"BoundaryCodeError", "DuplicateOrbitError", "_orbit_keys", "_ranks"},
+        geotype.refine: {
+            "BoundaryCodeError", "DuplicateOrbitError", "_orbit_keys", "_ranks",
+            "_cut_offsets", "_successor_ranks",
+        },
         geotype.core: {"SULabel", "theta"},
+        geotype.GeometricType: {"_max_h"},
         geotype.oracle: {"StripMap", "HLabel", "VLabel"},
         geotype.AffineModel: {"maps", "strip_map", "branch", "extract_type", "_branch_index"},
-        geotype.OrderTable: {"pair", "refs"},
-        geotype.RefinementResult: {"_phase_cuts", "_cut_ranks", "_kept_keys", "_family_keys"},
+        geotype.OrderTable: {"pair", "refs", "count", "n"},
+        geotype.RefinementResult: {
+            "_phase_cuts", "_cut_ranks", "_kept_keys", "_family_keys", "_row_columns",
+        },
     }
     for module, names in gone.items():
         assert [name for name in names if hasattr(module, name)] == [], module.__name__
+    table = geotype.build_order(make_e2(), [PeriodicCode((1, 2))])
+    assert [name for name in ("count", "n") if hasattr(table, name)] == []
     assert not hasattr(geotype.BoundaryOrbitSummary, "canonical_tail")
     assert geotype.SULabel is geotype.boundary.SULabel
     assert geotype.theta is geotype.boundary.theta

@@ -52,12 +52,12 @@ from geotype.refine import (
     InvariantError,
     _assemble,
     _blocks,
-    _cut_offsets,
+    _cut_marks,
     _pack_keys,
     _sort_cuts,
 )
 from geotype.oracle import oracle_s_refine, periodic_point, realize
-from geotype.shift import AdmissibilityError, primitive_root
+from geotype.shift import AdmissibilityError, parse_codes, primitive_root
 
 from conftest import (
     binary_mixing_corpus,
@@ -77,6 +77,7 @@ from reference import (
     bin_refine_by_strips,
     branches_by_labels,
     composes,
+    count,
     decode_key,
     dense_rows,
     interchange_delta,
@@ -87,6 +88,7 @@ from reference import (
     pair,
     position,
     recode_by_cycles,
+    recode_chain,
     refs,
     step_column_by_labels,
     transported_boundary,
@@ -348,7 +350,7 @@ def test_wide_digit_keys_on_the_full_shift_on_130_symbols():
     assert deltas == {1, -1}
 
     table = build_order(T, family)
-    hosts = [i for i in range(1, T.n + 1) if table.count(i) >= 2]
+    hosts = [i for i in range(1, T.n + 1) if count(table, i) >= 2]
     assert hosts
     for i in hosts:
         for a, b in combinations(refs(table, i), 2):
@@ -392,15 +394,15 @@ def test_wide_digit_keys_on_the_full_shift_on_130_symbols():
 
 def test_build_order_examples(e2):
     table = build_order(e2, [W12])
-    assert table.count(1) == 1 and table.count(2) == 1
+    assert count(table, 1) == 1 and count(table, 2) == 1
     assert "entries" not in table.__dict__  # counting a row builds no IntervalRef
     assert table.steps == [2, 1] and "steps" not in repr(table)
     assert position(table, IntervalRef(0, W12)) == 1
     assert position(table, IntervalRef(1, W12)) == 1
     empty = build_order(e2, [])
-    assert empty.count(1) == 0 and empty.count(2) == 0
+    assert count(empty, 1) == 0 and count(empty, 2) == 0
     for i in (0, 3):  # outside 1..n: no wrap onto the last rectangle
-        for read in (table.count, lambda i: refs(table, i)):
+        for read in (lambda i: count(table, i), lambda i: refs(table, i)):
             with pytest.raises(ValueError, match=rf"^rectangle {i} is not a rectangle of this"):
                 read(i)
 
@@ -428,7 +430,7 @@ def test_s_refine_worked_example(e2, e3):
 
 def test_s_refine_empty_family_is_identity(e2, e3):
     """A family that cuts nothing returns T itself, and every admissible
-    code recodes to itself, with no row columns built; an inadmissible code
+    code recodes to itself, with no cut marks built; an inadmissible code
     still raises."""
     result = s_refine(e2, [])
     assert result.refined is e2
@@ -436,7 +438,7 @@ def test_s_refine_empty_family_is_identity(e2, e3):
     assert result.order.cuts == ((), ())
     for code in (W12, PeriodicCode((2, 1, 1)), PeriodicCode((2,))):
         assert result.recode(code) == {code}
-    assert "_row_columns" not in result.__dict__
+    assert "_marks" not in result.__dict__
     with pytest.raises(AdmissibilityError, match=r"^code 1 4 is not admissible for this type$"):
         s_refine(e3, []).recode(PeriodicCode((1, 4)))
 
@@ -489,7 +491,7 @@ def test_s_refine_count_identities():
         for family in cutting_families(T)[:5]:
             result = s_refine(T, family)
             order = result.order
-            expected_n = sum(order.count(i) + 1 for i in range(1, T.n + 1))
+            expected_n = sum(count(order, i) + 1 for i in range(1, T.n + 1))
             assert result.refined.n == expected_n
             for r, (i, s) in enumerate(result.label_map, start=1):
                 assert result.refined.v[r - 1] == T.v[i - 1]
@@ -548,12 +550,12 @@ def test_sort_rejects_a_line_cut_twice(e2, e3):
 def test_r_of_counts_bands_and_rejects_a_label_outside(e2):
     """r is the number of bands of the rectangles before i, plus s, on both
     sides; a label outside the result raises ``ValueError`` naming it, as
-    ``OrderTable.count`` does for a rectangle."""
+    the reference ``count`` does for a rectangle."""
     results = (s_refine(e2, [W12]), u_refine(e2, [W12]), s_refine(e2, [W12, PeriodicCode((1, 2, 2))]))
     for result in results:
         n = result.refined.n
         assert [result.r_of(i, s) for i, s in result.label_map] == list(range(1, n + 1))
-        outside = [(i, result.order.count(i) + 2) for i in (1, 2)] + [(0, 1), (3, 1), (1, 0), (2, 9)]
+        outside = [(i, count(result.order, i) + 2) for i in (1, 2)] + [(0, 1), (3, 1), (1, 0), (2, 9)]
         for i, s in outside:
             with pytest.raises(ValueError, match=rf"^label \({i},{s}\) is not a band of this result$"):
                 result.r_of(i, s)
@@ -637,7 +639,7 @@ def test_dropped_boundary_codes_leave_the_step_column(unstable):
     the kept codes, on binary mixing types and on types with
     orientation-reversing strips: the checked family's step column is the
     one looked up for the kept codes alone, dropping the boundary codes
-    refines as the kept codes alone do, and the engine's cut offsets, read
+    refines as the kept codes alone do, and the engine's cut marks, read
     off the column, are those placed from the pairwise reference order, on
     T for the stable side and on the inverse for the unstable side.  The
     checked column is the inner order table's on both sides: the unstable
@@ -661,8 +663,8 @@ def test_dropped_boundary_codes_leave_the_step_column(unstable):
             assert inner.order.family == tuple(codes) and inner.order.steps == steps, W
             sizes = _blocks(side, [len(row) + 1 for row in inner.order.cuts])[0]
             runs = tuple(accumulate(sizes, initial=0))
-            offsets = _cut_offsets(side, inner.order, runs)
-            assert offsets == _reference_offsets(side, codes), W
+            marks = _cut_marks(side, inner.order, runs)
+            assert marks == _reference_offsets(side, codes), W
             checked += len(W) > len(kept) + 1 and len(kept) > 1
             reversing += min(steps) < 0
     assert checked == 27 and reversing >= 12, (checked, reversing)
@@ -681,7 +683,7 @@ def test_cutting_passes_compose(e2, unstable):
     the other gives, renumbered by (i, s1, s2), the refinement along the
     whole family: on the seeded corpora at P = 2, 3, 4 and on E2 at P = 10.
     It sees the strip order inside every target block, which the ranks of
-    the cut offsets feed."""
+    the cut marks feed."""
     checked = 0
     for T in binary_mixing_corpus(11, 8) + orientation_reversing_bin_types(12, 6):
         for P in (2, 3, 4):
@@ -956,30 +958,82 @@ def test_wp_pipeline_leaves_no_reference_cycles(e2):
         gc.enable()
 
 
-def test_recode_batch_builds_the_row_columns_once(monkeypatch):
-    """Recoding a batch through one result builds its row columns once, on
-    the first recode, from one ``_successor_ranks`` pass, and keeps them on
-    the result alone: the order table and the source type gain nothing.
-    Every code gives what a fresh result gives."""
+def test_recode_batch_builds_the_marks_once(monkeypatch):
+    """Band assembly places the cut marks once, and a batch of recodes
+    through one result places them once more, on the first recode, and
+    keeps them on the result alone: the order table and the source type
+    gain nothing.  Every code gives what a fresh result gives."""
     T = bin_refine(make_e1m()).refined
     orbits = enumerate_orbits(incidence_matrix(T), 6)
     s_orbits = {c.orbit() for c in per_s_codes(T)}
+    built: list = []
+    real = geotype.refine._cut_marks
+
+    def counting(T, order, runs):
+        built.append(order)
+        return real(T, order, runs)
+
+    monkeypatch.setattr(geotype.refine, "_cut_marks", counting)
     result = s_refine(T, [o.canonical for o in orbits if o not in s_orbits])
+    assert len(built) == 1 and built[0] is result.order
     batch = [code for o in orbits for code in sorted(o.phases(), key=lambda c: c.word)]
     expected = [replace(result).recode(code) for code in batch]
     kept = set(vars(result.order)), set(vars(T))
-    built: list = []
-    real = geotype.refine._successor_ranks
-
-    def counting(order):
-        built.append(order)
-        return real(order)
-
-    monkeypatch.setattr(geotype.refine, "_successor_ranks", counting)
-    assert "_row_columns" not in vars(result)
+    built.clear()
+    assert "_marks" not in vars(result)
     assert [result.recode(code) for code in batch] == expected
-    assert len(built) == 1 and built[0] is result.order and "_row_columns" in vars(result)
+    assert len(built) == 1 and built[0] is result.order and "_marks" in vars(result)
     assert (set(vars(result.order)), set(vars(T))) == kept
+
+
+def test_recode_marks_are_the_band_edges_of_assembly(e2):
+    """The marks a recode bisects are the refined type's band edges in the
+    run of blocks, each rectangle's top edge left out: on every stable
+    stage of s_refine and u_refine along the seeded corpora's cutting
+    families, and of wp_refine(E2, P) for P = 2..6."""
+    results = []
+    for T in TRANSPORT_CORPUS:
+        u_boundary = {c.orbit() for c in per_u_codes(T)}
+        for family in cutting_families(T)[:4]:
+            results += [s_refine(T, family), u_refine(T, [w for w in family if w.orbit() not in u_boundary])]
+    for P in range(2, 7):
+        results += wp_refine(e2, P).stages
+    stages = [r.stages[0] if r.kind == "u" else r for r in results]
+    checked = 0
+    for stage in stages:
+        if not stage.order.family:
+            continue
+        tops = set(accumulate(len(row) + 1 for row in stage.order.cuts))
+        edges = list(accumulate(stage.refined.h))
+        assert stage._marks[0] == [e for b, e in enumerate(edges, start=1) if b not in tops]
+        checked += 1
+    assert checked >= 100, checked
+
+
+def _recode_golden() -> str:
+    """Every phase of every orbit of period <= 6, recoded through each
+    stage of ``wp_refine(E2, 6)`` in turn, and through the s and u passes
+    of bin(E1m) along ``E1m_bin_4.codes`` and, with ``drop_boundary``,
+    along ``E1m_bin_drop.codes``."""
+    lines = []
+    E2 = make_e2()
+    phases = [code for o in enumerate_orbits(incidence_matrix(E2), 6) for code in o.phases()]
+    lines += recode_chain("wp E2 6", wp_refine(E2, 6).stages, phases)
+    T = bin_refine(make_e1m()).refined
+    phases = [code for o in enumerate_orbits(incidence_matrix(T), 6) for code in o.phases()]
+    for name, drop in (("E1m_bin_4", False), ("E1m_bin_drop", True)):
+        W = parse_codes((GOLDEN / f"{name}.codes").read_text())
+        for refine in (s_refine, u_refine):
+            result = refine(T, W, drop_boundary=drop)
+            lines += recode_chain(f"{refine.__name__[0]} {name}", [result], phases)
+    return "\n".join(lines) + "\n"
+
+
+def test_recode_golden():
+    """Recodes are printed by no command, so this golden holds them: cut
+    codes and codes that cross no cut line, on both sides, behind
+    orientation-reversing strips and through a three-stage pipeline."""
+    assert _recode_golden() == (GOLDEN / "recode_E2_wp6.txt").read_text()
 
 
 def test_every_stage_intertwines_the_transition_matrices(e2):
