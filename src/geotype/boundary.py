@@ -202,10 +202,6 @@ class BoundarySets:
     def b_codes(self) -> frozenset[PeriodicCode]:
         return self.s_codes | self.u_codes
 
-    @property
-    def c_codes(self) -> frozenset[PeriodicCode]:
-        return self.s_codes & self.u_codes
-
     def orbits(self, which: frozenset[PeriodicCode]) -> tuple[CodeOrbit, ...]:
         return tuple(sorted({c.orbit() for c in which}, key=CodeOrbit.sort_key))
 

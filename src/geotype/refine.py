@@ -303,16 +303,6 @@ class RefinementResult:
             return None
         return tuple(_lex_pairs([len(row) + 1 for row in self.order.cuts]))
 
-    def r_of(self, i: int, s: int) -> int:
-        """The refined rectangle of band s of source rectangle i: the bands
-        of the rectangles before i, plus s."""
-        if self.order is None:
-            raise GeoTypeError("pipeline results have no single label map")
-        starts = self._band_starts
-        if not (1 <= i < len(starts) and 1 <= s <= starts[i] - starts[i - 1]):
-            raise ValueError(f"label ({i},{s}) is not a band of this result")
-        return starts[i - 1] + s
-
     @cached_property
     def _band_starts(self) -> tuple[int, ...]:
         """``_band_starts[i - 1]`` counts the bands of the rectangles before i."""

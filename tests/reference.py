@@ -9,7 +9,8 @@ the orientation product ``interchange_delta`` before it, and the comparison
 ``interval_less`` built on single keys decoded (``decode_key``) into signed
 strip sequences and compared as integer tuples.  Tests check the key sort
 against them.  The order table's views by cut id and by row, ``pair``,
-``count`` and ``refs``, serve these tests; the library reads none of them.
+``count`` and ``refs``, and a result's band lookup ``r_of`` serve these
+tests; the library reads none of them.
 
 A refinement's rectangle map pi (refined r to the source rectangle of
 ``label_map[r - 1]``) intertwines the transition matrices of source and
@@ -98,6 +99,7 @@ from geotype import (
     IntervalRef,
     OrderTable,
     PeriodicCode,
+    RefinementResult,
     SULabel,
     VLabel,
     boundary_orbits,
@@ -280,6 +282,17 @@ def refs(table: OrderTable, i: int) -> tuple[IntervalRef, ...]:
     """The cut lines of rectangle i as interval references, bottom-up."""
     count(table, i)  # the range check
     return table.entries[i - 1]
+
+
+def r_of(result: RefinementResult, i: int, s: int) -> int:
+    """The refined rectangle of band s of source rectangle i: the bands of
+    the rectangles before i, plus s."""
+    if result.order is None:
+        raise GeoTypeError("pipeline results have no single label map")
+    bands = [len(row) + 1 for row in result.order.cuts]
+    if not (1 <= i <= len(bands) and 1 <= s <= bands[i - 1]):
+        raise ValueError(f"label ({i},{s}) is not a band of this result")
+    return sum(bands[: i - 1]) + s
 
 
 def positions(table: OrderTable) -> tuple[tuple[int, ...], ...]:

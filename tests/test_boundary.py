@@ -235,10 +235,10 @@ def test_boundary_codes_take_linear_gamma_steps(monkeypatch):
 def test_boundary_sets_examples(e0, e2, e3):
     sets = boundary_sets(e2)
     assert words(sets.s_codes) == words(sets.u_codes) == [(1,), (2,)]
-    assert sets.b_codes == sets.c_codes
+    assert sets.b_codes == sets.s_codes & sets.u_codes
     sets3 = boundary_sets(e3)
     assert words(sets3.b_codes) == [(1,), (1, 3), (2, 4), (3, 1), (4,), (4, 2)]
-    assert words(sets3.c_codes) == [(1,), (4,)]
+    assert words(sets3.s_codes & sets3.u_codes) == [(1,), (4,)]
     sets0 = boundary_sets(e0)
     assert words(sets0.b_codes) == [(1,)]
 
@@ -346,7 +346,8 @@ def test_classify_walks_no_boundary_label(monkeypatch, e3):
 
 def test_corner_codes_classify_as_corner_leaves():
     for T in binary_mixing_corpus(seed=35, count=6):
-        for code in boundary_sets(T).c_codes:
+        sets = boundary_sets(T)
+        for code in sets.s_codes & sets.u_codes:
             embedded = EventuallyPeriodicCode(code.word, (), code.word)
             assert classify_code(T, embedded) == "corner-leaf"
 

@@ -12,8 +12,8 @@ from geotype import serialize
 from geotype.cli import main
 
 from conftest import UNUSABLE_INTEGER_FILES, make_e0
+from golden_cases import CASES, GOLDEN, expected, outcome
 
-GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -37,6 +37,21 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join(case[0][0]))
+def test_golden_case(capsys, monkeypatch, case):
+    monkeypatch.chdir(GOLDEN)
+    monkeypatch.delenv("GEOTYPE_COLOR", raising=False)
+    assert outcome(case, lambda argv: run_cli(capsys, *argv)) == expected(case)
+
+
+def test_every_golden_file_belongs_to_a_case():
+    """Each golden file is named by a case, or other tests read it: the recode
+    golden and the inputs of test_refine, test_core, test_acceptance and test_cli_fuzz."""
+    named = {"recode_E2_wp6.txt", "E1.gt", "E2.gt", "E3.gt", "W12.codes", "E1m_bin_4.codes"}
+    named |= {"E1m_bin_drop.codes"} | {name for runs, _, *files in CASES for name in [*files, *sum(runs, [])]}
+    assert sorted(path.name for path in GOLDEN.iterdir() if path.name not in named) == []
+
+
 def test_validate_ok(capsys, e2_path):
     code, out, err = run_cli(capsys, "validate", e2_path)
     assert (code, out, err) == (0, "ok\n", "")
@@ -50,27 +65,12 @@ def test_validate_broken(capsys, tmp_path):
     assert "Σh ≠ Σv" in out
 
 
-def test_bin_golden(capsys, e1_path):
-    code, out, err = run_cli(capsys, "bin", e1_path)
-    assert code == 0
-    assert out == (GOLDEN / "E2.gt").read_text()
-    assert err == ""
-
-
 def test_alpha_and_invert(capsys, e2_path):
     code, out, _ = run_cli(capsys, "alpha", e2_path)
     assert (code, out) == (0, "4\n")
     code, out, _ = run_cli(capsys, "invert", e2_path)
     assert code == 0
-    assert out == (GOLDEN / "E2.gt").read_text()  # E2 is self-inverse
-
-
-def test_invert_golden(capsys):
-    """E3 is not self-inverse; inverting its inverse gives E3 back."""
-    code, out, err = run_cli(capsys, "invert", str(GOLDEN / "E3.gt"))
-    assert (code, out, err) == (0, (GOLDEN / "invert_E3.txt").read_text(), "")
-    code, out, err = run_cli(capsys, "invert", str(GOLDEN / "invert_E3.txt"))
-    assert (code, out, err) == (0, (GOLDEN / "E3.gt").read_text(), "")
+    assert out == Path(e2_path).read_text()  # E2 is self-inverse
 
 
 def test_incidence_and_checks(capsys, e1_path, e2_path):
@@ -88,36 +88,6 @@ def test_orbits(capsys, e2_path):
     code, out, _ = run_cli(capsys, "orbits", e2_path, "--max-period", "2")
     assert code == 0
     assert out == "CODE 1\nCODE 2\nCODE 1 2\n"
-
-
-@pytest.mark.parametrize(
-    "argv, golden",
-    [
-        (["orbits", "E3.gt", "--max-period", "6"], "orbits_E3_6.txt"),
-        (["incidence", "E3.gt"], "E3_incidence.txt"),
-        (["orbits", "E2.gt", "--max-period", "10"], "orbits_E2_10.txt"),
-    ],
-)
-def test_symbolic_goldens(capsys, argv, golden):
-    code, out, err = run_cli(capsys, argv[0], str(GOLDEN / argv[1]), *argv[2:])
-    assert (code, out, err) == (0, (GOLDEN / golden).read_text(), "")
-
-
-@pytest.mark.parametrize(
-    "argv, golden",
-    [
-        (["corner", "E3.gt"], "corner_E3.txt"),
-        (["corner", "E2.gt"], "E2.gt"),
-        (["wp", "E2.gt", "--max-period", "4"], "wp_E2_4.txt"),
-        (["wp", "E2.gt", "--max-period", "6"], "wp_E2_6.txt"),
-    ],
-)
-def test_pipeline_goldens(capsys, argv, golden):
-    """On E3 the corner s-pass cuts nothing and the u-pass takes n from 4
-    to 8; E2 has the corner property, so both passes cut nothing; the wp
-    outputs have n = 62 and, at period bound 6, n = 314."""
-    code, out, err = run_cli(capsys, argv[0], str(GOLDEN / argv[1]), *argv[2:])
-    assert (code, out, err) == (0, (GOLDEN / golden).read_text(), "")
 
 
 def test_period_bound_beyond_the_recursion_limit(capsys, tmp_path):
@@ -139,34 +109,11 @@ def test_orbits_negative_period_is_a_usage_error(capsys, e2_path):
     assert "--max-period must be nonnegative" in captured.err
 
 
-def test_codes_report(capsys, e2_path):
-    code, out, _ = run_cli(capsys, "codes", e2_path)
-    assert code == 0
-    assert out == (GOLDEN / "codes_E2.txt").read_text()
-
-
 def test_classify(capsys, e2_path):
     code, out, _ = run_cli(capsys, "classify", e2_path, "--code", "1 | 2 | 2")
     assert (code, out) == (0, "corner-leaf\n")
     code, out, _ = run_cli(capsys, "classify", e2_path, "--code", "1 2 | | 1 2")
     assert (code, out) == (0, "interior\n")
-
-
-def test_classify_golden(capsys, e2_path):
-    """One spec per verdict; the console-script CI job diffs the same lines."""
-    outs = []
-    for spec in ("1 | 2 | 2", "1 2 | | 2", "1 | | 1 2", "1 2 | | 1 2"):
-        code, out, err = run_cli(capsys, "classify", e2_path, "--code", spec)
-        assert (code, err) == (0, "")
-        outs.append(out)
-    assert "".join(outs) == (GOLDEN / "classify_E2.txt").read_text()
-
-
-def test_srefine_golden(capsys, e2_path, w12_path):
-    code, out, err = run_cli(capsys, "srefine", e2_path, "--codes", w12_path)
-    assert code == 0
-    assert out == (GOLDEN / "srefine_E2_w12.txt").read_text()
-    assert err == ""
 
 
 def test_srefine_boundary_error(capsys, e2_path, tmp_path):
@@ -179,43 +126,13 @@ def test_srefine_boundary_error(capsys, e2_path, tmp_path):
     assert err.startswith("BoundaryCodeError")
 
 
-def test_srefine_drop_boundary_warns(capsys, e2_path, tmp_path):
+def test_srefine_drop_boundary_warns(capsys, e2_path, w12_path, tmp_path):
     codes = tmp_path / "W.codes"
     codes.write_text("CODE 1\nCODE 1 2\n")
     code, out, err = run_cli(capsys, "srefine", e2_path, "--codes", str(codes), "--drop-boundary")
     assert code == 0
-    assert out == (GOLDEN / "srefine_E2_w12.txt").read_text()
+    assert out == run_cli(capsys, "srefine", e2_path, "--codes", w12_path)[1]
     assert "dropped 1 boundary code" in err
-
-
-@pytest.mark.parametrize(
-    "type_name, codes_name, golden",
-    [
-        ("E1", "W12", "srefine_E1_w12.err"),
-        ("E2", "W12_twice", "srefine_E2_w12_twice.err"),
-    ],
-    ids=["non-binary-type", "duplicate-orbit"],
-)
-def test_srefine_error_goldens(capsys, type_name, codes_name, golden):
-    """A non-binary type and a family that lists the orbit of (1 2) twice:
-    exit code 1, no stdout, and the one stderr line of the golden."""
-    type_path, codes_path = (str(GOLDEN / name) for name in (f"{type_name}.gt", f"{codes_name}.codes"))
-    code, out, err = run_cli(capsys, "srefine", type_path, "--codes", codes_path)
-    assert (code, out, err) == (1, "", (GOLDEN / golden).read_text())
-
-
-def test_urefine_error_names_the_code_in_forward_time(capsys):
-    """A chiral orbit listed twice on the unstable side: the at-once check
-    walks the reversed codes, but the error names the orbit in forward
-    time, ``1 1 2 1 2 2``; the reversed orbit's key would be ``1 1 2 2 1 2``."""
-    type_path, codes_path = str(GOLDEN / "E2.gt"), str(GOLDEN / "chiral_twice.codes")
-    code, out, err = run_cli(capsys, "urefine", type_path, "--codes", codes_path)
-    assert (code, out, err) == (1, "", (GOLDEN / "urefine_E2_chiral_twice.err").read_text())
-
-
-def test_urefine_golden(capsys, e2_path, w12_path):
-    code, out, err = run_cli(capsys, "urefine", e2_path, "--codes", w12_path)
-    assert (code, out, err) == (0, (GOLDEN / "urefine_E2_w12.txt").read_text(), "")
 
 
 @pytest.mark.parametrize("command", ["srefine", "urefine", "classify"])
@@ -239,103 +156,22 @@ def test_urefine(capsys, e2_path, tmp_path):
 
 
 def test_corner_and_wp(capsys, e2_path):
+    """E2 has the corner property, so both pipelines return it unchanged."""
     code, out, _ = run_cli(capsys, "corner", e2_path)
     assert code == 0
-    assert out == (GOLDEN / "E2.gt").read_text()
+    assert out == Path(e2_path).read_text()
     code, out_wp, _ = run_cli(capsys, "wp", e2_path, "--max-period", "1")
     assert code == 0
-    assert out_wp == (GOLDEN / "E2.gt").read_text()
+    assert out_wp == Path(e2_path).read_text()
     code, _, err = run_cli(capsys, "wp", e2_path, "--max-period", "0")
     assert code == 1
     assert "P below" in err
-
-
-def test_corner_along(capsys, e2_path, w12_path):
-    code, out, _ = run_cli(capsys, "corner", e2_path, "--along", w12_path)
-    assert code == 0
-    assert out == (GOLDEN / "corner_E2_along_w12.txt").read_text()
-
-
-def test_oracle_check(capsys, e2_path, w12_path):
-    code, out, err = run_cli(capsys, "oracle-check", e2_path, "--codes", w12_path)
-    assert code == 0
-    assert out == (GOLDEN / "E3.gt").read_text()
-    assert err == ""
-
-
-def test_oracle_check_golden_with_orientation_reversal(capsys, tmp_path):
-    """bin(E1m), whose strips (2,1) and (2,2) reverse orientation, along
-    every non-s-boundary orbit of period <= 4: the oracle's e = -1 bands."""
-    code, out, err = run_cli(capsys, "bin", str(GOLDEN / "E1m.gt"))
-    assert (code, err) == (0, "")
-    bin_path = tmp_path / "bin_E1m.gt"
-    bin_path.write_text(out)
-    codes = str(GOLDEN / "E1m_bin_4.codes")
-    code, out, err = run_cli(capsys, "oracle-check", str(bin_path), "--codes", codes)
-    assert (code, out, err) == (0, (GOLDEN / "oracle_E1m_bin_4.txt").read_text(), "")
-
-
-@pytest.mark.parametrize("command", ["srefine", "urefine"])
-def test_refine_golden_with_orientation_reversal(capsys, tmp_path, command):
-    """The ORDER and CUT lines of bin(E1m) along every non-s-boundary orbit
-    of period <= 4, where cut lines behind a reversing strip sort by negated
-    kneading keys; E2 along W12 (every eps = +1) never takes that path."""
-    code, out, err = run_cli(capsys, "bin", str(GOLDEN / "E1m.gt"))
-    assert (code, err) == (0, "")
-    bin_path = tmp_path / "bin_E1m.gt"
-    bin_path.write_text(out)
-    codes = str(GOLDEN / "E1m_bin_4.codes")
-    code, out, err = run_cli(capsys, command, str(bin_path), "--codes", codes)
-    assert (code, out, err) == (0, (GOLDEN / f"{command}_E1m_bin_4.txt").read_text(), "")
-
-
-
-@pytest.mark.parametrize("command", ["srefine", "urefine"])
-def test_refine_drop_boundary_golden(capsys, tmp_path, command):
-    """bin(E1m) along a family that lists its boundary orbit (1) twice,
-    between codes whose steps run through the reversing strips (2,1) and
-    (2,2): ``--drop-boundary`` drops both, warns once, and prints the
-    refinement along the kept codes, byte for byte."""
-    code, out, err = run_cli(capsys, "bin", str(GOLDEN / "E1m.gt"))
-    assert (code, err) == (0, "")
-    bin_path = tmp_path / "bin_E1m.gt"
-    bin_path.write_text(out)
-    codes = str(GOLDEN / "E1m_bin_drop.codes")
-    code, out, err = run_cli(capsys, command, str(bin_path), "--codes", codes, "--drop-boundary")
-    expected = (GOLDEN / f"{command}_E1m_bin_drop.txt").read_text()
-    assert (code, out, err) == (0, expected, (GOLDEN / f"{command}_E1m_bin_drop.err").read_text())
-
-def test_render_dot_golden(capsys, e2_path):
-    code, out, _ = run_cli(capsys, "render", e2_path, "--format", "dot")
-    assert code == 0
-    assert out == (GOLDEN / "E2_incidence.dot").read_text()
 
 
 def test_render_svg(capsys, e2_path, w12_path):
     code, out, _ = run_cli(capsys, "render", e2_path, "--format", "svg", "--codes", w12_path)
     assert code == 0
     assert out.startswith("<svg") and "(0,1.2)" in out
-
-
-def test_render_svg_golden(capsys, e2_path, w12_path):
-    """The SVG of E2 with the cut lines of W12, byte for byte: its red lines
-    sit at the exact cut heights 2/3 and 1/3 of the orbit walk."""
-    code, out, _ = run_cli(capsys, "render", e2_path, "--format", "svg", "--codes", w12_path)
-    assert code == 0
-    assert out == (GOLDEN / "E2_w12.svg").read_text()
-
-
-def test_render_svg_golden_with_orientation_reversal(capsys, tmp_path):
-    """The SVG of bin(E1m) along every non-s-boundary orbit of period <= 4,
-    byte for byte: the orbit walk runs through the strips (2,1) and (2,2),
-    whose maps reverse orientation (eps = -1)."""
-    code, out, err = run_cli(capsys, "bin", str(GOLDEN / "E1m.gt"))
-    assert (code, err) == (0, "")
-    bin_path = tmp_path / "bin_E1m.gt"
-    bin_path.write_text(out)
-    codes = str(GOLDEN / "E1m_bin_4.codes")
-    code, out, err = run_cli(capsys, "render", str(bin_path), "--format", "svg", "--codes", codes)
-    assert (code, out, err) == (0, (GOLDEN / "E1m_bin_4.svg").read_text(), "")
 
 
 def test_render_svg_rejects_a_symbol_above_n(capsys, e2_path, tmp_path):

@@ -317,7 +317,9 @@ def test_trimmed_names_stay_out_of_the_library():
     and by row and its cut counts live in the reference module, no phase
     index, kneading key of a recoded code or kept family key is left, and
     the cut marks of band assembly are the one column that places a cut
-    line, for assembly and recode alike."""
+    line, for assembly and recode alike.  Only tests read a result's band
+    lookup ``r_of``, now a reference function, or the corner codes of
+    ``BoundarySets``, ``s_codes & u_codes``."""
     gone = {
         geotype.shift: {"is_admissible_eventually_periodic"},
         geotype.boundary: {"canonical_eventually_periodic"},
@@ -331,8 +333,9 @@ def test_trimmed_names_stay_out_of_the_library():
         geotype.AffineModel: {"maps", "strip_map", "branch", "extract_type", "_branch_index"},
         geotype.OrderTable: {"pair", "refs", "count", "n"},
         geotype.RefinementResult: {
-            "_phase_cuts", "_cut_ranks", "_kept_keys", "_family_keys", "_row_columns",
+            "_phase_cuts", "_cut_ranks", "_kept_keys", "_family_keys", "_row_columns", "r_of",
         },
+        geotype.BoundarySets: {"c_codes"},
     }
     for module, names in gone.items():
         assert [name for name in names if hasattr(module, name)] == [], module.__name__

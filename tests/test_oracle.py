@@ -51,7 +51,7 @@ from conftest import (
     random_corpus,
     record_builds,
 )
-from reference import branches_by_labels, interval_less, strip_columns_by_labels
+from reference import branches_by_labels, interval_less, r_of, strip_columns_by_labels
 
 W12 = PeriodicCode((1, 2))
 
@@ -402,7 +402,7 @@ def test_strict_recode_matches_oracle_bands():
                     y = periodic_point(model, v, t).y
                     i = v.symbol(t)
                     s = 1 + sum(1 for cy in cut_heights[i] if cy < y)
-                    expected.append(result.r_of(i, s))
+                    expected.append(r_of(result, i, s))
                 assert code.word == primitive_root(tuple(expected))
 
 

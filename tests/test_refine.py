@@ -87,6 +87,7 @@ from reference import (
     mismatch_M,
     pair,
     position,
+    r_of,
     recode_by_cycles,
     recode_chain,
     refs,
@@ -554,13 +555,13 @@ def test_r_of_counts_bands_and_rejects_a_label_outside(e2):
     results = (s_refine(e2, [W12]), u_refine(e2, [W12]), s_refine(e2, [W12, PeriodicCode((1, 2, 2))]))
     for result in results:
         n = result.refined.n
-        assert [result.r_of(i, s) for i, s in result.label_map] == list(range(1, n + 1))
+        assert [r_of(result, i, s) for i, s in result.label_map] == list(range(1, n + 1))
         outside = [(i, count(result.order, i) + 2) for i in (1, 2)] + [(0, 1), (3, 1), (1, 0), (2, 9)]
         for i, s in outside:
             with pytest.raises(ValueError, match=rf"^label \({i},{s}\) is not a band of this result$"):
-                result.r_of(i, s)
+                r_of(result, i, s)
     with pytest.raises(GeoTypeError, match="pipeline results have no single label map"):
-        corner_refine(e2).r_of(1, 1)
+        r_of(corner_refine(e2), 1, 1)
 
 
 
