@@ -27,7 +27,6 @@ U-leaf exactly when its periodic end on that side is a boundary orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import add, attrgetter, itemgetter, not_
 from typing import NamedTuple
@@ -100,8 +99,7 @@ def upsilon_step(T: GeometricType, label: SULabel) -> SULabel:
     return gamma_step(invert(T), label)
 
 
-@dataclass(frozen=True)
-class BoundaryOrbitSummary:
+class BoundaryOrbitSummary(NamedTuple):
     """Eventually periodic first-component code of a boundary label's orbit."""
 
     label: SULabel
@@ -193,8 +191,7 @@ def per_u_codes(T: GeometricType) -> frozenset[PeriodicCode]:
     return frozenset(code for orbit in boundary_orbits(T, unstable=True) for code in orbit.phases())
 
 
-@dataclass(frozen=True)
-class BoundarySets:
+class BoundarySets(NamedTuple):
     s_codes: frozenset[PeriodicCode]
     u_codes: frozenset[PeriodicCode]
 

@@ -7,13 +7,21 @@ horizontal and v_i vertical sub-rectangle counts, a bijection rho from
 horizontal labels (i, j) to vertical labels (k, l), and an orientation sign
 eps(i, j) in {+1, -1}.  All indices are 1-based; position j = 1 is the bottom
 strip and l = 1 the leftmost strip.
+
+The package's records generate no code at import.  A record with no kept
+facts and no argument checks is a ``typing.NamedTuple``, as ``HLabel`` is.
+Any other is a class on ``_Record``, where assignment and deletion raise
+``AttributeError``: its ``__init__`` checks its arguments and stores them
+past that guard, and its ``_fields`` name the members that ``==``, ``hash``
+(of their tuple) and ``repr`` read.  Facts derived from them are
+``cached_property``s, written to ``__dict__`` past the guard and left out of
+``==``, ``hash`` and ``repr``.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, cycle, islice, repeat
 from operator import add, mul, sub
@@ -44,6 +52,39 @@ class HLabel(NamedTuple):
 class VLabel(NamedTuple):
     k: int
     l: int
+
+
+class _Record:
+    """An immutable record (see the module docstring); the classes whose
+    ``==`` and ``hash`` are hot write them out by hand."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _set_fields(self, *values: object) -> None:
+        """Store ``values`` as the ``_fields``, in order, past the guard."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 def _lex_columns(counts: Sequence[int]) -> tuple[Iterator[int], Iterator[int]]:
@@ -124,8 +165,7 @@ def _step_keys(T: "GeometricType") -> Iterator[int]:
     return map(add, accumulate(rows), _rect_column(T.v, T._slots))
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class GeometricType:
+class GeometricType(_Record):
     """Immutable geometric type.
 
     ``GeometricType(h, v, rho, eps)`` takes rho as (k, l) pairs, lists or
@@ -145,11 +185,6 @@ class GeometricType:
     most once per object and kept in private cached members, which ``==``,
     ``hash`` and ``repr`` ignore.
     """
-
-    h: tuple[int, ...]
-    v: tuple[int, ...]
-    _slots: tuple[int, ...]
-    eps: tuple[int, ...]
 
     def __init__(
         self,
@@ -193,6 +228,14 @@ class GeometricType:
     def _store(self, h: tuple, v: tuple, slots: tuple, eps: tuple) -> None:
         """Set the four fields: the last step of every construction."""
         self.__dict__.update(h=h, v=v, _slots=slots, eps=eps)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.h, self.v, self._slots, self.eps) == (other.h, other.v, other._slots, other.eps)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.h, self.v, self._slots, self.eps))
 
     def __repr__(self) -> str:
         return f"GeometricType(h={self.h!r}, v={self.v!r}, rho={self.rho!r}, eps={self.eps!r})"
@@ -321,8 +364,7 @@ class GeometricType:
         return (k, l, self.eps[x])
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[str, ...]
 

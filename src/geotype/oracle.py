@@ -28,16 +28,16 @@ and the cutting family's in :func:`boundary.cutting_family`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, count, repeat
 from operator import floordiv, lshift, lt, mul
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
     GeoTypeError,
     GeometricType,
+    _Record,
     _branch_keys,
     _lex_columns,
     _targets,
@@ -51,25 +51,22 @@ class TieError(GeoTypeError):
     """Two distinct cut lines landed on the same height: a deduplication bug."""
 
 
-@dataclass(frozen=True)
-class RationalPoint:
+class RationalPoint(NamedTuple):
     square: int
     x: Fraction
     y: Fraction
 
 
-@dataclass(frozen=True)
-class AffineModel:
+class AffineModel(_Record):
     """The strip maps of ``source`` as integer columns in the lexicographic
     order of its strips: strip x, the x-th label (i, j) counted from 0, maps
     by y -> a[x] y + b[x] and x -> (x + l[x] - 1) / v_k onto the vertical
     strip (k[x], l[x])."""
 
-    source: GeometricType
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    k: tuple[int, ...]
-    l: tuple[int, ...]
+    _fields = ("source", "a", "b", "k", "l")
+
+    def __init__(self, source: GeometricType, a: tuple, b: tuple, k: tuple, l: tuple) -> None:
+        self._set_fields(source, a, b, k, l)
 
     @cached_property
     def _branches(self) -> dict[int, int]:
@@ -178,8 +175,7 @@ def periodic_point(model: AffineModel, code: PeriodicCode, phase: int = 0) -> Ra
     return RationalPoint(code.symbol(t), x, Fraction(nums[t], den))
 
 
-@dataclass(frozen=True)
-class OracleRefinement:
+class OracleRefinement(_Record):
     """The refined type, its label map and each square's cut lines from the
     bottom up.  The cut lines are kept as columns: line x has the height
     ``_nums[x] / _dens[x]``, unreduced, the phase ``_phases[x]`` and the
@@ -187,13 +183,19 @@ class OracleRefinement:
     the bottom up.  ``cut_heights`` makes each square's (height, phase,
     code) triples, with ``Fraction`` heights, on first read."""
 
-    refined: GeometricType
-    label_map: tuple[tuple[int, int], ...]
-    _rows: tuple[list[int], ...]
-    _nums: list[int]
-    _dens: list[int]
-    _phases: list[int]
-    _codes: list[PeriodicCode]
+    _fields = ("refined", "label_map", "_rows", "_nums", "_dens", "_phases", "_codes")
+
+    def __init__(
+        self,
+        refined: GeometricType,
+        label_map: tuple[tuple[int, int], ...],
+        _rows: tuple[list[int], ...],
+        _nums: list[int],
+        _dens: list[int],
+        _phases: list[int],
+        _codes: list[PeriodicCode],
+    ) -> None:
+        self._set_fields(refined, label_map, _rows, _nums, _dens, _phases, _codes)
 
     @cached_property
     def cut_heights(self) -> tuple[tuple[tuple[Fraction, int, PeriodicCode], ...], ...]:

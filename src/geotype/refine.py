@@ -16,17 +16,17 @@ type, and the corner / bounded-period refinements are pipelines of the two.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import attrgetter, eq, mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     GeoTypeError,
     GeometricType,
     HLabel,
     InvariantError,
+    _Record,
     _branch_keys,
     _lex_columns,
     _lex_pairs,
@@ -56,8 +56,7 @@ class PeriodBoundError(GeoTypeError):
 # -- binary refinement ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BinRefinement:
+class BinRefinement(NamedTuple):
     refined: GeometricType
     label_map: tuple[HLabel, ...]  # position r-1 holds the source label (i, j)
 
@@ -105,16 +104,15 @@ def _blocks(T: GeometricType, tops: Sequence[int]) -> tuple[tuple[int, ...], tup
 # -- the interval order engine ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntervalRef:
+class IntervalRef(_Record):
     """The stable line carried by iterate t of a pointed periodic code."""
 
-    t: int
-    code: PeriodicCode
+    _fields = ("t", "code")
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.t < self.code.period):
+    def __init__(self, t: int, code: PeriodicCode) -> None:
+        if not (0 <= t < code.period):
             raise ValueError("iterate index must lie in 0..period-1")
+        self._set_fields(t, code)
 
     @property
     def host(self) -> int:
@@ -175,8 +173,7 @@ def _pack_keys(
     return keys
 
 
-@dataclass(frozen=True)
-class OrderTable:
+class OrderTable(_Record):
     """Per-rectangle vertical order of the cut lines, sentinels implicit.
 
     The cut lines of the family are numbered by flat cut ids: phase t of
@@ -194,9 +191,13 @@ class OrderTable:
     (``RefinementResult._marks``).
     """
 
-    family: tuple[PeriodicCode, ...]
-    cuts: tuple[tuple[int, ...], ...]
-    steps: list[int] = field(compare=False, repr=False)
+    _fields = ("family", "cuts")
+
+    def __init__(
+        self, family: tuple[PeriodicCode, ...], cuts: tuple[tuple[int, ...], ...], steps: list[int]
+    ) -> None:
+        self._set_fields(family, cuts)
+        object.__setattr__(self, "steps", steps)
 
     @cached_property
     def _starts(self) -> tuple[int, ...]:
@@ -277,8 +278,7 @@ def _sort_cuts(T: GeometricType, family: tuple[PeriodicCode, ...], steps: list[i
 # -- refinement results -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RefinementResult:
+class RefinementResult(_Record):
     """A refined type plus the bookkeeping that produced it.
 
     Single-stage results carry the order table, and their label map
@@ -287,11 +287,17 @@ class RefinementResult:
     stable-side run on the inverse type (rectangle labels r agree).
     """
 
-    refined: GeometricType
-    source: GeometricType
-    kind: str  # 's' | 'u' | 'pipeline'
-    order: OrderTable | None = None
-    stages: tuple["RefinementResult", ...] = ()
+    _fields = ("refined", "source", "kind", "order", "stages")
+
+    def __init__(
+        self,
+        refined: GeometricType,
+        source: GeometricType,
+        kind: str,  # 's' | 'u' | 'pipeline'
+        order: OrderTable | None = None,
+        stages: tuple["RefinementResult", ...] = (),
+    ) -> None:
+        self._set_fields(refined, source, kind, order, stages)
 
     @cached_property
     def label_map(self) -> tuple[tuple[int, int], ...] | None:

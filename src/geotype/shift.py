@@ -10,12 +10,12 @@ printout writes each row's text from that row's successor map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .core import GeoTypeError, GeometricType, ParseError, _lex_columns, _rect_column, require_valid
+from .core import _Record
 
 
 class NonBinaryError(GeoTypeError):
@@ -51,8 +51,7 @@ def _require_int_symbols(word: tuple[object, ...]) -> None:
         raise ValueError("code symbols must be positive integers")
 
 
-@dataclass(frozen=True)
-class PeriodicCode:
+class PeriodicCode(_Record):
     """One minimal period of a pointed periodic code; index 0 is the phase.
 
     ``PeriodicCode(word)`` checks its word: nonempty, every symbol an ``int``
@@ -65,17 +64,25 @@ class PeriodicCode:
     call and kept on the object, out of ``==``, ``hash`` and ``repr``.
     """
 
-    word: tuple[int, ...]
+    _fields = ("word",)
     _least = False  # not a field: set on codes known to be their least rotation
 
-    def __post_init__(self) -> None:
-        word = tuple(self.word)
+    def __init__(self, word: Sequence[int]) -> None:
+        word = tuple(word)
         if not word:
             raise ValueError("periodic code word must be nonempty")
         _require_int_symbols(word)
         if (root := primitive_root(word)) != word:
             raise ValueError(f"word {word} is not primitive (minimal period {len(root)})")
-        object.__setattr__(self, "word", word)
+        self._set_fields(word)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.word == other.word
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.word,))
 
     @classmethod
     def _of(cls, word: tuple[int, ...], least: bool = False) -> "PeriodicCode":
@@ -124,8 +131,7 @@ class PeriodicCode:
         return " ".join(str(s) for s in self.word)
 
 
-@dataclass(frozen=True)
-class CodeOrbit:
+class CodeOrbit(_Record):
     """A shift orbit of periodic codes, keyed by a new code holding its least
     rotation.
 
@@ -137,10 +143,18 @@ class CodeOrbit:
     with nothing to normalize.
     """
 
-    canonical: PeriodicCode
+    _fields = ("canonical",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "canonical", self.canonical._least_copy())
+    def __init__(self, canonical: PeriodicCode) -> None:
+        self._set_fields(canonical._least_copy())
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.canonical.word == other.canonical.word
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.canonical,))
 
     @classmethod
     def _of(cls, canonical: PeriodicCode) -> "CodeOrbit":
@@ -176,23 +190,21 @@ class CodeOrbit:
         return (self.period, self.canonical.word)
 
 
-@dataclass(frozen=True)
-class EventuallyPeriodicCode:
+class EventuallyPeriodicCode(_Record):
     """Bi-infinite code ...LLL M RRR... ; L fills z < 0, R fills z >= len(M).
 
     Each part is kept as a tuple of ``int`` symbols >= 1, checked here."""
 
-    left_cycle: tuple[int, ...]
-    middle: tuple[int, ...]
-    right_cycle: tuple[int, ...]
+    _fields = ("left_cycle", "middle", "right_cycle")
 
-    def __post_init__(self) -> None:
-        if not self.left_cycle or not self.right_cycle:
+    def __init__(self, left_cycle: Sequence[int], middle: Sequence[int], right_cycle: Sequence[int]) -> None:
+        if not left_cycle or not right_cycle:
             raise ValueError("left and right cycles must be nonempty")
-        for name in ("left_cycle", "middle", "right_cycle"):
-            word = tuple(getattr(self, name))
-            _require_int_symbols(word)
-            object.__setattr__(self, name, word)
+        words: list[tuple[int, ...]] = []
+        for word in (left_cycle, middle, right_cycle):
+            words.append(tuple(word))
+            _require_int_symbols(words[-1])
+        self._set_fields(*words)
 
     def transition_pairs(self) -> list[tuple[int, int]]:
         pairs = []
@@ -209,18 +221,17 @@ class EventuallyPeriodicCode:
 # -- incidence matrices --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
+class IncidenceMatrix(_Record):
     """The transition graph: ``succ[i - 1]`` is ``{k: a_ik}`` over the entries
     a_ik >= 1 of row i, keys in increasing order; every symbolic operation reads it."""
 
-    succ: tuple[dict[int, int], ...]
+    _fields = ("succ",)
 
-    def __post_init__(self) -> None:
-        succ, n = tuple(dict(sorted(row.items())) for row in self.succ), len(self.succ)
+    def __init__(self, succ: Sequence[dict[int, int]]) -> None:
+        succ, n = tuple(dict(sorted(row.items())) for row in succ), len(succ)
         if n == 0 or any(not 1 <= k <= n or a < 1 for row in succ for k, a in row.items()):
             raise ValueError(f"incidence matrix must be nonempty, entries positive, columns 1..{n}")
-        object.__setattr__(self, "succ", succ)
+        self._set_fields(succ)
 
     @property
     def n(self) -> int:

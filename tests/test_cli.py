@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -308,3 +309,12 @@ def test_subprocess_byte_determinism(e2_path, w12_path):
         ("render", e2_path, "--format", "svg", "--codes", w12_path),
     ):
         assert run(*argv) == run(*argv)
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """A CLI process pays for importing geotype; its records generate no
+    code at import, so neither module is loaded."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    script = "import sys, geotype, geotype.cli; print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    loaded = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True, text=True)
+    assert loaded.stdout.split() == []

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geotype import (
+    AffineModel,
     BoundaryCodeError,
     DuplicateOrbitError,
     GeoTypeError,
@@ -601,7 +601,7 @@ def test_scale_counts_the_tallest_square(monkeypatch):
     def perturbed(U):
         model = real(U)
         assert model.a[x] == 16
-        return dataclasses.replace(model, a=model.a[:x] + (5,) + model.a[x + 1:])
+        return AffineModel(model.source, model.a[:x] + (5,) + model.a[x + 1:], model.b, model.k, model.l)
 
     monkeypatch.setattr(geotype.oracle, "realize", perturbed)
     with pytest.raises(GeoTypeError, match="image of a band edge missed the cut grid"):
@@ -630,7 +630,7 @@ def test_perturbed_strip_map_misses_the_cut_grid(e2, monkeypatch):
 
     def perturbed(T):
         model = real(T)
-        return dataclasses.replace(model, b=(model.b[0] + 1,) + model.b[1:])
+        return AffineModel(model.source, model.a, (model.b[0] + 1,) + model.b[1:], model.k, model.l)
 
     monkeypatch.setattr(geotype.oracle, "realize", perturbed)
     with pytest.raises(GeoTypeError, match="image of a band edge missed the cut grid"):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import gc
 import random
 import re
-from dataclasses import replace
 from itertools import accumulate, combinations, permutations
 from pathlib import Path
 from types import SimpleNamespace
@@ -24,8 +23,10 @@ from geotype import (
     HLabel,
     IntervalRef,
     NonBinaryError,
+    OrderTable,
     PeriodBoundError,
     PeriodicCode,
+    RefinementResult,
     alpha,
     bin_refine,
     boundary_orbits,
@@ -525,7 +526,7 @@ def test_assemble_rejects_a_corrupted_order_table(e2, corrupt):
     row = order.cuts[0]
     assert len(row) == 2
     bad = (row[1], row[0]) if corrupt == "swap" else (row[0],) + row
-    corrupted = replace(order, cuts=(bad,) + order.cuts[1:])
+    corrupted = OrderTable(order.family, (bad,) + order.cuts[1:], order.steps)
     assert corrupted.steps is order.steps
     with pytest.raises(InvariantError, match=r"cut lines of rectangle 1 are out of order"):
         _assemble(e2, corrupted)
@@ -978,7 +979,8 @@ def test_recode_batch_builds_the_marks_once(monkeypatch):
     result = s_refine(T, [o.canonical for o in orbits if o not in s_orbits])
     assert len(built) == 1 and built[0] is result.order
     batch = [code for o in orbits for code in sorted(o.phases(), key=lambda c: c.word)]
-    expected = [replace(result).recode(code) for code in batch]
+    fresh = RefinementResult(result.refined, result.source, result.kind, result.order, result.stages)
+    expected = [fresh.recode(code) for code in batch]
     kept = set(vars(result.order)), set(vars(T))
     built.clear()
     assert "_marks" not in vars(result)
