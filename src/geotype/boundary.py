@@ -11,11 +11,14 @@ inverse type, read backward.  Every boundary code comes from one gamma
 table per side, gamma on the 2n integer slots (2(i-1) for (i, -1), 2i-1
 for (i, +1)), kept on T and on ``invert(T)``: label summaries walk it, and
 :func:`boundary_orbits`, the orbit-level entry point, reads off its cycles
-once per side and type object.  :func:`per_s_codes`, :func:`per_u_codes`
-and :func:`boundary_sets` are their all-phase views.  A cutting family must
-avoid these codes, so its check, :func:`cutting_family`, lives here too: it
-reads the kept orbits, and each refinement, ``u_refine`` included, runs it
-once per call.  It returns the value of its one lookup per step as the
+at most once per side and type object.  The first pass of
+``refine.corner_refine_along`` keeps its refined type's orbits by
+transport instead, read off its cut lines and the recodes of its source's
+orbits, through the one writer of kept orbits, ``_keep_side``.
+:func:`per_s_codes`, :func:`per_u_codes` and :func:`boundary_sets` are
+their all-phase views.  A cutting family must avoid these codes, so its
+check, :func:`cutting_family`, lives here too: it reads the kept orbits,
+and each refinement, ``u_refine`` included, runs it once per call.  It returns the value of its one lookup per step as the
 family's step column, which ``refine.build_order`` keeps on its order
 table; on the unstable side the lookups are those of the time-reversed
 codes on the inverse type, so the column is that of ``u_refine``'s inner
@@ -138,24 +141,36 @@ def u_boundary_negative_code(T: GeometricType, label: SULabel) -> BoundaryOrbitS
 def boundary_orbits(T: GeometricType, *, unstable: bool = False) -> frozenset[CodeOrbit]:
     """Orbits of the periodic s-boundary (u-boundary when ``unstable``) codes.
 
-    They are the cycles of the gamma table, walked once per side and type
-    object and kept on it.  The u-side cycles are those of the inverse type
-    read backward, since forward time for the inverse is backward time for
-    T.  Raises unless T is valid and binary (:func:`shift.require_binary`,
-    which builds no branch table).
+    They are the cycles of the gamma table, walked at most once per side
+    and type object and kept on it.  The u-side cycles are those of the
+    inverse type read backward, since forward time for the inverse is
+    backward time for T.  The refined type of the first pass of
+    ``refine.corner_refine_along`` is not walked: that pass keeps both its
+    sides by transport, the s-side read off its cut lines.  Raises unless
+    T is valid and binary (:func:`shift.require_binary`, which builds no
+    branch table).
     """
     return _kept_side(T, unstable)[0]
 
 
 def _kept_side(T: GeometricType, unstable: bool) -> tuple[frozenset[CodeOrbit], frozenset[tuple[int, ...]]]:
     """One side's boundary orbits and the set of their key words, kept on T;
-    :func:`cutting_family` compares a family's orbits with the words."""
+    :func:`cutting_family` compares a family's orbits with the words.  A
+    side that nothing has kept yet is walked (:func:`_cycle_orbits`)."""
     require_binary(T)
-    kept = T._boundary_orbits
-    if unstable not in kept:
-        orbits = _cycle_orbits(T, unstable)
-        kept[unstable] = orbits, frozenset(map(_key_word, orbits))
-    return kept[unstable]
+    kept = T._boundary_orbits.get(unstable)
+    return kept if kept is not None else _keep_side(T, unstable, _cycle_orbits(T, unstable))
+
+
+def _keep_side(
+    T: GeometricType, unstable: bool, orbits: frozenset[CodeOrbit]
+) -> tuple[frozenset[CodeOrbit], frozenset[tuple[int, ...]]]:
+    """Keep one side's boundary orbits on T, with the set of their key
+    words: the one writer of ``T._boundary_orbits``.  The orbits come from
+    a walk of T's gamma table, or, for the first pass of
+    ``refine.corner_refine_along``, from its cut lines by transport."""
+    kept = T._boundary_orbits[unstable] = orbits, frozenset(map(_key_word, orbits))
+    return kept
 
 
 def _cycle_orbits(T: GeometricType, unstable: bool) -> frozenset[CodeOrbit]:

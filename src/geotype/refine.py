@@ -35,7 +35,7 @@ from .core import (
     require_valid,
     serialize,
 )
-from .boundary import _checked_family, boundary_orbits, has_corner_property
+from .boundary import _checked_family, _keep_side, boundary_orbits, has_corner_property
 from .shift import (
     AdmissibilityError,
     CodeOrbit,
@@ -392,10 +392,12 @@ class RefinementResult(_Record):
         return frozenset(map(PeriodicCode._of, words))
 
     @cached_property
-    def _marks(self) -> tuple[list[int], list[int]]:
+    def _marks(self) -> tuple[list[int], Sequence[int]]:
         """The cut marks (:func:`_cut_marks`) and the block starts ``runs``
-        they are read against, built on the first recode and kept on the
-        result, never on the table or a type.  Strip x's block holds one
+        they are read against, kept on the result, never on the table or a
+        type.  Band assembly hands over the ones it cut at, so they are built
+        here, on the first recode, only for a result made otherwise, such as
+        one built directly from an order table.  Strip x's block holds one
         band per cut line of its target rectangle, plus one, and starts at
         ``runs[x]``.  The marks increase, rectangle after rectangle, so the
         marks of rectangle i are ``marks[lo:hi]``, with lo the cuts of the
@@ -429,15 +431,18 @@ def _assemble(T: GeometricType, order: OrderTable) -> RefinementResult:
     more than cut lines, and the cut marks (:func:`_cut_marks`) split each
     rectangle's run of blocks into bands, reading the table's step column.
     The marks must strictly increase within a rectangle, which also leaves
-    no band, and no piece of a strip, empty.  An empty family cuts nothing,
-    so the refined type is T itself, with every table already kept on it.
+    no band, and no piece of a strip, empty.  The result keeps the marks
+    and block starts as its ``_marks``, which a recode bisects.  An empty
+    family cuts nothing, so the refined type is T itself, with every table
+    already kept on it.
     """
     if not order.family:
         return RefinementResult(T, T, "s", order)
     tops = [len(row) + 1 for row in order.cuts]
     sizes, v_new, slots, eps = _blocks(T, tops)
     runs = tuple(accumulate(sizes, initial=0))  # strip x's block starts at runs[x]
-    ends = iter(_cut_marks(T, order, runs))
+    cut_marks = _cut_marks(T, order, runs)
+    ends = iter(cut_marks)
     marks = [0]  # band edges in the run of blocks, bottom-up, rectangle by rectangle
     for top, end in zip(tops, T._offsets[1:]):
         marks.extend(islice(ends, top - 1))
@@ -450,7 +455,9 @@ def _assemble(T: GeometricType, order: OrderTable) -> RefinementResult:
 
     refined = GeometricType._from_slots(h_new, v_new, slots, eps)
     require_binary(refined)  # postcondition: the refined type is valid and binary
-    return RefinementResult(refined, T, "s", order)
+    result = RefinementResult(refined, T, "s", order)
+    result.__dict__["_marks"] = cut_marks, runs
+    return result
 
 
 def _cut_marks(T: GeometricType, order: OrderTable, runs: Sequence[int]) -> list[int]:
@@ -541,12 +548,68 @@ def corner_refine(T: GeometricType) -> RefinementResult:
 
 
 def corner_refine_along(T: GeometricType, W) -> RefinementResult:
-    """Cut along W, then corner-refine; boundary members of W cut nothing."""
+    """Cut along W, then corner-refine; boundary members of W cut nothing.
+
+    The first pass's refined type gets both sides' boundary orbits by
+    transport (:func:`_transport_boundary`), read off its cut lines and the
+    recodes of T's boundary, so neither its gamma table nor its inverse's
+    is built for them.  A pass that cuts nothing returns T itself, whose
+    orbits are already kept.
+    """
     if not has_corner_property(T):
         raise GeoTypeError("corner refinement along a family needs the corner property")
     stage1 = s_refine(T, W, drop_boundary=True)
+    if stage1.refined is not T:
+        _transport_boundary(stage1)
     inner = corner_refine(stage1.refined)
     return _pipeline(T, (stage1,) + inner.stages)
+
+
+def _transport_boundary(stage: RefinementResult) -> None:
+    """Keep the boundary orbits of a stable pass's refined type on it, read
+    off the pass rather than walked.  Cutting along a family carries the old
+    boundary over and adds the two sides of every cut line (Lind and Marcus,
+    *Symbolic Dynamics and Coding*, 1995, section 6.4): the s-side is the
+    flank orbits of the cut lines (:func:`_flank_orbits`) and the recodes of
+    the source's s-boundary orbits, the u-side the recodes of its u-boundary
+    orbits.  The recodes bisect the cut marks band assembly handed over."""
+    source, flanks = stage.source, _flank_orbits(stage)
+    for unstable, added in ((False, flanks), (True, ())):
+        codes = [orbit.canonical for orbit in boundary_orbits(source, unstable=unstable)]
+        recoded = {shadow.orbit() for code in codes for shadow in stage.recode(code)}
+        _keep_side(stage.refined, unstable, frozenset(recoded.union(added)))
+
+
+def _flank_orbits(stage: RefinementResult) -> list[CodeOrbit]:
+    """The orbits of the refined rectangles just below and just above the
+    cut lines of a stable pass, in one pass over its order table.
+
+    The cut at table position p of host i lies between refined rectangles
+    ``_band_starts[i - 1] + p`` and the next; that is k + i, with k its
+    0-based place in the table's rows laid end to end.  One step of a code
+    maps the band just below its line into the band just below the next
+    line, or just above it after a step through an orientation-reversing
+    strip, negative in the step column.  So the lower and the upper flank
+    swap after every such step, and over one period a code gives two words,
+    or one word of length 2p, lower then upper, when its orientation product
+    is -1.  Every word maps onto the code's primitive word, or onto that
+    word twice with halves that differ, so it is primitive by construction
+    and keyed by its least rotation alone.
+    """
+    order = stage.order
+    hosts = list(chain.from_iterable(map(attrgetter("word"), order.family)))
+    below = [0] * len(hosts)  # by cut id, the refined rectangle just below the cut
+    for k, c in enumerate(chain.from_iterable(order.cuts)):
+        below[c] = k + hosts[c]
+    steps, starts, words = order.steps, order._starts, []
+    for a, b in zip(starts, starts[1:]):
+        lower, upper, flip = [], [], False
+        for r, step in zip(below[a:b], steps[a:b]):
+            lower.append(r + flip)
+            upper.append(r + 1 - flip)
+            flip ^= step < 0
+        words += [lower + upper] if flip else [lower, upper]
+    return list(map(CodeOrbit._of_primitive, words))
 
 
 def wp_refine(T: GeometricType, P: int) -> RefinementResult:

@@ -138,9 +138,10 @@ class CodeOrbit(_Record):
     ``CodeOrbit(phase)`` normalizes any phase, and :meth:`from_word` checks
     its symbols and takes the primitive root of a power of a phase; the
     private :meth:`_of_cycle` does the same with no symbol check, for words
-    the library builds.  The orbits of :func:`enumerate_orbits` and
-    :meth:`PeriodicCode.orbit` are built canonical by the private :meth:`_of`,
-    with nothing to normalize.
+    the library builds, and :meth:`_of_primitive` takes no root either, for
+    words primitive by construction.  The orbits of :func:`enumerate_orbits`
+    and :meth:`PeriodicCode.orbit` are built canonical by the private
+    :meth:`_of`, with nothing to normalize.
     """
 
     _fields = ("canonical",)
@@ -177,7 +178,13 @@ class CodeOrbit(_Record):
         """:meth:`from_word` past its symbol check: the primitive root, then
         its least rotation.  Only for a nonempty tuple of ints >= 1 known by
         construction, such as a gamma cycle's rectangles."""
-        return cls._of(PeriodicCode._of(min_rotation(primitive_root(word)), True))
+        return cls._of_primitive(primitive_root(word))
+
+    @classmethod
+    def _of_primitive(cls, word: Sequence[int]) -> "CodeOrbit":
+        """:meth:`_of_cycle` for a word also primitive by construction, such
+        as the flanks of a cut line: its least rotation alone."""
+        return cls._of(PeriodicCode._of(min_rotation(word), True))
 
     @property
     def period(self) -> int:

@@ -20,7 +20,11 @@ A refinement also transports the boundary exactly: each side's boundary
 orbits of the refined type are the recodes of the source's boundary on
 that side, plus those of the cutting family on the cut side, and nothing
 else.  ``transported_boundary`` checks that identity through the public
-``recode``.  ``recode_by_cycles`` is the definition a recode is tested
+``recode``, with each side's orbits walked by ``walked_boundary_orbits``:
+a gamma walk written out here, read off h, v, the slots and eps, which
+builds no gamma table and reads no orbits a type keeps, so it checks the
+orbits that ``corner_refine_along`` keeps on its first pass by
+transport.  ``recode_by_cycles`` is the definition a recode is tested
 against: every refined periodic code over the code, found by walking the
 refined type's transitions through the rectangles over its word.
 ``recode_chain`` writes recodes as golden text: codes fed through a chain
@@ -399,13 +403,49 @@ def transported_boundary(result, codes, unstable: bool) -> bool:
     boundary members of W, which ``drop_boundary`` drops, change nothing.
     A pipeline transports both sides alike, with ``codes`` the families it
     cut along."""
-    source = boundary_orbits(result.source, unstable=unstable)
+    source = walked_boundary_orbits(result.source, unstable)
     images = {
         shadow.orbit()
         for code in [*(orbit.canonical for orbit in source), *codes]
         for shadow in result.recode(code)
     }
-    return boundary_orbits(result.refined, unstable=unstable) == images
+    return walked_boundary_orbits(result.refined, unstable) == images
+
+
+def walked_boundary_orbits(T: GeometricType, unstable: bool = False) -> frozenset[CodeOrbit]:
+    """One side's boundary orbits, by a walk of gamma read off h, v, the
+    slots and eps alone: it neither builds nor reads ``T._gamma`` or
+    ``T._boundary_orbits``.  Gamma sends edge (i, s), the bottom (s = -1)
+    or top (s = +1) edge of rectangle i, to edge (k, s * e), where k is the
+    rectangle of the target slot of i's bottom or top strip and e that
+    strip's sign.  On the unstable side the walk runs on the inverse, whose
+    slots are the inverse permutation, each strip keeping its sign, and
+    every cycle reads backward.  A cycle through both edges of a rectangle
+    spells a power of its orbit's phase, so each is keyed through the
+    public ``CodeOrbit.from_word``."""
+    h, v, slots, eps = T.h, T.v, T._slots, T.eps
+    if unstable:
+        inverse = [0] * len(slots)
+        for x, slot in enumerate(slots):
+            inverse[slot] = x
+        h, v, slots, eps = v, h, inverse, [eps[x] for x in inverse]
+    rectangle = [k for k, count in enumerate(v, start=1) for _ in range(count)]
+    offsets = list(accumulate(h, initial=0))
+    gamma = {}
+    for i in range(1, len(h) + 1):
+        for s, x in ((-1, offsets[i - 1]), (1, offsets[i] - 1)):
+            gamma[(i, s)] = (rectangle[slots[x]], s * eps[x])
+    orbits, done = set(), set()
+    for label in gamma:
+        path: dict[tuple[int, int], int] = {}  # label -> its place on this walk
+        while label not in path and label not in done:
+            path[label] = len(path)
+            label = gamma[label]
+        if label in path:  # the walk closed a cycle no earlier walk reached
+            word = tuple(i for i, _ in list(path)[path[label]:])
+            orbits.add(CodeOrbit.from_word(word[::-1] if unstable else word))
+        done.update(path)
+    return frozenset(orbits)
 
 
 def recode_by_cycles(result, code: PeriodicCode) -> frozenset[PeriodicCode]:

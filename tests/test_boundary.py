@@ -55,6 +55,7 @@ from reference import (
     cutting_family_by_code,
     step_column_by_labels,
     tail_scan_classify,
+    walked_boundary_orbits,
 )
 
 
@@ -199,7 +200,8 @@ def test_cycle_orbits_match_the_from_word_reference():
     maps into itself or a partner sends each edge to the other, so its
     gamma cycle passes both edges and its rectangle word is a proper power,
     (1, 1) or (1, 2, 1, 2): without the primitive root its orbit would be
-    keyed by that power."""
+    keyed by that power.  The reference walk ``walked_boundary_orbits``,
+    which reads no gamma table, gives the same orbits."""
     flip = GeometricType.build((1,), (1,), {(1, 1): (1, 1, -1)})
     swap = GeometricType.build((1, 1), (1, 1), {(1, 1): (2, 1, 1), (2, 1): (1, 1, -1)})
     types = [flip, swap] + binary_mixing_corpus(seed=29, count=8)
@@ -208,7 +210,8 @@ def test_cycle_orbits_match_the_from_word_reference():
         types += [stage.refined for stage in wp_refine(make_e2(), P).stages]
     for T in types:
         for unstable in (False, True):
-            assert boundary_orbits(T, unstable=unstable) == boundary_orbits_by_from_word(T, unstable)
+            orbits = boundary_orbits(T, unstable=unstable)
+            assert orbits == boundary_orbits_by_from_word(T, unstable) == walked_boundary_orbits(T, unstable)
     for T, word in ((flip, (1,)), (swap, (1, 2))):
         assert s_boundary_positive_code(T, SULabel(1, -1)).cycle == word * 2
         for unstable in (False, True):

@@ -94,6 +94,7 @@ from reference import (
     refs,
     step_column_by_labels,
     transported_boundary,
+    walked_boundary_orbits,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -961,10 +962,12 @@ def test_wp_pipeline_leaves_no_reference_cycles(e2):
 
 
 def test_recode_batch_builds_the_marks_once(monkeypatch):
-    """Band assembly places the cut marks once, and a batch of recodes
-    through one result places them once more, on the first recode, and
-    keeps them on the result alone: the order table and the source type
-    gain nothing.  Every code gives what a fresh result gives."""
+    """Band assembly places the cut marks once and hands them to its
+    result, so a batch of recodes through that result places none.  A
+    result built from the same order table places the same marks once, on
+    its first recode.  Both keep them on the result alone: the order table
+    and the source type gain nothing.  Every code gives what the built
+    result gives."""
     T = bin_refine(make_e1m()).refined
     orbits = enumerate_orbits(incidence_matrix(T), 6)
     s_orbits = {c.orbit() for c in per_s_codes(T)}
@@ -977,15 +980,19 @@ def test_recode_batch_builds_the_marks_once(monkeypatch):
 
     monkeypatch.setattr(geotype.refine, "_cut_marks", counting)
     result = s_refine(T, [o.canonical for o in orbits if o not in s_orbits])
-    assert len(built) == 1 and built[0] is result.order
+    assert len(built) == 1 and built[0] is result.order and "_marks" in vars(result)
     batch = [code for o in orbits for code in sorted(o.phases(), key=lambda c: c.word)]
-    fresh = RefinementResult(result.refined, result.source, result.kind, result.order, result.stages)
-    expected = [fresh.recode(code) for code in batch]
     kept = set(vars(result.order)), set(vars(T))
     built.clear()
-    assert "_marks" not in vars(result)
+    fresh = RefinementResult(result.refined, result.source, result.kind, result.order, result.stages)
+    assert "_marks" not in vars(fresh)
+    expected = [fresh.recode(code) for code in batch]
+    assert len(built) == 1 and built[0] is result.order
+    marks, runs = fresh._marks
+    assert (marks, list(runs)) == (result._marks[0], list(result._marks[1]))
+    built.clear()
     assert [result.recode(code) for code in batch] == expected
-    assert len(built) == 1 and built[0] is result.order and "_marks" in vars(result)
+    assert built == []
     assert (set(vars(result.order)), set(vars(T))) == kept
 
 
@@ -1177,6 +1184,49 @@ def test_wp_refine_transports_boundary_orbits_exactly(e2):
 def test_wp_refine_transports_boundary_orbits_exactly_at_scale(e2):
     """The same identity at P = 12, through 745 orbits of period <= 12."""
     _assert_wp_transports(e2, 12)
+
+
+def _assert_keeps_walked_orbits(stage: RefinementResult) -> None:
+    """Both sides kept on the refined type of ``corner_refine_along``'s
+    first pass, orbits and key words, are those of the reference walk, and
+    neither that type nor its inverse has built a gamma table."""
+    T = stage.refined
+    assert T is not stage.source
+    for unstable in (False, True):
+        orbits, words = T._boundary_orbits[unstable]
+        walked = walked_boundary_orbits(T, unstable)
+        assert orbits == walked and words == {o.canonical.word for o in walked}, unstable
+    assert "_gamma" not in vars(T) and "_gamma" not in vars(invert(T))
+
+
+def test_wp_refine_keeps_transported_boundary_orbits(e2):
+    """The first pass of wp_refine(E2, P), P = 2..8, keeps each side's
+    boundary orbits as read off its cut lines, not walked: they are the
+    reference walk's, and no gamma table was built for them."""
+    for P in range(2, 9):
+        _assert_keeps_walked_orbits(wp_refine(e2, P).stages[0])
+
+
+def test_corner_refine_along_keeps_transported_boundary_orbits():
+    """The same on corner_refine(T).refined for each seeded type, along
+    every orbit of period <= 4.  The families hold orientation-reversing
+    codes, whose two flanks swap after every reversing step and make one
+    orbit of twice the period."""
+    reversing = 0
+    for T in TRANSPORT_CORPUS:
+        C = corner_refine(T).refined
+        W = [o.canonical for o in enumerate_orbits(incidence_matrix(C), 4)]
+        stage = corner_refine_along(C, W).stages[0]
+        _assert_keeps_walked_orbits(stage)
+        starts, steps = stage.order._starts, stage.order.steps
+        reversing += sum(sum(step < 0 for step in steps[a:b]) % 2 for a, b in zip(starts, starts[1:]))
+    assert reversing >= 40, reversing
+
+
+@pytest.mark.slow
+def test_wp_refine_keeps_transported_boundary_orbits_at_scale(e2):
+    """The same on the first pass of wp_refine(E2, 12)."""
+    _assert_keeps_walked_orbits(wp_refine(e2, 12).stages[0])
 
 
 def test_serialize_result_golden(e2):
