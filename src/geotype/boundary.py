@@ -9,23 +9,31 @@ time; iterating it writes down the eventually periodic code every boundary
 edge shadows.  The unstable side is the same construction run on the
 inverse type, read backward.  Every boundary code comes from one gamma
 table per side, gamma on the 2n integer slots (2(i-1) for (i, -1), 2i-1
-for (i, +1)), kept on T and on ``invert(T)``: label summaries walk it, and
-:func:`boundary_orbits`, the orbit-level entry point, reads off its cycles
-at most once per side and type object.  The first pass of
-``refine.corner_refine_along`` keeps its refined type's orbits by
-transport instead, read off its cut lines and the recodes of its source's
-orbits, through the one writer of kept orbits, ``_keep_side``.
-:func:`per_s_codes`, :func:`per_u_codes` and :func:`boundary_sets` are
-their all-phase views.  A cutting family must avoid these codes, so its
-check, :func:`cutting_family`, lives here too: it reads the kept orbits,
-and each refinement, ``u_refine`` included, runs it once per call.  It returns the value of its one lookup per step as the
-family's step column, which ``refine.build_order`` keeps on its order
-table; on the unstable side the lookups are those of the time-reversed
-codes on the inverse type, so the column is that of ``u_refine``'s inner
-stable pass.  :func:`classify_code`, the library's one
-admissibility check of an eventually periodic code, reads the orbits as
-well: the boundary codes are closed under the shift, so a code is an S- or
-U-leaf exactly when its periodic end on that side is a boundary orbit.
+for (i, +1)), kept on T and on ``invert(T)``: label summaries walk it.
+
+Each side's periodic boundary is kept on T as one set of orbit key words
+(``shift._orbit_key``), read through the one getter ``_boundary_words``,
+which walks the gamma table's cycles at most once per side and type
+object.  The first pass of ``refine.corner_refine_along`` keeps its
+refined type's words by transport instead, read off its cut lines and the
+recodes of its source's words.  Every library reader uses the words:
+:func:`has_corner_property` compares the two sets, :func:`classify_code`
+looks up the keys of a code's periodic ends, and :func:`cutting_family`
+compares a family's orbits with them by key word.  The public
+:func:`boundary_orbits`, :func:`per_s_codes`, :func:`per_u_codes` and
+:func:`boundary_sets` build orbit objects from the words when called.
+
+A cutting family must avoid the boundary codes, so its check,
+:func:`cutting_family`, lives here too, and each refinement, ``u_refine``
+included, runs it once per call.  It returns the value of its one lookup
+per step as the family's step column, which ``refine.build_order`` keeps
+on its order table; on the unstable side the lookups are those of the
+time-reversed codes on the inverse type, so the column is that of
+``u_refine``'s inner stable pass.  :func:`classify_code`, the library's
+one admissibility check of an eventually periodic code, reads the words
+as well: the boundary codes are closed under the shift, so a code is an
+S- or U-leaf exactly when its periodic end on that side is a boundary
+orbit.
 """
 
 from __future__ import annotations
@@ -48,6 +56,8 @@ from .shift import (
     CodeOrbit,
     EventuallyPeriodicCode,
     PeriodicCode,
+    _key_codes,
+    _orbit_key,
     binary_branches,
     require_binary,
     require_symbols,
@@ -67,9 +77,8 @@ class DuplicateOrbitError(GeoTypeError):
     """A cutting family lists the same shift orbit twice."""
 
 
-# C-level getters: a code's word, an orbit's key word, a word's first symbol and the rest
+# C-level getters: a code's word, a word's first symbol and the rest
 _word = attrgetter("word")
-_key_word = attrgetter("canonical.word")
 _head = itemgetter(slice(None, 1))
 _tail = itemgetter(slice(1, None))
 
@@ -139,50 +148,41 @@ def u_boundary_negative_code(T: GeometricType, label: SULabel) -> BoundaryOrbitS
 
 
 def boundary_orbits(T: GeometricType, *, unstable: bool = False) -> frozenset[CodeOrbit]:
-    """Orbits of the periodic s-boundary (u-boundary when ``unstable``) codes.
+    """Orbits of the periodic s-boundary (u-boundary when ``unstable``) codes,
+    built from the side's kept key words (:func:`_boundary_words`) when
+    called.  Raises unless T is valid and binary."""
+    return frozenset(map(PeriodicCode.orbit, _key_codes(_boundary_words(T, unstable))))
 
-    They are the cycles of the gamma table, walked at most once per side
-    and type object and kept on it.  The u-side cycles are those of the
-    inverse type read backward, since forward time for the inverse is
-    backward time for T.  The refined type of the first pass of
-    ``refine.corner_refine_along`` is not walked: that pass keeps both its
-    sides by transport, the s-side read off its cut lines.  Raises unless
-    T is valid and binary (:func:`shift.require_binary`, which builds no
-    branch table).
+
+def _boundary_words(T: GeometricType, unstable: bool) -> frozenset[tuple[int, ...]]:
+    """The key words of one side's periodic boundary orbits, kept on T.
+
+    A side that nothing has kept yet is walked (:func:`_cycle_words`) at
+    most once per side and type object.  The refined type of the first pass
+    of ``refine.corner_refine_along`` is not walked: that pass keeps both
+    its sides by transport, the s-side read off its cut lines.  Raises
+    unless T is valid and binary (:func:`shift.require_binary`, which
+    builds no branch table).
     """
-    return _kept_side(T, unstable)[0]
-
-
-def _kept_side(T: GeometricType, unstable: bool) -> tuple[frozenset[CodeOrbit], frozenset[tuple[int, ...]]]:
-    """One side's boundary orbits and the set of their key words, kept on T;
-    :func:`cutting_family` compares a family's orbits with the words.  A
-    side that nothing has kept yet is walked (:func:`_cycle_orbits`)."""
     require_binary(T)
-    kept = T._boundary_orbits.get(unstable)
-    return kept if kept is not None else _keep_side(T, unstable, _cycle_orbits(T, unstable))
+    words = T._boundary_words.get(unstable)
+    if words is None:
+        words = T._boundary_words[unstable] = _cycle_words(T, unstable)
+    return words
 
 
-def _keep_side(
-    T: GeometricType, unstable: bool, orbits: frozenset[CodeOrbit]
-) -> tuple[frozenset[CodeOrbit], frozenset[tuple[int, ...]]]:
-    """Keep one side's boundary orbits on T, with the set of their key
-    words: the one writer of ``T._boundary_orbits``.  The orbits come from
-    a walk of T's gamma table, or, for the first pass of
-    ``refine.corner_refine_along``, from its cut lines by transport."""
-    kept = T._boundary_orbits[unstable] = orbits, frozenset(map(_key_word, orbits))
-    return kept
-
-
-def _cycle_orbits(T: GeometricType, unstable: bool) -> frozenset[CodeOrbit]:
-    """The orbits of the gamma table's cycles, of ``invert(T)`` read backward
-    when ``unstable``.  Each walk marks the slots it reaches with its start,
-    so it has closed a cycle no earlier walk reached exactly when it meets
-    its own mark.  A cycle's rectangle word can be a proper power (two of
-    its slots on one rectangle), so it is keyed by its primitive root, with
-    no symbol check: every slot's rectangle s // 2 + 1 lies in 1..n."""
+def _cycle_words(T: GeometricType, unstable: bool) -> frozenset[tuple[int, ...]]:
+    """The key words of the gamma table's cycles, of ``invert(T)`` read
+    backward when ``unstable``, since forward time for the inverse is
+    backward time for T.  Each walk marks the slots it reaches with its
+    start, so it has closed a cycle no earlier walk reached exactly when it
+    meets its own mark.  A cycle's rectangle word can be a proper power (two
+    of its slots on one rectangle), so it is keyed by its primitive root
+    (:func:`shift._orbit_key`); every slot's rectangle s // 2 + 1 lies in
+    1..n."""
     gamma = invert(T)._gamma if unstable else T._gamma
     walked = [-1] * len(gamma)  # the start of the walk that reached each slot
-    orbits: set[CodeOrbit] = set()
+    words: set[tuple[int, ...]] = set()
     for start in range(len(gamma)):
         path: list[int] = []
         slot = start
@@ -192,8 +192,8 @@ def _cycle_orbits(T: GeometricType, unstable: bool) -> frozenset[CodeOrbit]:
             slot = gamma[slot]
         if walked[slot] == start:
             word = tuple(s // 2 + 1 for s in path[path.index(slot):])
-            orbits.add(CodeOrbit._of_cycle(word[::-1] if unstable else word))
-    return frozenset(orbits)
+            words.add(_orbit_key(word[::-1] if unstable else word))
+    return frozenset(words)
 
 
 def per_s_codes(T: GeometricType) -> frozenset[PeriodicCode]:
@@ -224,7 +224,7 @@ def boundary_sets(T: GeometricType) -> BoundarySets:
 
 def has_corner_property(T: GeometricType) -> bool:
     """True iff every periodic boundary code is both s- and u-boundary."""
-    return boundary_orbits(T) == boundary_orbits(T, unstable=True)
+    return _boundary_words(T, False) == _boundary_words(T, True)
 
 
 def cutting_family(
@@ -264,14 +264,16 @@ def _checked_family(
     incidence matrix is the transpose, so a step of T is admissible
     exactly when its reversal is one of the inverse.  The column is then
     that of the stable pass of ``u_refine`` on the inverse, and T builds
-    no branch table.  Only the code-by-code walk of a failed check reads
-    T's own table, so every error names its code in forward time."""
+    no branch table, not even when the check fails: the code-by-code walk
+    reads the same table and words, and every error names its code in
+    forward time.  Both checks compare each orbit with the side's kept
+    boundary by its key word, in forward time on both sides."""
     branches = binary_branches(invert(T) if unstable else T)
-    boundary, boundary_words = _kept_side(T, unstable)
+    boundary = _boundary_words(T, unstable)
     items = list(W)
-    checked = _check_at_once(T.n, branches, boundary_words, items, unstable, drop_boundary)
+    checked = _check_at_once(T.n, branches, boundary, items, unstable, drop_boundary)
     if checked is None:
-        _check_by_code(T.n, binary_branches(T), boundary, items, unstable, drop_boundary)
+        _check_by_code(T.n, branches, boundary, items, unstable, drop_boundary)
         raise InvariantError("the cutting-family check failed, but no code has a fault")
     return checked
 
@@ -331,30 +333,31 @@ def _check_at_once(
 def _check_by_code(
     n: int,
     branches: dict[int, int],
-    boundary: frozenset[CodeOrbit],
+    boundary_words: frozenset[tuple[int, ...]],
     items: list,
     unstable: bool,
     drop_boundary: bool,
 ) -> None:
     """Walk W code by code, in order, and raise the error of the first
-    faulty code; the walk keeps no family."""
-    seen: set[CodeOrbit] = set()
+    faulty code; the walk keeps no family.  It reads the table, the walked
+    words and the key words that :func:`_check_at_once` reads."""
+    seen: set[tuple[int, ...]] = set()
     for code in items:
         if not isinstance(code, PeriodicCode):
             code = PeriodicCode(tuple(code))
-        word = code.word
-        require_symbols(n, word)
+        require_symbols(n, code.word)
+        word = code.reversed_pointed().word if unstable else code.word
         if not all(map(branches.__contains__, _branch_keys(n, word, word[1:] + word[:1]))):
             raise AdmissibilityError(f"code {code} is not admissible for this type")
-        orbit = code.orbit()
-        if orbit in seen:
-            raise DuplicateOrbitError(f"duplicate orbit {orbit.canonical} in cutting family")
-        if orbit in boundary:
+        key = code._orbit_word()
+        if key in seen:
+            raise DuplicateOrbitError(f"duplicate orbit {' '.join(map(str, key))} in cutting family")
+        if key in boundary_words:
             if drop_boundary:
                 continue
             kind = "u-boundary" if unstable else "s-boundary"
             raise BoundaryCodeError(f"{kind} code {code} in cutting family cuts nothing")
-        seen.add(orbit)
+        seen.add(key)
 
 
 # -- classification of eventually periodic codes -------------------------------
@@ -369,9 +372,10 @@ def classify_code(T: GeometricType, code: EventuallyPeriodicCode) -> str:
     shift-invariant and its periodic members are the phases of
     :func:`boundary_orbits`.  A tail of the code is therefore a boundary
     code exactly when its periodic end R^inf is one: the code is an S-leaf
-    iff the orbit of R lies in ``boundary_orbits(T)``, and a U-leaf iff
-    the orbit of L lies in ``boundary_orbits(T, unstable=True)``.  Each
-    transition pair is range-checked before its branch-table lookup.
+    iff the key word of R's orbit is a kept s-boundary word
+    (:func:`_boundary_words`), and a U-leaf iff that of L is a kept
+    u-boundary word.  Each transition pair is range-checked before its
+    branch-table lookup.
     """
     branches = binary_branches(T)
     rows, targets = zip(*code.transition_pairs())
@@ -380,8 +384,8 @@ def classify_code(T: GeometricType, code: EventuallyPeriodicCode) -> str:
             raise AdmissibilityError(f"symbol out of range 1..{T.n}")
         if key not in branches:
             raise AdmissibilityError("code uses transitions forbidden by the incidence matrix")
-    is_s = CodeOrbit.from_word(code.right_cycle) in boundary_orbits(T)
-    is_u = CodeOrbit.from_word(code.left_cycle) in boundary_orbits(T, unstable=True)
+    is_s = _orbit_key(code.right_cycle) in _boundary_words(T, False)
+    is_u = _orbit_key(code.left_cycle) in _boundary_words(T, True)
     if is_s and is_u:
         return "corner-leaf"
     if is_s:
@@ -392,20 +396,20 @@ def classify_code(T: GeometricType, code: EventuallyPeriodicCode) -> str:
 
 
 def boundary_report(T: GeometricType) -> str:
-    """Deterministic S/U/B/C report used by the CLI, off one gamma table per side."""
-    s_orbits = boundary_orbits(T)
-    u_orbits = boundary_orbits(T, unstable=True)
+    """Deterministic S/U/B/C report used by the CLI, off one gamma table per
+    side and the two sides' key words."""
+    s_words, u_words = _boundary_words(T, False), _boundary_words(T, True)
     lines: list[str] = []
     for tag, gamma in (("SLABEL", T._gamma), ("ULABEL", invert(T)._gamma)):
         lines += [f"{tag} {_orbit_summary(gamma, slot)}" for slot in range(len(gamma))]
     for name, group in (
-        ("PER-S", s_orbits),
-        ("PER-U", u_orbits),
-        ("PER-B", s_orbits | u_orbits),
-        ("PER-C", s_orbits & u_orbits),
+        ("PER-S", s_words),
+        ("PER-U", u_words),
+        ("PER-B", s_words | u_words),
+        ("PER-C", s_words & u_words),
     ):
-        for orbit in sorted(group, key=CodeOrbit.sort_key):
-            phases = " ; ".join(str(p) for p in sorted(orbit.phases(), key=lambda c: c.word))
-            lines.append(f"{name} orbit {orbit.canonical} : {phases}")
-    lines.append(f"CORNER {'true' if s_orbits == u_orbits else 'false'}")
+        for key in _key_codes(group):
+            phases = " ; ".join(map(str, sorted(map(key.rotate, range(key.period)), key=_word)))
+            lines.append(f"{name} orbit {key} : {phases}")
+    lines.append(f"CORNER {'true' if s_words == u_words else 'false'}")
     return "\n".join(lines) + "\n"

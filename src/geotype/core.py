@@ -180,10 +180,11 @@ class GeometricType(_Record):
     and ``repr`` shows rho as ``VLabel``s.
 
     Facts derived from the fields (validation report, lexicographic offsets,
-    inverse type, whether it is binary, branch table, largest h, gamma table
-    over the 2n boundary slots, each side's boundary orbits) are computed at
-    most once per object and kept in private cached members, which ``==``,
-    ``hash`` and ``repr`` ignore.
+    inverse type, whether it is binary, branch table, gamma table over the
+    2n boundary slots, and each side's periodic boundary orbits, kept as the
+    one set of their key words) are computed at most once per object and
+    kept in private cached members, which ``==``, ``hash`` and ``repr``
+    ignore.
     """
 
     def __init__(
@@ -336,9 +337,10 @@ class GeometricType(_Record):
         ]
 
     @cached_property
-    def _boundary_orbits(self) -> dict[bool, frozenset]:
-        """``{unstable: (orbits, their key words)}``, filled in side by side
-        by :func:`boundary.boundary_orbits`."""
+    def _boundary_words(self) -> dict[bool, frozenset]:
+        """``{unstable: the key words of that side's periodic boundary
+        orbits}``, filled in side by side by ``boundary._boundary_words``,
+        or by transport in ``refine.corner_refine_along``."""
         return {}
 
     # -- basic accessors ------------------------------------------------------

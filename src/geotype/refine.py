@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import attrgetter, eq, mul, sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     GeoTypeError,
@@ -35,14 +35,15 @@ from .core import (
     require_valid,
     serialize,
 )
-from .boundary import _checked_family, _keep_side, boundary_orbits, has_corner_property
+from .boundary import _boundary_words, _checked_family, has_corner_property
 from .shift import (
     AdmissibilityError,
-    CodeOrbit,
     PeriodicCode,
+    _key_codes,
     binary_branches,
     enumerate_orbits,
     incidence_matrix,
+    min_rotation,
     primitive_root,
     require_binary,
     require_symbols,
@@ -517,10 +518,6 @@ def u_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementR
 # -- pipelines ---------------------------------------------------------------------
 
 
-def _orbit_reps(orbits: frozenset[CodeOrbit]) -> list[PeriodicCode]:
-    return [o.canonical for o in sorted(orbits, key=CodeOrbit.sort_key)]
-
-
 def _pipeline(T: GeometricType, stages: tuple[RefinementResult, ...]) -> RefinementResult:
     refined = stages[-1].refined if stages else T
     return RefinementResult(refined=refined, source=T, kind="pipeline", stages=stages)
@@ -539,22 +536,23 @@ def corner_refine(T: GeometricType) -> RefinementResult:
     of i, but after the s-pass the recoded u-orbit cuts only the bands that
     hold its points.  On E2, s along (1 2) then u along the recode of
     (1 2 2), and the other order, both give n = 7 and alpha = 15, with
-    different h multisets.
+    different h multisets.  Each pass cuts along the key codes of those
+    orbits, sorted by (period, word).
     """
-    stage1 = s_refine(T, _orbit_reps(boundary_orbits(T, unstable=True) - boundary_orbits(T)))
+    stage1 = s_refine(T, _key_codes(_boundary_words(T, True) - _boundary_words(T, False)))
     T1 = stage1.refined
-    stage2 = u_refine(T1, _orbit_reps(boundary_orbits(T1) - boundary_orbits(T1, unstable=True)))
+    stage2 = u_refine(T1, _key_codes(_boundary_words(T1, False) - _boundary_words(T1, True)))
     return _pipeline(T, (stage1, stage2))
 
 
 def corner_refine_along(T: GeometricType, W) -> RefinementResult:
     """Cut along W, then corner-refine; boundary members of W cut nothing.
 
-    The first pass's refined type gets both sides' boundary orbits by
+    The first pass's refined type gets both sides' boundary key words by
     transport (:func:`_transport_boundary`), read off its cut lines and the
     recodes of T's boundary, so neither its gamma table nor its inverse's
     is built for them.  A pass that cuts nothing returns T itself, whose
-    orbits are already kept.
+    words are already kept.
     """
     if not has_corner_property(T):
         raise GeoTypeError("corner refinement along a family needs the corner property")
@@ -566,23 +564,25 @@ def corner_refine_along(T: GeometricType, W) -> RefinementResult:
 
 
 def _transport_boundary(stage: RefinementResult) -> None:
-    """Keep the boundary orbits of a stable pass's refined type on it, read
-    off the pass rather than walked.  Cutting along a family carries the old
-    boundary over and adds the two sides of every cut line (Lind and Marcus,
-    *Symbolic Dynamics and Coding*, 1995, section 6.4): the s-side is the
-    flank orbits of the cut lines (:func:`_flank_orbits`) and the recodes of
-    the source's s-boundary orbits, the u-side the recodes of its u-boundary
-    orbits.  The recodes bisect the cut marks band assembly handed over."""
-    source, flanks = stage.source, _flank_orbits(stage)
-    for unstable, added in ((False, flanks), (True, ())):
-        codes = [orbit.canonical for orbit in boundary_orbits(source, unstable=unstable)]
-        recoded = {shadow.orbit() for code in codes for shadow in stage.recode(code)}
-        _keep_side(stage.refined, unstable, frozenset(recoded.union(added)))
+    """Keep the boundary key words of a stable pass's refined type on it,
+    read off the pass rather than walked.  Cutting along a family carries
+    the old boundary over and adds the two sides of every cut line (Lind and
+    Marcus, *Symbolic Dynamics and Coding*, 1995, section 6.4): the s-side
+    is the flank words of the cut lines (:func:`_flank_words`) and the
+    recodes of the source's s-boundary orbits, the u-side the recodes of its
+    u-boundary orbits.  A recode is a primitive root, keyed by its least
+    rotation alone.  The recodes bisect the cut marks band assembly handed
+    over."""
+    source, kept = stage.source, stage.refined._boundary_words
+    for unstable, added in ((False, _flank_words(stage)), (True, ())):
+        codes = _key_codes(_boundary_words(source, unstable))
+        recoded = {min_rotation(shadow.word) for code in codes for shadow in stage.recode(code)}
+        kept[unstable] = frozenset(recoded.union(added))
 
 
-def _flank_orbits(stage: RefinementResult) -> list[CodeOrbit]:
-    """The orbits of the refined rectangles just below and just above the
-    cut lines of a stable pass, in one pass over its order table.
+def _flank_words(stage: RefinementResult) -> Iterator[tuple[int, ...]]:
+    """The orbit key words of the refined rectangles just below and just
+    above the cut lines of a stable pass, in one pass over its order table.
 
     The cut at table position p of host i lies between refined rectangles
     ``_band_starts[i - 1] + p`` and the next; that is k + i, with k its
@@ -609,7 +609,7 @@ def _flank_orbits(stage: RefinementResult) -> list[CodeOrbit]:
             upper.append(r + 1 - flip)
             flip ^= step < 0
         words += [lower + upper] if flip else [lower, upper]
-    return list(map(CodeOrbit._of_primitive, words))
+    return map(min_rotation, words)
 
 
 def wp_refine(T: GeometricType, P: int) -> RefinementResult:
@@ -623,7 +623,7 @@ def wp_refine(T: GeometricType, P: int) -> RefinementResult:
     """
     if not has_corner_property(T):
         raise GeoTypeError("bounded-period refinement needs the corner property")
-    p_bound = max(orbit.period for orbit in boundary_orbits(T))
+    p_bound = max(map(len, _boundary_words(T, False)))
     if P < p_bound:
         raise PeriodBoundError(f"P below P_B(T)={p_bound}")
     orbits = enumerate_orbits(incidence_matrix(T), P)

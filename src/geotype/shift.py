@@ -40,8 +40,23 @@ def primitive_root(word: Sequence[int]) -> tuple[int, ...]:
 
 
 def min_rotation(word: Sequence[int]) -> tuple[int, ...]:
+    """The least rotation of a nonempty word.  It starts at the word's least
+    symbol, so only the rotations that start there are compared."""
     word = tuple(word)
-    return min(word[k:] + word[:k] for k in range(len(word)))
+    least = min(word)
+    return min([word[k:] + word[:k] for k, s in enumerate(word) if s == least])
+
+
+def _orbit_key(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The key word of the orbit of the code that repeats ``word``, a phase
+    or a power of one: the least rotation of its primitive root."""
+    return min_rotation(primitive_root(word))
+
+
+def _key_codes(words: Iterable[tuple[int, ...]]) -> list["PeriodicCode"]:
+    """The key codes of orbits given by their key words, unchecked and
+    flagged least, sorted by (period, word)."""
+    return [PeriodicCode._of(word, True) for word in sorted(words, key=lambda w: (len(w), w))]
 
 
 def _require_int_symbols(word: tuple[object, ...]) -> None:
@@ -89,9 +104,9 @@ class PeriodicCode(_Record):
         """The code of ``word``, unchecked: only for a tuple of positive ints
         that is primitive by construction (and its least rotation if ``least``)."""
         code = object.__new__(cls)
-        code.__dict__["word"] = word
+        object.__setattr__(code, "word", word)
         if least:
-            code.__dict__["_least"] = True
+            object.__setattr__(code, "_least", True)
         return code
 
     @property
@@ -136,12 +151,12 @@ class CodeOrbit(_Record):
     rotation.
 
     ``CodeOrbit(phase)`` normalizes any phase, and :meth:`from_word` checks
-    its symbols and takes the primitive root of a power of a phase; the
-    private :meth:`_of_cycle` does the same with no symbol check, for words
-    the library builds, and :meth:`_of_primitive` takes no root either, for
-    words primitive by construction.  The orbits of :func:`enumerate_orbits`
-    and :meth:`PeriodicCode.orbit` are built canonical by the private
-    :meth:`_of`, with nothing to normalize.
+    its symbols and keys a phase or a power of one by :func:`_orbit_key`.
+    The orbits of :func:`enumerate_orbits` and :meth:`PeriodicCode.orbit`
+    are built canonical by the private :meth:`_of`, with nothing to
+    normalize.  The library itself keeps and compares orbits by their key
+    words alone, such as each side of a type's periodic boundary; it builds
+    orbit objects only for callers that ask for them.
     """
 
     _fields = ("canonical",)
@@ -161,7 +176,7 @@ class CodeOrbit(_Record):
     def _of(cls, canonical: PeriodicCode) -> "CodeOrbit":
         """The orbit keyed by ``canonical``, unchecked: a code flagged least."""
         orbit = object.__new__(cls)
-        orbit.__dict__["canonical"] = canonical
+        object.__setattr__(orbit, "canonical", canonical)
         return orbit
 
     @classmethod
@@ -171,20 +186,7 @@ class CodeOrbit(_Record):
         if not word:
             raise ValueError("periodic code word must be nonempty")
         _require_int_symbols(word)
-        return cls._of_cycle(word)
-
-    @classmethod
-    def _of_cycle(cls, word: tuple[int, ...]) -> "CodeOrbit":
-        """:meth:`from_word` past its symbol check: the primitive root, then
-        its least rotation.  Only for a nonempty tuple of ints >= 1 known by
-        construction, such as a gamma cycle's rectangles."""
-        return cls._of_primitive(primitive_root(word))
-
-    @classmethod
-    def _of_primitive(cls, word: Sequence[int]) -> "CodeOrbit":
-        """:meth:`_of_cycle` for a word also primitive by construction, such
-        as the flanks of a cut line: its least rotation alone."""
-        return cls._of(PeriodicCode._of(min_rotation(word), True))
+        return cls._of(PeriodicCode._of(_orbit_key(word), True))
 
     @property
     def period(self) -> int:
@@ -381,8 +383,7 @@ def enumerate_orbits(A: IncidenceMatrix, max_period: int) -> tuple[CodeOrbit, ..
             found.append(word)
         if n < max_period:
             stack.extend((word + (nxt,), p if nxt == low else n + 1) for nxt in row if nxt >= low)
-    found.sort(key=lambda w: (len(w), w))
-    return tuple(CodeOrbit._of(PeriodicCode._of(w, True)) for w in found)
+    return tuple(map(CodeOrbit._of, _key_codes(found)))
 
 
 def count_periodic_points(A: IncidenceMatrix, P: int) -> int:

@@ -420,7 +420,7 @@ def test_cutting_family_matches_the_per_code_check(unstable, drop_boundary):
     options = {"unstable": unstable, "drop_boundary": drop_boundary}
     seen: Counter = Counter()
     for T in types:
-        side = boundary._kept_side(T, unstable)[1]
+        side = boundary._boundary_words(T, unstable)
         host = invert(T) if unstable else T
         for _ in range(40):
             W = _mixed_family(T, rng)

@@ -12,6 +12,9 @@ import pytest
 
 import geotype
 from geotype import (
+    AdmissibilityError,
+    CodeOrbit,
+    DuplicateOrbitError,
     EventuallyPeriodicCode,
     GeometricType,
     InvalidTypeError,
@@ -45,10 +48,10 @@ from geotype import (
     validate,
     wp_refine,
 )
-from geotype.boundary import boundary_report
+from geotype.boundary import boundary_report, cutting_family
 from geotype.cli import main
 from geotype.core import _branch_keys, _step_keys
-from geotype.shift import binary_branches, is_binary, require_binary
+from geotype.shift import binary_branches, is_binary, parse_codes, require_binary
 
 from conftest import (
     binary_mixing_corpus,
@@ -62,6 +65,7 @@ from conftest import (
 )
 
 SOURCES = Path(geotype.__file__).parent
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def broken() -> GeometricType:
@@ -118,9 +122,9 @@ def test_cached_facts_stay_out_of_eq_hash_and_repr():
 
 def test_wp_refine_validates_each_type_object_at_most_once(monkeypatch):
     """Validation, the binary fact, the branch table, the gamma table and
-    the walk of each side's boundary cycles are each made at most once per
-    type object over a whole pipeline and the oracle's checks of its two
-    stable stages."""
+    the walk of each side's boundary cycles into key words are each made at
+    most once per type object over a whole pipeline and the oracle's checks
+    of its two stable stages."""
     checked: list[GeometricType] = []  # holding the objects keeps their ids unique
     real_check = geotype.core._check_invariants
 
@@ -129,14 +133,14 @@ def test_wp_refine_validates_each_type_object_at_most_once(monkeypatch):
         return real_check(T)
 
     walks: list[tuple[GeometricType, bool]] = []
-    real_walk = geotype.boundary._cycle_orbits
+    real_walk = geotype.boundary._cycle_words
 
     def counting_walk(T, unstable):
         walks.append((T, unstable))
         return real_walk(T, unstable)
 
     monkeypatch.setattr(geotype.core, "_check_invariants", counting_check)
-    monkeypatch.setattr(geotype.boundary, "_cycle_orbits", counting_walk)
+    monkeypatch.setattr(geotype.boundary, "_cycle_words", counting_walk)
     branch_builds = record_builds(monkeypatch, "_branches")
     binary_builds = record_builds(monkeypatch, "_binary")
     gamma_builds = record_builds(monkeypatch, "_gamma")
@@ -149,6 +153,51 @@ def test_wp_refine_validates_each_type_object_at_most_once(monkeypatch):
     for builds in (branch_builds, binary_builds, gamma_builds):
         assert len({id(T) for T, _ in builds}) == len(builds)
     assert len({(id(T), unstable) for T, unstable in walks}) == len(walks)
+
+
+def test_wp_refine_builds_only_the_enumerated_orbits(monkeypatch):
+    """Each side's boundary is kept as key words: the family checks compare
+    key words, and the transport keys its recodes and flanks by their least
+    rotations.  So the only orbit objects that wp_refine(E2, 6) builds are
+    the 23 that ``enumerate_orbits`` returns, in its order."""
+    built: list[tuple[int, ...]] = []
+    real = CodeOrbit._of.__func__
+
+    def counting(cls, canonical):
+        built.append(canonical.word)
+        return real(cls, canonical)
+
+    monkeypatch.setattr(CodeOrbit, "_of", classmethod(counting))
+    wp_refine(make_e2(), 6)
+    during = list(built)
+    orbits = enumerate_orbits(incidence_matrix(make_e2()), 6)
+    assert len(orbits) == 23
+    assert during == [o.canonical.word for o in orbits]
+
+
+def test_a_failed_unstable_family_check_builds_no_branch_table_on_t(monkeypatch):
+    """A failed unstable family check walks its codes one by one on the
+    table and time-reversed words of the one-pass check, so it builds a
+    branch table on invert(T) only, never on T, and still names each code
+    in forward time: an orbit listed twice (``chiral_twice.codes`` on E2,
+    whose error is the golden ``urefine_E2_chiral_twice.err``) and a code
+    that E3 does not admit."""
+    twice = parse_codes((GOLDEN / "chiral_twice.codes").read_text())
+    failing = (
+        (make_e2, twice, DuplicateOrbitError, (GOLDEN / "urefine_E2_chiral_twice.err").read_text()),
+        (make_e3, [PeriodicCode((1, 1, 2))], AdmissibilityError,
+         "AdmissibilityError: code 1 1 2 is not admissible for this type\n"),
+    )
+    builds = record_builds(monkeypatch, "_branches")
+    for make, W, error, text in failing:
+        for check in (lambda T: cutting_family(T, W, unstable=True), lambda T: u_refine(T, W)):
+            T = make()
+            builds.clear()
+            with pytest.raises(error) as raised:
+                check(T)
+            assert f"{error.__name__}: {raised.value}\n" == text
+            assert [obj for obj, _ in builds] == [invert(T)]
+            assert builds[0][0] is invert(T) and "_branches" not in vars(T)
 
 
 def test_no_recode_packs_a_key(monkeypatch):
@@ -319,16 +368,22 @@ def test_trimmed_names_stay_out_of_the_library():
     the cut marks of band assembly are the one column that places a cut
     line, for assembly and recode alike.  Only tests read a result's band
     lookup ``r_of``, now a reference function, or the corner codes of
-    ``BoundarySets``, ``s_codes & u_codes``."""
+    ``BoundarySets``, ``s_codes & u_codes``.  Each side's boundary is kept
+    as one set of key words, read through one getter, and every orbit is
+    keyed by ``shift._orbit_key`` or, when primitive by construction, by
+    ``min_rotation`` alone."""
     gone = {
         geotype.shift: {"is_admissible_eventually_periodic"},
-        geotype.boundary: {"canonical_eventually_periodic"},
+        geotype.boundary: {
+            "canonical_eventually_periodic", "_kept_side", "_keep_side", "_key_word", "_cycle_orbits",
+        },
         geotype.refine: {
             "BoundaryCodeError", "DuplicateOrbitError", "_orbit_keys", "_ranks",
-            "_cut_offsets", "_successor_ranks",
+            "_cut_offsets", "_successor_ranks", "_orbit_reps", "_flank_orbits",
         },
         geotype.core: {"SULabel", "theta"},
-        geotype.GeometricType: {"_max_h"},
+        geotype.GeometricType: {"_max_h", "_boundary_orbits"},
+        geotype.CodeOrbit: {"_of_cycle", "_of_primitive"},
         geotype.oracle: {"StripMap", "HLabel", "VLabel"},
         geotype.AffineModel: {"maps", "strip_map", "branch", "extract_type", "_branch_index"},
         geotype.OrderTable: {"pair", "refs", "count", "n"},

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geotype import (
     CodeOrbit,
@@ -381,6 +383,20 @@ def test_enumerate_orbits_builds_canonical_orbits_unchecked(monkeypatch):
     assert calls == []
     orbits[-1].canonical.rotate(1).orbit()
     assert calls == ["min_rotation"]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=16))
+def test_min_rotation_is_the_least_of_all_rotations(word):
+    """Comparing only the rotations that start at the least symbol gives the
+    least of all rotations, on a small alphabet so that the least symbol
+    recurs; the orbit key of a word and of its square is the least rotation
+    of its primitive root."""
+    word = tuple(word)
+    assert min_rotation(word) == min(word[k:] + word[:k] for k in range(len(word)))
+    root = primitive_root(word)
+    key = min(root[k:] + root[:k] for k in range(len(root)))
+    assert CodeOrbit.from_word(word).canonical.word == CodeOrbit.from_word(word * 2).canonical.word == key
 
 
 def test_rotation_preserves_orbit():

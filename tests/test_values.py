@@ -60,7 +60,7 @@ CASES = [
         "GeometricType(h=(2, 1), v=(1, 2), rho=(VLabel(k=2, l=1), VLabel(k=1, l=1), "
         "VLabel(k=2, l=2)), eps=(1, -1, 1))",
         ("h", "v", "_slots", "eps"),
-        ("rho", "_report", "_offsets", "_inverse", "_branches", "_binary", "_gamma", "_boundary_orbits"),
+        ("rho", "_report", "_offsets", "_inverse", "_branches", "_binary", "_gamma", "_boundary_words"),
     ),
     Case(
         ValidationReport,
