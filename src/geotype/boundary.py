@@ -244,9 +244,12 @@ def cutting_family(
     (:func:`_check_by_code`), which raises the error of its first faulty
     code: a raw word that is no ``PeriodicCode``, a symbol out of range, a
     forbidden step, an orbit listed before, or a boundary orbit; should it
-    find none, ``InvariantError``.  Costs O(alpha + sum of periods).  Both
-    refinements read the same check through :func:`_checked_family`, which
-    also hands on the values of the check's one lookup per step.
+    find none, ``InvariantError``.  Costs O(alpha + sum of periods); an
+    empty family costs only the side's binary fact
+    (:func:`shift.require_binary`), so a pass that cuts nothing builds no
+    branch table.  Both refinements read the same check through
+    :func:`_checked_family`, which also hands on the values of the check's
+    one lookup per step.
     """
     return _checked_family(T, W, unstable=unstable, drop_boundary=drop_boundary)[0]
 
@@ -267,10 +270,21 @@ def _checked_family(
     no branch table, not even when the check fails: the code-by-code walk
     reads the same table and words, and every error names its code in
     forward time.  Both checks compare each orbit with the side's kept
-    boundary by its key word, in forward time on both sides."""
-    branches = binary_branches(invert(T) if unstable else T)
-    boundary = _boundary_words(T, unstable)
+    boundary by its key word, in forward time on both sides.
+
+    An empty family is checked by :func:`shift.require_binary` on the
+    side's type alone, which raises the ``InvalidTypeError`` and
+    ``NonBinaryError`` of ``binary_branches``: it builds no branch table and
+    reads no boundary words.  So the corner s-pass on a type with the
+    corner property, such as every first-pass output of ``wp_refine``,
+    costs only that type's binary fact, which its assembly already keeps."""
+    side = invert(T) if unstable else T
     items = list(W)
+    if not items:
+        require_binary(side)
+        return (), []
+    branches = binary_branches(side)
+    boundary = _boundary_words(T, unstable)
     checked = _check_at_once(T.n, branches, boundary, items, unstable, drop_boundary)
     if checked is None:
         _check_by_code(T.n, branches, boundary, items, unstable, drop_boundary)
@@ -292,11 +306,11 @@ def _check_at_once(
     symbols that occur.  Each step (w_t, w_{t+1}), wrap included, is
     looked up once in ``branches``, the successor column being the words
     rotated by one, which gives the step column, ``None`` at a miss; when
-    ``unstable``, the words walked are those of the time-reversed codes
-    and ``branches`` is the inverse's table.  Each orbit is compared by
-    its key word, a tuple, so the set of those words shows a repeated
-    orbit and meets the boundary orbits' key words with no Python-level
-    hash.  The phases of dropped boundary codes leave the column by the
+    ``unstable``, the words walked are the time-reversed words, sliced
+    with no code built, and ``branches`` is the inverse's table.  Each
+    orbit is compared by its key word, a tuple, so the set of those words
+    shows a repeated orbit and meets the boundary orbits' key words with
+    no Python-level hash.  The phases of dropped boundary codes leave the column by the
     same mask as the codes.  A code flagged as its own least rotation,
     such as an orbit's key code, is its key word, so no orbit object is
     built for it."""
@@ -308,7 +322,7 @@ def _check_at_once(
     present = set(chain.from_iterable(words))
     if present and (min(present) < 1 or max(present) > n):
         return None
-    walked = [code.reversed_pointed().word for code in codes] if unstable else words
+    walked = [w[:1] + w[:0:-1] for w in words] if unstable else words
     successors = chain.from_iterable(map(add, map(_tail, walked), map(_head, walked)))
     column = list(map(branches.get, _branch_keys(n, chain.from_iterable(walked), successors)))
     if not all(column):  # a miss is None, and every e * j is nonzero
@@ -346,7 +360,7 @@ def _check_by_code(
         if not isinstance(code, PeriodicCode):
             code = PeriodicCode(tuple(code))
         require_symbols(n, code.word)
-        word = code.reversed_pointed().word if unstable else code.word
+        word = code.word[:1] + code.word[:0:-1] if unstable else code.word
         if not all(map(branches.__contains__, _branch_keys(n, word, word[1:] + word[:1]))):
             raise AdmissibilityError(f"code {code} is not admissible for this type")
         key = code._orbit_word()

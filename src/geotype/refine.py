@@ -498,9 +498,9 @@ def u_refine(T: GeometricType, W, *, drop_boundary: bool = False) -> RefinementR
     whose one lookup pass walks the reversed codes on the inverse's branch
     table: reversal keeps the family a cutting family of the inverse, and
     the column that pass returns is the inner order table's.  T's own
-    branch table is built only to name a faulty code.  A family that cuts
-    nothing returns T itself as ``refined``, not ``invert(invert(T))``,
-    which would be a fresh equal copy.
+    branch table is never built, and an empty family builds none at all.
+    A family that cuts nothing returns T itself as ``refined``, not
+    ``invert(invert(T))``, which would be a fresh equal copy.
     """
     family, steps = _checked_family(T, W, unstable=True, drop_boundary=drop_boundary)
     reversed_family = tuple(w.reversed_pointed() for w in family)
@@ -537,7 +537,8 @@ def corner_refine(T: GeometricType) -> RefinementResult:
     hold its points.  On E2, s along (1 2) then u along the recode of
     (1 2 2), and the other order, both give n = 7 and alpha = 15, with
     different h multisets.  Each pass cuts along the key codes of those
-    orbits, sorted by (period, word).
+    orbits, sorted by (period, word).  On a type with the corner property
+    both families are empty, so neither pass builds a branch table.
     """
     stage1 = s_refine(T, _key_codes(_boundary_words(T, True) - _boundary_words(T, False)))
     T1 = stage1.refined
@@ -570,14 +571,20 @@ def _transport_boundary(stage: RefinementResult) -> None:
     Marcus, *Symbolic Dynamics and Coding*, 1995, section 6.4): the s-side
     is the flank words of the cut lines (:func:`_flank_words`) and the
     recodes of the source's s-boundary orbits, the u-side the recodes of its
-    u-boundary orbits.  A recode is a primitive root, keyed by its least
-    rotation alone.  The recodes bisect the cut marks band assembly handed
-    over."""
+    u-boundary orbits.  Each orbit of the union of the two sides is recoded
+    once, and each side is read off that one map: on a source with the
+    corner property, as every ``corner_refine_along`` source has, the two
+    sides are one set of orbits.  A recode is a primitive root, keyed by its
+    least rotation alone.  The recodes bisect the cut marks band assembly
+    handed over."""
     source, kept = stage.source, stage.refined._boundary_words
-    for unstable, added in ((False, _flank_words(stage)), (True, ())):
-        codes = _key_codes(_boundary_words(source, unstable))
-        recoded = {min_rotation(shadow.word) for code in codes for shadow in stage.recode(code)}
-        kept[unstable] = frozenset(recoded.union(added))
+    s_words, u_words = _boundary_words(source, False), _boundary_words(source, True)
+    recoded = {
+        code.word: [min_rotation(shadow.word) for shadow in stage.recode(code)]
+        for code in _key_codes(s_words | u_words)
+    }
+    kept[False] = frozenset(chain(_flank_words(stage), *map(recoded.__getitem__, s_words)))
+    kept[True] = frozenset(chain.from_iterable(map(recoded.__getitem__, u_words)))
 
 
 def _flank_words(stage: RefinementResult) -> Iterator[tuple[int, ...]]:

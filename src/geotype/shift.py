@@ -55,8 +55,11 @@ def _orbit_key(word: tuple[int, ...]) -> tuple[int, ...]:
 
 def _key_codes(words: Iterable[tuple[int, ...]]) -> list["PeriodicCode"]:
     """The key codes of orbits given by their key words, unchecked and
-    flagged least, sorted by (period, word)."""
-    return [PeriodicCode._of(word, True) for word in sorted(words, key=lambda w: (len(w), w))]
+    flagged least, sorted by (period, word): by word, then stably by
+    length, with no key function written in Python."""
+    ordered = sorted(words)
+    ordered.sort(key=len)
+    return [PeriodicCode._of(word, True) for word in ordered]
 
 
 def _require_int_symbols(word: tuple[object, ...]) -> None:

@@ -48,6 +48,13 @@ CASES = [([shlex.split(line) for line in runs], *rest) for runs, *rest in [
     (["srefine E2.gt --codes W12_twice.codes"], 1, None, "srefine_E2_w12_twice.err"),
     # A chiral orbit twice: named in forward time, 1 1 2 1 2 2, not by its reversed key 1 1 2 2 1 2.
     (["urefine E2.gt --codes chiral_twice.codes"], 1, None, "urefine_E2_chiral_twice.err"),
+    # An empty family cuts nothing: each pass returns E2 itself, with empty tables.
+    (["srefine E2.gt --codes empty.codes"], 0, "srefine_E2_empty.txt", None),
+    (["urefine E2.gt --codes empty.codes"], 0, "urefine_E2_empty.txt", None),
+    (["oracle-check E2.gt --codes empty.codes"], 0, "E2.gt", None),
+    # An empty family still needs a binary type.
+    (["srefine E1.gt --codes empty.codes"], 1, None, "srefine_E1_w12.err"),
+    (["urefine E1.gt --codes empty.codes"], 1, None, "srefine_E1_w12.err"),
     # Cut lines behind bin(E1m)'s reversing strips sort by negated kneading keys; W12 on E2 has none.
     ([f"srefine {BIN4}"], 0, "srefine_E1m_bin_4.txt", None),
     ([f"urefine {BIN4}"], 0, "urefine_E1m_bin_4.txt", None),

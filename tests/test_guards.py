@@ -51,6 +51,7 @@ from geotype import (
 from geotype.boundary import boundary_report, cutting_family
 from geotype.cli import main
 from geotype.core import _branch_keys, _step_keys
+from geotype.refine import RefinementResult
 from geotype.shift import binary_branches, is_binary, parse_codes, require_binary
 
 from conftest import (
@@ -486,6 +487,52 @@ def test_refinements_keep_no_branch_table_on_their_output(monkeypatch):
     assert sorted(map(id, (T, invert(T)))) == sorted(id(U) for U, _ in builds)
     for U in (s_result.refined, inner):
         assert U._binary is True and "_branches" not in vars(U)
+
+
+def test_a_pass_that_cuts_nothing_builds_no_branch_table(monkeypatch):
+    """An empty family is checked by the binary fact of the side's type
+    alone, so a pass that cuts nothing builds no branch table and returns T
+    itself.  ``wp_refine(E2, 6)`` builds the tables of E2, whose first pass
+    reads its steps, and of the inverse of that pass's output, which the
+    corner u-pass reads, but none on the output, whose corner s-pass cuts
+    nothing.  The first pass recodes each boundary orbit of E2 once: its two
+    sides are the same two orbits, (1) and (2).  An empty family on E1 or
+    on an invalid type still raises the error of the branch-table check."""
+    builds = record_builds(monkeypatch, "_branches")
+    recoded: list[PeriodicCode] = []
+    real_recode = RefinementResult.recode
+
+    def counting_recode(self, code):
+        recoded.append(code)
+        return real_recode(self, code)
+
+    monkeypatch.setattr(RefinementResult, "recode", counting_recode)
+    E2 = make_e2()
+    result = wp_refine(E2, 6)
+    T1 = result.stages[0].refined
+    assert result.stages[1].refined is T1 and "_branches" not in vars(T1)
+    assert [id(U) for U, _ in builds] == [id(E2), id(invert(T1))]
+    assert sorted(code.word for code in recoded) == [(1,), (2,)]
+
+    builds.clear()
+    T = make_e2()
+    assert corner_refine(T).refined is T and builds == []
+    for T in (make_e2(), make_e3()):
+        assert s_refine(T, []).refined is T and u_refine(T, []).refined is T
+        assert cutting_family(T, []) == () == cutting_family(T, [], unstable=True)
+        assert builds == [] and "_branches" not in vars(invert(T))
+
+    errors = (InvalidTypeError, NonBinaryError)
+    for make in (make_e1, broken):
+        with pytest.raises(errors) as expected:
+            binary_branches(make())
+        for refine in (s_refine, u_refine):
+            builds.clear()
+            with pytest.raises(errors) as raised:
+                refine(make(), [])
+            got, want = raised.value, expected.value
+            assert (type(got), str(got)) == (type(want), str(want))
+            assert builds == []
 
 
 def _corrupt_blocks(monkeypatch, clean: GeometricType, corrupt: str) -> None:
