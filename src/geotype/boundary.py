@@ -93,7 +93,9 @@ def _slot(T: GeometricType, label: SULabel) -> int:
 
 def theta(T: GeometricType, label: SULabel) -> HLabel:
     """Strip holding the boundary edge: bottom edge -> strip 1, top -> strip h_i."""
-    return HLabel(label.i, T.h[label.i - 1] if _slot(T, label) % 2 else 1)
+    slot = _slot(T, label)
+    i = slot // 2 + 1
+    return HLabel(i, T.h[i - 1] if slot % 2 else 1)
 
 
 def _label(slot: int) -> SULabel:

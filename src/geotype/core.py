@@ -170,7 +170,9 @@ class GeometricType(_Record):
 
     ``GeometricType(h, v, rho, eps)`` takes rho as (k, l) pairs, lists or
     ``VLabel``s and eps as signs, aligned with the lexicographic order of
-    the horizontal labels.  It stores each strip's target as one integer
+    the horizontal labels; every count, target index and sign must be an
+    ``int`` and not a ``bool``, as ``serialize`` and ``parse`` need.  It
+    stores each strip's target as one integer
     next to its sign: the target's 0-based vertical slot, v_1 + ... +
     v_{k-1} + l - 1, so that rho is a permutation of the alpha slots of a
     valid type.  ``rho`` is a view, the tuple of ``VLabel``s built from the
@@ -198,6 +200,8 @@ class GeometricType(_Record):
         n = len(h)
         if n == 0 or len(v) != n:
             raise ValueError("h and v must be nonempty lists of equal length")
+        if not all(type(x) is int for x in chain(h, v, eps, *rho)):
+            raise ValueError("h, v, rho targets and eps entries must be ints, not bools or floats")
         if any(x < 0 for x in h) or any(x < 0 for x in v):
             raise ValueError("sub-rectangle counts must be nonnegative")
         alpha = sum(h)

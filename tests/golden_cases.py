@@ -67,6 +67,10 @@ CASES = [([shlex.split(line) for line in runs], *rest) for runs, *rest in [
     (["render E2.gt --format dot"], 0, "E2_incidence.dot", None),
     # W12's red cut lines sit at the exact cut heights 2/3 and 1/3.
     (["render E2.gt --format svg --codes W12.codes"], 0, "E2_w12.svg", None),
+    # An h far too large to allocate is a parse error, not a traceback.
+    (["validate huge_h.gt"], 2, None, "validate_huge_h.err"),
+    # A v far past alpha: validate names at most ten unreached labels, and alpha needs a valid type.
+    (["validate huge_v.gt", "alpha huge_v.gt"], 1, "validate_huge_v.txt", "alpha_huge_v.err"),
 ]]
 
 

@@ -69,6 +69,12 @@ def test_theta_examples(e0, e2):
     assert theta(e0, SULabel(1, +1)) == (1, 1)
 
 
+def test_theta_takes_a_plain_tuple(e3):
+    """theta, like gamma_step, reads a label as an (i, eps) pair."""
+    for label in map(SULabel._make, product(range(1, e3.n + 1), (-1, 1))):
+        assert theta(e3, tuple(label)) == theta(e3, label)
+
+
 def test_gamma_step_examples(e0, e2):
     assert gamma_step(e2, SULabel(1, -1)) == SULabel(1, -1)
     assert gamma_step(e2, SULabel(1, +1)) == SULabel(2, +1)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from geotype import serialize
-from geotype.cli import main
+from geotype.cli import _build_parser, main
 
 from conftest import UNUSABLE_INTEGER_FILES, make_e0
 from golden_cases import CASES, GOLDEN, expected, outcome
@@ -43,6 +43,12 @@ def test_golden_case(capsys, monkeypatch, case):
     monkeypatch.chdir(GOLDEN)
     monkeypatch.delenv("GEOTYPE_COLOR", raising=False)
     assert outcome(case, lambda argv: run_cli(capsys, *argv)) == expected(case)
+
+
+def test_every_subcommand_has_a_case():
+    """Each subcommand of the parser is the first word of some golden case."""
+    (sub,) = (action for action in _build_parser()._actions if action.dest == "command")
+    assert sorted(set(sub.choices) - {argv[0] for runs, *_ in CASES for argv in runs}) == []
 
 
 def test_every_golden_file_belongs_to_a_case():
@@ -156,23 +162,14 @@ def test_urefine(capsys, e2_path, tmp_path):
     assert "u-boundary code" in err
 
 
-def test_corner_and_wp(capsys, e2_path):
-    """E2 has the corner property, so both pipelines return it unchanged."""
-    code, out, _ = run_cli(capsys, "corner", e2_path)
-    assert code == 0
-    assert out == Path(e2_path).read_text()
+def test_wp(capsys, e2_path):
+    """E2 has the corner property, so wp returns it unchanged; P = 0 is below every period."""
     code, out_wp, _ = run_cli(capsys, "wp", e2_path, "--max-period", "1")
     assert code == 0
     assert out_wp == Path(e2_path).read_text()
     code, _, err = run_cli(capsys, "wp", e2_path, "--max-period", "0")
     assert code == 1
     assert "P below" in err
-
-
-def test_render_svg(capsys, e2_path, w12_path):
-    code, out, _ = run_cli(capsys, "render", e2_path, "--format", "svg", "--codes", w12_path)
-    assert code == 0
-    assert out.startswith("<svg") and "(0,1.2)" in out
 
 
 def test_render_svg_rejects_a_symbol_above_n(capsys, e2_path, tmp_path):
@@ -218,19 +215,14 @@ def test_render_rejects_a_malformed_type_block(capsys, e2_path, w12_path, tmp_pa
         assert err.startswith(f"ParseError: line {lineno}: ") and err.count("\n") == 1
 
 
-HUGE_V = "GEOTYPE 1\nn=1\nh=1\nv=100000000000000000000\nmap (1,1)->(1,1) +\n"
-
-
-def test_a_huge_v_is_an_invalid_type(capsys, tmp_path):
-    """validate reports a v far past alpha in two short lines, and every
-    command that needs a valid type exits 1 with one line on stderr."""
-    path = tmp_path / "huge_v.gt"
-    path.write_text(HUGE_V)
-    code, out, err = run_cli(capsys, "validate", str(path))
-    assert (code, err, out.count("\n")) == (1, "", 2) and len(out) < 1024
-    for command in ("alpha", "invert", "incidence", "bin", "codes", "orbits"):
+def test_a_huge_v_is_an_invalid_type(capsys):
+    """Every command that needs a valid type exits 1 on a v far past alpha,
+    with one line on stderr; the golden cases of huge_v.gt hold what
+    validate and alpha print."""
+    path = str(GOLDEN / "huge_v.gt")
+    for command in ("invert", "incidence", "bin", "codes", "orbits"):
         options = ["--max-period", "2"] if command == "orbits" else []
-        code, out, err = run_cli(capsys, command, str(path), *options)
+        code, out, err = run_cli(capsys, command, path, *options)
         assert (code, out) == (1, "")
         assert err.startswith("InvalidTypeError: ") and err.count("\n") == 1 and len(err) < 1024
 

@@ -286,6 +286,24 @@ def test_construction_range_errors(rho, eps, message):
         GeometricType((2,), (2,), rho, eps)
 
 
+@pytest.mark.parametrize(
+    "h, rho, eps",
+    [
+        ((True,), [(1, 1)], [1]),  # serialize would write h=True, which parse rejects
+        ((1.0,), [(1, 1)], [1]),  # bin_refine would raise TypeError
+        ((1,), [(1, 1.0)], [1]),
+        ((1,), [(True, 1)], [1]),
+        ((1,), [(1, 1)], (1.0,)),
+        ((1,), [(1, 1)], (True,)),
+    ],
+)
+def test_construction_rejects_non_int_values(h, rho, eps):
+    with pytest.raises(ValueError, match="must be ints"):
+        GeometricType(h, (1,), rho, eps)
+    with pytest.raises(ValueError, match="must be ints"):
+        GeometricType((1,), h, rho, eps)
+
+
 def test_labels_are_tuples(e2):
     assert HLabel(1, 2) == (1, 2)
     assert e2.lex_index((1, 2)) == 2 and list(e2.h_labels())[1] == (1, 2)
